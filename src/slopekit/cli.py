@@ -27,7 +27,7 @@ from .determination import determine
 from .errors import FileFormatError, SlopeKitError
 from .gallery import FIGURE_TAGS, emit_figure_data
 from .reconstruct import Inadmissible, SlopeData, reconstruct
-from .slope import OVERFLOW_CAP, slope_field
+from .slope import OVERFLOW_CAP, check_cap, slope_field
 from .space import EDGE_LOCAL, SHORTEST_PATH_CLOSURE
 
 EXIT_OK = 0
@@ -243,6 +243,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "cap" in args:
+        try:
+            check_cap(args.cap)
+        except SlopeKitError as exc:
+            parser.error(f"argument --cap: {exc}")
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NegativeTolerance
-from .slope import ScalarField, SlopeField, require_bound
+import numpy as np
+
+from .slope import ScalarField, SlopeField, check_tol, require_bound
 from .space import MetricSpaceGraph, PointId
 
 
@@ -30,6 +31,13 @@ class CriticalSet:
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
+
+    def mask(self, n: int) -> np.ndarray:
+        """Boolean membership over the points 0..n-1."""
+        inside = np.zeros(n, dtype=bool)
+        ids = np.fromiter(self.members, dtype=np.intp, count=len(self.members))
+        inside[ids[(ids >= 0) & (ids < n)]] = True
+        return inside
 
 
 @dataclass(frozen=True)
@@ -72,13 +80,9 @@ def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
     positive tol because slopes at near-critical samples are O(h)
     (see `grid_critical_tol`).
     """
-    tol = float(tol)
-    if tol < 0.0:
-        raise NegativeTolerance(f"tol must be >= 0, got {tol}")
-    members = frozenset(
-        x for x in range(len(slopes))
-        if not slopes.infinite[x] and slopes.values[x] <= tol)
-    return CriticalSet(members=members, tol=tol)
+    tol = check_tol(tol)
+    members = np.flatnonzero(~slopes.infinite & (slopes.values <= tol))
+    return CriticalSet(members=frozenset(members.tolist()), tol=tol)
 
 
 def sublevel_set(f: ScalarField, alpha: float) -> SublevelSet:
@@ -101,7 +105,7 @@ def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     space.check_point(x)
     fx = f.values[x]
     best = None
-    for z in sorted(crit.members):
+    for z in crit.members:
         if f.values[z] <= fx:
             val = float(f.values[z] - g.values[z])
             if best is None or val < best:

@@ -17,9 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .critical import CriticalSet, NoCriticalBelow, comparison_floor
 from .errors import PointIsCritical, SlopeDominanceViolated, StepLimitExceeded
-from .slope import OVERFLOW_CAP, ScalarField, local_slope, require_bound
+from .slope import (
+    OVERFLOW_CAP,
+    ScalarField,
+    local_slope,
+    require_bound,
+    slope_field,
+)
 from .space import MetricSpaceGraph, PointId
 
 
@@ -162,17 +170,17 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
     """
     require_bound(space, f)
     require_bound(space, g)
-    non_critical = [x for x in range(space.n) if x not in crit]
-    for x in non_critical:
-        sf = local_slope(space, f, x, cap=cap)
-        sg = local_slope(space, g, x, cap=cap)
-        if not sf.as_float() > sg.as_float():
-            return StrictComparisonReport(
-                dominance_ok=False, dominance_witness=x,
-                checked=0, comparison_holds=None,
-                violation_point=None, violation_floor=None)
+    non_critical = ~crit.mask(space.n)
+    sf = slope_field(space, f, cap=cap)
+    sg = slope_field(space, g, cap=cap)
+    offending = np.flatnonzero(non_critical & ~(sf.values > sg.values))
+    if offending.size:
+        return StrictComparisonReport(
+            dominance_ok=False, dominance_witness=int(offending[0]),
+            checked=0, comparison_holds=None,
+            violation_point=None, violation_floor=None)
     checked = 0
-    for x in non_critical:
+    for x in np.flatnonzero(non_critical).tolist():
         floor = comparison_floor(space, f, g, x, crit)
         checked += 1
         if isinstance(floor, NoCriticalBelow):

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalSet, critical_set
-from .errors import EmptyCriticalSet, NegativeTolerance, PreconditionViolated
+from .errors import EmptyCriticalSet, PreconditionViolated
 from .slope import (
     OVERFLOW_CAP,
     ScalarField,
     SlopeField,
+    check_cap,
+    check_tol,
     require_bound,
     scale_field,
     slope_field,
@@ -211,8 +213,8 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
               cap: float) -> HypothesisDiagnostics:
     require_bound(space, f)
     require_bound(space, g)
-    if tol_slope < 0.0 or tol_crit < 0.0:
-        raise NegativeTolerance("tolerances must be >= 0")
+    tol_slope = check_tol(tol_slope, "tol_slope")
+    tol_crit = check_tol(tol_crit, "tol_crit")
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
 
@@ -307,8 +309,8 @@ def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
     require_bound(space, f)
     require_bound(space, g)
     c = float(c)
-    if pre_tol is None:
-        pre_tol = float(tol)
+    tol = check_tol(tol)
+    pre_tol = tol if pre_tol is None else check_tol(pre_tol, "pre_tol")
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
     if sf.any_infinite():
@@ -361,6 +363,7 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
             raise ValueError("epsilons must be strictly decreasing")
     if not eps[-1] > 0.0:
         raise ValueError("epsilons must be positive")
+    tol = check_tol(tol)
 
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
@@ -387,7 +390,7 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     crit_arr = np.array(crit_points, dtype=int)
     f_crit = f.values[crit_arr]
-    non_crit = np.array([x for x in range(space.n) if x not in crit], dtype=int)
+    non_crit = np.flatnonzero(~crit.mask(space.n))
 
     rows = []
     bracket_maxes = []
@@ -396,9 +399,8 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         se = slope_field(space, fe, cap=cap)
         crit_e = critical_set(se, crit_tol)
         crit_preserved = crit_e.members == crit.members
-        dominance_ok = all(
-            sg.values[x] < se.values[x] for x in range(space.n)
-            if x not in crit_e)
+        dominance_ok = bool(np.all(
+            (sg.values < se.values)[~crit_e.mask(space.n)]))
         if non_crit.size == 0:
             rows.append(EpsilonAuditRow(
                 epsilon=e, crit_preserved=crit_preserved,
@@ -443,16 +445,16 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     failures become HypothesisViolated verdicts with witnesses; a
     residual above tolerance with passing hypotheses is Inconclusive.
     """
-    tol_slope = float(tol_slope)
-    tol_crit = float(tol_crit)
+    tol_slope = check_tol(tol_slope, "tol_slope")
+    tol_crit = check_tol(tol_crit, "tol_crit")
     if tol_residual is None:
         tol_residual = 1e-9 + tol_crit
-    tol_residual = float(tol_residual)
+    tol_residual = check_tol(tol_residual, "tol_residual")
     tolerances = {
         "tol_slope": tol_slope,
         "tol_crit": tol_crit,
         "tol_residual": tol_residual,
-        "overflow_cap": float(cap),
+        "overflow_cap": check_cap(cap),
     }
     diag = _diagnose(space, f, g, tol_slope, tol_crit, float(cap))
 

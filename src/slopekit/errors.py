@@ -2,6 +2,9 @@
 
 Every failure mode callers are expected to branch on gets its own class;
 all derive from SlopeKitError so batch drivers can catch one type.
+The one exception is InvariantViolated, which reports a defect in the
+package rather than bad input, so it is a RuntimeError and the CLI
+reports it as an internal error.
 """
 
 
@@ -70,7 +73,11 @@ class EmptyDeltaList(SlopeKitError):
 
 
 class NegativeTolerance(SlopeKitError):
-    """A tolerance must be >= 0."""
+    """A tolerance is negative, NaN or infinite; it must be finite and >= 0."""
+
+
+class InvalidCap(SlopeKitError):
+    """The slope overflow cap is NaN, infinite or <= 0."""
 
 
 # ---- descent ----
@@ -118,6 +125,10 @@ class UncoveredCriticalPoint(SlopeKitError):
 
 class InfiniteSlopeData(SlopeKitError):
     """Slope data for reconstruction contains infinite entries."""
+
+
+class InvariantViolated(RuntimeError):
+    """An internal invariant of an algorithm failed (a bug, not bad input)."""
 
 
 # ---- files and gallery ----

@@ -7,13 +7,16 @@ is finalized at
 
     v(x) = min over finalized neighbors y of  v(y) + s(x) * d(x, y).
 
-The sweep alone is a heuristic; what makes the solver honest is the
-unconditional verification pass afterwards, which recomputes the slope
-field of the output and rejects the result (with witnesses) wherever it
-deviates from the input slopes beyond tolerance. When the data really
-came from a field, uniqueness of the answer is exactly the
-determination property: equal slopes plus equal critical values leave
-no freedom beyond what the prescription already fixes.
+The sweep walks the space's CSR edge lists (one `.tolist()` each, then
+plain Python) and checks its own invariants, raising InvariantViolated
+rather than relying on `assert`. The sweep alone is a heuristic; what
+makes the solver honest is the unconditional verification pass
+afterwards, which recomputes the slope field of the output and rejects
+the result (with witnesses) wherever it deviates from the input slopes
+beyond tolerance. When the data really came from a field, uniqueness of
+the answer is exactly the determination property: equal slopes plus
+equal critical values leave no freedom beyond what the prescription
+already fixes.
 """
 from __future__ import annotations
 
@@ -26,11 +29,11 @@ import numpy as np
 from .errors import (
     DisconnectedSpace,
     InfiniteSlopeData,
-    InvalidPoint,
+    InvariantViolated,
     NonFiniteFieldValue,
     UncoveredCriticalPoint,
 )
-from .slope import ScalarField, SlopeField, require_bound, slope_field
+from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
 from .space import MetricSpaceGraph, is_connected
 
 
@@ -81,8 +84,8 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
         prescribed[p] = v
     if not is_connected(space):
         raise DisconnectedSpace("reconstruction requires a connected space")
-    uncovered = [x for x in range(space.n)
-                 if data.slopes.values[x] <= tol and x not in prescribed]
+    uncovered = [x for x in np.flatnonzero(data.slopes.values <= tol).tolist()
+                 if x not in prescribed]
     if uncovered:
         raise UncoveredCriticalPoint(
             f"points {uncovered[:8]} have slope <= {tol} but no prescribed value")
@@ -96,46 +99,57 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
     whose witnesses list every point where the recomputed slope deviates
     from the input by more than tol. Prescribed values are never
     overridden; ties in the finalization order break toward the
-    smallest point id. The sequence of finalized values is
-    nondecreasing by construction (asserted during the sweep).
+    smallest point id. The sequence of finalized values is nondecreasing
+    by construction; the sweep checks it, and that it reaches every
+    point, raising InvariantViolated if either fails.
     """
-    tol = float(tol)
+    tol = check_tol(tol)
     prescribed = _validate(space, data, tol)
     speeds = data.slopes.values
-    v = np.full(space.n, math.inf)
-    done = np.zeros(space.n, dtype=bool)
+    speed_at = speeds.tolist()
+    ends = space.indptr.tolist()
+    dst = space.dst.tolist()
+    length = space.w.tolist()
+    v = [math.inf] * space.n
+    done = [False] * space.n
+    pinned = [False] * space.n
     heap: list[tuple[float, int]] = []
     for p in sorted(prescribed):
         v[p] = prescribed[p]
+        pinned[p] = True
         heapq.heappush(heap, (v[p], p))
     last = -math.inf
+    swept = 0
     while heap:
         val, x = heapq.heappop(heap)
         if done[x] or val > v[x]:
             continue
-        assert val >= last, "finalization order must be nondecreasing"
+        if val < last:
+            raise InvariantViolated(
+                f"sweep finalized {val} at point {x} after {last}")
         last = val
         done[x] = True
-        for y, d in space.adjacency(x):
-            if done[y] or y in prescribed:
+        swept += 1
+        for k in range(ends[x], ends[x + 1]):
+            y = dst[k]
+            if done[y] or pinned[y]:
                 continue
-            cand = val + speeds[y] * d
+            cand = val + speed_at[y] * length[k]
             if cand < v[y]:
                 v[y] = cand
                 heapq.heappush(heap, (cand, y))
-    assert bool(done.all()), "connected space must be fully swept"
+    if swept != space.n:
+        raise InvariantViolated(
+            f"sweep finalized {swept} of {space.n} points of a connected space")
 
-    result = ScalarField(space, v)
-    recomputed = slope_field(space, result, cap=data.slopes.cap)
-    witnesses = []
-    for x in range(space.n):
-        got = recomputed.values[x]  # may be inf
-        want = float(speeds[x])
-        if not abs(got - want) <= tol:
-            witnesses.append(SlopeMismatch(point=x, expected=want,
-                                           recomputed=float(got)))
-    if witnesses:
-        return Inadmissible(witnesses=tuple(witnesses))
+    result = ScalarField(space, np.array(v))
+    recomputed = slope_field(space, result, cap=data.slopes.cap).values
+    off = np.flatnonzero(~(np.abs(recomputed - speeds) <= tol))
+    if off.size:
+        return Inadmissible(witnesses=tuple(
+            SlopeMismatch(point=x, expected=float(speeds[x]),
+                          recomputed=float(recomputed[x]))
+            for x in off.tolist()))
     return result
 
 

@@ -9,8 +9,19 @@ a configurable overflow cap are collapsed to an explicit infinite
 marker, which keeps "genuinely unbounded across refinement" distinct
 from "merely large" in downstream reports.
 
-All operations here are pure functions over immutable inputs; per-point
-evaluations are independent of each other and of evaluation order.
+`slope_field` is one pass over the space's directed edge arrays: one
+quotient max(f[src] - f[dst], 0) / w per directed edge, reduced per
+source point with `np.maximum.at` into zeros (so isolated points keep
+0), then compared with the cap. These are the float operations of the
+per-point loop in `local_slope`, so both give bitwise-equal slopes.
+
+Overflow rule: finite values near +-1.7e308 can make f(x) - f(y), or
+the quotient, overflow to +inf. That is deliberate, not an accident:
+both computations run under `np.errstate(over="ignore")`, the +inf
+quotient exceeds every finite cap, and the point gets the infinite
+marker without a RuntimeWarning. The cap itself must be finite and
+positive (`check_cap`), and every tolerance finite and >= 0
+(`check_tol`); both checks are shared by all modules that take them.
 """
 from __future__ import annotations
 
@@ -22,12 +33,30 @@ import numpy as np
 from .errors import (
     EmptyDeltaList,
     FieldSpaceMismatch,
+    InvalidCap,
+    NegativeTolerance,
     NonFiniteFieldValue,
     NonPositiveScale,
 )
 from .space import MetricSpaceGraph, PointId, metric_distances
 
 OVERFLOW_CAP = 1e12
+
+
+def check_cap(cap) -> float:
+    """The overflow cap as a float; InvalidCap unless finite and > 0."""
+    cap = float(cap)
+    if not (math.isfinite(cap) and cap > 0.0):
+        raise InvalidCap(f"cap must be a finite number > 0, got {cap}")
+    return cap
+
+
+def check_tol(tol, name: str = "tol") -> float:
+    """A tolerance as a float; NegativeTolerance unless finite and >= 0."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise NegativeTolerance(f"{name} must be a finite number >= 0, got {tol}")
+    return tol
 
 
 @dataclass(eq=False)
@@ -139,15 +168,17 @@ def local_slope(space: MetricSpaceGraph, f: ScalarField, x: PointId,
     Quotients strictly above `cap` return the infinite marker.
     """
     require_bound(space, f)
+    cap = check_cap(cap)
     space.check_point(x)
     fx = f.values[x]
     best = 0.0
-    for y, d in space.adjacency(x):
-        drop = fx - f.values[y]
-        if drop > 0.0:
-            q = drop / d
-            if q > best:
-                best = q
+    with np.errstate(over="ignore"):
+        for y, d in space.adjacency(x):
+            drop = fx - f.values[y]
+            if drop > 0.0:
+                q = drop / d
+                if q > best:
+                    best = q
     if best > cap:
         return INFINITE_SLOPE
     return SlopeValue(best)
@@ -155,21 +186,18 @@ def local_slope(space: MetricSpaceGraph, f: ScalarField, x: PointId,
 
 def slope_field(space: MetricSpaceGraph, f: ScalarField,
                 cap: float = OVERFLOW_CAP) -> SlopeField:
-    """`local_slope` at every point.
+    """The slope at every point, from one pass over the edge arrays.
 
-    Per-point computations are independent, so the result does not
-    depend on evaluation order or on any parallel schedule.
+    Bitwise equal to `local_slope` at each point.
     """
     require_bound(space, f)
+    cap = check_cap(cap)
     vals = np.zeros(space.n)
-    mask = np.zeros(space.n, dtype=bool)
-    for x in range(space.n):
-        sv = local_slope(space, f, x, cap=cap)
-        if sv.infinite:
-            mask[x] = True
-            vals[x] = math.inf
-        else:
-            vals[x] = sv.value
+    with np.errstate(over="ignore"):
+        drop = f.values[space.src] - f.values[space.dst]
+        q = np.maximum(drop, 0.0) / space.w
+    np.maximum.at(vals, space.src, q)
+    mask = vals > cap
     return SlopeField(space=space, values=vals, infinite=mask,
                       provenance="exact-graph", cap=cap)
 
@@ -196,6 +224,7 @@ def delta_slope_profile(space: MetricSpaceGraph, f: ScalarField, x: PointId,
     coordinates or shortest-path-closure mode.
     """
     require_bound(space, f)
+    cap = check_cap(cap)
     space.check_point(x)
     deltas = [float(d) for d in deltas]
     if not deltas:

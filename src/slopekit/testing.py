@@ -9,7 +9,9 @@ rounding noise.
 
 Each suite re-derives its claims from raw field values (brute-force
 neighbor scans, direct inequality checks) instead of trusting the
-bookkeeping of the operation under test.
+bookkeeping of the operation under test. `reference_slope_field` keeps
+the per-point loop that the edge-array slope kernel replaced, as the
+oracle of the differential tests.
 """
 from __future__ import annotations
 
@@ -22,11 +24,28 @@ from .critical import comparison_floor, critical_set
 from .descent import NoStep, descent_path, descent_step
 from .determination import VERDICT_EQUAL, determine
 from .reconstruct import Inadmissible, SlopeData, reconstruct
-from .slope import ScalarField, SlopeField, scale_field, slope_field
+from .slope import (
+    OVERFLOW_CAP,
+    ScalarField,
+    SlopeField,
+    local_slope,
+    scale_field,
+    slope_field,
+)
 from .space import MetricSpaceGraph, build_graph
 
 EDGE_LENGTHS = (0.25, 0.5, 1.0, 2.0)
 VALUE_DENOM = 1024
+
+
+def reference_slope_field(space: MetricSpaceGraph, f: ScalarField,
+                          cap: float = OVERFLOW_CAP) -> SlopeField:
+    """The slope field from `local_slope` at each point in turn: the
+    per-point loop that the edge-array kernel of `slope_field` replaced."""
+    slopes = [local_slope(space, f, x, cap=cap) for x in range(space.n)]
+    return SlopeField(space=space, values=[s.as_float() for s in slopes],
+                      infinite=[s.infinite for s in slopes],
+                      provenance="exact-graph", cap=cap)
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 50,

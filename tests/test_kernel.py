@@ -1,0 +1,220 @@
+"""The edge-array slope kernel and the edge-array space against their
+per-point and per-entry references.
+
+`slope_field` must equal `testing.reference_slope_field` (the per-point
+loop) bit for bit, values and infinity mask, on every seeded family
+below, without a RuntimeWarning even where f(x) - f(y) overflows.
+`build_graph` must raise, for the first bad entry in input order, the
+class and message of the per-entry validation loop it replaced; the
+expected pairs below are that loop's output.
+"""
+import math
+import random
+
+import numpy as np
+import pytest
+
+from slopekit import ScalarField, build_graph, sample_interval, slope_field
+from slopekit.errors import (
+    DanglingEndpoint,
+    DuplicateEdge,
+    NonPositiveLength,
+    SelfLoopEdge,
+)
+from slopekit.testing import (
+    random_connected_graph,
+    random_dyadic_field,
+    reference_slope_field,
+)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def assert_same_slopes(space, f, cap=1e12):
+    got = slope_field(space, f, cap=cap)
+    want = reference_slope_field(space, f, cap=cap)
+    assert np.array_equal(got.infinite, want.infinite)
+    assert np.array_equal(got.values, want.values)
+    assert got.values.tobytes() == want.values.tobytes()
+    return got
+
+
+def random_graph_with_isolated(rng, n_max=40):
+    """A random graph on the first points, plus isolated points above
+    its largest endpoint."""
+    inner = random_connected_graph(rng, n_max=n_max)
+    extra = rng.randint(1, 5)
+    return build_graph(inner.edges, n=inner.n + extra)
+
+
+def test_dyadic_random_graphs():
+    rng = random.Random(101)
+    for _ in range(200):
+        space = random_connected_graph(rng, n_max=50)
+        assert_same_slopes(space, random_dyadic_field(rng, space))
+
+
+def test_non_dyadic_floats_and_lengths():
+    rng = random.Random(102)
+    for _ in range(100):
+        base = random_connected_graph(rng, n_max=50)
+        edges = [(u, v, rng.uniform(1e-3, 10.0)) for u, v, _ in base.edges]
+        space = build_graph(edges, n=base.n)
+        f = ScalarField(space, np.array([rng.gauss(0.0, 100.0)
+                                         for _ in range(space.n)]))
+        assert_same_slopes(space, f)
+
+
+def test_isolated_points_get_zero():
+    rng = random.Random(103)
+    for _ in range(50):
+        space = random_graph_with_isolated(rng)
+        f = random_dyadic_field(rng, space)
+        got = assert_same_slopes(space, f)
+        top = max(max(u, v) for u, v, _ in space.edges)
+        assert np.all(got.values[top + 1:] == 0.0)
+
+
+def test_quotients_above_a_small_cap():
+    rng = random.Random(104)
+    capped = 0
+    for _ in range(100):
+        space = random_connected_graph(rng, n_max=50)
+        f = random_dyadic_field(rng, space)
+        got = assert_same_slopes(space, f, cap=rng.choice((0.25, 1.0, 3.0)))
+        capped += got.any_infinite()
+    assert capped >= 50
+
+
+def test_slope_equal_to_the_cap_stays_finite():
+    rng = random.Random(108)
+    for _ in range(50):
+        space = random_connected_graph(rng, n_max=50)
+        f = random_dyadic_field(rng, space)
+        slopes = reference_slope_field(space, f).values
+        cap = float(rng.choice(slopes[slopes > 0.0]))
+        got = assert_same_slopes(space, f, cap=cap)
+        assert not got.infinite[slopes == cap].any()
+        assert got.infinite[slopes > cap].all()
+
+
+def test_values_near_the_float_limit():
+    rng = random.Random(105)
+    big = 1.7e308
+    for _ in range(100):
+        space = random_connected_graph(rng, n_max=30)
+        vals = np.array([rng.choice((-big, big, 0.0, big * rng.uniform(-1.0, 1.0)))
+                         for _ in range(space.n)])
+        f = ScalarField(space, vals)
+        for cap in (1e12, 1e300):
+            assert_same_slopes(space, f, cap=cap)
+
+
+def test_overflowing_drop_is_marked_infinite():
+    space = build_graph([(0, 1, 1.0)])
+    f = ScalarField(space, np.array([1.7e308, -1.7e308]))
+    got = assert_same_slopes(space, f, cap=1e300)
+    assert got.infinite.tolist() == [True, False]
+
+
+def test_interval_grid():
+    grid = sample_interval(-math.pi, math.pi, 2001)
+    assert_same_slopes(grid, ScalarField(grid, np.sin(grid.coordinates)))
+
+
+def test_edge_arrays_are_sorted_symmetric_csr():
+    rng = random.Random(106)
+    for _ in range(50):
+        space = random_graph_with_isolated(rng)
+        key = space.src * space.n + space.dst
+        assert np.all(np.diff(key) > 0)
+        pairs = set(zip(space.src.tolist(), space.dst.tolist()))
+        assert all((y, x) in pairs for x, y in pairs)
+        assert space.indptr[0] == 0 and space.indptr[-1] == space.src.size
+        for x in range(space.n):
+            lo, hi = space.indptr[x], space.indptr[x + 1]
+            assert np.all(space.src[lo:hi] == x)
+            assert space.degree(x) == hi - lo
+
+
+def test_lazy_views_match_the_input_edge_list():
+    rng = random.Random(107)
+    for _ in range(50):
+        n = rng.randint(2, 30)
+        keys = {(min(u, v), max(u, v)) for u, v in
+                ((rng.randrange(n), rng.randrange(n)) for _ in range(2 * n))
+                if u != v} | {(0, 1)}
+        entries = [(u, v, rng.choice((0.25, 0.5, 1.0))) if rng.random() < 0.5
+                   else (v, u, rng.choice((0.25, 0.5, 1.0))) for u, v in keys]
+        rng.shuffle(entries)
+        space = build_graph(entries, n=n)
+        canonical = sorted((min(u, v), max(u, v), w) for u, v, w in entries)
+        assert space.edges == tuple(canonical)
+        for x in range(n):
+            want = sorted((v if u == x else u, w) for u, v, w in canonical
+                          if x in (u, v))
+            assert space.adjacency(x) == tuple(want)
+        assert all(type(a) is int and type(b) is int and type(w) is float
+                   for a, b, w in space.edges)
+
+
+OK = [(0, 1, 1.0), (1, 2, 0.5)]
+
+BAD_ENTRIES = [
+    (OK + [(-1, 2, 1.0), (3, 3, 1.0)], None,
+     DanglingEndpoint, "negative endpoint in edge (-1, 2)"),
+    (OK + [(2, -4, 1.0)], None,
+     DanglingEndpoint, "negative endpoint in edge (2, -4)"),
+    (OK + [(2, 2, 1.0)], None, SelfLoopEdge, "self-loop at point 2"),
+    (OK + [(2, 3, math.nan)], None,
+     NonPositiveLength, "edge (2, 3) has length nan"),
+    (OK + [(2, 3, 0.0)], None,
+     NonPositiveLength, "edge (2, 3) has length 0.0"),
+    (OK + [(2, 3, -2.5)], None,
+     NonPositiveLength, "edge (2, 3) has length -2.5"),
+    (OK + [(2, 3, 1.0), (0, 1, 2.0)], None,
+     DuplicateEdge, "edge (0, 1) appears more than once"),
+    (OK + [(2, 3, 1.0), (2, 1, 1.0)], None,
+     DuplicateEdge, "edge (1, 2) appears more than once"),
+    (OK + [(2, 3)], None,
+     ValueError, "edge entries must be (u, v, length), got (2, 3)"),
+    (OK + [(2, 3, 1.0, 4)], None,
+     ValueError, "edge entries must be (u, v, length), got (2, 3, 1.0, 4)"),
+    (OK + [7], None, ValueError, "edge entries must be (u, v, length), got 7"),
+    (OK + [("x", 3, 1.0)], None,
+     ValueError, "invalid literal for int() with base 10: 'x'"),
+    (OK + [(1, 1, 1.0), (2, 3)], None, SelfLoopEdge, "self-loop at point 1"),
+    (OK + [(2, 3), (1, 1, 1.0)], None,
+     ValueError, "edge entries must be (u, v, length), got (2, 3)"),
+    ([(0.0, 1.0, 1.0), (1.0, 1.0, 1.0)], None,
+     SelfLoopEdge, "self-loop at point 1"),
+    ([("0", "1", "1.0"), ("1", "0", "2")], None,
+     DuplicateEdge, "edge (0, 1) appears more than once"),
+    (OK, 2, DanglingEndpoint, "edge endpoint 2 outside [0, 2)"),
+    (OK + [(0, 1, 1.0), (0, 9, 1.0)], 3,
+     DuplicateEdge, "edge (0, 1) appears more than once"),
+]
+
+
+@pytest.mark.parametrize("edges,n,cls,message", BAD_ENTRIES)
+def test_first_bad_entry_raises_as_the_entry_loop_did(edges, n, cls, message):
+    with pytest.raises(cls) as info:
+        build_graph(edges, n=n)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+def test_narrow_integer_endpoints_build_the_same_space():
+    # int32 endpoints: src * n + dst would overflow int32 at this n
+    entries = [(0, 50000, 1.0), (1, 60000, 2.0), (0, 1, 0.5)]
+    narrow = build_graph([(np.int32(u), np.int32(v), w) for u, v, w in entries])
+    wide = build_graph(entries)
+    assert narrow.edges == wide.edges
+    assert np.array_equal(narrow.src, wide.src)
+    assert np.array_equal(narrow.dst, wide.dst)
+
+
+def test_generator_and_tuple_inputs():
+    gen = ((i, i + 1, 1.0) for i in range(4))
+    assert build_graph(gen).edges == build_graph(tuple(
+        (i, i + 1, 1.0) for i in range(4))).edges

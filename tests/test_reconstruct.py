@@ -1,4 +1,7 @@
+import heapq
+import importlib
 import random
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from conftest import path_field, unit_path
 from slopekit import (
     Inadmissible,
+    MetricSpaceGraph,
     ScalarField,
     SlopeData,
     SlopeField,
@@ -18,9 +22,13 @@ from slopekit import (
 from slopekit.errors import (
     DisconnectedSpace,
     InfiniteSlopeData,
+    InvariantViolated,
     UncoveredCriticalPoint,
 )
 from slopekit.testing import random_connected_graph, random_dyadic_field
+
+# The package re-exports the function `reconstruct` under the module's name.
+reconstruct_module = importlib.import_module("slopekit.reconstruct")
 
 
 def roundtrip_data(space, f):
@@ -169,3 +177,29 @@ def test_extra_prescriptions_allowed_when_consistent():
     out = reconstruct(space, data)
     assert isinstance(out, ScalarField)
     assert np.array_equal(out.values, f.values)
+
+
+def test_sweep_order_violation_raises(monkeypatch):
+    # A heap that pops its largest entry finalizes point 3 (value 5)
+    # before point 0 (value 0): the order check must catch it, under -O too.
+    def pop_largest(heap):
+        return heap.pop(heap.index(max(heap)))
+    monkeypatch.setattr(reconstruct_module, "heapq", types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=pop_largest))
+    space = unit_path(4)
+    f = path_field(space, [0.0, 1.0, 2.0, 5.0])
+    data = SlopeData(slope_field(space, f), {0: 0.0, 3: 5.0})
+    with pytest.raises(InvariantViolated, match="after"):
+        reconstruct(space, data)
+
+
+def test_incomplete_sweep_raises():
+    # Raw arrays that break the constructor's symmetry contract: 2 -> 1
+    # is missing, so the space looks connected from 0 but the sweep
+    # seeded at 2 reaches nothing else.
+    space = MetricSpaceGraph(n=3, src=[0, 1, 1], dst=[1, 0, 2],
+                             w=[1.0, 1.0, 1.0])
+    slopes = SlopeField(space, np.array([1.0, 1.0, 0.0]),
+                        np.zeros(3, dtype=bool))
+    with pytest.raises(InvariantViolated, match="1 of 3"):
+        reconstruct(space, SlopeData(slopes, {2: 0.0}))
