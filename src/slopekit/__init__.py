@@ -46,11 +46,9 @@ from .gallery import (
     square_sine_pair,
 )
 from .reconstruct import (
-    AdmissibilityReport,
     Inadmissible,
     SlopeData,
     SlopeMismatch,
-    admissible,
     reconstruct,
 )
 from .slope import (
@@ -97,8 +95,7 @@ __all__ = [
     "HypothesisDiagnostics", "DeterminationReport", "Verdict", "Witness",
     "ComparisonResult", "EpsilonAudit",
     "check_hypotheses", "comparison_principle", "epsilon_audit", "determine",
-    "SlopeData", "Inadmissible", "SlopeMismatch", "AdmissibilityReport",
-    "reconstruct", "admissible",
+    "SlopeData", "Inadmissible", "SlopeMismatch", "reconstruct",
     "AnalyticFunction1D", "arctan_pair", "square_sine_pair",
     "cantor_approx", "cantor_pair", "emit_figure_data",
 ]

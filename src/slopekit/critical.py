@@ -5,9 +5,17 @@ space every field has at least one critical point because a global
 minimizer has slope exactly 0. The comparison floor at x is the least
 value of f - g over critical points inside the sublevel set of x; it is
 the strict lower bound that descent arguments certify for (f - g)(x).
+
+`comparison_floor` scans the critical set for one query; the batch
+`sublevel_floor` sorts the critical points once, takes a prefix minimum
+and bisects per query, O((n + |crit|) log |crit|), with the same floats
+(a minimum does not round). f - g may overflow to +inf on purpose, under
+`np.errstate`, so "no critical point below" comes from the insertion
+index, never from an inf.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +113,29 @@ def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     space.check_point(x)
     fx = f.values[x]
     best = None
-    for z in crit.members:
-        if f.values[z] <= fx:
-            val = float(f.values[z] - g.values[z])
-            if best is None or val < best:
-                best = val
+    with np.errstate(over="ignore"):
+        for z in crit.members:
+            if f.values[z] <= fx:
+                val = float(f.values[z] - g.values[z])
+                if best is None or val < best:
+                    best = val
     if best is None:
         return NO_CRITICAL_BELOW
     return best
+
+
+def sublevel_floor(keys: np.ndarray, vals: np.ndarray,
+                   queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min of vals[k] over the k with keys[k] <= q, for every query q.
+
+    Returns (floor, found): `found` is False where no key lies at or
+    below the query, and `floor` holds +inf there.
+    """
+    order = np.argsort(keys, kind="stable")
+    idx = np.searchsorted(keys[order], queries, side="right")
+    # floors[i] is the least of the first i values in key order.
+    floors = np.concatenate(([math.inf], np.minimum.accumulate(vals[order])))
+    return floors[idx], idx > 0
 
 
 def grid_critical_tol(h: float, lipschitz: float = 1.0) -> float:

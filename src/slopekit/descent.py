@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalSet, NoCriticalBelow, comparison_floor
+from .critical import CriticalSet, sublevel_floor
 from .errors import PointIsCritical, SlopeDominanceViolated, StepLimitExceeded
 from .slope import (
     OVERFLOW_CAP,
@@ -163,10 +163,11 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
                              cap: float = OVERFLOW_CAP) -> StrictComparisonReport:
     """Check (f - g)(x) > comparison_floor(x) at every non-critical x.
 
-    First verifies the dominance precondition (slope of f strictly above
-    slope of g off the critical set); if it fails anywhere the report
-    flags the first offending point and skips the comparison. Violations
-    of the comparison itself are reported as data, not raised.
+    All floors come from one `sublevel_floor` pass. First verifies the
+    dominance precondition (slope of f strictly above slope of g off the
+    critical set); if it fails anywhere the report flags the first
+    offending point and skips the comparison. Violations of the
+    comparison itself are reported as data, not raised.
     """
     require_bound(space, f)
     require_bound(space, g)
@@ -179,19 +180,18 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
             dominance_ok=False, dominance_witness=int(offending[0]),
             checked=0, comparison_holds=None,
             violation_point=None, violation_floor=None)
-    checked = 0
-    for x in np.flatnonzero(non_critical).tolist():
-        floor = comparison_floor(space, f, g, x, crit)
-        checked += 1
-        if isinstance(floor, NoCriticalBelow):
-            return StrictComparisonReport(
-                dominance_ok=True, dominance_witness=None, checked=checked,
-                comparison_holds=False, violation_point=x, violation_floor=None)
-        if not f.values[x] - g.values[x] > floor:
-            return StrictComparisonReport(
-                dominance_ok=True, dominance_witness=None, checked=checked,
-                comparison_holds=False, violation_point=x,
-                violation_floor=floor)
+    xs = np.flatnonzero(non_critical)
+    ids = np.fromiter(crit.members, dtype=np.intp, count=len(crit))
+    with np.errstate(over="ignore"):
+        floor, found = sublevel_floor(
+            f.values[ids], f.values[ids] - g.values[ids], f.values[xs])
+        bad = np.flatnonzero(~(f.values[xs] - g.values[xs] > floor))
+    if bad.size:
+        k = int(bad[0])
+        return StrictComparisonReport(
+            dominance_ok=True, dominance_witness=None, checked=k + 1,
+            comparison_holds=False, violation_point=int(xs[k]),
+            violation_floor=float(floor[k]) if found[k] else None)
     return StrictComparisonReport(
-        dominance_ok=True, dominance_witness=None, checked=checked,
+        dominance_ok=True, dominance_witness=None, checked=int(xs.size),
         comparison_holds=True, violation_point=None, violation_floor=None)

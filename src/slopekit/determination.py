@@ -14,6 +14,12 @@ constant c is estimated as the mean of g - f over the critical set and
 validated by its spread, since callers typically need c discovered
 rather than supplied.
 
+One private `_compare` checks the hypotheses of the comparison
+principle (finite slope of f, slope dominance, the critical bound) on
+slope fields and a critical set the caller already holds; `determine`
+runs it both ways on those of its hypothesis checks, so each slope
+field is computed once. Each public entry point validates its knobs once.
+
 All outcomes of `determine` are verdicts, never exceptions; the
 individual checks raise typed errors only for malformed inputs.
 """
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalSet, critical_set
+from .critical import CriticalSet, critical_set, sublevel_floor
 from .errors import EmptyCriticalSet, PreconditionViolated
 from .slope import (
     OVERFLOW_CAP,
@@ -37,8 +43,6 @@ from .slope import (
     slope_field,
 )
 from .space import MetricSpaceGraph
-
-HYPOTHESES = ("slopes_finite", "slopes_equal", "diff_constant_on_crit")
 
 VERDICT_EQUAL = "EqualUpToConstant"
 VERDICT_VIOLATED = "HypothesisViolated"
@@ -209,12 +213,11 @@ def _extremal_witness(points, values, slope_values, pick_max: bool):
 
 
 def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
-              tol_slope: float, tol_crit: float,
-              cap: float) -> HypothesisDiagnostics:
+              tol_slope: float, tol_crit: float, cap: float):
+    """The diagnostics for validated knobs, plus the slope fields and
+    critical sets they were built from: (diag, sf, sg, crit_f, crit_g)."""
     require_bound(space, f)
     require_bound(space, g)
-    tol_slope = check_tol(tol_slope, "tol_slope")
-    tol_crit = check_tol(tol_crit, "tol_crit")
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
 
@@ -268,11 +271,12 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     else:
         diff_check = None
 
-    return HypothesisDiagnostics(
+    diag = HypothesisDiagnostics(
         slopes_finite=finiteness, slopes_equal=equality,
         crit_sets_equal=crit_check, diff_constant_on_crit=diff_check,
         critical_points=crit_points, tol_slope=tol_slope, tol_crit=tol_crit,
         overflow_cap=cap)
+    return diag, sf, sg, crit_f, crit_g
 
 
 def check_hypotheses(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -285,11 +289,49 @@ def check_hypotheses(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     EmptyCriticalSet when no critical point exists at tol_crit, which on
     a finite space can only mean an infinite-slope pathology.
     """
-    diag = _diagnose(space, f, g, float(tol_slope), float(tol_crit), float(cap))
+    diag = _diagnose(space, f, g, check_tol(tol_slope, "tol_slope"),
+                     check_tol(tol_crit, "tol_crit"), check_cap(cap))[0]
     if diag.diff_constant_on_crit is None:
         raise EmptyCriticalSet(
             f"no critical point at tol={tol_crit}; cannot estimate the constant")
     return diag
+
+
+def _compare(sf: SlopeField, sg: SlopeField, crit: CriticalSet,
+             f: ScalarField, g: ScalarField, c: float | None, tol: float,
+             pre_tol: float) -> ComparisonResult:
+    """`comparison_principle` on precomputed slope fields sf, sg and
+    the critical set of f. A `c` of None takes the max of g - f over
+    `crit`, which meets the critical bound by construction."""
+    if sf.any_infinite():
+        worst = int(np.flatnonzero(sf.infinite)[0])
+        raise PreconditionViolated(
+            "slopes_finite", f"slope of f overflows at point {worst}")
+    if sg.any_infinite():
+        worst = int(np.flatnonzero(sg.infinite)[0])
+        raise PreconditionViolated(
+            "slope_dominance", f"slope of g overflows at point {worst}")
+    excess = sg.values - sf.values
+    worst = int(np.argmax(excess))
+    if excess[worst] > pre_tol:
+        raise PreconditionViolated(
+            "slope_dominance",
+            f"slope_g - slope_f = {float(excess[worst])} at point {worst}")
+    diffs = g.values - f.values
+    on_crit = np.flatnonzero(crit.mask(sf.space.n))
+    if c is None:
+        c = float(diffs[on_crit].max())
+    above = on_crit[diffs[on_crit] - c > pre_tol]
+    if above.size:
+        z = int(above[0])
+        raise PreconditionViolated(
+            "critical_bound",
+            f"(g - f)({z}) = {float(diffs[z])} exceeds c = {c}")
+    margins = diffs - c
+    worst = int(np.argmax(margins))
+    worst_margin = float(margins[worst])
+    return ComparisonResult(holds=worst_margin <= tol, constant=c,
+                            worst_point=worst, worst_margin=worst_margin)
 
 
 def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
@@ -313,32 +355,7 @@ def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
     pre_tol = tol if pre_tol is None else check_tol(pre_tol, "pre_tol")
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
-    if sf.any_infinite():
-        worst = int(np.flatnonzero(sf.infinite)[0])
-        raise PreconditionViolated(
-            "slopes_finite", f"slope of f overflows at point {worst}")
-    if sg.any_infinite():
-        worst = int(np.flatnonzero(sg.infinite)[0])
-        raise PreconditionViolated(
-            "slope_dominance", f"slope of g overflows at point {worst}")
-    excess = sg.values - sf.values
-    worst = int(np.argmax(excess))
-    if excess[worst] > pre_tol:
-        raise PreconditionViolated(
-            "slope_dominance",
-            f"slope_g - slope_f = {float(excess[worst])} at point {worst}")
-    crit = critical_set(sf, crit_tol)
-    diffs = g.values - f.values
-    for z in crit.sorted_members():
-        if diffs[z] - c > pre_tol:
-            raise PreconditionViolated(
-                "critical_bound",
-                f"(g - f)({z}) = {float(diffs[z])} exceeds c = {c}")
-    margins = diffs - c
-    worst = int(np.argmax(margins))
-    worst_margin = float(margins[worst])
-    return ComparisonResult(holds=worst_margin <= tol, constant=c,
-                            worst_point=worst, worst_margin=worst_margin)
+    return _compare(sf, sg, critical_set(sf, crit_tol), f, g, c, tol, pre_tol)
 
 
 def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -351,7 +368,8 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     the audit verifies that inflating f preserves the critical set and
     strictly dominates the slope of g off it, then evaluates the bound
     g(x) < f(x) + epsilon * bracket(x) + c at its worst point. `c`
-    defaults to the max of g - f over the critical set of f.
+    defaults to the max of g - f over the critical set of f. The
+    hypotheses of `comparison_principle` are checked within `tol`.
     """
     require_bound(space, f)
     require_bound(space, g)
@@ -367,33 +385,15 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
-    if sf.any_infinite() or sg.any_infinite():
-        raise PreconditionViolated("slopes_finite", "slope overflow present")
-    excess = sg.values - sf.values
-    worst = int(np.argmax(excess))
-    if excess[worst] > tol:
-        raise PreconditionViolated(
-            "slope_dominance",
-            f"slope_g - slope_f = {float(excess[worst])} at point {worst}")
     crit = critical_set(sf, crit_tol)
-    crit_points = crit.sorted_members()
-    diffs = g.values - f.values
-    if c is None:
-        c = float(max(diffs[z] for z in crit_points))
-    else:
-        c = float(c)
-        for z in crit_points:
-            if diffs[z] - c > tol:
-                raise PreconditionViolated(
-                    "critical_bound",
-                    f"(g - f)({z}) = {float(diffs[z])} exceeds c = {c}")
+    c = _compare(sf, sg, crit, f, g, None if c is None else float(c),
+                 tol, tol).constant
 
-    crit_arr = np.array(crit_points, dtype=int)
-    f_crit = f.values[crit_arr]
-    non_crit = np.flatnonzero(~crit.mask(space.n))
+    on_crit = crit.mask(space.n)
+    crit_arr, non_crit = np.flatnonzero(on_crit), np.flatnonzero(~on_crit)
+    fx, gx = f.values[non_crit], g.values[non_crit]
 
     rows = []
-    bracket_maxes = []
     for e in eps:
         fe = scale_field(f, 1.0 + e)
         se = slope_field(space, fe, cap=cap)
@@ -401,33 +401,27 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         crit_preserved = crit_e.members == crit.members
         dominance_ok = bool(np.all(
             (sg.values < se.values)[~crit_e.mask(space.n)]))
-        if non_crit.size == 0:
-            rows.append(EpsilonAuditRow(
-                epsilon=e, crit_preserved=crit_preserved,
-                dominance_ok=dominance_ok, bound_holds=True,
-                worst_point=None, worst_margin=None, bracket_max=0.0))
-            bracket_maxes.append(0.0)
-            continue
-        fe_crit = fe.values[crit_arr]
-        worst_margin = -math.inf
-        worst_point = None
-        bracket_max = 0.0
-        for x in non_crit:
-            inside = fe_crit <= fe.values[x]
-            floor_f = float(np.min(f_crit[inside])) if inside.any() else math.inf
-            bracket = float(f.values[x] - floor_f)
-            bracket_max = max(bracket_max, bracket)
-            margin = float(g.values[x] - (f.values[x] + e * bracket + c))
-            if margin > worst_margin:
-                worst_margin = margin
-                worst_point = int(x)
+        floor_f, _ = sublevel_floor(fe.values[crit_arr], f.values[crit_arr],
+                                    fe.values[non_crit])
+        brackets = fx - floor_f
+        margins = gx - (fx + e * brackets + c)
+        # The first point of largest margin; a NaN or -inf margin (from a
+        # NaN c or an overflowing bracket) never counts as the worst.
+        ranked = np.flatnonzero(margins > -math.inf)
+        if ranked.size:
+            k = int(ranked[int(np.argmax(margins[ranked]))])
+            worst_point, worst_margin = int(non_crit[k]), float(margins[k])
+        else:
+            worst_point = None
+            worst_margin = -math.inf if non_crit.size else None
         rows.append(EpsilonAuditRow(
             epsilon=e, crit_preserved=crit_preserved,
-            dominance_ok=dominance_ok, bound_holds=worst_margin < 0.0,
+            dominance_ok=dominance_ok,
+            bound_holds=worst_margin is None or worst_margin < 0.0,
             worst_point=worst_point, worst_margin=worst_margin,
-            bracket_max=bracket_max))
-        bracket_maxes.append(bracket_max)
+            bracket_max=float(max(0.0, brackets.max(initial=0.0)))))
 
+    bracket_maxes = [row.bracket_max for row in rows]
     spread = max(bracket_maxes) - min(bracket_maxes)
     uniform = spread <= 1e-12 * max(1.0, abs(max(bracket_maxes)))
     return EpsilonAudit(constant=c, rows=tuple(rows), bracket_uniform=uniform)
@@ -450,62 +444,51 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     if tol_residual is None:
         tol_residual = 1e-9 + tol_crit
     tol_residual = check_tol(tol_residual, "tol_residual")
+    cap = check_cap(cap)
     tolerances = {
         "tol_slope": tol_slope,
         "tol_crit": tol_crit,
         "tol_residual": tol_residual,
-        "overflow_cap": check_cap(cap),
+        "overflow_cap": cap,
     }
-    diag = _diagnose(space, f, g, tol_slope, tol_crit, float(cap))
-
-    if diag.diff_constant_on_crit is None:
-        # Unreachable from graph slopes unless overflow emptied the set.
-        violated = diag.failed_hypotheses() or ("slopes_finite",)
-        witnesses = _violation_witnesses(diag)
-        verdict = Verdict(kind=VERDICT_VIOLATED, violated=violated)
-        return DeterminationReport(
-            verdict=verdict, diagnostics=diag, residual=None,
-            witnesses=tuple(witnesses), tolerances=tolerances,
-            slope_provenance="exact-graph")
-
-    c = diag.diff_constant_on_crit.constant
-    resid = g.values - f.values - c
-    abs_resid = np.abs(resid)
-    worst = int(np.argmax(abs_resid))
-    residual = float(abs_resid[worst])
-
+    diag, sf, sg, crit_f, crit_g = _diagnose(space, f, g, tol_slope,
+                                             tol_crit, cap)
+    dc = diag.diff_constant_on_crit
     violated = diag.failed_hypotheses()
-    if violated:
-        verdict = Verdict(kind=VERDICT_VIOLATED, violated=violated)
-        witnesses = _violation_witnesses(diag)
-        return DeterminationReport(
-            verdict=verdict, diagnostics=diag, residual=residual,
-            witnesses=tuple(witnesses), tolerances=tolerances,
-            slope_provenance="exact-graph")
+    residual = None
+    if dc is not None:
+        c = dc.constant
+        resid = g.values - f.values - c
+        abs_resid = np.abs(resid)
+        worst = int(np.argmax(abs_resid))
+        residual = float(abs_resid[worst])
 
-    witnesses = [Witness(point=worst, kind="residual",
-                         value=float(resid[worst]))]
-    try:
-        forward = comparison_principle(
-            space, f, g, c, tol=tol_residual, crit_tol=tol_crit,
-            pre_tol=tol_slope, cap=cap)
-        backward = comparison_principle(
-            space, g, f, -c, tol=tol_residual, crit_tol=tol_crit,
-            pre_tol=tol_slope, cap=cap)
-        certified = forward.holds and backward.holds
-    except PreconditionViolated as exc:
-        # Possible only at tolerance boundaries (e.g. the critical set of
-        # g picks up a point the constancy check never saw).
-        certified = False
-        witnesses.append(Witness(point=-1, kind=f"precondition:{exc.which}"))
-    if certified and residual <= tol_residual:
-        verdict = Verdict(kind=VERDICT_EQUAL, constant=c)
+    if dc is None or violated:
+        # dc is None only if overflow emptied the critical set.
+        verdict = Verdict(kind=VERDICT_VIOLATED,
+                          violated=violated or ("slopes_finite",))
+        witnesses = _violation_witnesses(diag)
     else:
-        verdict = Verdict(kind=VERDICT_INCONCLUSIVE, constant=c)
+        witnesses = [Witness(point=worst, kind="residual",
+                             value=float(resid[worst]))]
+        try:
+            forward = _compare(sf, sg, crit_f, f, g, c, tol_residual,
+                               tol_slope)
+            backward = _compare(sg, sf, crit_g, g, f, -c, tol_residual,
+                                tol_slope)
+            certified = forward.holds and backward.holds
+        except PreconditionViolated as exc:
+            # Possible only at tolerance boundaries (e.g. the critical set
+            # of g picks up a point the constancy check never saw).
+            certified = False
+            witnesses.append(Witness(point=-1, kind=f"precondition:{exc.which}"))
+        kind = VERDICT_EQUAL if certified and residual <= tol_residual \
+            else VERDICT_INCONCLUSIVE
+        verdict = Verdict(kind=kind, constant=c)
     return DeterminationReport(
         verdict=verdict, diagnostics=diag, residual=residual,
         witnesses=tuple(witnesses), tolerances=tolerances,
-        slope_provenance="exact-graph")
+        slope_provenance=sf.provenance)
 
 
 def _violation_witnesses(diag: HypothesisDiagnostics) -> list[Witness]:

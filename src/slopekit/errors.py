@@ -15,7 +15,7 @@ class SlopeKitError(Exception):
 # ---- space construction and queries ----
 
 class NonPositiveLength(SlopeKitError):
-    """An edge length is zero, negative, or not a number."""
+    """An edge length is zero, negative, infinite, or not a number."""
 
 
 class DuplicateEdge(SlopeKitError):
@@ -40,6 +40,10 @@ class DegenerateInterval(SlopeKitError):
 
 class TooFewPoints(SlopeKitError):
     """Interval sampling requested with fewer than two points."""
+
+
+class NonFiniteCoordinate(SlopeKitError):
+    """A stored point coordinate is NaN or infinite."""
 
 
 class InvalidPoint(SlopeKitError):

@@ -4,6 +4,8 @@ determination reports.
 All numeric output is printed with 17 significant digits, which makes
 float round trips lossless and repeated runs byte-identical. CSV files
 use a mandatory header line; lines starting with '#' are comments.
+Every number read must be finite: a NaN or infinite cell is a format
+error naming its line.
 """
 from __future__ import annotations
 
@@ -67,9 +69,12 @@ def _parse_int(path, lineno, cell, what):
 
 def _parse_float(path, lineno, cell, what):
     try:
-        return float(cell)
+        x = float(cell)
     except ValueError:
         raise FileFormatError(f"{path}:{lineno}: bad {what} {cell!r}")
+    if not math.isfinite(x):
+        raise FileFormatError(f"{path}:{lineno}: non-finite {what} {cell!r}")
+    return x
 
 
 # ---- spaces ----
@@ -129,21 +134,27 @@ def load_coordinates_csv(path) -> np.ndarray:
 
 # ---- scalar fields ----
 
-def load_field_csv(path, space: MetricSpaceGraph) -> ScalarField:
-    """Load a field from a CSV with header `point,value` covering every
-    point of the space exactly once."""
+def _point_values(path, space: MetricSpaceGraph) -> dict[int, float]:
+    """The rows of a `point,value` CSV, each point of the space at most once."""
     _, rows = _read_rows(path, ("point", "value"))
-    seen = {}
+    out: dict[int, float] = {}
     for lineno, cells in rows:
         if len(cells) != 2:
             raise FileFormatError(f"{path}:{lineno}: expected point,value")
         p = _parse_int(path, lineno, cells[0], "point")
-        if p in seen:
+        if p in out:
             raise FileFormatError(f"{path}:{lineno}: duplicate point {p}")
         if not 0 <= p < space.n:
             raise FileFormatError(f"{path}:{lineno}: point {p} outside "
                                   f"[0, {space.n})")
-        seen[p] = _parse_float(path, lineno, cells[1], "value")
+        out[p] = _parse_float(path, lineno, cells[1], "value")
+    return out
+
+
+def load_field_csv(path, space: MetricSpaceGraph) -> ScalarField:
+    """Load a field from a CSV with header `point,value` covering every
+    point of the space exactly once."""
+    seen = _point_values(path, space)
     if len(seen) != space.n:
         raise FileFormatError(
             f"{path}: {len(seen)} values for a {space.n}-point space")
@@ -159,19 +170,7 @@ def render_field_csv(f: ScalarField) -> str:
 
 def load_crit_values_csv(path, space: MetricSpaceGraph) -> dict[int, float]:
     """Load prescribed values (a partial field) from a `point,value` CSV."""
-    _, rows = _read_rows(path, ("point", "value"))
-    out: dict[int, float] = {}
-    for lineno, cells in rows:
-        if len(cells) != 2:
-            raise FileFormatError(f"{path}:{lineno}: expected point,value")
-        p = _parse_int(path, lineno, cells[0], "point")
-        if p in out:
-            raise FileFormatError(f"{path}:{lineno}: duplicate point {p}")
-        if not 0 <= p < space.n:
-            raise FileFormatError(f"{path}:{lineno}: point {p} outside "
-                                  f"[0, {space.n})")
-        out[p] = _parse_float(path, lineno, cells[1], "value")
-    return out
+    return _point_values(path, space)
 
 
 # ---- slope fields ----
@@ -189,7 +188,11 @@ def render_slope_csv(slopes: SlopeField) -> str:
 def load_slope_csv(path, space: MetricSpaceGraph,
                    provenance: str = "exact-graph",
                    cap: float = OVERFLOW_CAP) -> SlopeField:
-    """Load a slope field from `point,slope[,is_infinite]`."""
+    """Load a slope field from `point,slope[,is_infinite]`.
+
+    A slope not flagged infinite must be >= 0; the slope cell of a
+    flagged row is not read.
+    """
     header, rows = _read_rows(path, ("point", "slope", "is_infinite"),
                               allow_short_header=True)
     has_flag = len(header) == 3
@@ -211,6 +214,8 @@ def load_slope_csv(path, space: MetricSpaceGraph,
         flags[p] = bool(flag)
         vals[p] = (math.inf if flag else
                    _parse_float(path, lineno, cells[1], "slope"))
+        if vals[p] < 0.0:
+            raise FileFormatError(f"{path}:{lineno}: negative slope {cells[1]!r}")
     if len(vals) != space.n:
         raise FileFormatError(
             f"{path}: {len(vals)} slopes for a {space.n}-point space")

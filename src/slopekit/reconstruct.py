@@ -62,13 +62,6 @@ class Inadmissible:
     witnesses: tuple[SlopeMismatch, ...]
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    witnesses: tuple[SlopeMismatch, ...]
-    field: ScalarField | None
-
-
 def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
     require_bound(space, data.slopes)
     if data.slopes.any_infinite():
@@ -152,16 +145,3 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
             for x in off.tolist()))
     return result
 
-
-def admissible(space: MetricSpaceGraph, data: SlopeData,
-               tol: float = 1e-9) -> AdmissibilityReport:
-    """Decide whether any field is consistent with the slope data.
-
-    Runs `reconstruct`; a pass implies the reconstructed field is the
-    unique consistent one (given the prescribed critical values).
-    """
-    outcome = reconstruct(space, data, tol=tol)
-    if isinstance(outcome, Inadmissible):
-        return AdmissibilityReport(admissible=False,
-                                   witnesses=outcome.witnesses, field=None)
-    return AdmissibilityReport(admissible=True, witnesses=(), field=outcome)

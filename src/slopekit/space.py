@@ -42,6 +42,7 @@ from .errors import (
     EmptyEdgeList,
     InvalidPoint,
     NoMetricClosure,
+    NonFiniteCoordinate,
     NonPositiveLength,
     SelfLoopEdge,
     TooFewPoints,
@@ -67,7 +68,7 @@ class MetricSpaceGraph:
     Build instances with `build_graph` or `sample_interval`; the raw
     constructor assumes already-validated directed edge arrays: both
     orientations of every edge, sorted by (src, dst), no self-loops,
-    positive lengths.
+    finite positive lengths. It checks only that coordinates are finite.
     """
 
     n: int
@@ -95,6 +96,9 @@ class MetricSpaceGraph:
             if coords.shape[0] != self.n:
                 raise ValueError(
                     f"coordinates cover {coords.shape[0]} points, space has {self.n}")
+            bad = np.flatnonzero(~np.isfinite(coords.reshape(self.n, -1)).all(axis=1))
+            if bad.size:
+                raise NonFiniteCoordinate(f"non-finite coordinate at point {bad[0]}")
             coords.setflags(write=False)
             self.coordinates = coords
 
@@ -203,17 +207,18 @@ def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
     """Raise for the first entry, in input order, that is not a valid edge.
 
     Per entry the checks run in a fixed order: negative endpoint,
-    self-loop, length not > 0 (NaN included), then a duplicate of an
-    earlier entry in either orientation. Duplicates are found by a
-    stable sort on the (min, max) keys, so within a run of equal keys
-    every entry after the first in input order is the duplicate.
+    self-loop, length not finite and > 0 (NaN included), then a
+    duplicate of an earlier entry in either orientation. Duplicates are
+    found by a stable sort on the (min, max) keys, so within a run of
+    equal keys every entry after the first in input order is the
+    duplicate.
     """
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((hi, lo))
     repeat = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
     dup = np.zeros(u.size, dtype=bool)
     dup[order[1:][repeat]] = True
-    bad = np.flatnonzero((lo < 0) | (u == v) | ~(w > 0.0) | dup)
+    bad = np.flatnonzero((lo < 0) | (u == v) | ~((w > 0.0) & (w < math.inf)) | dup)
     if bad.size == 0:
         return
     i = int(bad[0])
@@ -222,7 +227,7 @@ def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
         raise DanglingEndpoint(f"negative endpoint in edge ({a}, {b})")
     if a == b:
         raise SelfLoopEdge(f"self-loop at point {a}")
-    if not length > 0.0:
+    if not 0.0 < length < math.inf:
         raise NonPositiveLength(f"edge ({a}, {b}) has length {length}")
     raise DuplicateEdge(f"edge {(min(a, b), max(a, b))} appears more than once")
 
@@ -234,7 +239,8 @@ def build_graph(edge_list, n: int | None = None,
 
     Each (u, v, length) entry is one undirected edge; the symmetric
     closure is implied, and a pair appearing twice (in either
-    orientation) is rejected. `n` defaults to 1 + the largest endpoint;
+    orientation) is rejected, and every length must be finite and > 0.
+    `n` defaults to 1 + the largest endpoint;
     pass it explicitly to create isolated points or a single-point space.
     Entries are checked in input order and the first bad one raises.
     """

@@ -175,6 +175,15 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     assert rc == 74
 
 
+def test_nan_coordinate_is_an_input_error(fixtures, tmp_path, capsys):
+    coords = tmp_path / "coords.csv"
+    coords.write_text("point,x\n0,0.0\n1,nan\n2,2.0\n3,3.0\n")
+    rc = main(["slope", "--space", fixtures["graph.csv"],
+               "--coords", str(coords), "--f", fixtures["f.csv"]])
+    assert rc == 74
+    assert f"{coords}:3: non-finite coordinate 'nan'" in capsys.readouterr().err
+
+
 def test_descend_without_dominance_is_an_input_error(fixtures, capsys):
     # g = f + 5 has identical slopes, so the descent precondition fails
     rc = main(["descend", "--space", fixtures["graph.csv"],

@@ -56,6 +56,25 @@ def test_coordinates_csv(tmp_path):
         skio.load_coordinates_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_coordinates_csv_rejects_non_finite(tmp_path, cell):
+    p = tmp_path / "c.csv"
+    p.write_text(f"point,x\n0,0.0\n1,{cell}\n2,1.0\n")
+    with pytest.raises(FileFormatError, match=f"c.csv:3: non-finite coordinate '{cell}'"):
+        skio.load_coordinates_csv(p)
+
+
+@pytest.mark.parametrize("cell,what", [
+    ("nan", "non-finite slope"), ("inf", "non-finite slope"),
+    ("-1.5", "negative slope")])
+def test_slope_csv_rejects_unflagged_bad_slopes(tmp_path, cell, what):
+    space = unit_path(3)
+    p = tmp_path / "s.csv"
+    p.write_text(f"point,slope,is_infinite\n0,0.0,0\n1,{cell},0\n2,1.0,0\n")
+    with pytest.raises(FileFormatError, match=f"s.csv:3: {what} '{cell}'"):
+        skio.load_slope_csv(p, space)
+
+
 def test_field_csv_round_trip_lossless(tmp_path):
     space = unit_path(3)
     f = path_field(space, [1 / 3, math.pi, -0.1])

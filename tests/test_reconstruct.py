@@ -13,7 +13,6 @@ from slopekit import (
     ScalarField,
     SlopeData,
     SlopeField,
-    admissible,
     build_graph,
     critical_set,
     reconstruct,
@@ -117,23 +116,21 @@ def test_perturbed_prescribed_slope_rejected():
         assert any(w.point == p0 for w in out.witnesses)
 
 
-def test_admissible_wrapper():
+def test_exact_round_trip_and_bumped_slope():
     space = unit_path(4)
     f = path_field(space, [3.0, 2.0, 1.0, 0.0])
-    report = admissible(space, roundtrip_data(space, f))
-    assert report.admissible
-    assert report.field is not None
-    assert np.array_equal(report.field.values, f.values)
+    out = reconstruct(space, roundtrip_data(space, f))
+    assert isinstance(out, ScalarField)
+    assert np.array_equal(out.values, f.values)
 
     data = roundtrip_data(space, f)
     bumped = data.slopes.values.copy()
     bumped[3] += 1.0
     bad = SlopeData(SlopeField(space, bumped, data.slopes.infinite.copy()),
                     dict(data.crit_values))
-    report = admissible(space, bad)
-    assert not report.admissible
-    assert report.field is None
-    assert report.witnesses
+    out = reconstruct(space, bad)
+    assert isinstance(out, Inadmissible)
+    assert out.witnesses
 
 
 def test_translation_of_prescribed_values():

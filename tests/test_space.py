@@ -20,6 +20,7 @@ from slopekit.errors import (
     EmptyEdgeList,
     InvalidPoint,
     NoMetricClosure,
+    NonFiniteCoordinate,
     NonPositiveLength,
     SelfLoopEdge,
     TooFewPoints,
@@ -116,6 +117,22 @@ def test_bad_edges_rejected():
         build_graph([], n=2)
     with pytest.raises(EmptyEdgeList):
         build_graph([])
+
+
+def test_infinite_edge_length_rejected():
+    with pytest.raises(NonPositiveLength, match=r"edge \(1, 2\) has length inf"):
+        build_graph([(0, 1, 1.0), (1, 2, math.inf)])
+
+
+@pytest.mark.parametrize("coords,bad", [
+    ([0.0, math.nan, 2.0], 1),
+    ([0.0, 1.0, math.inf], 2),
+    ([[0.0, 0.0], [1.0, -math.inf], [2.0, 0.0]], 1),
+])
+def test_non_finite_coordinates_rejected(coords, bad):
+    # A NaN coordinate would drop the point out of every radius ball.
+    with pytest.raises(NonFiniteCoordinate, match=f"at point {bad}$"):
+        build_graph([(0, 1, 1.0), (1, 2, 1.0)], coordinates=coords)
 
 
 def test_sample_interval_two_points():
