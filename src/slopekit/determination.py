@@ -37,6 +37,7 @@ from .slope import (
     ScalarField,
     SlopeField,
     check_cap,
+    check_constant,
     check_tol,
     require_bound,
     scale_field,
@@ -339,7 +340,7 @@ def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
                          crit_tol: float = 0.0, pre_tol: float | None = None,
                          cap: float = OVERFLOW_CAP) -> ComparisonResult:
     """One-sided comparison: from slope dominance and a critical bound,
-    conclude g <= f + c everywhere (within tol).
+    conclude g <= f + c everywhere (within tol). `c` must be finite.
 
     Preconditions, checked here with `pre_tol` (default: tol):
     the slope of f is finite everywhere, the slope of g is pointwise
@@ -350,7 +351,7 @@ def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
     """
     require_bound(space, f)
     require_bound(space, g)
-    c = float(c)
+    c = check_constant(c)
     tol = check_tol(tol)
     pre_tol = tol if pre_tol is None else check_tol(pre_tol, "pre_tol")
     sf = slope_field(space, f, cap=cap)
@@ -368,8 +369,9 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     the audit verifies that inflating f preserves the critical set and
     strictly dominates the slope of g off it, then evaluates the bound
     g(x) < f(x) + epsilon * bracket(x) + c at its worst point. `c`
-    defaults to the max of g - f over the critical set of f. The
-    hypotheses of `comparison_principle` are checked within `tol`.
+    must be finite; it defaults to the max of g - f over the critical
+    set of f. The hypotheses of `comparison_principle` are checked
+    within `tol`.
     """
     require_bound(space, f)
     require_bound(space, g)
@@ -382,12 +384,13 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     if not eps[-1] > 0.0:
         raise ValueError("epsilons must be positive")
     tol = check_tol(tol)
+    if c is not None:
+        c = check_constant(c)
 
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
     crit = critical_set(sf, crit_tol)
-    c = _compare(sf, sg, crit, f, g, None if c is None else float(c),
-                 tol, tol).constant
+    c = _compare(sf, sg, crit, f, g, c, tol, tol).constant
 
     on_crit = crit.mask(space.n)
     crit_arr, non_crit = np.flatnonzero(on_crit), np.flatnonzero(~on_crit)
@@ -405,8 +408,8 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
                                     fe.values[non_crit])
         brackets = fx - floor_f
         margins = gx - (fx + e * brackets + c)
-        # The first point of largest margin; a NaN or -inf margin (from a
-        # NaN c or an overflowing bracket) never counts as the worst.
+        # The first point of largest margin; a -inf margin (from an
+        # overflowing bracket) never counts as the worst.
         ranked = np.flatnonzero(margins > -math.inf)
         if ranked.size:
             k = int(ranked[int(np.argmax(margins[ranked]))])

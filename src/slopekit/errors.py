@@ -84,6 +84,10 @@ class InvalidCap(SlopeKitError):
     """The slope overflow cap is NaN, infinite or <= 0."""
 
 
+class NonFiniteConstant(SlopeKitError):
+    """A comparison constant is NaN or infinite; it must be finite."""
+
+
 # ---- descent ----
 
 class PointIsCritical(SlopeKitError):

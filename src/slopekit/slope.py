@@ -20,8 +20,9 @@ the quotient, overflow to +inf. That is deliberate, not an accident:
 both computations run under `np.errstate(over="ignore")`, the +inf
 quotient exceeds every finite cap, and the point gets the infinite
 marker without a RuntimeWarning. The cap itself must be finite and
-positive (`check_cap`), and every tolerance finite and >= 0
-(`check_tol`); both checks are shared by all modules that take them.
+positive (`check_cap`), every tolerance finite and >= 0 (`check_tol`),
+and a comparison constant finite (`check_constant`); these checks are
+shared by all modules that take such knobs.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .errors import (
     FieldSpaceMismatch,
     InvalidCap,
     NegativeTolerance,
+    NonFiniteConstant,
     NonFiniteFieldValue,
     NonPositiveScale,
 )
@@ -57,6 +59,14 @@ def check_tol(tol, name: str = "tol") -> float:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise NegativeTolerance(f"{name} must be a finite number >= 0, got {tol}")
     return tol
+
+
+def check_constant(c) -> float:
+    """A comparison constant as a float; NonFiniteConstant unless finite."""
+    c = float(c)
+    if not math.isfinite(c):
+        raise NonFiniteConstant(f"c must be a finite number, got {c}")
+    return c
 
 
 @dataclass(eq=False)

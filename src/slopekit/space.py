@@ -246,9 +246,19 @@ def build_graph(edge_list, n: int | None = None,
     """
     items = edge_list if isinstance(edge_list, (list, tuple)) else list(edge_list)
     u, v, w, error = _edge_columns(items)
-    _check_edges(u, v, w)
     if error is not None:
+        _check_edges(u, v, w)
         raise error
+    return _space_from_columns(u, v, w, n, metric_mode, coordinates)
+
+
+def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
+                        n: int | None, metric_mode: str,
+                        coordinates) -> MetricSpaceGraph:
+    """The array core of `build_graph`: validate the endpoint (int64)
+    and length (float) columns and build the space, with the same
+    errors for the same entries."""
+    _check_edges(u, v, w)
     max_endpoint = int(max(u.max(), v.max())) if u.size else -1
     if n is None:
         if not u.size:
@@ -271,7 +281,9 @@ def sample_interval(a: float, b: float, n: int,
     """Sample [a, b] at n uniformly spaced points.
 
     Consecutive samples are joined by edges of length h = (b-a)/(n-1)
-    and the sample coordinates are stored on the space.
+    and the sample coordinates are stored on the space. An interval so
+    wide that b - a overflows, or so narrow that h underflows to 0, is
+    a DegenerateInterval.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -280,6 +292,10 @@ def sample_interval(a: float, b: float, n: int,
     if n < 2:
         raise TooFewPoints(f"need at least 2 sample points, got {n}")
     h = (b - a) / (n - 1)
+    if not (math.isfinite(h) and h > 0.0):
+        raise DegenerateInterval(
+            f"spacing (b - a) / (n - 1) is not a finite positive number "
+            f"for a={a}, b={b}, n={n}")
     left = np.arange(n - 1)
     return _symmetric(n, left, left + 1, np.full(n - 1, h),
                       np.linspace(a, b, n), metric_mode)

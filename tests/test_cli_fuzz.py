@@ -2,8 +2,9 @@
 
 Each case corrupts one data row of one input CSV (space, coordinates,
 field, slopes or critical values) with one malformed cell: NaN, +-inf,
-an empty cell, an extra or a missing column, a duplicated point, or
-non-numeric text. Every case must be rejected as a usage or input error
+an empty cell, an extra or a missing column, a duplicated point,
+non-numeric text, a byte that is not UTF-8, or an integer beyond int64
+in an integer column. Every case must be rejected as a usage or input error
 (exit 64 or 74), never as an internal error (exit 70), and must print
 no traceback.
 """
@@ -36,13 +37,28 @@ COMMANDS = {
                     "{slopes}", "--crit-values", "{crit_values}"],
 }
 
+# The integer columns of each file.
+INT_COLUMNS = {"space": (0, 1), "coords": (0,), "f": (0,), "g": (0,),
+               "slopes": (0, 2), "crit_values": (0,)}
+
 BAD_CELLS = ("nan", "inf", "-inf", "", "x1")
 MUTATIONS = BAD_CELLS + ("extra column", "missing column", "duplicate row")
+# Drawn after MUTATIONS, so that the cases above stay as they were.
+# The lone surrogate is written as the byte 0xff (see `write`).
+LATER_MUTATIONS = ("invalid utf-8", "huge integer")
+INVALID_BYTE = "\udcff"
+HUGE_INTEGER = "99999999999999999999"
 
 
-def corrupt(text: str, mutation: str, rng: random.Random, k: int) -> str:
+def write(path, text: str) -> None:
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+def corrupt(text: str, mutation: str, rng: random.Random, k: int,
+            int_columns=(0,)) -> str:
     """Apply `mutation` to a random data row; a cell mutation or a
-    dropped cell hits column k (mod the row width)."""
+    dropped cell hits column k (mod the row width), a huge integer the
+    k-th integer column (mod their count)."""
     header, *rows = text.splitlines()
     i = rng.randrange(len(rows))
     cells = rows[i].split(",")
@@ -52,6 +68,10 @@ def corrupt(text: str, mutation: str, rng: random.Random, k: int) -> str:
         cells.pop(k % len(cells))
     elif mutation == "duplicate row":
         rows.insert(i, rows[i])
+    elif mutation == "invalid utf-8":
+        cells[k % len(cells)] += INVALID_BYTE
+    elif mutation == "huge integer":
+        cells[int_columns[k % len(int_columns)]] = HUGE_INTEGER
     else:
         cells[k % len(cells)] = mutation
     if mutation != "duplicate row":
@@ -62,12 +82,14 @@ def corrupt(text: str, mutation: str, rng: random.Random, k: int) -> str:
 def cases(seed=20211, per_pair=3):
     rng = random.Random(seed)
     out = []
-    for name in FILES:
-        for mutation in MUTATIONS:
-            for k in range(per_pair):
-                text = corrupt(FILES[name], mutation, rng, k)
-                out.append(pytest.param(name, mutation, text,
-                                        id=f"{name}-{mutation}-{k}"))
+    for mutations in (MUTATIONS, LATER_MUTATIONS):
+        for name in FILES:
+            for mutation in mutations:
+                for k in range(per_pair):
+                    text = corrupt(FILES[name], mutation, rng, k,
+                                   INT_COLUMNS[name])
+                    out.append(pytest.param(name, mutation, text,
+                                            id=f"{name}-{mutation}-{k}"))
     return out
 
 
@@ -75,7 +97,7 @@ def test_uncorrupted_files_pass(tmp_path, capsys):
     paths = {}
     for name, text in FILES.items():
         paths[name] = tmp_path / f"{name}.csv"
-        paths[name].write_text(text)
+        write(paths[name], text)
     for args in COMMANDS.values():
         assert main([a.format(**paths) for a in args]) == 0
     capsys.readouterr()
@@ -86,7 +108,7 @@ def test_malformed_cell_is_an_input_error(tmp_path, capsys, name, mutation, text
     paths = {}
     for other, content in FILES.items():
         paths[other] = tmp_path / f"{other}.csv"
-        paths[other].write_text(text if other == name else content)
+        write(paths[other], text if other == name else content)
     code = main([a.format(**paths) for a in COMMANDS[name]])
     err = capsys.readouterr().err
     assert code in (64, 74), (name, mutation, text, err)

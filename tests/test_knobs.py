@@ -1,6 +1,7 @@
-"""Numeric knobs are validated in one place (`check_cap`, `check_tol`):
-a NaN, infinite or out-of-range cap or tolerance raises a typed error
-instead of silently changing the answer."""
+"""Numeric knobs are validated in one place (`check_cap`, `check_tol`,
+`check_constant`): a NaN, infinite or out-of-range cap, tolerance or
+comparison constant raises a typed error instead of silently changing
+the answer."""
 import math
 
 import numpy as np
@@ -8,14 +9,16 @@ import pytest
 
 from conftest import path_field, unit_path
 from slopekit import (
+    comparison_principle,
     critical_set,
     determine,
+    epsilon_audit,
     local_slope,
     reconstruct,
     slope_field,
 )
 from slopekit.cli import main
-from slopekit.errors import InvalidCap, NegativeTolerance
+from slopekit.errors import InvalidCap, NegativeTolerance, NonFiniteConstant
 from slopekit.reconstruct import SlopeData
 
 BAD_CAPS = [math.nan, 0.0, -1.0, math.inf]
@@ -95,6 +98,24 @@ def test_reconstruct_rejects_nan_tol():
     data = SlopeData(slope_field(space, f), {0: 0.0})
     with pytest.raises(NegativeTolerance):
         reconstruct(space, data, tol=math.nan)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_comparison_principle_rejects_constant(c):
+    # c = inf used to report holds=True, c = nan holds=False with a NaN margin.
+    space = unit_path(3)
+    f = path_field(space, [0.0, 1.0, 2.0])
+    with pytest.raises(NonFiniteConstant):
+        comparison_principle(space, f, path_field(space, [0.0, 0.5, 1.0]), c=c)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_epsilon_audit_rejects_constant(c):
+    # c = nan used to report bound_holds=True with worst_point=None.
+    space = unit_path(3)
+    f = path_field(space, [0.0, 1.0, 2.0])
+    with pytest.raises(NonFiniteConstant):
+        epsilon_audit(space, f, path_field(space, [0.0, 0.5, 1.0]), [0.5], c=c)
 
 
 def test_valid_knobs_still_pass():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ def test_sample_interval_errors():
         sample_interval(2.0, 1.0, 5)
     with pytest.raises(TooFewPoints):
         sample_interval(0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("a,b,n", [
+    (-1e308, 1e308, 3),        # b - a overflows to +inf
+    (-math.inf, 0.0, 3),
+    (0.0, 5e-324, 3),          # h underflows to 0
+])
+def test_sample_interval_rejects_unrepresentable_spacing(a, b, n):
+    # Raised before np.linspace, so no RuntimeWarning (an error here).
+    with pytest.raises(DegenerateInterval, match=re.escape(f"a={a}, b={b}")):
+        sample_interval(a, b, n)
 
 
 def test_neighbors_interior_grid_point():
