@@ -27,7 +27,7 @@ from .determination import determine
 from .errors import FileFormatError, SlopeKitError
 from .gallery import FIGURE_TAGS, emit_figure_data
 from .reconstruct import Inadmissible, SlopeData, reconstruct
-from .slope import OVERFLOW_CAP, check_cap, slope_field
+from .slope import OVERFLOW_CAP, check_cap, check_tol, slope_field
 from .space import EDGE_LOCAL, SHORTEST_PATH_CLOSURE
 
 EXIT_OK = 0
@@ -38,6 +38,10 @@ EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 EXIT_IO = 74
 
+# Gallery sizes: fig3 at level 12 has 3**12 + 1 points, within MAX_POINTS.
+MAX_POINTS = 10**6
+MAX_LEVEL = 12
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -47,6 +51,33 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
+
+
+def _checked(convert):
+    """An argparse type: `convert` applied to the option's text, with
+    each error it raises reported as a usage error."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (SlopeKitError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: an integer in [lo, hi], or >= lo if hi is None."""
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise ValueError(f"must be an integer {bounds}, got {value}")
+        return value
+    return _checked(convert)
+
+
+_CAP = _checked(check_cap)
+_TOL = _checked(check_tol)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -169,7 +200,7 @@ def build_parser() -> _Parser:
                               help="use shortest-path-closure distances")
 
     cap_parent = _Parser(add_help=False)
-    cap_parent.add_argument("--cap", type=float, default=OVERFLOW_CAP,
+    cap_parent.add_argument("--cap", type=_CAP, default=OVERFLOW_CAP,
                             help="slope overflow cap (default 1e12)")
 
     out_parent = _Parser(add_help=False)
@@ -187,7 +218,7 @@ def build_parser() -> _Parser:
     p.add_argument("--slopes", default=None,
                    help="slope CSV (point,slope[,is_infinite])")
     p.add_argument("--f", default=None, help="field CSV, slopes computed here")
-    p.add_argument("--tol-crit", type=float, default=0.0,
+    p.add_argument("--tol-crit", type=_TOL, default=0.0,
                    help="slope zero-test tolerance (default 0)")
     p.set_defaults(func=cmd_crit)
 
@@ -197,8 +228,8 @@ def build_parser() -> _Parser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--start", type=int, required=True)
-    p.add_argument("--tol-crit", type=float, default=0.0)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--tol-crit", type=_TOL, default=0.0)
+    p.add_argument("--max-steps", type=_int_in(0), default=None)
     p.set_defaults(func=cmd_descend)
 
     p = sub.add_parser("determine",
@@ -206,9 +237,9 @@ def build_parser() -> _Parser:
                        help="check whether g = f + constant (JSON report)")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--tol-slope", type=float, default=1e-9)
-    p.add_argument("--tol-crit", type=float, default=1e-9)
-    p.add_argument("--tol-residual", type=float, default=None)
+    p.add_argument("--tol-slope", type=_TOL, default=1e-9)
+    p.add_argument("--tol-crit", type=_TOL, default=1e-9)
+    p.add_argument("--tol-residual", type=_TOL, default=None)
     p.set_defaults(func=cmd_determine)
 
     p = sub.add_parser("reconstruct",
@@ -216,15 +247,17 @@ def build_parser() -> _Parser:
                        help="rebuild a field from slopes and critical values")
     p.add_argument("--slopes", required=True)
     p.add_argument("--crit-values", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_TOL, default=1e-9)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("gallery", parents=[cap_parent, out_parent],
                        help="emit figure data for the example pairs")
     p.add_argument("figure", choices=FIGURE_TAGS)
-    p.add_argument("--n", type=int, default=None, help="grid size override")
-    p.add_argument("--level", type=int, default=8,
-                   help="staircase approximation level (fig3)")
+    p.add_argument("--n", type=_int_in(2, MAX_POINTS), default=None,
+                   help=f"grid size override, at most {MAX_POINTS}")
+    p.add_argument("--level", type=_int_in(0, MAX_LEVEL), default=8,
+                   help=f"staircase approximation level (fig3), at most "
+                        f"{MAX_LEVEL}")
     p.add_argument("--format", choices=("csv", "gnuplot"), default="csv")
     p.set_defaults(func=cmd_gallery)
 
@@ -233,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", default="all",
                    choices=("all", "lemma", "descent", "determine",
                             "reconstruct", "homogeneity"))
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_int_in(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -243,11 +276,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "cap" in args:
-        try:
-            check_cap(args.cap)
-        except SlopeKitError as exc:
-            parser.error(f"argument --cap: {exc}")
     try:
         return args.func(args)
     except _UsageError as exc:

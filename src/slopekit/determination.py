@@ -365,13 +365,13 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
                   cap: float = OVERFLOW_CAP) -> EpsilonAudit:
     """Audit the inflation argument behind the comparison principle.
 
-    Epsilons must be strictly decreasing and positive. For each epsilon
-    the audit verifies that inflating f preserves the critical set and
-    strictly dominates the slope of g off it, then evaluates the bound
-    g(x) < f(x) + epsilon * bracket(x) + c at its worst point. `c`
-    must be finite; it defaults to the max of g - f over the critical
-    set of f. The hypotheses of `comparison_principle` are checked
-    within `tol`.
+    Epsilons must be finite, strictly decreasing and positive. For each
+    epsilon the audit verifies that inflating f preserves the critical
+    set and strictly dominates the slope of g off it, then evaluates
+    the bound g(x) < f(x) + epsilon * bracket(x) + c at its worst
+    point. `c` must be finite; it defaults to the max of g - f over the
+    critical set of f. The hypotheses of `comparison_principle` are
+    checked within `tol`.
     """
     require_bound(space, f)
     require_bound(space, g)
@@ -383,6 +383,8 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
             raise ValueError("epsilons must be strictly decreasing")
     if not eps[-1] > 0.0:
         raise ValueError("epsilons must be positive")
+    if not math.isfinite(eps[0]):
+        raise ValueError(f"epsilons must be finite, got {eps[0]}")
     tol = check_tol(tol)
     if c is not None:
         c = check_constant(c)

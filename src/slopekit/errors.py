@@ -69,7 +69,7 @@ class NonFiniteFieldValue(SlopeKitError):
 
 
 class NonPositiveScale(SlopeKitError):
-    """Field scaling requested with a factor <= 0."""
+    """Field scaling requested with a factor that is not finite and > 0."""
 
 
 class EmptyDeltaList(SlopeKitError):

@@ -2,42 +2,36 @@
 determination reports.
 
 All numeric output is printed with 17 significant digits, which makes
-float round trips lossless and repeated runs byte-identical. CSV files
-are UTF-8 text with a mandatory header line; lines starting with '#'
-are comments. Every number read must be finite: a NaN or infinite cell
-is a format error naming its line.
+float round trips lossless and repeated runs byte-identical.
 
-Reading has two paths, and every loader reads its file once for both.
+Every CSV loader reads one grammar: what the renderers write, plus LF or
+CRLF line ends, ASCII spaces and tabs around cells, and blank and
+comment ('#') lines. A file is UTF-8 text; its first other line is one
+of the loader's header lines, and each later one is a row with the
+header's number of comma-separated cells. An integer cell is ASCII
+`-?[0-9]+` of at most 18 characters, so it fits int64. A float cell is
+ASCII `-?(D+[.D*]|.D+)` with an optional `[eE][-+]?D+` exponent, D a
+digit, or the `inf` that `render_slope_csv` writes in a flagged row.
+Every value must be finite, except the unread slope of a flagged row.
+A file outside the grammar, or a row that fails a loader's check
+(points in range and distinct, flags in {0, 1}, slopes >= 0), is a
+FileFormatError naming that line.
 
-- The per-row path (`_read_rows`, `_parse_int`, `_parse_float` and each
-  loader's row loop) defines the format: comment and blank lines are
-  skipped, cells are stripped and converted by Python's int() and
-  float() (so '+1_0.5', '٣' and CRLF line ends are accepted), and every
-  FileFormatError, with its `path:lineno`, is raised there.
-- The fast path (`_read_columns`) parses whole columns with
-  np.loadtxt, but only after a whole-body guard has proved that the
-  file is in the renderers' own grammar: the header line exactly as
-  written, then rows of exactly the header's column count ended by
-  a newline, every integer cell ASCII `-?[0-9]+` of at most 18 characters
-  (so it fits int64), every float cell ASCII `-?(D+[.D*]|.D+)` with an
-  optional `[eE][-+]?D+` exponent, D a digit. On that grammar
-  np.loadtxt and Python's int() and float() give bitwise-equal values
-  (`tests/test_csv_fast.py` checks this). The loader then checks the
-  whole arrays (finite values, points in range, no duplicates, full
-  coverage, flags in {0, 1}, slopes >= 0).
-
-If the guard or any array check fails, the loader drops the arrays and
-runs the per-row path on the same text. The fast path therefore raises
-no format error of its own, and a file is either accepted with the same
-values by both paths or rejected with the per-row path's message. A
-slope file with flagged rows (whose slope cell reads 'inf') always takes
-the per-row path.
+Reading is column-wise. A numpy guard on the bytes (`_in_grammar`)
+proves the rows in the grammar, and np.loadtxt parses whole columns
+with the values of int() and float() (`testing.reference_read_columns`
+is the oracle). A file in the renderers' exact form is guarded as read;
+any other file is normalised once and guarded again. Only a rejected
+file is read line by line, to find the line to name.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
+from dataclasses import asdict
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +39,7 @@ import numpy as np
 from .critical import CriticalSet
 from .descent import DescentPath
 from .determination import DeterminationReport
-from .errors import FileFormatError
+from .errors import FileFormatError, InvariantViolated
 from .reconstruct import Inadmissible
 from .slope import OVERFLOW_CAP, ScalarField, SlopeField
 from .space import EDGE_LOCAL, MetricSpaceGraph, _space_from_columns
@@ -56,9 +50,14 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# ---- reading: the fast path ----
+# ---- reading ----
 
-# Byte classes of the renderers' grammar; 0 is any other byte.
+# The cells of the grammar; `_in_grammar` is the array form of _INT and _FLOAT.
+_INT = r"(?:-?[0-9]{1,17}|[0-9]{18})"  # at most 18 characters
+_FLOAT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+_CELL = {"i": re.compile(_INT), "f": re.compile(f"{_FLOAT}|inf")}
+
+# Byte classes of the grammar; 0 is any other byte.
 _DIGIT, _MINUS, _PLUS, _DOT, _EXP, _COMMA, _NEWLINE = range(1, 8)
 _CLASS = bytearray(256)
 for _chars, _cls in ((b"0123456789", _DIGIT), (b"-", _MINUS), (b"+", _PLUS),
@@ -81,8 +80,8 @@ _MAX_INT_CHARS = 18
 
 
 def _in_grammar(body: bytes, kinds: str) -> bool:
-    """Whether `body` (the data rows, ending in a newline) is in the grammar
-    of the module docstring, with column kinds 'i' (int) and 'f' (float).
+    """Whether `body` (data rows, each ended by a newline) is in the
+    grammar, with column kinds 'i' (int) and 'f' (float) and no `inf`.
 
     Which byte may follow which settles everything within a cell except
     that a float cell holds at most one '.' and one exponent, in that
@@ -119,116 +118,127 @@ def _in_grammar(body: bytes, kinds: str) -> bool:
     return not (dot_cell[nxt[has]] == exp_cell[has]).any()
 
 
-def _read_columns(path, layouts: dict[str, str]):
-    """The text of a CSV file and, when it is in the renderers' grammar,
-    its data columns.
+def _data_lines(text: str):
+    """(line number, cells) of each line that is neither blank nor a
+    comment, without CRLF ends and the spaces and tabs around cells."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r").strip(" \t")
+        if line and not line.startswith("#"):
+            yield lineno, [cell.strip(" \t") for cell in line.split(",")]
 
-    `layouts` maps each accepted header line to its column kinds, 'i'
-    (int64) or 'f' (float64). Returns (text, columns), with columns
-    None when the header is not one of those lines exactly, the file
-    has no data row, or a row is outside the grammar.
-    """
-    raw = Path(path).read_bytes()
+
+def _grammar_error(path, text: str, kinds: str, names) -> Exception:
+    """The error for the first data row of `text` outside the grammar."""
+    lines = _data_lines(text)
+    header = ",".join(next(lines)[1])
+    for lineno, cells in lines:
+        where = f"{path}:{lineno}:"
+        if len(cells) != len(kinds):
+            return FileFormatError(f"{where} expected {header}")
+        for cell, kind, what in zip(cells, kinds, names):
+            if _CELL[kind].fullmatch(cell):
+                continue
+            if kind == "i" and re.fullmatch("-?[0-9]+", cell):
+                return FileFormatError(f"{where} {what} {cell!r} is longer "
+                                       f"than {_MAX_INT_CHARS} characters")
+            try:
+                finite = kind == "i" or math.isfinite(float(cell))
+            except ValueError:
+                finite = True
+            return FileFormatError(
+                f"{where} {'bad' if finite else 'non-finite'} {what} {cell!r}")
+    return InvariantViolated(f"{path}: the byte guard rejects rows that "
+                             "the cell patterns accept")
+
+
+def _normalised(path, raw: bytes, layouts: dict[str, str], names):
+    """The header line and data rows of any file in the grammar, in the
+    renderers' form."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})"
         ) from None
+    lines = _data_lines(text)
+    lineno, cells = next(lines, (0, None))
+    expected = max(layouts, key=len)
+    if cells is None:
+        raise FileFormatError(f"{path}: empty file, expected header {expected}")
+    header = ",".join(cells)
+    if header not in layouts:
+        raise FileFormatError(
+            f"{path}:{lineno}: bad header {header!r}, expected {expected}")
+    body = "".join([",".join("1e999" if c == "inf" else c for c in cells) + "\n"
+                    for _, cells in lines]).encode()
+    if body and not _in_grammar(body, layouts[header]):
+        raise _grammar_error(path, text, layouts[header], names)
+    return header, body
+
+
+def _read_columns(path, layouts: dict[str, str], names):
+    """The data columns of a CSV file, and its bytes.
+
+    `layouts` maps each accepted header line to its column kinds, 'i'
+    (int64) or 'f' (float64), and `names` names the cells in messages.
+    An `inf` cell reads as float inf.
+    """
+    raw = Path(path).read_bytes()
     head, _, body = raw.partition(b"\n")
-    kinds = layouts.get(head.decode("utf-8"))
-    if kinds is None or not body:
-        return text, None
-    if not body.endswith(b"\n"):
+    kinds = layouts.get(head.decode("latin-1"))
+    if body and not body.endswith(b"\n"):
         body += b"\n"
-    if not _in_grammar(body, kinds):
-        return text, None
+    if kinds is None or not body or not _in_grammar(body, kinds):
+        header, body = _normalised(path, raw, layouts, names)
+        kinds = layouts[header]
     dtype = [(f"c{i}", "i8" if c == "i" else "f8") for i, c in enumerate(kinds)]
+    if not body:
+        return [np.empty(0, dt) for _, dt in dtype], raw
     table = np.loadtxt(StringIO(body.decode("ascii")), dtype=dtype,
                        delimiter=",", comments=None, ndmin=1)
-    return text, [np.ascontiguousarray(table[name]) for name, _ in dtype]
+    return [np.ascontiguousarray(table[name]) for name, _ in dtype], raw
+
+
+def _reject_rows(path, raw: bytes, checks) -> None:
+    """Raise FileFormatError at the first data row that a check flags.
+
+    `checks` holds (mask over the rows, message) pairs, tried in order
+    on that row; a message is formatted with the row's cells and `p`,
+    the integer in its first cell."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    lineno, cells = next(islice(_data_lines(raw.decode()), row + 1, None))
+    message = next(message for mask, message in checks if mask[row])
+    raise FileFormatError(
+        f"{path}:{lineno}: {message.format(*cells, p=int(cells[0]))}")
 
 
 def _distinct_points(points: np.ndarray, n: int) -> bool:
     """Whether every point lies in [0, n) and none repeats."""
-    if points.min() < 0 or points.max() >= n:
+    if points.size and (points.min() < 0 or points.max() >= n):
         return False
     seen = np.zeros(n, dtype=bool)
     seen[points] = True
     return int(np.count_nonzero(seen)) == points.size
 
 
-# ---- reading: the per-row path ----
-
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
-def _read_rows(path, text: str, expected_header: tuple[str, ...],
-               allow_short_header: bool = False):
-    lines = list(_data_lines(text))
-    if not lines:
-        raise FileFormatError(f"{path}: empty file, expected header "
-                              f"{','.join(expected_header)}")
-    lineno, header = lines[0]
-    got = tuple(cell.strip() for cell in header.split(","))
-    ok = got == expected_header or (
-        allow_short_header and got == expected_header[:len(got)]
-        and len(got) >= 2)
-    if not ok:
-        raise FileFormatError(
-            f"{path}:{lineno}: bad header {header!r}, expected "
-            f"{','.join(expected_header)}")
-    rows = []
-    for lineno, line in lines[1:]:
-        cells = tuple(cell.strip() for cell in line.split(","))
-        rows.append((lineno, cells))
-    return got, rows
-
-
-def _parse_int(path, lineno, cell, what):
-    try:
-        return int(cell)
-    except ValueError:
-        raise FileFormatError(f"{path}:{lineno}: bad {what} {cell!r}")
-
-
-def _parse_float(path, lineno, cell, what):
-    try:
-        x = float(cell)
-    except ValueError:
-        raise FileFormatError(f"{path}:{lineno}: bad {what} {cell!r}")
-    if not math.isfinite(x):
-        raise FileFormatError(f"{path}:{lineno}: non-finite {what} {cell!r}")
-    return x
+def _point_checks(points: np.ndarray, n: int | None):
+    """The row checks of a point column: no point repeats an earlier
+    row's, and each lies in [0, n) unless n is None."""
+    if _distinct_points(points, points.size if n is None else n):
+        return []
+    first = np.zeros(points.size, dtype=bool)
+    first[np.unique(points, return_index=True)[1]] = True
+    checks = [(~first, "duplicate point {p}")]
+    if n is not None:
+        checks.append(((points < 0) | (points >= n),
+                       f"point {{p}} outside [0, {n})"))
+    return checks
 
 
 # ---- spaces ----
-
-_INT64 = np.iinfo(np.int64)
-
-
-def _edge_rows(path, text: str):
-    """The u, v, length columns of an edge list CSV, row by row."""
-    _, rows = _read_rows(path, text, ("u", "v", "length"))
-    u, v, w = [], [], []
-    for lineno, cells in rows:
-        if len(cells) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected u,v,length")
-        for col, cell in zip((u, v), cells):
-            x = _parse_int(path, lineno, cell, "endpoint")
-            if not _INT64.min <= x <= _INT64.max:
-                raise FileFormatError(
-                    f"{path}:{lineno}: endpoint {cell!r} outside the int64 range")
-            col.append(x)
-        w.append(_parse_float(path, lineno, cells[2], "length"))
-    return (np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
-            np.array(w, dtype=float))
-
 
 def load_graph_csv(path, metric_mode: str = EDGE_LOCAL,
                    coordinates_path=None, n: int | None = None) -> MetricSpaceGraph:
@@ -236,22 +246,20 @@ def load_graph_csv(path, metric_mode: str = EDGE_LOCAL,
 
     The edges are validated, and the space built, as by `build_graph`.
     """
-    text, cols = _read_columns(path, {"u,v,length": "iif"})
-    if cols is None or not np.isfinite(cols[2]).all():
-        cols = _edge_rows(path, text)
+    (u, v, w), raw = _read_columns(path, {"u,v,length": "iif"},
+                                   ("endpoint", "endpoint", "length"))
+    _reject_rows(path, raw, [(~np.isfinite(w), "non-finite length {2!r}")])
     coords = None
     if coordinates_path is not None:
         coords = load_coordinates_csv(coordinates_path)
         if n is None:
             n = coords.shape[0]
-    return _space_from_columns(*cols, n, metric_mode, coords)
+    return _space_from_columns(u, v, w, n, metric_mode, coords)
 
 
 def render_graph_csv(space: MetricSpaceGraph) -> str:
-    out = ["u,v,length"]
-    for u, v, w in space.edges:
-        out.append(f"{u},{v},{fmt(w)}")
-    return "\n".join(out) + "\n"
+    return "".join(["u,v,length\n", *(
+        f"{u},{v},{fmt(w)}\n" for u, v, w in space.edges)])
 
 
 def load_coordinates_csv(path) -> np.ndarray:
@@ -259,80 +267,42 @@ def load_coordinates_csv(path) -> np.ndarray:
 
     Every point in [0, n) must appear exactly once (any order).
     """
-    text, cols = _read_columns(path, {"point,x": "if", "point,x,y": "iff"})
-    if cols is not None:
-        points, xs = cols[0], np.column_stack(cols[1:])
-        if _distinct_points(points, points.size) and np.isfinite(xs).all():
-            coords = np.empty_like(xs)
-            coords[points] = xs
-            return coords[:, 0] if len(cols) == 2 else coords
-    header, rows = _read_rows(path, text, ("point", "x", "y"),
-                              allow_short_header=True)
-    dim = len(header) - 1
-    seen = {}
-    for lineno, cells in rows:
-        if len(cells) != dim + 1:
-            raise FileFormatError(f"{path}:{lineno}: expected {dim + 1} columns")
-        p = _parse_int(path, lineno, cells[0], "point")
-        if p in seen:
-            raise FileFormatError(f"{path}:{lineno}: duplicate point {p}")
-        seen[p] = [
-            _parse_float(path, lineno, c, "coordinate") for c in cells[1:]]
-    n = len(seen)
-    if sorted(seen) != list(range(n)):
+    (points, *xs), raw = _read_columns(
+        path, {"point,x": "if", "point,x,y": "iff"},
+        ("point", "coordinate", "coordinate"))
+    _reject_rows(path, raw, [*_point_checks(points, None), *(
+        (~np.isfinite(x), f"non-finite coordinate {{{i}!r}}")
+        for i, x in enumerate(xs, start=1))])
+    n = points.size
+    if not _distinct_points(points, n):
         raise FileFormatError(f"{path}: points must cover 0..{n - 1} exactly")
-    coords = np.array([seen[p] for p in range(n)])
-    if dim == 1:
-        coords = coords[:, 0]
-    return coords
+    coords = np.empty((n, len(xs)))
+    coords[points] = np.column_stack(xs)
+    return coords[:, 0] if len(xs) == 1 else coords
 
 
 # ---- scalar fields ----
 
-_POINT_VALUE = {"point,value": "if"}
-
-
-def _point_value_columns(path, space: MetricSpaceGraph):
-    """The text of a `point,value` CSV and, from the fast path, its
-    point and value columns once they pass the checks of
-    `_point_values` (else None)."""
-    text, cols = _read_columns(path, _POINT_VALUE)
-    if cols is not None and not (_distinct_points(cols[0], space.n)
-                                 and np.isfinite(cols[1]).all()):
-        cols = None
-    return text, cols
-
-
-def _point_values(path, text: str, space: MetricSpaceGraph) -> dict[int, float]:
-    """The rows of a `point,value` CSV, each point of the space at most once."""
-    _, rows = _read_rows(path, text, ("point", "value"))
-    out: dict[int, float] = {}
-    for lineno, cells in rows:
-        if len(cells) != 2:
-            raise FileFormatError(f"{path}:{lineno}: expected point,value")
-        p = _parse_int(path, lineno, cells[0], "point")
-        if p in out:
-            raise FileFormatError(f"{path}:{lineno}: duplicate point {p}")
-        if not 0 <= p < space.n:
-            raise FileFormatError(f"{path}:{lineno}: point {p} outside "
-                                  f"[0, {space.n})")
-        out[p] = _parse_float(path, lineno, cells[1], "value")
-    return out
+def _point_values(path, space: MetricSpaceGraph):
+    """The point and value columns of a `point,value` CSV, each point
+    of the space at most once."""
+    (points, values), raw = _read_columns(path, {"point,value": "if"},
+                                          ("point", "value"))
+    _reject_rows(path, raw, [*_point_checks(points, space.n),
+                             (~np.isfinite(values), "non-finite value {1!r}")])
+    return points, values
 
 
 def load_field_csv(path, space: MetricSpaceGraph) -> ScalarField:
     """Load a field from a CSV with header `point,value` covering every
     point of the space exactly once."""
-    text, cols = _point_value_columns(path, space)
-    if cols is not None and cols[0].size == space.n:
-        values = np.empty(space.n)
-        values[cols[0]] = cols[1]
-        return ScalarField(space, values)
-    seen = _point_values(path, text, space)
-    if len(seen) != space.n:
+    points, values = _point_values(path, space)
+    if points.size != space.n:
         raise FileFormatError(
-            f"{path}: {len(seen)} values for a {space.n}-point space")
-    return ScalarField(space, np.array([seen[p] for p in range(space.n)]))
+            f"{path}: {points.size} values for a {space.n}-point space")
+    out = np.empty(space.n)
+    out[points] = values
+    return ScalarField(space, out)
 
 
 def render_field_csv(f: ScalarField) -> str:
@@ -342,10 +312,8 @@ def render_field_csv(f: ScalarField) -> str:
 
 def load_crit_values_csv(path, space: MetricSpaceGraph) -> dict[int, float]:
     """Load prescribed values (a partial field) from a `point,value` CSV."""
-    text, cols = _point_value_columns(path, space)
-    if cols is not None:
-        return dict(zip(cols[0].tolist(), cols[1].tolist()))
-    return _point_values(path, text, space)
+    points, values = _point_values(path, space)
+    return dict(zip(points.tolist(), values.tolist()))
 
 
 # ---- slope fields ----
@@ -362,52 +330,26 @@ def load_slope_csv(path, space: MetricSpaceGraph,
                    cap: float = OVERFLOW_CAP) -> SlopeField:
     """Load a slope field from `point,slope[,is_infinite]`.
 
-    A slope not flagged infinite must be >= 0; the slope cell of a
-    flagged row is not read.
+    A slope not flagged infinite must be finite and >= 0; the slope
+    cell of a flagged row is not read.
     """
-    text, cols = _read_columns(path, {"point,slope": "if",
-                                      "point,slope,is_infinite": "ifi"})
-    if cols is not None:
-        points, slopes = cols[:2]
-        flags = cols[2] if len(cols) == 3 else np.zeros_like(points)
-        flagged = flags == 1
-        valid = flagged | ((flags == 0) & np.isfinite(slopes) & (slopes >= 0.0))
-        if (points.size == space.n and _distinct_points(points, space.n)
-                and valid.all()):
-            values = np.empty(space.n)
-            mask = np.empty(space.n, dtype=bool)
-            values[points] = np.where(flagged, math.inf, slopes)
-            mask[points] = flagged
-            return SlopeField(space, values, mask, provenance=provenance,
-                              cap=cap)
-    header, rows = _read_rows(path, text, ("point", "slope", "is_infinite"),
-                              allow_short_header=True)
-    has_flag = len(header) == 3
-    vals = {}
-    flags = {}
-    for lineno, cells in rows:
-        if len(cells) != len(header):
-            raise FileFormatError(f"{path}:{lineno}: expected "
-                                  f"{len(header)} columns")
-        p = _parse_int(path, lineno, cells[0], "point")
-        if p in vals:
-            raise FileFormatError(f"{path}:{lineno}: duplicate point {p}")
-        if not 0 <= p < space.n:
-            raise FileFormatError(f"{path}:{lineno}: point {p} outside "
-                                  f"[0, {space.n})")
-        flag = _parse_int(path, lineno, cells[2], "flag") if has_flag else 0
-        if flag not in (0, 1):
-            raise FileFormatError(f"{path}:{lineno}: is_infinite must be 0 or 1")
-        flags[p] = bool(flag)
-        vals[p] = (math.inf if flag else
-                   _parse_float(path, lineno, cells[1], "slope"))
-        if vals[p] < 0.0:
-            raise FileFormatError(f"{path}:{lineno}: negative slope {cells[1]!r}")
-    if len(vals) != space.n:
+    (points, slopes, *flag), raw = _read_columns(
+        path, {"point,slope": "if", "point,slope,is_infinite": "ifi"},
+        ("point", "slope", "flag"))
+    flags = flag[0] if flag else np.zeros_like(points)
+    flagged, unflagged = flags == 1, flags == 0
+    _reject_rows(path, raw, [
+        *_point_checks(points, space.n),
+        (~(flagged | unflagged), "is_infinite must be 0 or 1"),
+        (unflagged & ~np.isfinite(slopes), "non-finite slope {1!r}"),
+        (unflagged & (slopes < 0.0), "negative slope {1!r}")])
+    if points.size != space.n:
         raise FileFormatError(
-            f"{path}: {len(vals)} slopes for a {space.n}-point space")
-    values = np.array([vals[p] for p in range(space.n)])
-    mask = np.array([flags[p] for p in range(space.n)], dtype=bool)
+            f"{path}: {points.size} slopes for a {space.n}-point space")
+    values = np.empty(space.n)
+    mask = np.empty(space.n, dtype=bool)
+    values[points] = np.where(flagged, math.inf, slopes)
+    mask[points] = flagged
     return SlopeField(space, values, mask, provenance=provenance, cap=cap)
 
 
@@ -420,64 +362,40 @@ def render_crit_csv(crit: CriticalSet, slopes: SlopeField) -> str:
 # ---- descent paths ----
 
 def render_path_csv(path_obj: DescentPath) -> str:
-    out = ["step,point,f,f_minus_g"]
-    for i, p in enumerate(path_obj.points):
-        out.append(f"{i},{p},{fmt(path_obj.f_values[i])},"
-                   f"{fmt(path_obj.diff_values[i])}")
+    rows = zip(path_obj.points, path_obj.f_values, path_obj.diff_values)
     flag = "true" if path_obj.terminal_critical else "false"
-    out.append(f"# terminal_critical={flag}")
-    return "\n".join(out) + "\n"
+    return "".join(["step,point,f,f_minus_g\n", *(
+        f"{i},{p},{fmt(f)},{fmt(d)}\n" for i, (p, f, d) in enumerate(rows)),
+        f"# terminal_critical={flag}\n"])
 
 
 # ---- determination reports ----
 
 def determination_report_to_dict(report: DeterminationReport) -> dict:
     d = report.diagnostics
-    eq = d.slopes_equal
     dc = d.diff_constant_on_crit
     crit_preview = 16
-    doc = {
+    return {
         "verdict": report.verdict.kind,
         "violated_hypotheses": list(report.verdict.violated),
         "constant": report.verdict.constant,
         "residual": report.residual,
         "diagnostics": {
-            "slopes_finite": {
-                "passed": d.slopes_finite.passed,
-                "worst_point": d.slopes_finite.worst_point,
-                "which_field": d.slopes_finite.which_field,
-            },
-            "slopes_equal": {
-                "passed": eq.passed,
-                "max_gap": eq.max_gap,
-                "worst_point": eq.worst_point,
-                "slope_f": eq.slope_f,
-                "slope_g": eq.slope_g,
-            },
+            "slopes_finite": asdict(d.slopes_finite),
+            "slopes_equal": asdict(d.slopes_equal),
             "crit_sets_equal": {
                 "passed": d.crit_sets_equal.passed,
                 "only_in_f": list(d.crit_sets_equal.only_in_f[:crit_preview]),
                 "only_in_g": list(d.crit_sets_equal.only_in_g[:crit_preview]),
             },
-            "diff_constant_on_crit": None if dc is None else {
-                "passed": dc.passed,
-                "constant": dc.constant,
-                "spread": dc.spread,
-                "max_point": dc.max_point,
-                "max_value": dc.max_value,
-                "min_point": dc.min_point,
-                "min_value": dc.min_value,
-            },
+            "diff_constant_on_crit":
+                None if dc is None else {"passed": dc.passed, **asdict(dc)},
             "critical_point_count": len(d.critical_points),
         },
-        "witnesses": [
-            {"point": w.point, "kind": w.kind, "value": w.value}
-            for w in report.witnesses
-        ],
+        "witnesses": [asdict(w) for w in report.witnesses],
         "tolerances": dict(report.tolerances),
         "slope_provenance": report.slope_provenance,
     }
-    return doc
 
 
 def render_determination_report(report: DeterminationReport) -> str:
@@ -502,20 +420,18 @@ def render_witness_report(result: Inadmissible) -> str:
 
 # ---- generic tabular output ----
 
+def _render_rows(sep: str, head: str, rows) -> str:
+    return "".join([head, "\n", *(sep.join(
+        fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n"
+        for row in rows)])
+
+
 def render_rows_csv(header, rows) -> str:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(
-            fmt(c) if isinstance(c, float) else str(c) for c in row))
-    return "\n".join(out) + "\n"
+    return _render_rows(",", ",".join(header), rows)
 
 
 def render_rows_gnuplot(header, rows) -> str:
-    out = ["# " + " ".join(header)]
-    for row in rows:
-        out.append(" ".join(
-            fmt(c) if isinstance(c, float) else str(c) for c in row))
-    return "\n".join(out) + "\n"
+    return _render_rows(" ", "# " + " ".join(header), rows)
 
 
 def render_rows_json(header, rows) -> str:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DisconnectedSpace,
+    EmptyCriticalSet,
     InfiniteSlopeData,
     InvariantViolated,
     NonFiniteFieldValue,
@@ -82,6 +83,9 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
     if uncovered:
         raise UncoveredCriticalPoint(
             f"points {uncovered[:8]} have slope <= {tol} but no prescribed value")
+    if not prescribed:
+        raise EmptyCriticalSet(
+            f"no prescribed value and no slope <= {tol}: the sweep has no seed")
     return prescribed
 
 
@@ -94,7 +98,9 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
     overridden; ties in the finalization order break toward the
     smallest point id. The sequence of finalized values is nondecreasing
     by construction; the sweep checks it, and that it reaches every
-    point, raising InvariantViolated if either fails.
+    point, raising InvariantViolated if either fails. Data with no
+    prescribed value is an EmptyCriticalSet, and a point whose every
+    candidate value overflows is a NonFiniteFieldValue.
     """
     tol = check_tol(tol)
     prescribed = _validate(space, data, tol)
@@ -132,6 +138,14 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
                 v[y] = cand
                 heapq.heappush(heap, (cand, y))
     if swept != space.n:
+        # An unswept point next to a swept one had only candidates that
+        # overflowed to inf.
+        swept_at = np.array(done)
+        cut = swept_at[space.src] & ~swept_at[space.dst]
+        if cut.any():
+            raise NonFiniteFieldValue(
+                f"reconstructed value at point {int(space.dst[cut].min())} "
+                "overflows the float range")
         raise InvariantViolated(
             f"sweep finalized {swept} of {space.n} points of a connected space")
 

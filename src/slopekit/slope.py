@@ -213,14 +213,14 @@ def slope_field(space: MetricSpaceGraph, f: ScalarField,
 
 
 def scale_field(f: ScalarField, scale: float) -> ScalarField:
-    """Multiply a field by a positive constant.
+    """Multiply a field by a finite positive constant.
 
     Slopes are positively homogeneous, so the slope field of the result
     is the original slope field scaled by the same constant.
     """
     scale = float(scale)
-    if not scale > 0.0:
-        raise NonPositiveScale(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise NonPositiveScale(f"scale must be a finite number > 0, got {scale}")
     return ScalarField(f.space, f.values * scale)
 
 

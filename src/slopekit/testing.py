@@ -10,19 +10,23 @@ rounding noise.
 Each suite re-derives its claims from raw field values (brute-force
 neighbor scans, direct inequality checks) instead of trusting the
 bookkeeping of the operation under test. `reference_slope_field` keeps
-the per-point loop that the edge-array slope kernel replaced, as the
-oracle of the differential tests.
+the per-point loop that the edge-array slope kernel replaced, and
+`reference_read_columns` reads the CSV grammar line by line, as the
+oracles of the differential tests.
 """
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .critical import comparison_floor, critical_set
 from .descent import NoStep, descent_path, descent_step
 from .determination import VERDICT_EQUAL, determine
+from .io import _FLOAT, _INT
 from .reconstruct import Inadmissible, SlopeData, reconstruct
 from .slope import (
     OVERFLOW_CAP,
@@ -46,6 +50,30 @@ def reference_slope_field(space: MetricSpaceGraph, f: ScalarField,
     return SlopeField(space=space, values=[s.as_float() for s in slopes],
                       infinite=[s.infinite for s in slopes],
                       provenance="exact-graph", cap=cap)
+
+
+def reference_read_columns(path, layouts: dict[str, str]):
+    """The header line and data columns of a CSV file, read line by
+    line: each data row must match the cell patterns of `slopekit.io`
+    for the kinds ('i' or 'f') that `layouts` gives its header, and
+    each cell is converted by int() or float() (so `inf` is float inf).
+    Raises ValueError at the first line outside the grammar."""
+    text = Path(path).read_bytes().decode("utf-8")
+    lines = [(lineno, line.removesuffix("\r").strip(" \t"))
+             for lineno, line in enumerate(text.split("\n"), start=1)]
+    rows = [(lineno, [c.strip(" \t") for c in line.split(",")])
+            for lineno, line in lines if line and not line.startswith("#")]
+    header = ",".join(rows[0][1])
+    kinds = layouts[header]
+    cell = {"i": _INT, "f": f"(?:{_FLOAT}|inf)"}
+    pattern = re.compile(",".join(cell[k] for k in kinds))
+    for lineno, cells in rows[1:]:
+        if not pattern.fullmatch(",".join(cells)):
+            raise ValueError(f"line {lineno} is outside the grammar")
+    return header, [np.array([(int if k == "i" else float)(cells[j])
+                              for _, cells in rows[1:]],
+                             dtype=np.int64 if k == "i" else float)
+                    for j, k in enumerate(kinds)]
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 50,

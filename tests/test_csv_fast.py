@@ -1,27 +1,30 @@
-"""Differential suite for the CSV layer: the column-wise fast path of
-`slopekit.io` against its per-row path, which defines the format.
+"""Differential suite for the CSV layer: the column reader of
+`slopekit.io` (a byte guard, one normalising pass for files not in the
+renderers' exact form, then np.loadtxt) against
+`testing.reference_read_columns`, which matches each line against the
+cell patterns and converts each cell with int() or float().
 
-The fast path is turned off by making its grammar guard, `_in_grammar`,
-reject everything; every loader then runs the per-row path alone.
-Well-formed files must load bitwise-equal both ways, files outside the
-renderers' grammar must be routed to the per-row path, every malformed
-file of the CLI fuzz suite must fail with the same exception class and
-message, and whole CLI runs must be byte-identical.
+Files in the grammar must read bitwise-equal both ways, and files
+outside it must be rejected by both. Every malformed file of the CLI
+fuzz suite, and every in-grammar file that a loader's checks reject,
+must fail with its pinned exception class and message. Whole CLI runs
+must be byte-identical on rewritten files.
 """
+import json
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slopekit.io as skio
 from slopekit.cli import main
-from slopekit.testing import random_connected_graph
+from slopekit.errors import FileFormatError
+from slopekit.testing import random_connected_graph, reference_read_columns
 from test_cli_fuzz import FILES, cases, write
 
-# The grammar of the io module docstring, as regular expressions.
-INT = r"(?:-?[0-9]{1,17}|[0-9]{18})"  # at most 18 characters
-FLOAT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+INT, FLOAT = skio._INT, skio._FLOAT
 
 LOADERS = {
     "graph": lambda path, space: skio.load_graph_csv(path),
@@ -31,9 +34,13 @@ LOADERS = {
     "crit_values": skio.load_crit_values_csv,
 }
 
-
-def per_row_only(monkeypatch):
-    monkeypatch.setattr(skio, "_in_grammar", lambda body, kinds: False)
+LAYOUTS = {
+    "graph": {"u,v,length": "iif"},
+    "coords": {"point,x": "if", "point,x,y": "iff"},
+    "field": {"point,value": "if"},
+    "slopes": {"point,slope": "if", "point,slope,is_infinite": "ifi"},
+    "crit_values": {"point,value": "if"},
+}
 
 
 def bits(a) -> list:
@@ -42,6 +49,9 @@ def bits(a) -> list:
 
 def digest(obj):
     """Everything a loader returns, with floats as their bit patterns."""
+    if isinstance(obj, list):  # columns
+        return [(c.dtype.str, c.tolist() if c.dtype.kind == "i" else bits(c))
+                for c in obj]
     if isinstance(obj, dict):
         return [(p, bits([v])) for p, v in obj.items()]
     if isinstance(obj, np.ndarray):
@@ -55,28 +65,37 @@ def digest(obj):
     return bits(obj.values)  # a scalar field
 
 
-def outcome(load):
+def outcome(load, tmp_path=None):
+    """("ok", digest) or (exception class name, message without tmp_path)."""
     try:
         return "ok", digest(load())
     except Exception as exc:  # compared, never swallowed
-        return type(exc), str(exc)
+        message = str(exc)
+        if tmp_path is not None:
+            message = message.replace(f"{tmp_path}/", "")
+        return type(exc).__name__, message
 
 
-def both_paths(monkeypatch, load):
-    fast = outcome(load)
-    with monkeypatch.context() as m:
-        per_row_only(m)
-        slow = outcome(load)
-    return fast, slow
+def read_columns(path, layouts):
+    return skio._read_columns(path, layouts, ("cell",) * 3)[0]
+
+
+def count_normalised(monkeypatch) -> list:
+    """Record each file the column reader has to normalise."""
+    calls = []
+    real = skio._normalised
+
+    def spy(path, *args):
+        calls.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(skio, "_normalised", spy)
+    return calls
 
 
 def write_file(path, text: str):
     path.write_text(text, encoding="utf-8", newline="")
     return path
-
-
-def took_fast_path(path, layouts) -> bool:
-    return skio._read_columns(path, layouts)[1] is not None
 
 
 # ---- the guard proves exactly the documented grammar ----
@@ -120,7 +139,7 @@ def test_guard_matches_the_grammar(kinds):
     (" 1,2\n", "if"),                  # whitespace
     ("+1,2\n", "if"), ("1,+2\n", "if"),
     ("1_0,2\n", "if"), ("1,2_5\n", "if"),
-    ("٣,2\n", "if"), ("1,2\u2028\n", "if"),
+    ("٣,2\n", "if"), ("1,2 \n", "if"),
     ("1.0,2\n", "if"), ("1e3,2\n", "if"),   # a float in an int column
     ("1234567890123456789,2\n", "if"),      # 19 characters
     ("1,.\n", "if"), ("1,-\n", "if"), ("1,-.\n", "if"), ("1,e5\n", "if"),
@@ -143,7 +162,7 @@ def test_guard_accepts(body, kinds):
     assert skio._in_grammar(body.encode(), kinds)
 
 
-# ---- well-formed files load bitwise-equal both ways ----
+# ---- files in the grammar read bitwise-equal to the reference ----
 
 def random_values(rng: random.Random, n: int) -> list[float]:
     return [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
@@ -177,32 +196,25 @@ def well_formed(rng: random.Random, n: int) -> dict[str, str]:
     }
 
 
-# Rewrites of a well-formed file that keep its meaning for the per-row
-# path; True when the result must still take the fast path.
+# Rewrites of a well-formed file, and how the column reader takes the
+# result: as written, after normalising, or not at all (the spellings
+# that only Python's int() and float() accept).
 EQUIVALENT = {
-    "plain": (True, lambda t: t),
-    "no final newline": (True, lambda t: t[:-1]),
-    "leading zeros": (True, lambda t: re.sub(r"(^|,)(\d)", r"\g<1>00\2", t,
-                                              flags=re.M)),
-    "minus zero": (True, lambda t: re.sub(r"(?m)^0,", "-0,", t)),
-    "exponents": (True, lambda t: re.sub(
+    "plain": ("as written", lambda t: t),
+    "no final newline": ("as written", lambda t: t[:-1]),
+    "leading zeros": ("as written", lambda t: re.sub(
+        r"(^|,)(\d)", r"\g<1>00\2", t, flags=re.M)),
+    "minus zero": ("as written", lambda t: re.sub(r"(?m)^0,", "-0,", t)),
+    "exponents": ("as written", lambda t: re.sub(
         r"(\d)\.(\d+)(?=,|$)",
         lambda m: f"{m[1]}{m[2]}E-{len(m[2])}", t, flags=re.M)),
-    "leading plus": (False, lambda t: re.sub(r"(?m)^(\d)", r"+\1", t)),
-    "whitespace": (False, lambda t: t.replace(",", " , ")),
-    "CRLF": (False, lambda t: t.replace("\n", "\r\n")),
-    "blank and comment lines": (False, lambda t: t.replace(
+    "leading plus": ("rejected", lambda t: re.sub(r"(?m)^(\d)", r"+\1", t)),
+    "whitespace": ("normalised", lambda t: t.replace(",", " , ")),
+    "CRLF": ("normalised", lambda t: t.replace("\n", "\r\n")),
+    "blank and comment lines": ("normalised", lambda t: t.replace(
         "\n", "\n\n# note\n", 3)),
-    "unicode digits": (False, lambda t: t.replace("7", "٧")),
-    "underscores": (False, lambda t: re.sub(r"(\d)(\d)", r"\1_\2", t)),
-}
-
-LAYOUTS = {
-    "graph": {"u,v,length": "iif"},
-    "coords": {"point,x": "if", "point,x,y": "iff"},
-    "field": {"point,value": "if"},
-    "slopes": {"point,slope": "if", "point,slope,is_infinite": "ifi"},
-    "crit_values": {"point,value": "if"},
+    "unicode digits": ("rejected", lambda t: t.replace("7", "٧")),
+    "underscores": ("rejected", lambda t: re.sub(r"(\d)(\d)", r"\1_\2", t)),
 }
 
 
@@ -211,82 +223,151 @@ LAYOUTS = {
 def test_well_formed_files_load_equal(tmp_path, monkeypatch, seed, rewrite):
     rng = random.Random(seed)
     texts = well_formed(rng, 60 + seed)
-    fast_expected, change = EQUIVALENT[rewrite]
+    route, change = EQUIVALENT[rewrite]
     space = skio.load_graph_csv(write_file(tmp_path / "base.csv",
                                            texts["graph"]))
+    normalised = count_normalised(monkeypatch)
     for name, text in texts.items():
+        plain = write_file(tmp_path / f"{name}-plain.csv", text)
         path = write_file(tmp_path / f"{name}.csv", change(text))
-        assert took_fast_path(path, LAYOUTS[name]) == fast_expected, name
-        fast, slow = both_paths(
-            monkeypatch, lambda: LOADERS[name](path, space))
-        assert fast[0] == "ok", (name, fast)
-        assert fast == slow, name
+        layouts = LAYOUTS[name]
+        ref = outcome(lambda: reference_read_columns(path, layouts)[1])
+        got = outcome(lambda: read_columns(path, layouts))
+        loaded = outcome(lambda: LOADERS[name](path, space))
+        if route == "rejected":
+            assert change(text) != text, name
+            assert ref[0] == "ValueError" and got[0] == "FileFormatError", name
+            assert loaded[0] == "FileFormatError", name
+            continue
+        assert got == ref and got[0] == "ok", name
+        assert loaded == outcome(lambda: LOADERS[name](plain, space)), name
+        assert loaded[0] == "ok", name
+        assert (path in normalised) == (route == "normalised"), name
 
 
-def test_flagged_slopes_take_the_per_row_path(tmp_path, monkeypatch):
+def test_flagged_slopes_read_as_infinite(tmp_path, monkeypatch):
     space = skio.load_graph_csv(write_file(
         tmp_path / "g.csv", "u,v,length\n0,1,1e-13\n1,2,1\n"))
+    normalised = count_normalised(monkeypatch)
     path = write_file(tmp_path / "s.csv",
-                      "point,slope,is_infinite\n0,inf,1\n1,1e13,1\n2,0.5,0\n")
-    assert not took_fast_path(path, LAYOUTS["slopes"])
+                      "point,slope,is_infinite\n0,inf,1\n1,inf,1\n2,0.5,0\n")
+    loaded = skio.load_slope_csv(path, space)
+    assert loaded.infinite.tolist() == [True, True, False]
+    assert loaded.values.tolist() == [np.inf, np.inf, 0.5]
+    assert normalised == [path]  # `inf` is not in the byte guard's alphabet
+    ref = outcome(lambda: reference_read_columns(path, LAYOUTS["slopes"])[1])
+    assert outcome(lambda: read_columns(path, LAYOUTS["slopes"])) == ref
+    # The slope cell of a flagged row is not read, but it must be a cell
+    # of the grammar.
     path.write_text("point,slope,is_infinite\n2,0.5,0\n0,-7,1\n1,1e13,1\n")
-    assert took_fast_path(path, LAYOUTS["slopes"])
-    fast, slow = both_paths(monkeypatch, lambda: skio.load_slope_csv(path, space))
-    assert fast == slow
-    assert fast[1][1] == [True, True, False]
+    assert digest(skio.load_slope_csv(path, space)) == digest(loaded)
+    path.write_text("point,slope,is_infinite\n2,0.5,0\n0,x,1\n1,inf,1\n")
+    with pytest.raises(FileFormatError, match=r"s.csv:3: bad slope 'x'"):
+        skio.load_slope_csv(path, space)
 
 
-# Files in the grammar that only the array checks can reject.
-IN_GRAMMAR_INVALID = [
-    ("graph", "u,v,length\n0,1,1e999\n1,2,1\n"),
-    ("graph", "u,v,length\n0,1,1\n1,2,0\n"),
-    ("graph", "u,v,length\n0,1,1\n1,1,2\n"),
-    ("graph", "u,v,length\n0,1,1\n-1,2,1\n"),
-    ("coords", "point,x\n0,1\n1,-1e999\n2,0\n"),
-    ("coords", "point,x,y\n0,1,1\n2,0,0\n"),
-    ("field", "point,value\n0,1\n1,1e400\n2,0\n"),
-    ("field", "point,value\n0,1\n1,2\n3,0\n"),
-    ("field", "point,value\n0,1\n1,2\n"),
-    ("slopes", "point,slope\n0,1\n1,-2e-3\n2,0\n"),
-    ("slopes", "point,slope,is_infinite\n0,1,0\n1,2,2\n2,0,0\n"),
-    ("slopes", "point,slope,is_infinite\n0,1,0\n1,1e999,0\n2,0,0\n"),
-    ("crit_values", "point,value\n1,0\n1,0\n"),
-    ("crit_values", "point,value\n1,0\n-0,1e999\n"),
-]
+# Files in the grammar that only a loader's checks reject, with the
+# exception and message they raise (the same as before the one-grammar
+# reader, when a per-row reader defined the format).
+IN_GRAMMAR_INVALID = {
+    ("graph", "u,v,length\n0,1,1e999\n1,2,1\n"):
+        ("FileFormatError", "bad.csv:2: non-finite length '1e999'"),
+    ("graph", "u,v,length\n0,1,1\n1,2,0\n"):
+        ("NonPositiveLength", "edge (1, 2) has length 0.0"),
+    ("graph", "u,v,length\n0,1,1\n1,1,2\n"):
+        ("SelfLoopEdge", "self-loop at point 1"),
+    ("graph", "u,v,length\n0,1,1\n-1,2,1\n"):
+        ("DanglingEndpoint", "negative endpoint in edge (-1, 2)"),
+    ("coords", "point,x\n0,1\n1,-1e999\n2,0\n"):
+        ("FileFormatError", "bad.csv:3: non-finite coordinate '-1e999'"),
+    ("coords", "point,x,y\n0,1,1\n2,0,0\n"):
+        ("FileFormatError", "bad.csv: points must cover 0..1 exactly"),
+    ("field", "point,value\n0,1\n1,1e400\n2,0\n"):
+        ("FileFormatError", "bad.csv:3: non-finite value '1e400'"),
+    ("field", "point,value\n0,1\n1,2\n3,0\n"):
+        ("FileFormatError", "bad.csv:4: point 3 outside [0, 3)"),
+    ("field", "point,value\n0,1\n1,2\n"):
+        ("FileFormatError", "bad.csv: 2 values for a 3-point space"),
+    ("slopes", "point,slope\n0,1\n1,-2e-3\n2,0\n"):
+        ("FileFormatError", "bad.csv:3: negative slope '-2e-3'"),
+    ("slopes", "point,slope,is_infinite\n0,1,0\n1,2,2\n2,0,0\n"):
+        ("FileFormatError", "bad.csv:3: is_infinite must be 0 or 1"),
+    ("slopes", "point,slope,is_infinite\n0,1,0\n1,1e999,0\n2,0,0\n"):
+        ("FileFormatError", "bad.csv:3: non-finite slope '1e999'"),
+    ("crit_values", "point,value\n1,0\n1,0\n"):
+        ("FileFormatError", "bad.csv:3: duplicate point 1"),
+    ("crit_values", "point,value\n1,0\n-0,1e999\n"):
+        ("FileFormatError", "bad.csv:3: non-finite value '1e999'"),
+}
 
 
-@pytest.mark.parametrize("loader,text", IN_GRAMMAR_INVALID)
+@pytest.mark.parametrize("loader,text", list(IN_GRAMMAR_INVALID))
 def test_array_checks_fail_the_same_way(tmp_path, monkeypatch, loader, text):
     space = skio.load_graph_csv(write_file(tmp_path / "space.csv",
                                            "u,v,length\n0,1,1\n1,2,1\n"))
     path = write_file(tmp_path / "bad.csv", text)
-    assert took_fast_path(path, LAYOUTS[loader])
-    fast, slow = both_paths(monkeypatch, lambda: LOADERS[loader](path, space))
-    assert fast == slow
-    assert fast[0] != "ok"
+    normalised = count_normalised(monkeypatch)
+    got = outcome(lambda: LOADERS[loader](path, space), tmp_path)
+    assert got == IN_GRAMMAR_INVALID[loader, text]
+    assert not normalised
 
 
-# ---- every fuzz case fails the same way on both paths ----
+# ---- every fuzz case fails with its pinned error ----
 
 FUZZ_LOADERS = {"space": "graph", "coords": "coords", "f": "field",
                 "g": "field", "slopes": "slopes", "crit_values": "crit_values"}
 
+# Exception class and message of each fuzz case under the per-row reader
+# that defined the format before the one-grammar reader.
+PER_ROW = json.loads((Path(__file__).parent / "fuzz_loader_errors.json")
+                     .read_text(encoding="utf-8"))
+# The messages that the one-grammar reader changed: a wrong column count
+# names the header, and an integer cell longer than 18 characters is
+# outside the grammar.
+LONG = "'99999999999999999999' is longer than 18 characters"
+CHANGED = {
+    **{f"coords-{m}-{k}": f"coords-bad.csv:{line}: expected point,x"
+       for m, lines in (("extra column", (6, 6, 6)), ("missing column", (3, 2, 5)))
+       for k, line in enumerate(lines)},
+    **{f"slopes-{m}-{k}":
+       f"slopes-bad.csv:{line}: expected point,slope,is_infinite"
+       for m, lines in (("extra column", (6, 6, 2)), ("missing column", (2, 4, 3)))
+       for k, line in enumerate(lines)},
+    **{f"{name}-huge integer-{k}": f"{name}-bad.csv:{line}: {what} {LONG}"
+       for name, what, lines in (
+           ("space", "endpoint", (5, 3, 5)), ("coords", "point", (2, 6, 2)),
+           ("f", "point", (4, 4, 2)), ("g", "point", (5, 6, 4)),
+           ("crit_values", "point", (2, 2, 2)))
+       for k, line in enumerate(lines)},
+    "slopes-huge integer-0": f"slopes-bad.csv:2: point {LONG}",
+    "slopes-huge integer-1": f"slopes-bad.csv:4: flag {LONG}",
+    "slopes-huge integer-2": f"slopes-bad.csv:2: point {LONG}",
+}
+
 
 @pytest.mark.parametrize("name,mutation,text", cases())
-def test_fuzz_case_fails_the_same_way(tmp_path, monkeypatch, name, mutation, text):
+def test_fuzz_case_fails_the_same_way(tmp_path, request, name, mutation, text):
     space = skio.load_graph_csv(write_file(tmp_path / "space.csv",
                                            FILES["space"]))
     path = tmp_path / f"{name}-bad.csv"
     write(path, text)
     load = LOADERS[FUZZ_LOADERS[name]]
-    fast, slow = both_paths(monkeypatch, lambda: load(path, space))
-    assert fast == slow
-    assert fast[0] != "ok"
+    case = request.node.callspec.id
+    cls, message = PER_ROW[case]
+    if case in CHANGED:
+        cls, message = "FileFormatError", CHANGED[case]
+    assert outcome(lambda: load(path, space), tmp_path) == (cls, message)
 
 
-# ---- whole CLI runs are byte-identical with the fast path off ----
+def test_changed_messages_are_real_changes():
+    assert len(CHANGED) == 30
+    for case, message in CHANGED.items():
+        assert PER_ROW[case][1] != message, case
 
-def test_cli_runs_identical_without_fast_path(tmp_path, monkeypatch, capsys):
+
+# ---- whole CLI runs are byte-identical on rewritten files ----
+
+def test_cli_runs_identical_on_rewritten_files(tmp_path, monkeypatch, capsys):
     rng = random.Random(7)
     n = 2000
     space = random_connected_graph(rng, n_max=n, n_min=n)
@@ -298,39 +379,41 @@ def test_cli_runs_identical_without_fast_path(tmp_path, monkeypatch, capsys):
         "g": "point,value\n" + "".join(f"{p},{v + c:.17g}\n"
                                        for p, v in enumerate(f)),
     }
-    paths = {}
     for name, text in files.items():
-        paths[name] = write_file(tmp_path / f"{name}.csv", text)
-    sp = ["--space", str(paths["space"])]
-    assert main(["slope", *sp, "--f", str(paths["f"]),
+        write_file(tmp_path / f"{name}.csv", text)
+    sp = ["--space", str(tmp_path / "space.csv")]
+    assert main(["slope", *sp, "--f", str(tmp_path / "f.csv"),
                  "--out", str(tmp_path / "slopes.csv")]) == 0
     slopes = (tmp_path / "slopes.csv").read_text()
     crit = [line.split(",")[0] for line in slopes.splitlines()[1:]
             if line.split(",")[1] == "0"]
-    write_file(tmp_path / "crit.csv", "point,value\n" + "".join(
-        f"{p},{f[int(p)]:.17g}\n" for p in crit))
-    commands = [
-        ["slope", *sp, "--f", str(paths["f"])],
-        ["crit", *sp, "--slopes", str(tmp_path / "slopes.csv")],
-        ["crit", *sp, "--f", str(paths["f"]), "--tol-crit", "1e-3"],
-        ["determine", *sp, "--f", str(paths["f"]), "--g", str(paths["g"])],
-        ["determine", *sp, "--f", str(paths["f"]), "--g", str(paths["f"])],
-        ["reconstruct", *sp, "--slopes", str(tmp_path / "slopes.csv"),
-         "--crit-values", str(tmp_path / "crit.csv")],
-    ]
-    calls = []
-    real = skio._in_grammar
+    files["slopes"] = slopes
+    files["crit"] = "point,value\n" + "".join(
+        f"{p},{f[int(p)]:.17g}\n" for p in crit)
+    write_file(tmp_path / "crit.csv", files["crit"])
+    for name, text in files.items():
+        write_file(tmp_path / f"{name}-rewritten.csv", "# rewritten\r\n" + "".join(
+            f" {line.replace(',', ' ,')}\t\r\n\r\n" for line in text.splitlines()))
 
-    def counted(body, kinds):
-        calls.append(real(body, kinds))
-        return calls[-1]
+    def commands(suffix):
+        def at(name):
+            return str(tmp_path / f"{name}{suffix}.csv")
+        sp = ["--space", at("space")]
+        return [
+            ["slope", *sp, "--f", at("f")],
+            ["crit", *sp, "--slopes", at("slopes")],
+            ["crit", *sp, "--f", at("f"), "--tol-crit", "1e-3"],
+            ["determine", *sp, "--f", at("f"), "--g", at("g")],
+            ["determine", *sp, "--f", at("f"), "--g", at("f")],
+            ["reconstruct", *sp, "--slopes", at("slopes"),
+             "--crit-values", at("crit")],
+        ]
 
-    for argv in commands:
-        monkeypatch.setattr(skio, "_in_grammar", counted)
-        fast = main(argv), capsys.readouterr()
-        with monkeypatch.context() as m:
-            per_row_only(m)
-            slow = main(argv), capsys.readouterr()
-        assert fast == slow, argv[0]
-        assert fast[1].out and not fast[1].err
-    assert calls and all(calls)
+    normalised = count_normalised(monkeypatch)
+    for plain, rewritten in zip(commands(""), commands("-rewritten")):
+        as_written = main(plain), capsys.readouterr()
+        assert not normalised, plain[0]
+        assert (main(rewritten), capsys.readouterr()) == as_written, plain[0]
+        assert normalised, plain[0]
+        normalised.clear()
+        assert as_written[1].out and not as_written[1].err

@@ -168,6 +168,32 @@ def test_determination_report_json_schema():
     assert doc["witnesses"]
 
 
+def test_report_json_key_order():
+    # The report is compared byte for byte across versions, so the order
+    # of its keys is part of the format.
+    space = unit_path(4)
+    f = path_field(space, [3.0, 2.0, 1.0, 0.0])
+    doc = json.loads(skio.render_determination_report(
+        determine(space, f, ScalarField(space, f.values + 1.0))))
+    diag = doc["diagnostics"]
+    assert list(doc) == ["verdict", "violated_hypotheses", "constant",
+                         "residual", "diagnostics", "witnesses", "tolerances",
+                         "slope_provenance"]
+    assert list(diag) == ["slopes_finite", "slopes_equal", "crit_sets_equal",
+                          "diff_constant_on_crit", "critical_point_count"]
+    assert list(diag["slopes_finite"]) == ["passed", "worst_point", "which_field"]
+    assert list(diag["slopes_equal"]) == ["passed", "max_gap", "worst_point",
+                                          "slope_f", "slope_g"]
+    assert list(diag["crit_sets_equal"]) == ["passed", "only_in_f", "only_in_g"]
+    assert list(diag["diff_constant_on_crit"]) == [
+        "passed", "constant", "spread", "max_point", "max_value", "min_point",
+        "min_value"]
+    g_fail = ScalarField(space, np.array([0.0, 4.0, 1.0, 7.0]))
+    doc = json.loads(skio.render_determination_report(determine(space, f, g_fail)))
+    assert doc["witnesses"] and all(
+        list(w) == ["point", "kind", "value"] for w in doc["witnesses"])
+
+
 def test_report_json_is_deterministic():
     space = unit_path(4)
     f = path_field(space, [3.0, 2.0, 1.0, 0.0])

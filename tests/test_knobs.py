@@ -15,10 +15,16 @@ from slopekit import (
     epsilon_audit,
     local_slope,
     reconstruct,
+    scale_field,
     slope_field,
 )
 from slopekit.cli import main
-from slopekit.errors import InvalidCap, NegativeTolerance, NonFiniteConstant
+from slopekit.errors import (
+    InvalidCap,
+    NegativeTolerance,
+    NonFiniteConstant,
+    NonPositiveScale,
+)
 from slopekit.reconstruct import SlopeData
 
 BAD_CAPS = [math.nan, 0.0, -1.0, math.inf]
@@ -116,6 +122,23 @@ def test_epsilon_audit_rejects_constant(c):
     f = path_field(space, [0.0, 1.0, 2.0])
     with pytest.raises(NonFiniteConstant):
         epsilon_audit(space, f, path_field(space, [0.0, 0.5, 1.0]), [0.5], c=c)
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan])
+def test_scale_field_rejects_non_finite_scale(scale):
+    # inf used to pass the check and overflow in the multiply (a
+    # RuntimeWarning, which fails the suite) before the field check.
+    space = unit_path(3)
+    with pytest.raises(NonPositiveScale, match="finite"):
+        scale_field(path_field(space, [0.0, 1.0, 2.0]), scale)
+
+
+@pytest.mark.parametrize("epsilons", [[math.inf], [math.inf, 0.5]])
+def test_epsilon_audit_rejects_non_finite_epsilon(epsilons):
+    space = unit_path(3)
+    f = path_field(space, [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="epsilons must be finite"):
+        epsilon_audit(space, f, path_field(space, [0.0, 0.5, 1.0]), epsilons)
 
 
 def test_valid_knobs_still_pass():

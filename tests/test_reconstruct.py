@@ -18,10 +18,13 @@ from slopekit import (
     reconstruct,
     slope_field,
 )
+from slopekit.cli import main
 from slopekit.errors import (
     DisconnectedSpace,
+    EmptyCriticalSet,
     InfiniteSlopeData,
     InvariantViolated,
+    NonFiniteFieldValue,
     UncoveredCriticalPoint,
 )
 from slopekit.testing import random_connected_graph, random_dyadic_field
@@ -200,3 +203,46 @@ def test_incomplete_sweep_raises():
                         np.zeros(3, dtype=bool))
     with pytest.raises(InvariantViolated, match="1 of 3"):
         reconstruct(space, SlopeData(slopes, {2: 0.0}))
+
+
+# Slope data the sweep cannot start or finish on: no prescribed value
+# while every slope is above tol, and a slope so steep that the value
+# next to the seed overflows. Both used to end in InvariantViolated
+# (exit 70, with a traceback).
+BAD_DATA = {
+    "no seed": ([(0, 1, 1.0), (1, 2, 1.0)], [1.0, 1.0, 1.0], {},
+                EmptyCriticalSet, "no prescribed value"),
+    "overflow": ([(0, 1, 10.0), (1, 2, 1.0)], [0.0, 1e308, 1.0], {0: 0.0},
+                 NonFiniteFieldValue, "point 1 overflows"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DATA))
+def test_unsweepable_data_is_an_input_error(case):
+    edges, slopes, prescribed, error, message = BAD_DATA[case]
+    space = build_graph(edges)
+    data = SlopeData(SlopeField(space, np.array(slopes), np.zeros(3, dtype=bool)),
+                     prescribed)
+    with pytest.raises(error, match=message):
+        reconstruct(space, data)
+
+
+@pytest.mark.parametrize("case", list(BAD_DATA))
+def test_cli_reconstruct_rejects_unsweepable_data(tmp_path, capsys, case):
+    edges, slopes, prescribed, error, message = BAD_DATA[case]
+    files = {
+        "space": "u,v,length\n" + "".join(f"{u},{v},{w!r}\n" for u, v, w in edges),
+        "slopes": "point,slope,is_infinite\n" + "".join(
+            f"{p},{s!r},0\n" for p, s in enumerate(slopes)),
+        "crit": "point,value\n" + "".join(
+            f"{p},{v!r}\n" for p, v in prescribed.items()),
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    code = main(["reconstruct", "--space", str(tmp_path / "space.csv"),
+                 "--slopes", str(tmp_path / "slopes.csv"),
+                 "--crit-values", str(tmp_path / "crit.csv")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert f"{error.__name__}: " in err and message in err
+    assert "Traceback" not in err
