@@ -28,7 +28,6 @@ from .errors import FileFormatError, SlopeKitError
 from .gallery import FIGURE_TAGS, emit_figure_data
 from .reconstruct import Inadmissible, SlopeData, reconstruct
 from .slope import OVERFLOW_CAP, check_cap, check_tol, slope_field
-from .space import EDGE_LOCAL, SHORTEST_PATH_CLOSURE
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -89,10 +88,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_space(args):
-    mode = SHORTEST_PATH_CLOSURE if getattr(args, "closure", False) \
-        else EDGE_LOCAL
-    return skio.load_graph_csv(args.space, metric_mode=mode,
-                               coordinates_path=args.coords)
+    return skio.load_graph_csv(args.space, coordinates_path=args.coords)
 
 
 def cmd_slope(args) -> int:
@@ -196,8 +192,6 @@ def build_parser() -> _Parser:
                               help="edge list CSV (u,v,length)")
     space_parent.add_argument("--coords", default=None,
                               help="optional coordinates CSV (point,x[,y])")
-    space_parent.add_argument("--closure", action="store_true",
-                              help="use shortest-path-closure distances")
 
     cap_parent = _Parser(add_help=False)
     cap_parent.add_argument("--cap", type=_CAP, default=OVERFLOW_CAP,

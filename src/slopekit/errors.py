@@ -39,7 +39,8 @@ class DegenerateInterval(SlopeKitError):
 
 
 class TooFewPoints(SlopeKitError):
-    """Interval sampling requested with fewer than two points."""
+    """Too few points: a space with none, or an interval sampling with
+    fewer than two."""
 
 
 class NonFiniteCoordinate(SlopeKitError):

@@ -7,20 +7,20 @@ is finalized at
 
     v(x) = min over finalized neighbors y of  v(y) + s(x) * d(x, y).
 
-The sweep walks the space's CSR edge lists (one `.tolist()` each, then
-plain Python) and checks its own invariants, raising InvariantViolated
-rather than relying on `assert`. The sweep alone is a heuristic; what
-makes the solver honest is the unconditional verification pass
-afterwards, which recomputes the slope field of the output and rejects
-the result (with witnesses) wherever it deviates from the input slopes
-beyond tolerance. When the data really came from a field, uniqueness of
-the answer is exactly the determination property: equal slopes plus
-equal critical values leave no freedom beyond what the prescription
-already fixes.
+The sweep is `space._sweep`, the one label-setting kernel that
+`distances_from` also runs, with edge increments s(x) * d(x, y); it
+checks its own invariants, raising InvariantViolated rather than
+relying on `assert`. The sweep alone is a heuristic; what makes the
+solver honest is the unconditional verification pass afterwards,
+which recomputes the slope field of the output and rejects the result
+(with witnesses) wherever it deviates from the input slopes beyond
+tolerance. When the data really came from a field, uniqueness of the
+answer is exactly the determination property: equal slopes plus equal
+critical values leave no freedom beyond what the prescription already
+fixes.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -35,7 +35,7 @@ from .errors import (
     UncoveredCriticalPoint,
 )
 from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
-from .space import MetricSpaceGraph, is_connected
+from .space import MetricSpaceGraph, _sweep, is_connected
 
 
 @dataclass(frozen=True)
@@ -105,51 +105,23 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
     tol = check_tol(tol)
     prescribed = _validate(space, data, tol)
     speeds = data.slopes.values
-    speed_at = speeds.tolist()
-    ends = space.indptr.tolist()
-    dst = space.dst.tolist()
-    length = space.w.tolist()
-    v = [math.inf] * space.n
-    done = [False] * space.n
-    pinned = [False] * space.n
-    heap: list[tuple[float, int]] = []
-    for p in sorted(prescribed):
-        v[p] = prescribed[p]
-        pinned[p] = True
-        heapq.heappush(heap, (v[p], p))
-    last = -math.inf
-    swept = 0
-    while heap:
-        val, x = heapq.heappop(heap)
-        if done[x] or val > v[x]:
-            continue
-        if val < last:
-            raise InvariantViolated(
-                f"sweep finalized {val} at point {x} after {last}")
-        last = val
-        done[x] = True
-        swept += 1
-        for k in range(ends[x], ends[x + 1]):
-            y = dst[k]
-            if done[y] or pinned[y]:
-                continue
-            cand = val + speed_at[y] * length[k]
-            if cand < v[y]:
-                v[y] = cand
-                heapq.heappush(heap, (cand, y))
-    if swept != space.n:
+    with np.errstate(over="ignore"):
+        inc = speeds[space.dst] * space.w
+    v = _sweep(space, inc, prescribed)
+    swept_at = np.isfinite(v)
+    if not swept_at.all():
         # An unswept point next to a swept one had only candidates that
         # overflowed to inf.
-        swept_at = np.array(done)
         cut = swept_at[space.src] & ~swept_at[space.dst]
         if cut.any():
             raise NonFiniteFieldValue(
                 f"reconstructed value at point {int(space.dst[cut].min())} "
                 "overflows the float range")
         raise InvariantViolated(
-            f"sweep finalized {swept} of {space.n} points of a connected space")
+            f"sweep finalized {int(swept_at.sum())} of {space.n} points "
+            "of a connected space")
 
-    result = ScalarField(space, np.array(v))
+    result = ScalarField(space, v)
     recomputed = slope_field(space, result, cap=data.slopes.cap).values
     off = np.flatnonzero(~(np.abs(recomputed - speeds) <= tol))
     if off.size:

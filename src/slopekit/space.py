@@ -19,12 +19,13 @@ The raw `MetricSpaceGraph` constructor takes the directed arrays as
 stored and checks none of the layout above; `build_graph` and
 `sample_interval` validate their input and produce it.
 
-Spaces are immutable after construction and every query is pure, so
-they are safe to share across threads (two threads racing on a lazy
-view can at worst build the same tuples twice). Because the point set
-is finite, every sublevel set of every field on a space is compact in
-any topology, which is why minimizers (and hence critical points)
-always exist here without any extra coercivity hypothesis.
+Spaces are immutable after construction and every query is pure: none
+stores its result on the space. They are safe to share across threads
+(two threads racing on a lazy view can at worst build the same tuples
+twice). Because the point set is finite, every sublevel set of every
+field on a space is compact in any topology, which is why minimizers
+(and hence critical points) always exist here without any extra
+coercivity hypothesis.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from .errors import (
     DuplicateEdge,
     EmptyEdgeList,
     InvalidPoint,
+    InvariantViolated,
     NoMetricClosure,
     NonFiniteCoordinate,
     NonPositiveLength,
@@ -78,14 +80,12 @@ class MetricSpaceGraph:
     coordinates: np.ndarray | None = None
     metric_mode: str = EDGE_LOCAL
     indptr: np.ndarray = field(init=False, repr=False)
-    _dist_cache: dict[int, np.ndarray] = field(
-        init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.metric_mode not in _METRIC_MODES:
             raise ValueError(f"unknown metric mode {self.metric_mode!r}")
         if self.n < 1:
-            raise ValueError("a space needs at least one point")
+            raise TooFewPoints(f"a space needs at least one point, got {self.n}")
         self.src = _frozen(self.src, np.intp)
         self.dst = _frozen(self.dst, np.intp)
         self.w = _frozen(self.w, float)
@@ -267,7 +267,7 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     else:
         n = int(n)
         if n < 1:
-            raise ValueError("a space needs at least one point")
+            raise TooFewPoints(f"a space needs at least one point, got {n}")
         if max_endpoint >= n:
             raise DanglingEndpoint(
                 f"edge endpoint {max_endpoint} outside [0, {n})")
@@ -301,32 +301,56 @@ def sample_interval(a: float, b: float, n: int,
                       np.linspace(a, b, n), metric_mode)
 
 
+def _sweep(space: MetricSpaceGraph, inc: np.ndarray,
+           seeds: dict[int, float]) -> np.ndarray:
+    """Least path sums from the seeds, by a label-setting sweep.
+
+    Seeds keep their values; every other point x gets the least
+    v(y) + inc[k] over its in-edges k = (y, x), for increments inc >= 0
+    indexed like the directed edge arrays. Points are finalized in
+    increasing value order, ties to the smallest id; unreached points
+    stay inf. A finalized value below an earlier one raises
+    InvariantViolated.
+    """
+    ends = space.indptr.tolist()
+    dst = space.dst.tolist()
+    step = inc.tolist()
+    v = [math.inf] * space.n
+    fixed = [False] * space.n
+    heap: list[tuple[float, int]] = []
+    for p in sorted(seeds):
+        v[p] = seeds[p]
+        fixed[p] = True
+        heapq.heappush(heap, (v[p], p))
+    last = -math.inf
+    while heap:
+        val, x = heapq.heappop(heap)
+        if val > v[x]:
+            continue
+        if val < last:
+            raise InvariantViolated(
+                f"sweep finalized {val} at point {x} after {last}")
+        last = val
+        fixed[x] = True
+        for k in range(ends[x], ends[x + 1]):
+            y = dst[k]
+            if fixed[y]:
+                continue
+            cand = val + step[k]
+            if cand < v[y]:
+                v[y] = cand
+                heapq.heappush(heap, (cand, y))
+    return np.array(v)
+
+
 def distances_from(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
     """Single-source shortest-path distances along edges.
 
-    Unreachable points get math.inf. Results are cached on the space.
+    Unreachable points get math.inf, and so does a point whose every
+    path sum exceeds the float range.
     """
     space.check_point(x)
-    cached = space._dist_cache.get(x)
-    if cached is not None:
-        return cached
-    dist = np.full(space.n, math.inf)
-    dist[x] = 0.0
-    done = np.zeros(space.n, dtype=bool)
-    heap: list[tuple[float, int]] = [(0.0, x)]
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for y, w in space._adjacency[v]:
-            nd = dv + w
-            if nd < dist[y]:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
-    dist.setflags(write=False)
-    space._dist_cache[x] = dist
-    return dist
+    return _sweep(space, space.w, {x: 0.0})
 
 
 def metric_distances(space: MetricSpaceGraph, x: PointId) -> np.ndarray:

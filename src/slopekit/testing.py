@@ -10,12 +10,15 @@ rounding noise.
 Each suite re-derives its claims from raw field values (brute-force
 neighbor scans, direct inequality checks) instead of trusting the
 bookkeeping of the operation under test. `reference_slope_field` keeps
-the per-point loop that the edge-array slope kernel replaced, and
-`reference_read_columns` reads the CSV grammar line by line, as the
-oracles of the differential tests.
+the per-point loop that the edge-array slope kernel replaced,
+`reference_read_columns` reads the CSV grammar line by line, and
+`reference_sweep` computes the shortest-path sweep by label correction,
+in no particular relaxation order, as the oracles of the differential
+tests.
 """
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -74,6 +77,30 @@ def reference_read_columns(path, layouts: dict[str, str]):
                               for _, cells in rows[1:]],
                              dtype=np.int64 if k == "i" else float)
                     for j, k in enumerate(kinds)]
+
+
+def reference_sweep(space: MetricSpaceGraph, inc: np.ndarray,
+                    seeds: dict[int, float]) -> np.ndarray:
+    """The fixpoint that `space._sweep` computes, by Bellman-Ford label
+    correction: relax every edge into a non-seed point at once, with
+    np.minimum.at, until no value changes. Seeds keep their values.
+    With nonnegative increments round-to-nearest addition is monotone,
+    so every relaxation order reaches the same least left-fold path
+    sums, and the fixpoint comes within n rounds."""
+    v = np.full(space.n, math.inf)
+    seeded = np.zeros(space.n, dtype=bool)
+    for p, value in seeds.items():
+        v[p] = value
+        seeded[p] = True
+    free = ~seeded[space.dst]
+    src, dst, step = space.src[free], space.dst[free], inc[free]
+    for _ in range(space.n + 1):
+        before = v.copy()
+        with np.errstate(over="ignore"):
+            np.minimum.at(v, dst, v[src] + step)
+        if np.array_equal(v, before):
+            return v
+    raise ValueError("no fixpoint within n rounds: a negative increment")
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 50,

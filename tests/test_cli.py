@@ -184,6 +184,18 @@ def test_nan_coordinate_is_an_input_error(fixtures, tmp_path, capsys):
     assert f"{coords}:3: non-finite coordinate 'nan'" in capsys.readouterr().err
 
 
+def test_coordinates_without_rows_are_an_input_error(fixtures, tmp_path, capsys):
+    # No rows means a space with no points.
+    coords = tmp_path / "coords.csv"
+    coords.write_text("point,x\n")
+    rc = main(["slope", "--space", fixtures["graph.csv"],
+               "--coords", str(coords), "--f", fixtures["f.csv"]])
+    err = capsys.readouterr().err
+    assert rc == 74
+    assert "TooFewPoints: a space needs at least one point, got 0" in err
+    assert "Traceback" not in err
+
+
 def test_descend_without_dominance_is_an_input_error(fixtures, capsys):
     # g = f + 5 has identical slopes, so the descent precondition fails
     rc = main(["descend", "--space", fixtures["graph.csv"],
@@ -199,10 +211,3 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "suite=lemma" in out and "PASS" in out
-
-
-def test_closure_flag_enables_radius_free_descend(fixtures, capsys):
-    # smoke check that --closure is accepted and used
-    rc = main(["crit", "--space", fixtures["graph.csv"], "--closure",
-               "--f", fixtures["f.csv"]])
-    assert rc == 0

@@ -1,11 +1,11 @@
 import heapq
-import importlib
 import random
 import types
 
 import numpy as np
 import pytest
 
+import slopekit.space as space_module
 from conftest import path_field, unit_path
 from slopekit import (
     Inadmissible,
@@ -28,9 +28,6 @@ from slopekit.errors import (
     UncoveredCriticalPoint,
 )
 from slopekit.testing import random_connected_graph, random_dyadic_field
-
-# The package re-exports the function `reconstruct` under the module's name.
-reconstruct_module = importlib.import_module("slopekit.reconstruct")
 
 
 def roundtrip_data(space, f):
@@ -159,6 +156,16 @@ def test_disconnected_space_rejected():
         reconstruct(space, SlopeData(slopes, {}))
 
 
+def test_disconnected_space_rejected_when_every_component_is_seeded():
+    # Each component has its critical point covered, so a sweep alone
+    # would reach every point; connectivity is checked first.
+    space = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
+    slopes = SlopeField(space, np.array([0.0, 1.0, 0.0, 1.0]),
+                        np.zeros(4, dtype=bool))
+    with pytest.raises(DisconnectedSpace):
+        reconstruct(space, SlopeData(slopes, {0: 0.0, 2: 5.0}))
+
+
 def test_infinite_slope_data_rejected():
     space = unit_path(3)
     mask = np.array([False, True, False])
@@ -184,7 +191,7 @@ def test_sweep_order_violation_raises(monkeypatch):
     # before point 0 (value 0): the order check must catch it, under -O too.
     def pop_largest(heap):
         return heap.pop(heap.index(max(heap)))
-    monkeypatch.setattr(reconstruct_module, "heapq", types.SimpleNamespace(
+    monkeypatch.setattr(space_module, "heapq", types.SimpleNamespace(
         heappush=heapq.heappush, heappop=pop_largest))
     space = unit_path(4)
     f = path_field(space, [0.0, 1.0, 2.0, 5.0])

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import unit_path
 from slopekit import (
     SHORTEST_PATH_CLOSURE,
+    MetricSpaceGraph,
     build_graph,
     distances_from,
     is_connected,
@@ -66,6 +68,14 @@ def test_closure_mode_path_distance():
     assert d[2] == 2.0
 
 
+def test_distance_beyond_the_float_range_is_inf():
+    space = build_graph([(0, 1, 1e308), (1, 2, 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distances_from(space, 0).tolist() == [0.0, 1e308, math.inf]
+        assert is_connected(space)
+
+
 def test_closure_matches_floyd_oracle_and_triangle_inequality():
     rng = random.Random(7)
     for _ in range(20):
@@ -118,6 +128,10 @@ def test_bad_edges_rejected():
         build_graph([], n=2)
     with pytest.raises(EmptyEdgeList):
         build_graph([])
+    with pytest.raises(TooFewPoints, match="at least one point"):
+        build_graph([], n=0)
+    with pytest.raises(TooFewPoints, match="at least one point"):
+        MetricSpaceGraph(n=0, src=[], dst=[], w=[])
 
 
 def test_infinite_edge_length_rejected():
