@@ -64,8 +64,6 @@ from .slope import (
     slope_field,
 )
 from .space import (
-    EDGE_LOCAL,
-    SHORTEST_PATH_CLOSURE,
     MetricSpaceGraph,
     Neighborhood,
     PointId,
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "PointId", "MetricSpaceGraph", "Neighborhood",
-    "EDGE_LOCAL", "SHORTEST_PATH_CLOSURE",
     "build_graph", "sample_interval", "neighbors", "distances_from",
     "metric_distances", "is_connected",
     "ScalarField", "SlopeValue", "SlopeField", "DeltaProfileEntry",

@@ -48,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _checked(convert):
     """An argparse type: `convert` applied to the option's text, with
     each error it raises reported as a usage error."""
@@ -107,8 +103,6 @@ def cmd_slope(args) -> int:
 
 def cmd_crit(args) -> int:
     space = _load_space(args)
-    if (args.slopes is None) == (args.f is None):
-        raise _UsageError("give exactly one of --slopes or --f")
     if args.slopes is not None:
         slopes = skio.load_slope_csv(args.slopes, space, cap=args.cap)
     else:
@@ -209,9 +203,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("crit", parents=[space_parent, cap_parent, out_parent],
                        help="extract the critical set")
-    p.add_argument("--slopes", default=None,
-                   help="slope CSV (point,slope[,is_infinite])")
-    p.add_argument("--f", default=None, help="field CSV, slopes computed here")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--slopes", default=None,
+                        help="slope CSV (point,slope[,is_infinite])")
+    source.add_argument("--f", default=None,
+                        help="field CSV, slopes computed here")
     p.add_argument("--tol-crit", type=_TOL, default=0.0,
                    help="slope zero-test tolerance (default 0)")
     p.set_defaults(func=cmd_crit)
@@ -272,9 +268,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"slopekit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FileFormatError, OSError) as exc:
         print(f"slopekit: input error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -15,6 +15,7 @@ paths certify.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,11 @@ from .errors import PointIsCritical, SlopeDominanceViolated, StepLimitExceeded
 from .slope import (
     OVERFLOW_CAP,
     ScalarField,
-    local_slope,
+    check_cap,
     require_bound,
     slope_field,
 )
-from .space import MetricSpaceGraph, PointId
+from .space import MetricSpaceGraph, PointId, _adjacent
 
 
 @dataclass(frozen=True)
@@ -94,29 +95,48 @@ def descent_step(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     ties broken by smallest point id. Returns a NoStep diagnostic if no
     adjacent point qualifies, which can only happen when the dominance
     precondition held just within tolerance.
+
+    Both slopes and the step come from one read of x's adjacent points,
+    with the float operations of `local_slope`.
     """
     require_bound(space, f)
     require_bound(space, g)
     space.check_point(x)
     if x in crit:
         raise PointIsCritical(f"point {x} is critical (tol={crit.tol})")
-    sf = local_slope(space, f, x, cap=cap)
-    sg = local_slope(space, g, x, cap=cap)
-    if not sf.as_float() > sg.as_float():
-        raise SlopeDominanceViolated(
-            f"at point {x}: slope_f={sf.as_float()} <= slope_g={sg.as_float()}")
-    fx = f.values[x]
-    diff_x = f.values[x] - g.values[x]
+    cap = check_cap(cap)
+    fv, gv = f.values, g.values
+    fx, gx = fv[x], gv[x]
+    diff_x = fx - gx
+    slope_f = slope_g = 0.0
     best: int | None = None
     best_q = -1.0
-    for z, d in space.adjacency(x):
-        if fx > f.values[z] and diff_x > f.values[z] - g.values[z]:
-            q = (fx - f.values[z]) / d
-            if q > best_q or (q == best_q and best is not None and z < best):
-                best = z
-                best_q = q
+    with np.errstate(over="ignore"):
+        for z, d in zip(*_adjacent(space, x)):
+            fz, gz = fv[z], gv[z]
+            drop = fx - fz
+            if drop > 0.0:
+                q = drop / d
+                if q > slope_f:
+                    slope_f = q
+                if diff_x > fz - gz and (
+                        q > best_q or (q == best_q and z < best)):
+                    best = z
+                    best_q = q
+            drop = gx - gz
+            if drop > 0.0:
+                q = drop / d
+                if q > slope_g:
+                    slope_g = q
+    if slope_f > cap:
+        slope_f = math.inf
+    if slope_g > cap:
+        slope_g = math.inf
+    if not slope_f > slope_g:
+        raise SlopeDominanceViolated(
+            f"at point {x}: slope_f={slope_f} <= slope_g={slope_g}")
     if best is None:
-        return NoStep(point=x, slope_f=sf.as_float(), slope_g=sg.as_float(),
+        return NoStep(point=x, slope_f=slope_f, slope_g=slope_g,
                       reason="no adjacent point satisfies both strict decreases")
     return best
 

@@ -38,6 +38,7 @@ from .slope import (
     SlopeField,
     check_cap,
     check_constant,
+    check_decreasing,
     check_tol,
     require_bound,
     scale_field,
@@ -365,26 +366,17 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
                   cap: float = OVERFLOW_CAP) -> EpsilonAudit:
     """Audit the inflation argument behind the comparison principle.
 
-    Epsilons must be finite, strictly decreasing and positive. For each
-    epsilon the audit verifies that inflating f preserves the critical
-    set and strictly dominates the slope of g off it, then evaluates
-    the bound g(x) < f(x) + epsilon * bracket(x) + c at its worst
-    point. `c` must be finite; it defaults to the max of g - f over the
+    Epsilons must be finite, positive and strictly decreasing
+    (`check_decreasing`). For each epsilon the audit verifies that
+    inflating f preserves the critical set and strictly dominates the
+    slope of g off it, then evaluates the bound
+    g(x) < f(x) + epsilon * bracket(x) + c at its worst point. `c` must be finite; it defaults to the max of g - f over the
     critical set of f. The hypotheses of `comparison_principle` are
     checked within `tol`.
     """
     require_bound(space, f)
     require_bound(space, g)
-    eps = [float(e) for e in epsilons]
-    if not eps:
-        raise ValueError("need at least one epsilon")
-    for a, b in zip(eps, eps[1:]):
-        if not b < a:
-            raise ValueError("epsilons must be strictly decreasing")
-    if not eps[-1] > 0.0:
-        raise ValueError("epsilons must be positive")
-    if not math.isfinite(eps[0]):
-        raise ValueError(f"epsilons must be finite, got {eps[0]}")
+    eps = check_decreasing(epsilons, "epsilons")
     tol = check_tol(tol)
     if c is not None:
         c = check_constant(c)

@@ -51,10 +51,6 @@ class InvalidPoint(SlopeKitError):
     """A point id lies outside [0, n)."""
 
 
-class NoMetricClosure(SlopeKitError):
-    """A radius query needs coordinates or shortest-path-closure mode."""
-
-
 class DisconnectedSpace(SlopeKitError):
     """The operation requires a connected space."""
 
@@ -73,8 +69,14 @@ class NonPositiveScale(SlopeKitError):
     """Field scaling requested with a factor that is not finite and > 0."""
 
 
-class EmptyDeltaList(SlopeKitError):
-    """A radius sweep needs at least one radius."""
+class InvalidDecreasingList(SlopeKitError):
+    """A list of radii or epsilons is empty, is not strictly decreasing,
+    or has an entry that is not finite and > 0; or a single radius is
+    not finite and > 0."""
+
+
+class EmptyDeltaList(InvalidDecreasingList):
+    """A list of radii or epsilons is empty."""
 
 
 class NegativeTolerance(SlopeKitError):

@@ -42,7 +42,7 @@ from .determination import DeterminationReport
 from .errors import FileFormatError, InvariantViolated
 from .reconstruct import Inadmissible
 from .slope import OVERFLOW_CAP, ScalarField, SlopeField
-from .space import EDGE_LOCAL, MetricSpaceGraph, _space_from_columns
+from .space import MetricSpaceGraph, _space_from_columns
 
 
 def fmt(x: float) -> str:
@@ -240,8 +240,8 @@ def _point_checks(points: np.ndarray, n: int | None):
 
 # ---- spaces ----
 
-def load_graph_csv(path, metric_mode: str = EDGE_LOCAL,
-                   coordinates_path=None, n: int | None = None) -> MetricSpaceGraph:
+def load_graph_csv(path, coordinates_path=None,
+                   n: int | None = None) -> MetricSpaceGraph:
     """Load a space from an edge list CSV with header `u,v,length`.
 
     The edges are validated, and the space built, as by `build_graph`.
@@ -254,7 +254,7 @@ def load_graph_csv(path, metric_mode: str = EDGE_LOCAL,
         coords = load_coordinates_csv(coordinates_path)
         if n is None:
             n = coords.shape[0]
-    return _space_from_columns(u, v, w, n, metric_mode, coords)
+    return _space_from_columns(u, v, w, n, coords)
 
 
 def render_graph_csv(space: MetricSpaceGraph) -> str:
@@ -326,7 +326,6 @@ def render_slope_csv(slopes: SlopeField) -> str:
 
 
 def load_slope_csv(path, space: MetricSpaceGraph,
-                   provenance: str = "exact-graph",
                    cap: float = OVERFLOW_CAP) -> SlopeField:
     """Load a slope field from `point,slope[,is_infinite]`.
 
@@ -350,7 +349,7 @@ def load_slope_csv(path, space: MetricSpaceGraph,
     mask = np.empty(space.n, dtype=bool)
     values[points] = np.where(flagged, math.inf, slopes)
     mask[points] = flagged
-    return SlopeField(space, values, mask, provenance=provenance, cap=cap)
+    return SlopeField(space, values, mask, cap=cap)
 
 
 def render_crit_csv(crit: CriticalSet, slopes: SlopeField) -> str:

@@ -21,8 +21,10 @@ both computations run under `np.errstate(over="ignore")`, the +inf
 quotient exceeds every finite cap, and the point gets the infinite
 marker without a RuntimeWarning. The cap itself must be finite and
 positive (`check_cap`), every tolerance finite and >= 0 (`check_tol`),
-and a comparison constant finite (`check_constant`); these checks are
-shared by all modules that take such knobs.
+a comparison constant finite (`check_constant`), and a list of radii or
+epsilons non-empty, strictly decreasing, finite and > 0
+(`check_decreasing`); these checks are shared by all modules that take
+such knobs.
 """
 from __future__ import annotations
 
@@ -35,12 +37,13 @@ from .errors import (
     EmptyDeltaList,
     FieldSpaceMismatch,
     InvalidCap,
+    InvalidDecreasingList,
     NegativeTolerance,
     NonFiniteConstant,
     NonFiniteFieldValue,
     NonPositiveScale,
 )
-from .space import MetricSpaceGraph, PointId, metric_distances
+from .space import MetricSpaceGraph, PointId, _adjacent, metric_distances
 
 OVERFLOW_CAP = 1e12
 
@@ -67,6 +70,22 @@ def check_constant(c) -> float:
     if not math.isfinite(c):
         raise NonFiniteConstant(f"c must be a finite number, got {c}")
     return c
+
+
+def check_decreasing(values, name: str) -> list[float]:
+    """A list option (radii, epsilons) as floats: EmptyDeltaList if it is
+    empty, InvalidDecreasingList unless every entry is finite and > 0
+    and the entries strictly decrease."""
+    vals = [float(v) for v in values]
+    if not vals:
+        raise EmptyDeltaList(f"{name} must not be empty")
+    bad = [v for v in vals if not 0.0 < v < math.inf]
+    if bad:
+        raise InvalidDecreasingList(
+            f"{name} must be finite numbers > 0, got {bad[0]}")
+    if not all(b < a for a, b in zip(vals, vals[1:])):
+        raise InvalidDecreasingList(f"{name} must be strictly decreasing")
+    return vals
 
 
 @dataclass(eq=False)
@@ -119,8 +138,7 @@ class SlopeField:
 
     `values` holds math.inf wherever `infinite` is set. `provenance`
     records how the field was produced ("exact-graph" for adjacent-pair
-    quotients, "delta-estimate(...)" for ball sweeps) and `cap` the
-    overflow threshold in force.
+    quotients) and `cap` the overflow threshold in force.
     """
 
     space: MetricSpaceGraph
@@ -183,7 +201,7 @@ def local_slope(space: MetricSpaceGraph, f: ScalarField, x: PointId,
     fx = f.values[x]
     best = 0.0
     with np.errstate(over="ignore"):
-        for y, d in space.adjacency(x):
+        for y, d in zip(*_adjacent(space, x)):
             drop = fx - f.values[y]
             if drop > 0.0:
                 q = drop / d
@@ -229,21 +247,14 @@ def delta_slope_profile(space: MetricSpaceGraph, f: ScalarField, x: PointId,
     """Sup of the descent quotient over balls of shrinking radius.
 
     For each delta the entry holds the sup of (f(x)-f(y))+ / d(x, y)
-    over 0 < d(x, y) <= delta. Radii must be strictly decreasing. An
-    empty ball reports slope 0 with its `empty_ball` flag set. Requires
-    coordinates or shortest-path-closure mode.
+    over 0 < d(x, y) <= delta, with d from `metric_distances`. Radii
+    must be finite, positive and strictly decreasing (`check_decreasing`).
+    An empty ball reports slope 0 with its `empty_ball` flag set.
     """
     require_bound(space, f)
     cap = check_cap(cap)
     space.check_point(x)
-    deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise EmptyDeltaList("need at least one radius")
-    for a, b in zip(deltas, deltas[1:]):
-        if not b < a:
-            raise ValueError("radii must be strictly decreasing")
-    if not deltas[-1] > 0.0:
-        raise ValueError("radii must be positive")
+    deltas = check_decreasing(deltas, "radii")
     dist = metric_distances(space, x)
     fx = f.values[x]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,28 +1,30 @@
 """Finite metric spaces: weighted graphs and uniform interval samplings.
 
 A space is a finite point set {0, ..., n-1} with symmetric positive edge
-lengths. Distances beyond adjacent pairs are defined only in
-shortest-path-closure mode or through stored point coordinates; slope
-computations themselves only ever compare adjacent points.
+lengths. Slope computations only ever compare adjacent points. Beyond
+adjacent pairs, the distance between two points is the Euclidean
+distance between their stored coordinates when the space has
+coordinates, and otherwise the shortest-path distance along edges
+(`metric_distances`).
 
-Storage is one set of directed edge arrays `src`, `dst`, `w`: every
-undirected edge {u, v} appears twice, as (u, v) and as (v, u), and the
-entries are sorted by (src, dst). The CSR offsets `indptr` then give
-each point's edges as one contiguous slice, `indptr[x]:indptr[x + 1]`,
-with its adjacent points in increasing order. Array passes (the slope
-kernel, validation, sweeps) read these arrays directly. The tuple views
-that code iterating in Python wants, `edges` (each undirected edge once,
-as (u, v, length) with u < v, sorted) and the per-point adjacency
-tuples, are built from the arrays on first use and cached.
+A space stores its point count `n`, its directed edge arrays `src`,
+`dst`, `w`, their CSR offsets `indptr` and its optional coordinates,
+and nothing else. Every undirected edge {u, v} appears twice in the
+edge arrays, as (u, v) and as (v, u), and the entries are sorted by
+(src, dst). The offsets `indptr` then give each point's edges as one
+contiguous slice, `indptr[x]:indptr[x + 1]`, with its adjacent points
+in increasing order. Array passes (the slope kernel, validation,
+sweeps) read these arrays directly; per-point code reads one slice at
+a time, and `edges` (each undirected edge once, as (u, v, length) with
+u < v, sorted) is built from the arrays on each access.
 
 The raw `MetricSpaceGraph` constructor takes the directed arrays as
 stored and checks none of the layout above; `build_graph` and
 `sample_interval` validate their input and produce it.
 
 Spaces are immutable after construction and every query is pure: none
-stores its result on the space. They are safe to share across threads
-(two threads racing on a lazy view can at worst build the same tuples
-twice). Because the point set is finite, every sublevel set of every
+stores anything on the space, so spaces are safe to share across
+threads. Because the point set is finite, every sublevel set of every
 field on a space is compact in any topology, which is why minimizers
 (and hence critical points) always exist here without any extra
 coercivity hypothesis.
@@ -32,7 +34,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,9 @@ from .errors import (
     DegenerateInterval,
     DuplicateEdge,
     EmptyEdgeList,
+    InvalidDecreasingList,
     InvalidPoint,
     InvariantViolated,
-    NoMetricClosure,
     NonFiniteCoordinate,
     NonPositiveLength,
     SelfLoopEdge,
@@ -51,11 +52,6 @@ from .errors import (
 )
 
 PointId = int
-
-EDGE_LOCAL = "edge-local"
-SHORTEST_PATH_CLOSURE = "shortest-path-closure"
-_METRIC_MODES = (EDGE_LOCAL, SHORTEST_PATH_CLOSURE)
-
 
 def _frozen(a, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -78,12 +74,9 @@ class MetricSpaceGraph:
     dst: np.ndarray
     w: np.ndarray
     coordinates: np.ndarray | None = None
-    metric_mode: str = EDGE_LOCAL
     indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.metric_mode not in _METRIC_MODES:
-            raise ValueError(f"unknown metric mode {self.metric_mode!r}")
         if self.n < 1:
             raise TooFewPoints(f"a space needs at least one point, got {self.n}")
         self.src = _frozen(self.src, np.intp)
@@ -102,27 +95,16 @@ class MetricSpaceGraph:
             coords.setflags(write=False)
             self.coordinates = coords
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """Each undirected edge once, as (u, v, length) with u < v, sorted."""
         up = self.src < self.dst
         return tuple(zip(self.src[up].tolist(), self.dst[up].tolist(),
                          self.w[up].tolist()))
 
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        pairs = list(zip(self.dst.tolist(), self.w.tolist()))
-        ends = self.indptr.tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip(ends, ends[1:]))
-
     def check_point(self, x: PointId) -> None:
         if not 0 <= x < self.n:
             raise InvalidPoint(f"point {x} outside [0, {self.n})")
-
-    def adjacency(self, x: PointId) -> tuple[tuple[int, float], ...]:
-        """Adjacent points of x with edge lengths, sorted by point id."""
-        self.check_point(x)
-        return self._adjacency[x]
 
     def degree(self, x: PointId) -> int:
         self.check_point(x)
@@ -130,6 +112,13 @@ class MetricSpaceGraph:
 
     def is_isolated(self, x: PointId) -> bool:
         return self.degree(x) == 0
+
+
+def _adjacent(space: MetricSpaceGraph, x: PointId) -> tuple[list[int], list[float]]:
+    """The adjacent points of x, in increasing order, and the lengths of
+    their edges: x's CSR slice of `dst` and `w`, as lists."""
+    a, b = space.indptr[x], space.indptr[x + 1]
+    return space.dst[a:b].tolist(), space.w[a:b].tolist()
 
 
 @dataclass(frozen=True)
@@ -154,7 +143,7 @@ class Neighborhood:
 
 
 def _symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-               coordinates, metric_mode: str) -> MetricSpaceGraph:
+               coordinates) -> MetricSpaceGraph:
     """The space whose undirected edges are the validated (u, v, w)."""
     src = np.concatenate((u, v))
     dst = np.concatenate((v, u))
@@ -163,7 +152,7 @@ def _symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
     order = np.argsort(src * n + dst)
     return MetricSpaceGraph(n=n, src=src[order], dst=dst[order],
                             w=np.concatenate((w, w))[order],
-                            coordinates=coordinates, metric_mode=metric_mode)
+                            coordinates=coordinates)
 
 
 def _edge_columns(items):
@@ -233,7 +222,6 @@ def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
 
 
 def build_graph(edge_list, n: int | None = None,
-                metric_mode: str = EDGE_LOCAL,
                 coordinates=None) -> MetricSpaceGraph:
     """Construct a space from an undirected edge list.
 
@@ -249,12 +237,11 @@ def build_graph(edge_list, n: int | None = None,
     if error is not None:
         _check_edges(u, v, w)
         raise error
-    return _space_from_columns(u, v, w, n, metric_mode, coordinates)
+    return _space_from_columns(u, v, w, n, coordinates)
 
 
 def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                        n: int | None, metric_mode: str,
-                        coordinates) -> MetricSpaceGraph:
+                        n: int | None, coordinates) -> MetricSpaceGraph:
     """The array core of `build_graph`: validate the endpoint (int64)
     and length (float) columns and build the space, with the same
     errors for the same entries."""
@@ -273,11 +260,10 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
                 f"edge endpoint {max_endpoint} outside [0, {n})")
         if not u.size and n > 1:
             raise EmptyEdgeList(f"no edges given for a {n}-point space")
-    return _symmetric(n, u, v, w, coordinates, metric_mode)
+    return _symmetric(n, u, v, w, coordinates)
 
 
-def sample_interval(a: float, b: float, n: int,
-                    metric_mode: str = EDGE_LOCAL) -> MetricSpaceGraph:
+def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
     """Sample [a, b] at n uniformly spaced points.
 
     Consecutive samples are joined by edges of length h = (b-a)/(n-1)
@@ -298,7 +284,7 @@ def sample_interval(a: float, b: float, n: int,
             f"for a={a}, b={b}, n={n}")
     left = np.arange(n - 1)
     return _symmetric(n, left, left + 1, np.full(n - 1, h),
-                      np.linspace(a, b, n), metric_mode)
+                      np.linspace(a, b, n))
 
 
 def _sweep(space: MetricSpaceGraph, inc: np.ndarray,
@@ -354,22 +340,18 @@ def distances_from(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
 
 
 def metric_distances(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
-    """Distances from x to every point under the space's metric mode.
+    """Distances from x to every point under the space's metric.
 
-    Closure mode uses shortest-path distances; otherwise stored
-    coordinates define the (Euclidean) metric. Without either there is
-    no notion of distance beyond adjacency.
+    The Euclidean distances between stored coordinates when the space
+    has them; otherwise the shortest-path distances of `distances_from`.
     """
-    if space.metric_mode == SHORTEST_PATH_CLOSURE:
+    space.check_point(x)
+    if space.coordinates is None:
         return distances_from(space, x)
-    if space.coordinates is not None:
-        space.check_point(x)
-        diff = space.coordinates - space.coordinates[x]
-        if diff.ndim == 1:
-            return np.abs(diff)
-        return np.sqrt(np.sum(diff * diff, axis=1))
-    raise NoMetricClosure(
-        "radius queries need coordinates or shortest-path-closure mode")
+    diff = space.coordinates - space.coordinates[x]
+    if diff.ndim == 1:
+        return np.abs(diff)
+    return np.sqrt(np.sum(diff * diff, axis=1))
 
 
 def neighbors(space: MetricSpaceGraph, x: PointId,
@@ -377,14 +359,16 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
     """Adjacent points of x, or every point within `radius` of x.
 
     Without a radius the members are the graph-adjacent points with
-    their edge lengths. With a radius the members are all points y != x
-    with 0 < d(x, y) <= radius under the space's metric mode.
+    their edge lengths. With a radius, which must be finite and > 0, the
+    members are all points y != x with 0 < d(x, y) <= radius under
+    `metric_distances`.
     """
     space.check_point(x)
     if radius is None:
-        return Neighborhood(center=x, members=space._adjacency[x])
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+        return Neighborhood(center=x, members=tuple(zip(*_adjacent(space, x))))
+    if not 0.0 < radius < math.inf:
+        raise InvalidDecreasingList(
+            f"radius must be a finite number > 0, got {radius}")
     dist = metric_distances(space, x)
     members = tuple((y, float(dist[y])) for y in range(space.n)
                     if y != x and 0.0 < dist[y] <= radius)

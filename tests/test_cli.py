@@ -46,8 +46,16 @@ def test_crit_subcommand(fixtures, capsys):
 
 
 def test_crit_requires_exactly_one_input(fixtures, capsys):
-    rc = main(["crit", "--space", fixtures["graph.csv"]])
-    assert rc == 64
+    crit = ["crit", "--space", fixtures["graph.csv"]]
+    both = ["--f", fixtures["f.csv"], "--slopes", fixtures["f.csv"]]
+    for argv, message in [
+            (crit, "one of the arguments --slopes --f is required"),
+            (crit + both, "argument --slopes: not allowed with argument --f")]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 64
+        assert capsys.readouterr().err.endswith(
+            f"slopekit crit: error: {message}\n")
 
 
 def test_descend_subcommand(fixtures, capsys):

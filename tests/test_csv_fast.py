@@ -59,7 +59,7 @@ def digest(obj):
     if hasattr(obj, "src"):  # a space
         coords = None if obj.coordinates is None else digest(obj.coordinates)
         return (obj.n, obj.src.tolist(), obj.dst.tolist(), bits(obj.w),
-                coords, obj.metric_mode)
+                coords)
     if hasattr(obj, "infinite"):  # a slope field
         return bits(obj.values), obj.infinite.tolist(), obj.provenance
     return bits(obj.values)  # a scalar field

@@ -10,6 +10,8 @@ from slopekit import (
     critical_set,
     descent_path,
     descent_step,
+    local_slope,
+    neighbors,
     slope_field,
     verify_strict_comparison,
 )
@@ -74,13 +76,38 @@ def test_descent_step_exists_for_contracted_fields():
             # selection rule: steepest quotient, ties to the smallest id
             best = None
             best_q = -1.0
-            for y, d in space.adjacency(x):
+            for y, d in neighbors(space, x):
                 if f.values[x] > f.values[y] and \
                         (f.values[x] - g.values[x]) > (f.values[y] - g.values[y]):
                     q = (f.values[x] - f.values[y]) / d
                     if q > best_q or (q == best_q and y < best):
                         best, best_q = y, q
             assert z == best
+
+
+def test_descent_step_dominance_matches_local_slope():
+    # descent_step computes both slopes in its own pass over x's edges;
+    # local_slope is the definition it must agree with, cap included.
+    rng = random.Random(37)
+    for _ in range(150):
+        space = random_connected_graph(rng, n_max=20)
+        f = random_dyadic_field(rng, space)
+        g = random_dyadic_field(rng, space)
+        cap = rng.choice([1e12, 2.0, 0.5])
+        crit = critical_set(slope_field(space, f, cap=cap), tol=0.0)
+        for x in range(space.n):
+            if x in crit:
+                continue
+            sf = local_slope(space, f, x, cap=cap).as_float()
+            sg = local_slope(space, g, x, cap=cap).as_float()
+            if sf > sg:
+                step = descent_step(space, f, g, x, crit, cap=cap)
+                if isinstance(step, NoStep):
+                    assert (step.slope_f, step.slope_g) == (sf, sg)
+                continue
+            with pytest.raises(SlopeDominanceViolated) as info:
+                descent_step(space, f, g, x, crit, cap=cap)
+            assert str(info.value) == f"at point {x}: slope_f={sf} <= slope_g={sg}"
 
 
 def test_descent_path_single_point_when_start_critical():

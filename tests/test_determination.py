@@ -23,7 +23,7 @@ from slopekit.determination import (
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
 )
-from slopekit.errors import PreconditionViolated
+from slopekit.errors import InvalidDecreasingList, PreconditionViolated
 from slopekit.gallery import cantor_pair, square_sine_pair
 from slopekit.testing import (
     random_connected_graph,
@@ -184,9 +184,9 @@ def test_epsilon_audit_constant_field_trivial():
 def test_epsilon_audit_validates_epsilons():
     space = unit_path(3)
     f = path_field(space, [2.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDecreasingList):
         epsilon_audit(space, f, f, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDecreasingList):
         epsilon_audit(space, f, f, [0.1, 0.5])
 
 

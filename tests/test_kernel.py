@@ -14,7 +14,13 @@ import random
 import numpy as np
 import pytest
 
-from slopekit import ScalarField, build_graph, sample_interval, slope_field
+from slopekit import (
+    ScalarField,
+    build_graph,
+    neighbors,
+    sample_interval,
+    slope_field,
+)
 from slopekit.errors import (
     DanglingEndpoint,
     DuplicateEdge,
@@ -153,7 +159,7 @@ def test_lazy_views_match_the_input_edge_list():
         for x in range(n):
             want = sorted((v if u == x else u, w) for u, v, w in canonical
                           if x in (u, v))
-            assert space.adjacency(x) == tuple(want)
+            assert neighbors(space, x).members == tuple(want)
         assert all(type(a) is int and type(b) is int and type(w) is float
                    for a, b, w in space.edges)
 

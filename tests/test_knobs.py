@@ -21,6 +21,7 @@ from slopekit import (
 from slopekit.cli import main
 from slopekit.errors import (
     InvalidCap,
+    InvalidDecreasingList,
     NegativeTolerance,
     NonFiniteConstant,
     NonPositiveScale,
@@ -137,7 +138,7 @@ def test_scale_field_rejects_non_finite_scale(scale):
 def test_epsilon_audit_rejects_non_finite_epsilon(epsilons):
     space = unit_path(3)
     f = path_field(space, [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError, match="epsilons must be finite"):
+    with pytest.raises(InvalidDecreasingList, match="epsilons must be finite"):
         epsilon_audit(space, f, path_field(space, [0.0, 0.5, 1.0]), epsilons)
 
 

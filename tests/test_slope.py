@@ -17,6 +17,7 @@ from slopekit import (
 )
 from slopekit.errors import (
     EmptyDeltaList,
+    InvalidDecreasingList,
     FieldSpaceMismatch,
     NonFiniteFieldValue,
     NonPositiveScale,
@@ -259,7 +260,7 @@ def test_delta_profile_errors():
     f = ScalarField(grid, grid.coordinates)
     with pytest.raises(EmptyDeltaList):
         delta_slope_profile(grid, f, 5, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDecreasingList):
         delta_slope_profile(grid, f, 5, [0.1, 0.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDecreasingList):
         delta_slope_profile(grid, f, 5, [0.2, 0.0])

@@ -8,27 +8,33 @@ import pytest
 
 from conftest import unit_path
 from slopekit import (
-    SHORTEST_PATH_CLOSURE,
     MetricSpaceGraph,
+    ScalarField,
     build_graph,
+    critical_set,
+    delta_slope_profile,
+    descent_path,
     distances_from,
     is_connected,
+    local_slope,
+    metric_distances,
     neighbors,
     sample_interval,
+    slope_field,
 )
 from slopekit.errors import (
     DanglingEndpoint,
     DegenerateInterval,
     DuplicateEdge,
     EmptyEdgeList,
+    InvalidDecreasingList,
     InvalidPoint,
-    NoMetricClosure,
     NonFiniteCoordinate,
     NonPositiveLength,
     SelfLoopEdge,
     TooFewPoints,
 )
-from slopekit.testing import random_connected_graph
+from slopekit.testing import random_connected_graph, random_dyadic_field
 
 
 def floyd_warshall(space):
@@ -62,8 +68,7 @@ def test_single_isolated_point():
 
 def test_closure_mode_path_distance():
     # Dijkstra oracle on the 3-node path: d(0, 2) = 1 + 1
-    space = build_graph([(0, 1, 1.0), (1, 2, 1.0)],
-                        metric_mode=SHORTEST_PATH_CLOSURE)
+    space = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
     d = distances_from(space, 0)
     assert d[2] == 2.0
 
@@ -224,16 +229,55 @@ def test_neighbors_radius_monotone():
 
 
 def test_neighbors_radius_closure_mode():
-    space = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
-                        metric_mode=SHORTEST_PATH_CLOSURE)
+    space = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     nb = neighbors(space, 0, radius=2.0)
     assert nb.point_ids() == (1, 2)
 
 
-def test_neighbors_radius_needs_metric():
-    space = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
-    with pytest.raises(NoMetricClosure):
-        neighbors(space, 0, radius=1.5)
+def test_radius_queries_without_coordinates_use_path_distances():
+    # 0 -1- 1 -2- 2, plus a chord 0 -4- 2 that the path via 1 beats.
+    space = build_graph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)], n=4)
+    assert metric_distances(space, 0).tolist() == [0.0, 1.0, 3.0, math.inf]
+    assert neighbors(space, 0, radius=1.5).members == ((1, 1.0),)
+    assert neighbors(space, 0, radius=3.0).members == ((1, 1.0), (2, 3.0))
+    f = ScalarField(space, [6.0, 5.0, 0.0, -100.0])
+    profile = delta_slope_profile(space, f, 0, [5.0, 3.0, 1.0, 0.5])
+    assert [(e.slope.value, e.empty_ball) for e in profile] == [
+        (2.0, False), (2.0, False), (1.0, False), (0.0, True)]
+
+
+def test_coordinates_take_precedence_over_path_distances():
+    space = build_graph([(0, 1, 5.0), (1, 2, 5.0)], coordinates=[0.0, 1.0, 3.0])
+    assert metric_distances(space, 2).tolist() == [3.0, 2.0, 0.0]
+    assert neighbors(space, 0, radius=1.0).members == ((1, 1.0),)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_neighbors_rejects_radius(radius):
+    with pytest.raises(InvalidDecreasingList, match="radius must be a finite number"):
+        neighbors(unit_path(3), 0, radius=radius)
+
+
+def test_queries_store_nothing_on_the_space():
+    rng = random.Random(5)
+    for space in (sample_interval(0.0, 1.0, 9),
+                  random_connected_graph(rng, n_max=20)):
+        before = dict(vars(space))
+        f = random_dyadic_field(rng, space)
+        g = ScalarField(space, 0.5 * f.values)
+        crit = critical_set(slope_field(space, f), tol=0.0)
+        assert len(space.edges) == space.src.size // 2
+        for x in range(space.n):
+            neighbors(space, x)
+            neighbors(space, x, radius=0.5)
+            local_slope(space, f, x)
+            distances_from(space, x)
+            metric_distances(space, x)
+            if x not in crit:
+                descent_path(space, f, g, x, crit)
+        after = vars(space)
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
 
 
 def test_invalid_point_rejected():
