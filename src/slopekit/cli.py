@@ -92,8 +92,8 @@ def cmd_slope(args) -> int:
     f = skio.load_field_csv(args.f, space)
     slopes = slope_field(space, f, cap=args.cap)
     if args.format == "json":
-        rows = [(p, float(slopes.values[p]) if not slopes.infinite[p] else None,
-                 int(slopes.infinite[p])) for p in range(space.n)]
+        rows = [(p, None if inf else v, int(inf)) for p, (v, inf) in enumerate(
+            zip(slopes.values.tolist(), slopes.infinite.tolist()))]
         text = skio.render_rows_json(("point", "slope", "is_infinite"), rows)
     else:
         text = skio.render_slope_csv(slopes)

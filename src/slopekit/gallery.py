@@ -100,7 +100,7 @@ def cantor_approx(level: int, t: float) -> float:
     """
     level = int(level)
     if level < 0:
-        raise ValueError("level must be >= 0")
+        raise OutOfDomain("level must be >= 0")
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise OutOfDomain(f"t={t} outside [0, 1]")
@@ -154,7 +154,7 @@ def cantor_pair(level: int) -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
     """
     level = int(level)
     if level < 0:
-        raise ValueError("level must be >= 0")
+        raise OutOfDomain("level must be >= 0")
     dom = (0.0, 1.0)
     meta = {
         "level": level,
@@ -222,13 +222,10 @@ def emit_figure_data(which: str, n: int | None = None, level: int = 8,
         raise UnknownFigure(f"unknown figure tag {which!r}; "
                             f"expected one of {FIGURE_TAGS}")
     grid = sample_interval(a, b, int(n))
-    ts = grid.coordinates
-    f_vals = np.array([fn.value(t) for t in ts])
-    g_vals = np.array([gn.value(t) for t in ts])
-    f_field = ScalarField(grid, f_vals)
-    discrete = slope_field(grid, f_field, cap=cap)
-    rows = []
-    for i, t in enumerate(ts):
-        rows.append((float(t), float(f_vals[i]), float(g_vals[i]),
-                     float(fn.analytic_slope(t)), float(discrete.values[i])))
-    return FIGURE_COLUMNS, rows
+    ts = grid.coordinates.tolist()
+    f_vals = [fn.value(t) for t in ts]
+    g_vals = [gn.value(t) for t in ts]
+    analytic = [fn.analytic_slope(t) for t in ts]
+    discrete = slope_field(grid, ScalarField(grid, np.array(f_vals)), cap=cap)
+    return FIGURE_COLUMNS, list(zip(ts, f_vals, g_vals, analytic,
+                                    discrete.values.tolist()))

@@ -419,18 +419,19 @@ def render_witness_report(result: Inadmissible) -> str:
 
 # ---- generic tabular output ----
 
-def _render_rows(sep: str, head: str, rows) -> str:
-    return "".join([head, "\n", *(sep.join(
-        fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n"
-        for row in rows)])
+def _render_rows(sep: str, prefix: str, header, rows) -> str:
+    """The header line, then one line per row; rows are tuples of numbers,
+    each cell printed as `fmt` prints a float."""
+    line = sep.join(["%.17g"] * len(header)) + "\n"
+    return "".join([prefix, sep.join(header), "\n", *(line % row for row in rows)])
 
 
 def render_rows_csv(header, rows) -> str:
-    return _render_rows(",", ",".join(header), rows)
+    return _render_rows(",", "", header, rows)
 
 
 def render_rows_gnuplot(header, rows) -> str:
-    return _render_rows(" ", "# " + " ".join(header), rows)
+    return _render_rows(" ", "# ", header, rows)
 
 
 def render_rows_json(header, rows) -> str:

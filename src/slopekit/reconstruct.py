@@ -1,23 +1,22 @@
 """Rebuild a field from its slope field plus values on the critical set.
 
-The solver runs a label-setting sweep in increasing value order, the
-same causal structure as single-source shortest paths with a per-point
-speed: prescribed points seed the frontier, and each remaining point x
-is finalized at
+The solver is a shortest-path sweep with a per-point speed: prescribed
+points are the seeds, and every other point x gets the least path sum
 
-    v(x) = min over finalized neighbors y of  v(y) + s(x) * d(x, y).
+    v(x) = min over neighbors y of  v(y) + s(x) * d(x, y).
 
-The sweep is `space._sweep`, the one label-setting kernel that
-`distances_from` also runs, with edge increments s(x) * d(x, y); it
-checks its own invariants, raising InvariantViolated rather than
-relying on `assert`. The sweep alone is a heuristic; what makes the
-solver honest is the unconditional verification pass afterwards,
-which recomputes the slope field of the output and rejects the result
-(with witnesses) wherever it deviates from the input slopes beyond
-tolerance. When the data really came from a field, uniqueness of the
-answer is exactly the determination property: equal slopes plus equal
-critical values leave no freedom beyond what the prescription already
-fixes.
+The sweep is `space._sweep`, the kernel that `distances_from` also
+runs, with edge increments s(x) * d(x, y). It relaxes the out-edges of
+a wide frontier in synchronous array rounds, hands a narrow one to a
+heap, and certifies its result as a fixpoint (no edge into a non-seed
+point lowers it), raising InvariantViolated rather than relying on
+`assert`. The sweep alone is a heuristic; what makes the solver honest
+is the unconditional verification pass afterwards, which recomputes the
+slope field of the output and rejects the result (with witnesses)
+wherever it deviates from the input slopes beyond tolerance. When the
+data really came from a field, uniqueness of the answer is exactly the
+determination property: equal slopes plus equal critical values leave
+no freedom beyond what the prescription already fixes.
 """
 from __future__ import annotations
 
@@ -90,15 +89,17 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
 
 
 def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
-    """Label-setting sweep plus unconditional verification.
+    """Shortest-path sweep plus unconditional verification.
 
     Returns the reconstructed ScalarField, or an Inadmissible result
     whose witnesses list every point where the recomputed slope deviates
     from the input by more than tol. Prescribed values are never
-    overridden; ties in the finalization order break toward the
-    smallest point id. The sequence of finalized values is nondecreasing
-    by construction; the sweep checks it, and that it reaches every
-    point, raising InvariantViolated if either fails. Data with no
+    overridden; every other value is the least path sum from them, which
+    does not depend on the order of relaxation. The sweep runs array
+    rounds while at least `space._WIDE` points wait in its frontier and
+    a heap after that. Its result must be a fixpoint (no edge into a
+    non-prescribed point lowers it) and must reach every point;
+    InvariantViolated is raised if either fails. Data with no
     prescribed value is an EmptyCriticalSet, and a point whose every
     candidate value overflows is a NonFiniteFieldValue.
     """

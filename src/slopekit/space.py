@@ -42,6 +42,7 @@ from .errors import (
     DegenerateInterval,
     DuplicateEdge,
     EmptyEdgeList,
+    FieldSpaceMismatch,
     InvalidDecreasingList,
     InvalidPoint,
     InvariantViolated,
@@ -87,7 +88,7 @@ class MetricSpaceGraph:
         if self.coordinates is not None:
             coords = np.array(self.coordinates, dtype=float)
             if coords.shape[0] != self.n:
-                raise ValueError(
+                raise FieldSpaceMismatch(
                     f"coordinates cover {coords.shape[0]} points, space has {self.n}")
             bad = np.flatnonzero(~np.isfinite(coords.reshape(self.n, -1)).all(axis=1))
             if bad.size:
@@ -287,42 +288,75 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
                       np.linspace(a, b, n))
 
 
+# `_sweep` relaxes its frontier in array rounds while the frontier holds
+# at least this many points, and with a heap once it is narrower.
+_WIDE = 256
+
+
 def _sweep(space: MetricSpaceGraph, inc: np.ndarray,
            seeds: dict[int, float]) -> np.ndarray:
-    """Least path sums from the seeds, by a label-setting sweep.
+    """Least path sums from the seeds.
 
     Seeds keep their values; every other point x gets the least
     v(y) + inc[k] over its in-edges k = (y, x), for increments inc >= 0
-    indexed like the directed edge arrays. Points are finalized in
-    increasing value order, ties to the smallest id; unreached points
-    stay inf. A finalized value below an earlier one raises
-    InvariantViolated.
+    indexed like the directed edge arrays; unreached points stay inf.
+
+    The frontier, the points whose value fell and whose out-edges are
+    not yet relaxed, starts as the seeds. While it holds at least
+    `_WIDE` points, one array round relaxes all its out-edges at once
+    (frontier-synchronous relaxation). A heap then takes the rest of the
+    frontier, popping the least value first, and a point whose value
+    falls again is pushed again. With inc >= 0 round-to-nearest addition
+    is monotone, so every relaxation order reaches the same least
+    left-fold path sums, bit for bit (`testing.reference_sweep`).
+
+    The result is certified in one array pass: an edge into a non-seed
+    point that would still lower it raises InvariantViolated.
     """
+    v = np.full(space.n, math.inf)
+    frontier = np.fromiter(seeds, dtype=np.intp, count=len(seeds))
+    v[frontier] = np.fromiter(seeds.values(), dtype=float, count=len(seeds))
+    seeded = np.zeros(space.n, dtype=bool)
+    seeded[frontier] = True
+    # An edge into a seed steps by inf, so it lowers nothing.
+    step = np.where(seeded[space.dst], math.inf, inc)
+    with np.errstate(over="ignore"):
+        while frontier.size >= _WIDE:
+            starts = space.indptr[frontier]
+            counts = space.indptr[frontier + 1] - starts
+            edges = (np.arange(counts.sum())
+                     + np.repeat(starts - np.cumsum(counts) + counts, counts))
+            before = v.copy()
+            np.minimum.at(v, space.dst[edges], v[space.src[edges]] + step[edges])
+            frontier = np.flatnonzero(v < before)
+        if frontier.size:
+            v = _heap_sweep(space, step, v, frontier)
+        bad = np.flatnonzero(v[space.dst] > v[space.src] + step)
+    if bad.size:
+        k = int(bad[0])
+        x, y = int(space.src[k]), int(space.dst[k])
+        raise InvariantViolated(
+            f"sweep is not a fixpoint: edge ({x}, {y}) lowers "
+            f"{float(v[y])!r} to {float(v[x] + step[k])!r}")
+    return v
+
+
+def _heap_sweep(space: MetricSpaceGraph, step: np.ndarray, v: np.ndarray,
+                frontier: np.ndarray) -> np.ndarray:
+    """`_sweep` from the values v and its pending frontier, by a heap."""
     ends = space.indptr.tolist()
     dst = space.dst.tolist()
-    step = inc.tolist()
-    v = [math.inf] * space.n
-    fixed = [False] * space.n
-    heap: list[tuple[float, int]] = []
-    for p in sorted(seeds):
-        v[p] = seeds[p]
-        fixed[p] = True
-        heapq.heappush(heap, (v[p], p))
-    last = -math.inf
+    step = step.tolist()
+    v = v.tolist()
+    heap = [(v[x], x) for x in frontier.tolist()]
+    heapq.heapify(heap)
     while heap:
         val, x = heapq.heappop(heap)
         if val > v[x]:
             continue
-        if val < last:
-            raise InvariantViolated(
-                f"sweep finalized {val} at point {x} after {last}")
-        last = val
-        fixed[x] = True
         for k in range(ends[x], ends[x + 1]):
-            y = dst[k]
-            if fixed[y]:
-                continue
             cand = val + step[k]
+            y = dst[k]
             if cand < v[y]:
                 v[y] = cand
                 heapq.heappush(heap, (cand, y))
@@ -370,25 +404,30 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
         raise InvalidDecreasingList(
             f"radius must be a finite number > 0, got {radius}")
     dist = metric_distances(space, x)
-    members = tuple((y, float(dist[y])) for y in range(space.n)
-                    if y != x and 0.0 < dist[y] <= radius)
-    return Neighborhood(center=x, members=members)
+    # d(x, x) = 0, so x itself is never a member.
+    ys = np.flatnonzero((dist > 0.0) & (dist <= radius))
+    return Neighborhood(center=x,
+                        members=tuple(zip(ys.tolist(), dist[ys].tolist())))
 
 
 def is_connected(space: MetricSpaceGraph) -> bool:
-    if space.n <= 1:
-        return True
-    ends = space.indptr.tolist()
-    dst = space.dst.tolist()
-    seen = [False] * space.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for y in dst[ends[v]:ends[v + 1]]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == space.n
+    """Whether every point is reachable from point 0 along the directed
+    edges; for a space from `build_graph`, whether it is one component.
+
+    Every point starts labelled with its own id. Each round lowers the
+    label of every edge's target to its source's label, then replaces
+    each label by its label's label (min-label propagation with pointer
+    jumping). A label is always a point that reaches its holder, and
+    labels only fall, so the rounds stop when the label sum stops
+    falling; the least point that reaches a holder is then its label.
+    The space is connected iff every label is 0.
+    """
+    label = np.arange(space.n)
+    total = label.sum()
+    while total:
+        np.minimum.at(label, space.dst, label[space.src])
+        label = label[label]
+        last, total = total, label.sum()
+        if total == last:
+            return False
+    return True

@@ -13,8 +13,9 @@ bookkeeping of the operation under test. `reference_slope_field` keeps
 the per-point loop that the edge-array slope kernel replaced,
 `reference_read_columns` reads the CSV grammar line by line, and
 `reference_sweep` computes the shortest-path sweep by label correction,
-in no particular relaxation order, as the oracles of the differential
-tests.
+in no particular relaxation order, and `reference_is_connected` keeps
+the depth-first search that array label propagation replaced, as the
+oracles of the differential tests.
 """
 from __future__ import annotations
 
@@ -101,6 +102,26 @@ def reference_sweep(space: MetricSpaceGraph, inc: np.ndarray,
         if np.array_equal(v, before):
             return v
     raise ValueError("no fixpoint within n rounds: a negative increment")
+
+
+def reference_is_connected(space: MetricSpaceGraph) -> bool:
+    """Whether every point is reachable from point 0 along the directed
+    edges, by a depth-first search over the CSR slices: the per-point
+    loop that the label propagation of `space.is_connected` replaced."""
+    ends = space.indptr.tolist()
+    dst = space.dst.tolist()
+    seen = [False] * space.n
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        x = stack.pop()
+        for y in dst[ends[x]:ends[x + 1]]:
+            if not seen[y]:
+                seen[y] = True
+                count += 1
+                stack.append(y)
+    return count == space.n
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 50,

@@ -37,6 +37,20 @@ def test_slope_subcommand(fixtures, capsys):
     assert lines[4] == "3,0,0"
 
 
+def test_slope_json_subcommand(fixtures, tmp_path, capsys):
+    # Slopes 2e300 at point 0 and 1e300 at point 2 exceed the cap: they
+    # print as null, flagged infinite.
+    f = tmp_path / "steep.csv"
+    f.write_text("point,value\n0,1e300\n1,-1e300\n2,0.0\n3,0.1\n")
+    rc = main(["slope", "--space", fixtures["graph.csv"], "--f", str(f),
+               "--format", "json"])
+    assert rc == 0
+    rows = [(0, "null", 1), (1, "0.0", 0), (2, "null", 1), (3, "0.1", 0)]
+    assert capsys.readouterr().out == "[\n" + ",\n".join(
+        f'  {{\n    "point": {p},\n    "slope": {s},\n    "is_infinite": {i}\n  }}'
+        for p, s, i in rows) + "\n]\n"
+
+
 def test_crit_subcommand(fixtures, capsys):
     rc = main(["crit", "--space", fixtures["graph.csv"],
                "--f", fixtures["f.csv"], "--tol-crit", "0"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -77,8 +78,10 @@ def test_cantor_out_of_domain():
         cantor_approx(3, -0.1)
     with pytest.raises(OutOfDomain):
         cantor_approx(3, 1.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain, match="level must be >= 0"):
         cantor_approx(-1, 0.5)
+    with pytest.raises(OutOfDomain, match="level must be >= 0"):
+        cantor_pair(-1)
 
 
 def test_stair_segment_classifier():
@@ -164,3 +167,28 @@ def test_emit_figure_data_fig3_levels():
 def test_emit_figure_data_rejects_unknown_tag():
     with pytest.raises(UnknownFigure):
         emit_figure_data("fig9")
+
+
+# sha256 of `slopekit gallery ...` stdout. The closed forms run on
+# math.* point by point and the slope kernel uses only exact IEEE
+# operations, so these bytes do not depend on the machine.
+GOLDEN = {
+    ("fig1", "csv"): "c9b943769f365b4c87c374fd7e7ab5834fb721d5df70cf88f197f53eab829c1a",
+    ("fig1", "gnuplot"): "92090aafeef95f200a07bcdc83d621dbafce5f0e2842b1798512f6c7c006a82a",
+    ("fig2", "csv"): "38cab85e6a10f0d555121e70d41ff1b0059cc3a73cf409b75ae4dc30c0db5607",
+    ("fig2", "gnuplot"): "1a4dd69976f169289d297848665c9c80ca29bd622da10bbfa182a734f2d3f86c",
+    ("fig3", "csv"): "2873d9adbe2a5b45eb3ff069f38a2b1c46f1ff15f3433736715057441d8ffff2",
+    ("fig3", "gnuplot"): "2259ae4f334824b2a5bc25c0fb250127c99cb50eb830b658af9b223c53c62455",
+    ("fig2 --n 100001", "csv"):
+        "cd8a31c0cbc5bb8a8b58374a66e74bf4b9384883f840008da992d04c34a38b8c",
+    ("fig2 --n 100001", "gnuplot"):
+        "5769a23f25e54aa5b854ba498b1b62dd40367c16a049b5fda2b1cc94ceff9139",
+}
+
+
+@pytest.mark.parametrize("figure,fmt", list(GOLDEN))
+def test_gallery_output_is_pinned(figure, fmt, capsys):
+    from slopekit.cli import main
+    assert main(["gallery", *figure.split(), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[figure, fmt]

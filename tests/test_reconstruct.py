@@ -187,17 +187,22 @@ def test_extra_prescriptions_allowed_when_consistent():
 
 
 def test_sweep_order_violation_raises(monkeypatch):
-    # A heap that pops its largest entry finalizes point 3 (value 5)
-    # before point 0 (value 0): the order check must catch it, under -O too.
-    def pop_largest(heap):
-        return heap.pop(heap.index(max(heap)))
+    # A heap whose pop also drops the next entry never relaxes point 2,
+    # so point 3 keeps the long way round, 0-1-3 (value 6), instead of
+    # 0-2-3 (value 2): the fixpoint certificate must catch it, under -O too.
+    def pop_and_drop(heap):
+        item = heapq.heappop(heap)
+        if heap:
+            heapq.heappop(heap)
+        return item
     monkeypatch.setattr(space_module, "heapq", types.SimpleNamespace(
-        heappush=heapq.heappush, heappop=pop_largest))
-    space = unit_path(4)
-    f = path_field(space, [0.0, 1.0, 2.0, 5.0])
-    data = SlopeData(slope_field(space, f), {0: 0.0, 3: 5.0})
-    with pytest.raises(InvariantViolated, match="after"):
-        reconstruct(space, data)
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=pop_and_drop))
+    space = build_graph([(0, 1, 1.0), (0, 2, 1.0), (1, 3, 5.0), (2, 3, 1.0)])
+    slopes = SlopeField(space, np.array([0.0, 1.0, 1.0, 1.0]),
+                        np.zeros(4, dtype=bool))
+    with pytest.raises(InvariantViolated,
+                       match=r"not a fixpoint: edge \(2, 3\) lowers 6.0 to 2.0"):
+        reconstruct(space, SlopeData(slopes, {0: 0.0}))
 
 
 def test_incomplete_sweep_raises():

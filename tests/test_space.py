@@ -27,6 +27,7 @@ from slopekit.errors import (
     DegenerateInterval,
     DuplicateEdge,
     EmptyEdgeList,
+    FieldSpaceMismatch,
     InvalidDecreasingList,
     InvalidPoint,
     NonFiniteCoordinate,
@@ -155,6 +156,12 @@ def test_non_finite_coordinates_rejected(coords, bad):
         build_graph([(0, 1, 1.0), (1, 2, 1.0)], coordinates=coords)
 
 
+def test_coordinate_count_must_match():
+    with pytest.raises(FieldSpaceMismatch,
+                       match="coordinates cover 2 points, space has 3"):
+        build_graph([(0, 1, 1.0), (1, 2, 1.0)], coordinates=[0.0, 1.0])
+
+
 def test_sample_interval_two_points():
     grid = sample_interval(0.0, 1.0, 2)
     assert grid.n == 2
@@ -226,6 +233,26 @@ def test_neighbors_radius_monotone():
         small = set(neighbors(grid, x, radius=r1).point_ids())
         big = set(neighbors(grid, x, radius=r2).point_ids())
         assert small <= big
+
+
+def test_neighbors_radius_matches_point_scan():
+    # The members are every y != x with 0 < d(x, y) <= r, in increasing
+    # order, under the coordinates (with a repeated one) or the paths.
+    rng = random.Random("radius-members")
+    for _ in range(60):
+        tree = random_connected_graph(rng, n_max=30)
+        n = tree.n + rng.randint(0, 2)
+        coords = ([float(rng.randint(0, 8)) for _ in range(n)]
+                  if rng.random() < 0.5 else None)
+        space = build_graph(tree.edges, n=n, coordinates=coords)
+        for x in rng.sample(range(space.n), min(space.n, 4)):
+            r = rng.choice([0.25, 1.0, 2.5, 6.0])
+            dist = metric_distances(space, x)
+            expected = tuple((y, float(dist[y])) for y in range(space.n)
+                             if y != x and 0.0 < dist[y] <= r)
+            members = neighbors(space, x, radius=r).members
+            assert members == expected
+            assert all(type(y) is int and type(d) is float for y, d in members)
 
 
 def test_neighbors_radius_closure_mode():

@@ -1,15 +1,19 @@
 """Differential suite for the shortest-path sweep.
 
-`reconstruct` and `distances_from` both run the label-setting kernel in
+`reconstruct` and `distances_from` both run the sweep kernel in
 `slopekit.space`. Their values must equal, bit for bit, the fixpoint
 that `testing.reference_sweep` reaches by Bellman-Ford label
-correction, which does not depend on a relaxation order.
+correction, which does not depend on a relaxation order. Every case
+runs at the default frontier width for array rounds, and again with
+array rounds down to a one-point frontier and with the heap alone.
 """
+import math
 import random
 
 import numpy as np
 import pytest
 
+import slopekit.space as space_module
 from slopekit import (
     Inadmissible,
     ScalarField,
@@ -159,3 +163,31 @@ def test_distances_from_matches_oracle(kind):
             assert got.tobytes() == expected.tobytes()
             overflowed += not np.isfinite(got[:tree.n]).all()
     assert (overflowed > 0) == (kind == "huge")
+
+
+def test_wide_frontier_matches_oracle():
+    # Dyadic fields on 1500-2000-point graphs have several hundred
+    # local minima, so at the default width the sweep starts with
+    # array rounds.
+    rng = random.Random("wide")
+    for _ in range(4):
+        space = random_connected_graph(rng, n_max=2000, n_min=1500)
+        f = random_dyadic_field(rng, space)
+        data = critical_data(space, f, 0.0)
+        assert len(data.crit_values) > 256
+        assert isinstance(check_against_oracle(space, data, 0.0), ScalarField)
+
+
+@pytest.mark.parametrize("width", [1, math.inf])
+def test_every_case_at_forced_widths(width, monkeypatch):
+    # Width 1 runs array rounds until the frontier is empty; width inf
+    # leaves the whole sweep to the heap.
+    monkeypatch.setattr(space_module, "_WIDE", width)
+    for kind in CASES:
+        for tol in (0.0, 1e-9):
+            test_reconstruct_matches_oracle_on_critical_data(kind, tol)
+        test_reconstruct_matches_oracle_with_extra_prescriptions(kind)
+        test_reconstruct_matches_oracle_on_inadmissible_data(kind)
+    for kind in ("dyadic", "float", "huge"):
+        test_distances_from_matches_oracle(kind)
+    test_wide_frontier_matches_oracle()
