@@ -421,13 +421,22 @@ def is_connected(space: MetricSpaceGraph) -> bool:
     labels only fall, so the rounds stop when the label sum stops
     falling; the least point that reaches a holder is then its label.
     The space is connected iff every label is 0.
+
+    Labels move toward the target, not toward its root, so a path whose
+    ids do not rise along it can take one round per point. After
+    2 * bit_length(n) + 4 undecided rounds a zero-increment sweep from
+    point 0 decides instead, in O(n + m log n): it leaves inf exactly on
+    the points that 0 does not reach.
     """
     label = np.arange(space.n)
     total = label.sum()
-    while total:
+    for _ in range(2 * int(space.n).bit_length() + 4):
+        if not total:
+            return True
         np.minimum.at(label, space.dst, label[space.src])
         label = label[label]
         last, total = total, label.sum()
         if total == last:
             return False
-    return True
+    return not total or bool(np.isfinite(
+        _sweep(space, np.zeros(space.dst.size), {0: 0.0})).all())

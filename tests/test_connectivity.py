@@ -2,9 +2,12 @@
 
 `space.is_connected` decides, by array label propagation, whether every
 point is reachable from point 0 along the directed edges. It must agree
-with the depth-first search kept as `testing.reference_is_connected`.
+with the depth-first search kept as `testing.reference_is_connected`,
+also on long paths whose ids do not rise along them, where the label
+rounds run out and the zero-increment sweep decides.
 """
 import random
+import time
 
 import numpy as np
 import pytest
@@ -80,3 +83,35 @@ def test_long_interval(cut):
     space = MetricSpaceGraph(n=grid.n, src=grid.src[keep], dst=grid.dst[keep],
                              w=grid.w[keep])
     assert agree(space) == (cut in (None, "backward"))
+
+
+def permuted_path(order):
+    """The path order[0] - order[1] - ... with unit lengths."""
+    order = np.asarray(order)
+    return build_graph(zip(order[:-1].tolist(), order[1:].tolist(),
+                           [1.0] * (order.size - 1)), n=order.size)
+
+
+@pytest.mark.parametrize("layout", ["zero_last", "falling", "shuffled"])
+@pytest.mark.parametrize("cut", [False, True])
+def test_long_path_with_unsorted_ids(layout, cut):
+    # Ids that do not rise along a 100 001-point path move label 0 one
+    # hop per round; the bounded rounds must hand over to the sweep.
+    n = 100001
+    if layout == "zero_last":
+        order = np.r_[np.arange(1, n), 0]
+    elif layout == "falling":
+        order = np.r_[0, np.arange(n - 1, 0, -1)]
+    else:
+        order = np.random.default_rng(11).permutation(n)
+    space = permuted_path(order)
+    if cut:
+        a, b = int(order[n // 2]), int(order[n // 2 + 1])
+        keep = ~(((space.src == a) & (space.dst == b))
+                 | ((space.src == b) & (space.dst == a)))
+        space = MetricSpaceGraph(n=n, src=space.src[keep], dst=space.dst[keep],
+                                 w=space.w[keep])
+    start = time.perf_counter()
+    assert is_connected(space) == (not cut)
+    assert time.perf_counter() - start < 5.0
+    assert reference_is_connected(space) == (not cut)
