@@ -2,9 +2,10 @@
 
 A point is critical when its slope is (tolerance-)zero; on a finite
 space every field has at least one critical point because a global
-minimizer has slope exactly 0. The comparison floor at x is the least
-value of f - g over critical points inside the sublevel set of x; it is
-the strict lower bound that descent arguments certify for (f - g)(x).
+minimizer has slope exactly 0 (`critical_mask`, one boolean per point,
+is the one test). The comparison floor at x is the least value of f - g
+over critical points inside the sublevel set of x; it is the strict
+lower bound that descent arguments certify for (f - g)(x).
 
 `comparison_floor` scans the critical set for one query; the batch
 `sublevel_floor` sorts the critical points once, takes a prefix minimum
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slope import ScalarField, SlopeField, check_tol, require_bound
+from .errors import InvalidPoint
+from .slope import ScalarField, SlopeField, check_constant, check_tol, require_bound
 from .space import MetricSpaceGraph, PointId
 
 
@@ -40,11 +42,17 @@ class CriticalSet:
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
+    def check_members(self, n: int) -> None:
+        """InvalidPoint unless every member lies in [0, n)."""
+        lo, hi = min(self.members, default=0), max(self.members, default=0)
+        if not 0 <= lo <= hi < n:
+            raise InvalidPoint(f"critical point {lo if lo < 0 else hi} outside [0, {n})")
+
     def mask(self, n: int) -> np.ndarray:
         """Boolean membership over the points 0..n-1."""
+        self.check_members(n)
         inside = np.zeros(n, dtype=bool)
-        ids = np.fromiter(self.members, dtype=np.intp, count=len(self.members))
-        inside[ids[(ids >= 0) & (ids < n)]] = True
+        inside[np.fromiter(self.members, dtype=np.intp, count=len(self))] = True
         return inside
 
 
@@ -80,22 +88,27 @@ class NoCriticalBelow:
 NO_CRITICAL_BELOW = NoCriticalBelow()
 
 
-def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
-    """Points of a slope field with slope <= tol.
+def critical_mask(slopes: SlopeField, tol: float = 0.0) -> np.ndarray:
+    """Whether each point is critical: its slope is finite and <= tol.
 
     The default tol 0 is the right choice for exact graph slopes, where
     minimizers hit zero exactly; sampled continuous data needs a
     positive tol because slopes at near-critical samples are O(h)
     (see `grid_critical_tol`).
     """
+    return ~slopes.infinite & (slopes.values <= check_tol(tol))
+
+
+def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
+    """The points of `critical_mask` as a set."""
     tol = check_tol(tol)
-    members = np.flatnonzero(~slopes.infinite & (slopes.values <= tol))
+    members = np.flatnonzero(critical_mask(slopes, tol))
     return CriticalSet(members=frozenset(members.tolist()), tol=tol)
 
 
 def sublevel_set(f: ScalarField, alpha: float) -> SublevelSet:
-    """Points with f(x) <= alpha, by exact comparison."""
-    alpha = float(alpha)
+    """Points with f(x) <= alpha, a finite threshold, by exact comparison."""
+    alpha = check_constant(alpha, "alpha")
     members = frozenset(int(x) for x in (f.values <= alpha).nonzero()[0])
     return SublevelSet(threshold=alpha, members=members)
 
@@ -111,6 +124,7 @@ def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     require_bound(space, f)
     require_bound(space, g)
     space.check_point(x)
+    crit.check_members(space.n)
     fx = f.values[x]
     best = None
     with np.errstate(over="ignore"):
@@ -143,6 +157,7 @@ def grid_critical_tol(h: float, lipschitz: float = 1.0) -> float:
 
     Discrete slopes at samples adjacent to a true critical point are
     O(h), so the zero test needs an O(h) cutoff; `lipschitz` is the
-    caller's estimate of the relevant local variation scale.
-    """
-    return 2.0 * float(h) * float(lipschitz)
+    caller's estimate of the relevant local variation scale. Both and
+    the result must be finite and >= 0 (`check_tol`)."""
+    return check_tol(2.0 * check_tol(h, "h") * check_tol(lipschitz, "lipschitz"),
+                     "2 * h * lipschitz")

@@ -29,7 +29,7 @@ from .slope import (
     require_bound,
     slope_field,
 )
-from .space import MetricSpaceGraph, PointId, _adjacent
+from .space import MetricSpaceGraph, PointId, _adjacent, check_count
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,13 @@ def descent_path(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     `max_steps` defaults to the point count, which always suffices when
     the dominance precondition holds: strict decrease of f forbids
     revisits, so a path visits at most n distinct points. Exceeding the
-    budget therefore raises StepLimitExceeded as a tolerance alarm.
+    budget therefore raises StepLimitExceeded as a tolerance alarm. A
+    budget must be an integer >= 0 (InvalidCount).
     """
     require_bound(space, f)
     require_bound(space, g)
     space.check_point(x0)
-    if max_steps is None:
-        max_steps = space.n
+    max_steps = space.n if max_steps is None else check_count(max_steps, "max_steps", 0)
     points = [int(x0)]
     f_vals = [float(f.values[x0])]
     diff_vals = [float(f.values[x0] - g.values[x0])]
@@ -187,7 +187,8 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
     dominance precondition (slope of f strictly above slope of g off the
     critical set); if it fails anywhere the report flags the first
     offending point and skips the comparison. Violations of the
-    comparison itself are reported as data, not raised.
+    comparison itself are reported as data, not raised. A member of
+    `crit` outside [0, n) raises InvalidPoint.
     """
     require_bound(space, f)
     require_bound(space, g)
@@ -200,8 +201,7 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
             dominance_ok=False, dominance_witness=int(offending[0]),
             checked=0, comparison_holds=None,
             violation_point=None, violation_floor=None)
-    xs = np.flatnonzero(non_critical)
-    ids = np.fromiter(crit.members, dtype=np.intp, count=len(crit))
+    xs, ids = np.flatnonzero(non_critical), np.flatnonzero(~non_critical)
     with np.errstate(over="ignore"):
         floor, found = sublevel_floor(
             f.values[ids], f.values[ids] - g.values[ids], f.values[xs])

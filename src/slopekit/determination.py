@@ -14,11 +14,14 @@ constant c is estimated as the mean of g - f over the critical set and
 validated by its spread, since callers typically need c discovered
 rather than supplied.
 
-One private `_compare` checks the hypotheses of the comparison
-principle (finite slope of f, slope dominance, the critical bound) on
-slope fields and a critical set the caller already holds; `determine`
-runs it both ways on those of its hypothesis checks, so each slope
-field is computed once. Each public entry point validates its knobs once.
+Each critical set is one boolean mask over the points (`critical_mask`);
+the critical points, `only_in_f`/`only_in_g`, g - f on the critical set
+and its witnesses are array selections on it. One private `_compare`
+checks the comparison principle's hypotheses (finite slope of f, slope
+dominance, the critical bound) on slope fields and critical ids the
+caller holds; `determine` runs it both ways on the fields and masks of
+its hypothesis checks, so it computes each of them once. Each public
+entry point validates its knobs once.
 
 All outcomes of `determine` are verdicts, never exceptions; the
 individual checks raise typed errors only for malformed inputs.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalSet, critical_set, sublevel_floor
+from .critical import critical_mask, sublevel_floor
 from .errors import EmptyCriticalSet, PreconditionViolated
 from .slope import (
     OVERFLOW_CAP,
@@ -197,27 +200,23 @@ class EpsilonAudit:
     bracket_uniform: bool
 
 
-def _extremal_witness(points, values, slope_values, pick_max: bool):
-    """Deterministic extremal witness: tolerance-tied extreme values are
-    resolved toward the smallest slope, then the smallest point id."""
-    target = max(values) if pick_max else min(values)
+def _extremal_witness(ids: np.ndarray, values: np.ndarray,
+                      slope_values: np.ndarray, pick_max: bool):
+    """The witness among the ascending points `ids` for the first extreme
+    of `values`: values tied with it within the window are resolved
+    toward the smallest slope, then the smallest point id."""
+    target = float(values[np.argmax(values) if pick_max else np.argmin(values)])
     window = _WITNESS_TIE_WINDOW * max(1.0, abs(target))
-    best_key = None
-    best_point = None
-    for p, v in zip(points, values):
-        gap = (target - v) if pick_max else (v - target)
-        if gap <= window:
-            key = (float(slope_values[p]), p)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_point = p
-    return int(best_point), float(target)
+    # A gap overflows to inf and inf - inf is NaN (never tied), silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tied = ids[((target - values) if pick_max else (values - target)) <= window]
+    return int(tied[np.lexsort((tied, slope_values[tied]))[0]]), target
 
 
 def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
               tol_slope: float, tol_crit: float, cap: float):
     """The diagnostics for validated knobs, plus the slope fields and
-    critical sets they were built from: (diag, sf, sg, crit_f, crit_g)."""
+    critical masks they were built from: (diag, sf, sg, in_f, in_g)."""
     require_bound(space, f)
     require_bound(space, g)
     sf = slope_field(space, f, cap=cap)
@@ -250,24 +249,25 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
             passed=max_gap <= tol_slope, max_gap=max_gap, worst_point=k,
             slope_f=float(sf.values[k]), slope_g=float(sg.values[k]))
 
-    crit_f = critical_set(sf, tol_crit)
-    crit_g = critical_set(sg, tol_crit)
-    only_f = tuple(sorted(crit_f.members - crit_g.members))
-    only_g = tuple(sorted(crit_g.members - crit_f.members))
+    in_f = critical_mask(sf, tol_crit)
+    in_g = critical_mask(sg, tol_crit)
+    only_f = tuple(np.flatnonzero(in_f & ~in_g).tolist())
+    only_g = tuple(np.flatnonzero(in_g & ~in_f).tolist())
     crit_check = CritSetCheck(passed=not only_f and not only_g,
                               only_in_f=only_f, only_in_g=only_g)
 
-    crit_points = crit_f.sorted_members()
+    crit_ids = np.flatnonzero(in_f)
+    crit_points = tuple(crit_ids.tolist())
     if crit_points:
-        diffs = [float(g.values[z] - f.values[z]) for z in crit_points]
-        constant = float(np.mean(diffs))
-        spread = float(max(diffs) - min(diffs))
+        diffs = g.values[crit_ids] - f.values[crit_ids]
         max_point, max_value = _extremal_witness(
-            crit_points, diffs, sf.values, pick_max=True)
+            crit_ids, diffs, sf.values, pick_max=True)
         min_point, min_value = _extremal_witness(
-            crit_points, diffs, sf.values, pick_max=False)
+            crit_ids, diffs, sf.values, pick_max=False)
+        spread = max_value - min_value
         diff_check = DiffConstancyCheck(
-            constant=constant, spread=spread, passed=spread <= tol_crit,
+            constant=float(np.mean(diffs)), spread=spread,
+            passed=spread <= tol_crit,
             max_point=max_point, max_value=max_value,
             min_point=min_point, min_value=min_value)
     else:
@@ -278,7 +278,7 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         crit_sets_equal=crit_check, diff_constant_on_crit=diff_check,
         critical_points=crit_points, tol_slope=tol_slope, tol_crit=tol_crit,
         overflow_cap=cap)
-    return diag, sf, sg, crit_f, crit_g
+    return diag, sf, sg, in_f, in_g
 
 
 def check_hypotheses(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -299,12 +299,13 @@ def check_hypotheses(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     return diag
 
 
-def _compare(sf: SlopeField, sg: SlopeField, crit: CriticalSet,
+def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
              f: ScalarField, g: ScalarField, c: float | None, tol: float,
              pre_tol: float) -> ComparisonResult:
     """`comparison_principle` on precomputed slope fields sf, sg and
-    the critical set of f. A `c` of None takes the max of g - f over
-    `crit`, which meets the critical bound by construction."""
+    the ascending ids `crit_ids` of the critical points of f. A `c` of
+    None takes the max of g - f over them, which meets the critical
+    bound by construction."""
     if sf.any_infinite():
         worst = int(np.flatnonzero(sf.infinite)[0])
         raise PreconditionViolated(
@@ -320,10 +321,9 @@ def _compare(sf: SlopeField, sg: SlopeField, crit: CriticalSet,
             "slope_dominance",
             f"slope_g - slope_f = {float(excess[worst])} at point {worst}")
     diffs = g.values - f.values
-    on_crit = np.flatnonzero(crit.mask(sf.space.n))
     if c is None:
-        c = float(diffs[on_crit].max())
-    above = on_crit[diffs[on_crit] - c > pre_tol]
+        c = float(diffs[crit_ids].max())
+    above = crit_ids[diffs[crit_ids] - c > pre_tol]
     if above.size:
         z = int(above[0])
         raise PreconditionViolated(
@@ -357,7 +357,8 @@ def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
     pre_tol = tol if pre_tol is None else check_tol(pre_tol, "pre_tol")
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
-    return _compare(sf, sg, critical_set(sf, crit_tol), f, g, c, tol, pre_tol)
+    crit_ids = np.flatnonzero(critical_mask(sf, crit_tol))
+    return _compare(sf, sg, crit_ids, f, g, c, tol, pre_tol)
 
 
 def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -383,21 +384,18 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
-    crit = critical_set(sf, crit_tol)
-    c = _compare(sf, sg, crit, f, g, c, tol, tol).constant
-
-    on_crit = crit.mask(space.n)
+    on_crit = critical_mask(sf, crit_tol)
     crit_arr, non_crit = np.flatnonzero(on_crit), np.flatnonzero(~on_crit)
+    c = _compare(sf, sg, crit_arr, f, g, c, tol, tol).constant
     fx, gx = f.values[non_crit], g.values[non_crit]
 
     rows = []
     for e in eps:
         fe = scale_field(f, 1.0 + e)
         se = slope_field(space, fe, cap=cap)
-        crit_e = critical_set(se, crit_tol)
-        crit_preserved = crit_e.members == crit.members
-        dominance_ok = bool(np.all(
-            (sg.values < se.values)[~crit_e.mask(space.n)]))
+        on_crit_e = critical_mask(se, crit_tol)
+        crit_preserved = bool(np.array_equal(on_crit_e, on_crit))
+        dominance_ok = bool(np.all((sg.values < se.values)[~on_crit_e]))
         floor_f, _ = sublevel_floor(fe.values[crit_arr], f.values[crit_arr],
                                     fe.values[non_crit])
         brackets = fx - floor_f
@@ -448,8 +446,8 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         "tol_residual": tol_residual,
         "overflow_cap": cap,
     }
-    diag, sf, sg, crit_f, crit_g = _diagnose(space, f, g, tol_slope,
-                                             tol_crit, cap)
+    diag, sf, sg, in_f, in_g = _diagnose(space, f, g, tol_slope, tol_crit,
+                                         cap)
     dc = diag.diff_constant_on_crit
     violated = diag.failed_hypotheses()
     residual = None
@@ -469,10 +467,10 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         witnesses = [Witness(point=worst, kind="residual",
                              value=float(resid[worst]))]
         try:
-            forward = _compare(sf, sg, crit_f, f, g, c, tol_residual,
-                               tol_slope)
-            backward = _compare(sg, sf, crit_g, g, f, -c, tol_residual,
-                                tol_slope)
+            forward = _compare(sf, sg, np.flatnonzero(in_f), f, g, c,
+                               tol_residual, tol_slope)
+            backward = _compare(sg, sf, np.flatnonzero(in_g), g, f, -c,
+                                tol_residual, tol_slope)
             certified = forward.holds and backward.holds
         except PreconditionViolated as exc:
             # Possible only at tolerance boundaries (e.g. the critical set

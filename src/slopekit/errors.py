@@ -48,7 +48,11 @@ class NonFiniteCoordinate(SlopeKitError):
 
 
 class InvalidPoint(SlopeKitError):
-    """A point id lies outside [0, n)."""
+    """A point id is not an integer or lies outside [0, n)."""
+
+
+class InvalidCount(SlopeKitError):
+    """A count (sample points, level, step budget) is not an integer in range."""
 
 
 class DisconnectedSpace(SlopeKitError):
@@ -63,6 +67,10 @@ class FieldSpaceMismatch(SlopeKitError):
 
 class NonFiniteFieldValue(SlopeKitError):
     """A scalar field value is NaN or infinite."""
+
+
+class InvalidSlopeValue(SlopeKitError):
+    """A slope entry not flagged infinite is negative, NaN or infinite."""
 
 
 class NonPositiveScale(SlopeKitError):

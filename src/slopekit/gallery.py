@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import OutOfDomain, UnknownFigure
 from .slope import OVERFLOW_CAP, ScalarField, slope_field
-from .space import sample_interval
+from .space import check_count, sample_interval
 
 HALF_PI = math.pi / 2.0
 
@@ -96,9 +96,9 @@ def cantor_approx(level: int, t: float) -> float:
     c_0(t) = t, and each level maps the left third through t -> 3t at
     half height, holds 1/2 on the middle third, and mirrors on the
     right third. Stair segments of c_k have width 3^-k, rise 2^-k, and
-    hence steepness (3/2)^k.
+    hence steepness (3/2)^k. The level must be an integer >= 0.
     """
-    level = int(level)
+    level = check_count(level, "level")
     if level < 0:
         raise OutOfDomain("level must be >= 0")
     t = float(t)
@@ -152,7 +152,7 @@ def cantor_pair(level: int) -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
     slope 0 at t = 0, recorded as metadata; the approximants make the
     blow-up explicit as (3/2)^k across refinement levels.
     """
-    level = int(level)
+    level = check_count(level, "level")
     if level < 0:
         raise OutOfDomain("level must be >= 0")
     dom = (0.0, 1.0)
@@ -221,7 +221,7 @@ def emit_figure_data(which: str, n: int | None = None, level: int = 8,
     else:
         raise UnknownFigure(f"unknown figure tag {which!r}; "
                             f"expected one of {FIGURE_TAGS}")
-    grid = sample_interval(a, b, int(n))
+    grid = sample_interval(a, b, n)
     ts = grid.coordinates.tolist()
     f_vals = [fn.value(t) for t in ts]
     g_vals = [gn.value(t) for t in ts]

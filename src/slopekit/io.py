@@ -1,8 +1,9 @@
 """CSV and JSON serialization for spaces, fields, slopes, paths, and
 determination reports.
 
-All numeric output is printed with 17 significant digits, which makes
-float round trips lossless and repeated runs byte-identical.
+One row writer, `_render_rows`, prints every CSV and gnuplot table: int
+and bool cells with `%d`, float cells with 17 significant digits
+(`%.17g`), which makes float round trips lossless and runs byte-identical.
 
 Every CSV loader reads one grammar: what the renderers write, plus LF or
 CRLF line ends, ASCII spaces and tabs around cells, and blank and
@@ -258,8 +259,9 @@ def load_graph_csv(path, coordinates_path=None,
 
 
 def render_graph_csv(space: MetricSpaceGraph) -> str:
-    return "".join(["u,v,length\n", *(
-        f"{u},{v},{fmt(w)}\n" for u, v, w in space.edges)])
+    up = space.src < space.dst
+    return _render_rows(",", "", ("u", "v", "length"), "ddg", zip(
+        space.src[up].tolist(), space.dst[up].tolist(), space.w[up].tolist()))
 
 
 def load_coordinates_csv(path) -> np.ndarray:
@@ -306,8 +308,8 @@ def load_field_csv(path, space: MetricSpaceGraph) -> ScalarField:
 
 
 def render_field_csv(f: ScalarField) -> str:
-    return "".join(["point,value\n", *(
-        f"{p},{v:.17g}\n" for p, v in enumerate(f.values.tolist()))])
+    return _render_rows(",", "", ("point", "value"), "dg",
+                        enumerate(f.values.tolist()))
 
 
 def load_crit_values_csv(path, space: MetricSpaceGraph) -> dict[int, float]:
@@ -319,10 +321,8 @@ def load_crit_values_csv(path, space: MetricSpaceGraph) -> dict[int, float]:
 # ---- slope fields ----
 
 def render_slope_csv(slopes: SlopeField) -> str:
-    return "".join(["point,slope,is_infinite\n", *(
-        f"{p},inf,1\n" if inf else f"{p},{v:.17g},0\n"
-        for p, (v, inf) in enumerate(zip(slopes.values.tolist(),
-                                         slopes.infinite.tolist())))])
+    return _render_rows(",", "", ("point", "slope", "is_infinite"), "dgd", zip(
+        range(slopes.space.n), slopes.values.tolist(), slopes.infinite.tolist()))
 
 
 def load_slope_csv(path, space: MetricSpaceGraph,
@@ -353,19 +353,19 @@ def load_slope_csv(path, space: MetricSpaceGraph,
 
 
 def render_crit_csv(crit: CriticalSet, slopes: SlopeField) -> str:
-    values = slopes.values.tolist()
-    return "".join([f"# tol={fmt(crit.tol)}\npoint,slope\n", *(
-        f"{p},{values[p]:.17g}\n" for p in crit.sorted_members())])
+    ids = np.flatnonzero(crit.mask(slopes.space.n))
+    return _render_rows(",", f"# tol={fmt(crit.tol)}\n", ("point", "slope"), "dg",
+                        zip(ids.tolist(), slopes.values[ids].tolist()))
 
 
 # ---- descent paths ----
 
 def render_path_csv(path_obj: DescentPath) -> str:
-    rows = zip(path_obj.points, path_obj.f_values, path_obj.diff_values)
+    rows = zip(range(len(path_obj)), path_obj.points, path_obj.f_values,
+               path_obj.diff_values)
     flag = "true" if path_obj.terminal_critical else "false"
-    return "".join(["step,point,f,f_minus_g\n", *(
-        f"{i},{p},{fmt(f)},{fmt(d)}\n" for i, (p, f, d) in enumerate(rows)),
-        f"# terminal_critical={flag}\n"])
+    return _render_rows(",", "", ("step", "point", "f", "f_minus_g"), "ddgg",
+                        rows) + f"# terminal_critical={flag}\n"
 
 
 # ---- determination reports ----
@@ -419,19 +419,20 @@ def render_witness_report(result: Inadmissible) -> str:
 
 # ---- generic tabular output ----
 
-def _render_rows(sep: str, prefix: str, header, rows) -> str:
-    """The header line, then one line per row; rows are tuples of numbers,
-    each cell printed as `fmt` prints a float."""
-    line = sep.join(["%.17g"] * len(header)) + "\n"
+def _render_rows(sep: str, prefix: str, header, kinds: str, rows) -> str:
+    """`prefix`, the header line, then one line per row. Rows are tuples
+    of numbers; `kinds` has one letter per column: 'd' prints an int or
+    bool cell with `%d`, 'g' a float cell as `fmt` prints it (`%.17g`)."""
+    line = sep.join(["%d" if k == "d" else "%.17g" for k in kinds]) + "\n"
     return "".join([prefix, sep.join(header), "\n", *(line % row for row in rows)])
 
 
 def render_rows_csv(header, rows) -> str:
-    return _render_rows(",", "", header, rows)
+    return _render_rows(",", "", header, "g" * len(header), rows)
 
 
 def render_rows_gnuplot(header, rows) -> str:
-    return _render_rows(" ", "# ", header, rows)
+    return _render_rows(" ", "# ", header, "g" * len(header), rows)
 
 
 def render_rows_json(header, rows) -> str:

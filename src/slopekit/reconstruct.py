@@ -20,7 +20,6 @@ no freedom beyond what the prescription already fixes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import (
     NonFiniteFieldValue,
     UncoveredCriticalPoint,
 )
+from .critical import critical_mask
 from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
 from .space import MetricSpaceGraph, _sweep, is_connected
 
@@ -63,29 +63,35 @@ class Inadmissible:
 
 
 def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
+    """The prescription as {int point: float value}, in array passes:
+    every key an integer point (else `check_point` on each), then every
+    value finite."""
     require_bound(space, data.slopes)
     if data.slopes.any_infinite():
         bad = int(np.flatnonzero(data.slopes.infinite)[0])
         raise InfiniteSlopeData(f"infinite slope at point {bad}")
-    prescribed = {}
-    for p, v in data.crit_values.items():
-        p = int(p)
-        space.check_point(p)
-        v = float(v)
-        if not math.isfinite(v):
-            raise NonFiniteFieldValue(f"prescribed value at {p} is not finite")
-        prescribed[p] = v
+    keys = list(data.crit_values)
+    points = np.array(keys) if keys else np.empty(0, dtype=np.intp)
+    if points.dtype.kind not in "iu" or ((points < 0) | (points >= space.n)).any():
+        for p in keys:
+            space.check_point(p)
+        points = points.astype(np.intp)
+    values = np.array(list(data.crit_values.values()), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteFieldValue(f"prescribed value at {keys[bad[0]]} is not finite")
     if not is_connected(space):
         raise DisconnectedSpace("reconstruction requires a connected space")
-    uncovered = [x for x in np.flatnonzero(data.slopes.values <= tol).tolist()
-                 if x not in prescribed]
-    if uncovered:
-        raise UncoveredCriticalPoint(
-            f"points {uncovered[:8]} have slope <= {tol} but no prescribed value")
-    if not prescribed:
+    covered = np.zeros(space.n, dtype=bool)
+    covered[points] = True
+    uncovered = np.flatnonzero(critical_mask(data.slopes, tol) & ~covered)
+    if uncovered.size:
+        raise UncoveredCriticalPoint(f"points {uncovered[:8].tolist()} have "
+                                     f"slope <= {tol} but no prescribed value")
+    if not keys:
         raise EmptyCriticalSet(
             f"no prescribed value and no slope <= {tol}: the sweep has no seed")
-    return prescribed
+    return dict(zip(points.tolist(), values.tolist()))
 
 
 def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):

@@ -38,6 +38,7 @@ from .errors import (
     FieldSpaceMismatch,
     InvalidCap,
     InvalidDecreasingList,
+    InvalidSlopeValue,
     NegativeTolerance,
     NonFiniteConstant,
     NonFiniteFieldValue,
@@ -64,11 +65,11 @@ def check_tol(tol, name: str = "tol") -> float:
     return tol
 
 
-def check_constant(c) -> float:
-    """A comparison constant as a float; NonFiniteConstant unless finite."""
+def check_constant(c, name: str = "c") -> float:
+    """A constant or threshold as a float; NonFiniteConstant unless finite."""
     c = float(c)
     if not math.isfinite(c):
-        raise NonFiniteConstant(f"c must be a finite number, got {c}")
+        raise NonFiniteConstant(f"{name} must be a finite number, got {c}")
     return c
 
 
@@ -138,7 +139,9 @@ class SlopeField:
 
     `values` holds math.inf wherever `infinite` is set. `provenance`
     records how the field was produced ("exact-graph" for adjacent-pair
-    quotients) and `cap` the overflow threshold in force.
+    quotients) and `cap` the overflow threshold in force (`check_cap`).
+    An entry not flagged infinite must be finite and >= 0
+    (InvalidSlopeValue).
     """
 
     space: MetricSpaceGraph
@@ -153,10 +156,11 @@ class SlopeField:
         if vals.shape != (self.space.n,) or mask.shape != (self.space.n,):
             raise FieldSpaceMismatch("slope field length differs from point count")
         vals[mask] = math.inf
-        finite_part = vals[~mask]
-        if finite_part.size and (not np.all(np.isfinite(finite_part))
-                                 or np.any(finite_part < 0.0)):
-            raise ValueError("finite slope entries must be >= 0")
+        bad = np.flatnonzero(~((vals >= 0.0) & (vals < math.inf)) & ~mask)
+        if bad.size:
+            raise InvalidSlopeValue(
+                f"slope {vals[bad[0]]} at point {bad[0]} is not finite and >= 0")
+        self.cap = check_cap(self.cap)
         vals.setflags(write=False)
         mask.setflags(write=False)
         self.values = vals

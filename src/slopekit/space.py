@@ -43,6 +43,7 @@ from .errors import (
     DuplicateEdge,
     EmptyEdgeList,
     FieldSpaceMismatch,
+    InvalidCount,
     InvalidDecreasingList,
     InvalidPoint,
     InvariantViolated,
@@ -53,6 +54,18 @@ from .errors import (
 )
 
 PointId = int
+
+
+def check_count(value, name: str, least: int | None = None) -> int:
+    """A count knob as an int; InvalidCount unless it is an integral
+    number (10.0 passes; NaN and inf do not), and >= least if given."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and value.is_integer())
+    if not integral or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidCount(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
 
 def _frozen(a, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -104,6 +117,9 @@ class MetricSpaceGraph:
                          self.w[up].tolist()))
 
     def check_point(self, x: PointId) -> None:
+        """InvalidPoint unless x is an integer (not a bool) in [0, n)."""
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise InvalidPoint(f"point id {x!r} is not an integer")
         if not 0 <= x < self.n:
             raise InvalidPoint(f"point {x} outside [0, {self.n})")
 
@@ -270,12 +286,12 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
     Consecutive samples are joined by edges of length h = (b-a)/(n-1)
     and the sample coordinates are stored on the space. An interval so
     wide that b - a overflows, or so narrow that h underflows to 0, is
-    a DegenerateInterval.
+    a DegenerateInterval; an n that is not an integer is an InvalidCount.
     """
     a, b = float(a), float(b)
     if not a < b:
         raise DegenerateInterval(f"need a < b, got a={a}, b={b}")
-    n = int(n)
+    n = check_count(n, "n")
     if n < 2:
         raise TooFewPoints(f"need at least 2 sample points, got {n}")
     h = (b - a) / (n - 1)

@@ -13,9 +13,11 @@ bookkeeping of the operation under test. `reference_slope_field` keeps
 the per-point loop that the edge-array slope kernel replaced,
 `reference_read_columns` reads the CSV grammar line by line, and
 `reference_sweep` computes the shortest-path sweep by label correction,
-in no particular relaxation order, and `reference_is_connected` keeps
-the depth-first search that array label propagation replaced, as the
-oracles of the differential tests.
+in no particular relaxation order, `reference_is_connected` keeps
+the depth-first search that array label propagation replaced, and
+`reference_extremal_witness` the loop over the critical points that
+picked the witnesses of `determination`, as the oracles of the
+differential tests.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .critical import comparison_floor, critical_set
 from .descent import NoStep, descent_path, descent_step
-from .determination import VERDICT_EQUAL, determine
+from .determination import _WITNESS_TIE_WINDOW, VERDICT_EQUAL, determine
 from .io import _FLOAT, _INT
 from .reconstruct import Inadmissible, SlopeData, reconstruct
 from .slope import (
@@ -122,6 +124,25 @@ def reference_is_connected(space: MetricSpaceGraph) -> bool:
                 count += 1
                 stack.append(y)
     return count == space.n
+
+
+def reference_extremal_witness(points, values, slope_values, pick_max: bool):
+    """The extremal witness of `determination._extremal_witness`, by a
+    loop over the points: values within the tie window of the extreme
+    (the first one `max` or `min` meets) are resolved toward the
+    smallest slope, then the smallest point id."""
+    target = max(values) if pick_max else min(values)
+    window = _WITNESS_TIE_WINDOW * max(1.0, abs(target))
+    best_key = None
+    best_point = None
+    for p, v in zip(points, values):
+        gap = (target - v) if pick_max else (v - target)
+        if gap <= window:
+            key = (float(slope_values[p]), p)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_point = p
+    return int(best_point), float(target)
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 50,

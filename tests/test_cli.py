@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
+import random
 
 import pytest
 
 from slopekit.cli import main
+from slopekit.testing import random_connected_graph, random_dyadic_field
 
 PATH_GRAPH = "u,v,length\n0,1,1.0\n1,2,1.0\n2,3,1.0\n"
 PATH_F = "point,value\n0,3.0\n1,2.0\n2,1.0\n3,0.0\n"
@@ -109,6 +112,64 @@ def test_determine_inconclusive_exit_code(fixtures, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 3
     assert doc["verdict"] == "Inconclusive"
+
+
+# (exit code, sha256 of stdout) of `slopekit determine` on the path
+# fixtures and on a seeded 2000-point graph; the digests were taken
+# from the implementation that kept critical sets as frozensets.
+DETERMINE_GOLDEN = {
+    ("g_shift.csv",):
+        (0, "b37e36aca3e483e37a090768e54723ad53d98448b50c0064924d1156eddc41b8"),
+    ("g_zero.csv",):
+        (2, "5982235be1be181922222278b4a94d66ec79ab6f88c5e07bf042d4120f9733c7"),
+    ("g_other.csv",):
+        (2, "63a069f3c7829a89f0c5519861f0cb366b3c13d5bff0972a7275b38497e8c0a4"),
+    ("g_other.csv", "--tol-crit", "1"):
+        (2, "2ffa396f97464f871a1a85ff7e8f4b0535ad2e640274c31ff5c1cf9ed006879b"),
+    ("g_shift.csv", "--tol-residual", "0"):
+        (0, "28362720df262c555cc44b65869e6ac5b3699bf2ca2541c5cf62f95683576bb7"),
+    ("big_g_equal.csv",):
+        (0, "5574bc0d4b60ecd199b17379ec4ada63c3edad52f504f361f67be7a4a8049276"),
+    ("big_g_perturbed.csv",):
+        (2, "ae387c970297f01b48374430d1366750ca6d7c7f6d8d55bc29e663c6a5b80f5e"),
+    ("big_g_other.csv",):
+        (2, "d5e0543dde712a0cded256dd459f72a60ad88123e5283a99b2da320c43d5401b"),
+    ("big_g_other.csv", "--tol-crit", "2"):
+        (2, "1608491f85688a2b0d61537718b388e1a9e51aae151eb56a56967a5f24d31b66"),
+}
+
+
+def write_big_case(directory):
+    """A seeded 2000-point graph, a dyadic field f, g = f + c, g with
+    one point raised by 0.25 and an unrelated dyadic g, as CSV files."""
+    rng = random.Random(2000)
+    space = random_connected_graph(rng, n_max=2000, n_min=2000)
+    f = random_dyadic_field(rng, space).values
+    g = f + rng.randint(-5120, 5120) / 1024
+    bumped = g.copy()
+    bumped[rng.randrange(space.n)] += 0.25
+    other = random_dyadic_field(rng, space).values
+    up = space.src < space.dst
+    rows = zip(space.src[up].tolist(), space.dst[up].tolist(), space.w[up].tolist())
+    (directory / "big_graph.csv").write_text("u,v,length\n" + "".join(
+        f"{u},{v},{w!r}\n" for u, v, w in rows))
+    for name, vals in (("big_f", f), ("big_g_equal", g), ("big_g_perturbed", bumped),
+                       ("big_g_other", other)):
+        (directory / f"{name}.csv").write_text("point,value\n" + "".join(
+            f"{p},{v!r}\n" for p, v in enumerate(vals.tolist())))
+
+
+@pytest.mark.parametrize("case", list(DETERMINE_GOLDEN))
+def test_determine_output_is_pinned(case, fixtures, capsys):
+    g, *options = case
+    prefix = "big_" if g.startswith("big_") else ""
+    if prefix:
+        write_big_case(fixtures["dir"])
+    d = fixtures["dir"]
+    rc = main(["determine", "--space", str(d / f"{prefix}graph.csv"),
+               "--f", str(d / f"{prefix}f.csv"), "--g", str(d / g), *options])
+    out = capsys.readouterr().out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == DETERMINE_GOLDEN[case]
 
 
 def test_reconstruct_subcommand(fixtures, tmp_path, capsys):

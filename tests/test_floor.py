@@ -4,7 +4,8 @@
 floor from one `sublevel_floor` pass. Here they are checked, field by
 field, against per-point scans kept in this file: `comparison_floor` at
 each non-critical point, and the bracket loop over the critical points.
-Also checked: `determine` computes each slope field once.
+Also checked: `determine` computes each slope field and each critical
+mask once.
 """
 import math
 import random
@@ -235,7 +236,7 @@ def counting(monkeypatch, name):
 def test_determine_computes_each_slope_field_once(monkeypatch):
     rng = random.Random(4061)
     slope_calls = counting(monkeypatch, "slope_field")
-    crit_calls = counting(monkeypatch, "critical_set")
+    crit_calls = counting(monkeypatch, "critical_mask")
     for _ in range(20):
         space, f = dyadic_case(rng)
         g = ScalarField(space, f.values + random_dyadic_constant(rng))

@@ -1,7 +1,7 @@
 """Numeric knobs are validated in one place (`check_cap`, `check_tol`,
-`check_constant`): a NaN, infinite or out-of-range cap, tolerance or
-comparison constant raises a typed error instead of silently changing
-the answer."""
+`check_constant`, `check_count`): a NaN, infinite or out-of-range cap,
+tolerance, constant, threshold or count raises a typed error instead of
+silently changing the answer."""
 import math
 
 import numpy as np
@@ -9,19 +9,28 @@ import pytest
 
 from conftest import path_field, unit_path
 from slopekit import (
+    SlopeField,
+    cantor_approx,
+    cantor_pair,
     comparison_principle,
     critical_set,
+    descent_path,
     determine,
     epsilon_audit,
+    grid_critical_tol,
     local_slope,
     reconstruct,
+    sample_interval,
     scale_field,
     slope_field,
+    sublevel_set,
 )
 from slopekit.cli import main
 from slopekit.errors import (
     InvalidCap,
+    InvalidCount,
     InvalidDecreasingList,
+    InvalidSlopeValue,
     NegativeTolerance,
     NonFiniteConstant,
     NonPositiveScale,
@@ -150,3 +159,68 @@ def test_valid_knobs_still_pass():
     assert report.verdict.kind == "EqualUpToConstant"
     assert np.array_equal(slope_field(space, f, cap=1.0).values,
                           [0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [10.7, math.nan, math.inf, "10", None])
+def test_sample_interval_rejects_non_integer_count(n):
+    # 10.7 used to build 10 points
+    with pytest.raises(InvalidCount):
+        sample_interval(0.0, 1.0, n)
+
+
+def test_sample_interval_accepts_integral_counts():
+    for n in (10, 10.0, np.int64(10)):
+        assert sample_interval(0.0, 1.0, n).n == 10
+
+
+@pytest.mark.parametrize("level", [2.9, math.nan, math.inf])
+def test_cantor_rejects_non_integer_level(level):
+    # 2.9 used to run level 2
+    with pytest.raises(InvalidCount):
+        cantor_approx(level, 0.5)
+    with pytest.raises(InvalidCount):
+        cantor_pair(level)
+
+
+@pytest.mark.parametrize("max_steps", [math.nan, 1.5, -1, math.inf])
+def test_descent_path_rejects_step_budget(max_steps):
+    # nan used to never stop on the budget, -1 to raise StepLimitExceeded
+    space = unit_path(3)
+    f = path_field(space, [2.0, 1.0, 0.0])
+    crit = critical_set(slope_field(space, f))
+    with pytest.raises(InvalidCount):
+        descent_path(space, f, path_field(space, [0.0] * 3), 0, crit,
+                     max_steps=max_steps)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_sublevel_set_rejects_non_finite_threshold(alpha):
+    # nan used to return the empty set
+    space = unit_path(3)
+    with pytest.raises(NonFiniteConstant, match="alpha"):
+        sublevel_set(path_field(space, [2.0, 1.0, 0.0]), alpha)
+
+
+@pytest.mark.parametrize("h,lipschitz", [(math.nan, 1.0), (-1.0, 1.0), (math.inf, 1.0),
+                                         (1.0, -1.0), (-1.0, -1.0), (1e308, 10.0)])
+def test_grid_critical_tol_rejects_bad_spacing(h, lipschitz):
+    # nan used to give nan, -1.0 to give -2.0
+    with pytest.raises(NegativeTolerance):
+        grid_critical_tol(h, lipschitz)
+
+
+@pytest.mark.parametrize("cap", BAD_CAPS)
+def test_slope_field_constructor_rejects_cap(cap):
+    space = unit_path(3)
+    with pytest.raises(InvalidCap):
+        SlopeField(space, np.zeros(3), np.zeros(3, dtype=bool), cap=cap)
+
+
+@pytest.mark.parametrize("entry", [-1.0, math.nan, math.inf, -math.inf])
+def test_slope_field_constructor_rejects_unflagged_entry(entry):
+    # used to raise a bare ValueError
+    space = unit_path(3)
+    with pytest.raises(InvalidSlopeValue, match="at point 1"):
+        SlopeField(space, np.array([0.0, entry, 1.0]), np.zeros(3, dtype=bool))
+    flagged = SlopeField(space, np.array([0.0, entry, 1.0]), [False, True, False])
+    assert flagged.values[1] == math.inf

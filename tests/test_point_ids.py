@@ -1,0 +1,98 @@
+"""Point ids are integers in [0, n): a float, string or bool id, or a
+critical set built by a caller with an id outside the space, raises
+InvalidPoint instead of wrapping around or being dropped."""
+import numpy as np
+import pytest
+
+from conftest import path_field, unit_path
+from slopekit import (
+    CriticalSet,
+    comparison_floor,
+    local_slope,
+    neighbors,
+    reconstruct,
+    slope_field,
+    verify_strict_comparison,
+)
+from slopekit import io as skio
+from slopekit.errors import InvalidPoint, NonFiniteFieldValue
+from slopekit.reconstruct import SlopeData
+
+
+@pytest.fixture
+def path3():
+    space = unit_path(3)
+    return space, path_field(space, [2.0, 1.0, 0.0]), path_field(space, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("members", [{-1}, {3}, {7}, {0, -1}, {2, 3}])
+def test_caller_critical_set_outside_the_space(path3, members):
+    space, f, g = path3
+    crit = CriticalSet(frozenset(members), 0.0)
+    with pytest.raises(InvalidPoint, match="outside"):
+        crit.mask(space.n)
+    # -1 used to wrap around to point 2 and give the floor 0.0
+    with pytest.raises(InvalidPoint):
+        comparison_floor(space, f, g, 2, crit)
+    with pytest.raises(InvalidPoint):
+        verify_strict_comparison(space, f, g, crit)
+    with pytest.raises(InvalidPoint):
+        skio.render_crit_csv(crit, slope_field(space, f))
+
+
+def test_caller_critical_set_inside_the_space(path3):
+    space, f, g = path3
+    crit = CriticalSet(frozenset({2, 0}), 0.0)
+    assert crit.mask(space.n).tolist() == [True, False, True]
+    assert comparison_floor(space, f, g, 1, crit) == 0.0
+    assert CriticalSet(frozenset(), 0.0).mask(space.n).tolist() == [False] * 3
+
+
+@pytest.mark.parametrize("x", [1.5, 1.0, np.float64(1.0), "1", True, None])
+def test_non_integer_point_ids(path3, x):
+    space, f, _ = path3
+    with pytest.raises(InvalidPoint, match="not an integer"):
+        space.check_point(x)
+    with pytest.raises(InvalidPoint):
+        local_slope(space, f, x)
+    with pytest.raises(InvalidPoint):
+        neighbors(space, x)
+
+
+def test_integer_point_ids_of_any_int_type(path3):
+    space, f, _ = path3
+    for x in (1, np.int64(1), np.int32(1), np.uint8(1)):
+        space.check_point(x)
+        assert local_slope(space, f, x).value == 1.0
+
+
+def prescription(space, f, crit_values):
+    return SlopeData(slope_field(space, f), crit_values)
+
+
+@pytest.mark.parametrize("key", [0.7, 2.0, "2", True, None])
+def test_reconstruct_rejects_non_integer_keys(path3, key):
+    space, f, _ = path3
+    with pytest.raises(InvalidPoint, match="not an integer"):
+        reconstruct(space, prescription(space, f, {key: 0.0}))
+
+
+@pytest.mark.parametrize("key", [-1, 3, 2**70])
+def test_reconstruct_rejects_keys_outside_the_space(path3, key):
+    space, f, _ = path3
+    with pytest.raises(InvalidPoint, match="outside"):
+        reconstruct(space, prescription(space, f, {2: 0.0, key: 0.0}))
+
+
+def test_reconstruct_checks_every_key_before_the_values(path3):
+    space, f, _ = path3
+    with pytest.raises(InvalidPoint):
+        reconstruct(space, prescription(space, f, {2: float("nan"), 0.5: 1.0}))
+    with pytest.raises(NonFiniteFieldValue, match="at 2 "):
+        reconstruct(space, prescription(space, f, {0: 2.0, 2: float("inf")}))
+
+
+def test_reconstruct_accepts_numpy_integer_keys(path3):
+    space, f, _ = path3
+    out = reconstruct(space, prescription(space, f, {np.int64(2): np.float32(0.0)}))
+    assert out.values.tolist() == [2.0, 1.0, 0.0]
