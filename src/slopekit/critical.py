@@ -44,9 +44,9 @@ class CriticalSet:
 
     def check_members(self, n: int) -> None:
         """InvalidPoint unless every member lies in [0, n)."""
-        lo, hi = min(self.members, default=0), max(self.members, default=0)
-        if not 0 <= lo <= hi < n:
-            raise InvalidPoint(f"critical point {lo if lo < 0 else hi} outside [0, {n})")
+        if self.members and (min(self.members) < 0 or max(self.members) >= n):
+            bad = min(self.members) if min(self.members) < 0 else max(self.members)
+            raise InvalidPoint(f"critical point {bad} outside [0, {n})")
 
     def mask(self, n: int) -> np.ndarray:
         """Boolean membership over the points 0..n-1."""

@@ -7,7 +7,9 @@ witnesses by array selection. Here every derived diagnostic of
 the critical points, the constant, the spread and the two extremal
 witnesses (`reference_extremal_witness`, the loop the selection
 replaced). Some cases place values of g - f inside the witness tie
-window, so the slope-then-id tie rule is exercised.
+window, so the slope-then-id tie rule is exercised. The masks of
+`epsilon_audit` and of the backward comparison in `determine` are
+checked the same way.
 """
 import math
 import random
@@ -15,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from slopekit import ScalarField, check_hypotheses, determine
+from slopekit import ScalarField, build_graph, check_hypotheses, determine, epsilon_audit
 from slopekit.determination import _extremal_witness
 from slopekit.errors import EmptyCriticalSet
 from slopekit.testing import (
@@ -27,6 +29,7 @@ from slopekit.testing import (
 )
 
 TOLS = (0.0, 1e-9, 0.5, 2.0)
+EPSILONS = (0.5, 0.125, 0.03125)
 
 
 def make_g(rng, f, mode):
@@ -129,3 +132,39 @@ def test_witness_selection_matches_loop_on_awkward_values():
                                     pick_max)
             assert got[0] == want[0]
             assert repr(got[1]) == repr(want[1])
+
+
+def test_backward_comparison_reads_the_critical_set_of_g():
+    # Point 1 is critical for g (flat) but not for f (slope 1e-8 > tol_crit),
+    # and (f - g)(1) = 1e-5: the backward comparison, on the critical set
+    # of g, fails its critical bound; on that of f it would not.
+    space = build_graph([(0, 1, 1000.0)])
+    f = ScalarField(space, np.array([0.0, 1e-5]))
+    g = ScalarField(space, np.array([0.0, 0.0]))
+    report = determine(space, f, g, tol_slope=1e-7, tol_crit=1e-9)
+    assert report.diagnostics.crit_sets_equal.only_in_g == (1,)
+    assert report.verdict.kind == "Inconclusive"
+    assert [w.kind for w in report.witnesses] == ["residual", "precondition:critical_bound"]
+
+
+def test_epsilon_audit_flags_match_per_point_recomputation():
+    """`crit_preserved` and `dominance_ok` of every row against the
+    critical sets of (1 + epsilon) f recomputed point by point."""
+    rng = random.Random(10069)
+    outcomes = set()
+    for k in range(300):
+        space = random_connected_graph(rng, n_max=20)
+        f = random_dyadic_field(rng, space)
+        g = ScalarField(space, rng.choice([0.25, 0.5, 0.875]) * f.values)
+        crit_tol = (0.0, 0.5, 1.0)[k % 3]
+        audit = epsilon_audit(space, f, g, EPSILONS, crit_tol=crit_tol)
+        sf, sg = reference_slope_field(space, f), reference_slope_field(space, g)
+        crit = [x for x in range(space.n) if sf.values[x] <= crit_tol]
+        for e, row in zip(EPSILONS, audit.rows):
+            se = reference_slope_field(space, ScalarField(space, f.values * (1.0 + e)))
+            crit_e = [x for x in range(space.n) if se.values[x] <= crit_tol]
+            dominance = all(sg.values[x] < se.values[x]
+                            for x in range(space.n) if x not in crit_e)
+            assert (row.crit_preserved, row.dominance_ok) == (crit_e == crit, dominance)
+            outcomes.add((row.crit_preserved, row.dominance_ok))
+    assert {(True, True), (False, True)} <= outcomes

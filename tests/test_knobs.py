@@ -16,6 +16,7 @@ from slopekit import (
     critical_set,
     descent_path,
     determine,
+    emit_figure_data,
     epsilon_audit,
     grid_critical_tol,
     local_slope,
@@ -180,6 +181,14 @@ def test_cantor_rejects_non_integer_level(level):
         cantor_approx(level, 0.5)
     with pytest.raises(InvalidCount):
         cantor_pair(level)
+    with pytest.raises(InvalidCount):
+        emit_figure_data("fig3", level=level)
+
+
+def test_gallery_rejects_non_integer_size():
+    # 10.7 used to sample 10 points
+    with pytest.raises(InvalidCount):
+        emit_figure_data("fig1", n=10.7)
 
 
 @pytest.mark.parametrize("max_steps", [math.nan, 1.5, -1, math.inf])
