@@ -1,21 +1,19 @@
 """Slope calculus on finite metric spaces.
 
 Compute discrete slopes of scalar fields on weighted graphs and sampled
-intervals, extract critical and sublevel sets, run strictly decreasing
-descent paths, decide whether two fields agree up to an additive
-constant from their slopes and critical values, and reconstruct a field
-from its slope field plus prescribed critical values.
+intervals, extract critical sets, run strictly decreasing descent
+paths, decide whether two fields agree up to an additive constant from
+their slopes and critical values, and reconstruct a field from its
+slope field plus prescribed critical values.
 """
 from . import errors
 from .critical import (
     NO_CRITICAL_BELOW,
     CriticalSet,
     NoCriticalBelow,
-    SublevelSet,
     comparison_floor,
     critical_set,
     grid_critical_tol,
-    sublevel_set,
 )
 from .descent import (
     DescentPath,
@@ -52,12 +50,10 @@ from .reconstruct import (
     reconstruct,
 )
 from .slope import (
-    INFINITE_SLOPE,
     OVERFLOW_CAP,
     DeltaProfileEntry,
     ScalarField,
     SlopeField,
-    SlopeValue,
     delta_slope_profile,
     local_slope,
     scale_field,
@@ -65,7 +61,6 @@ from .slope import (
 )
 from .space import (
     MetricSpaceGraph,
-    Neighborhood,
     PointId,
     build_graph,
     distances_from,
@@ -79,14 +74,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "PointId", "MetricSpaceGraph", "Neighborhood",
+    "PointId", "MetricSpaceGraph",
     "build_graph", "sample_interval", "neighbors", "distances_from",
     "metric_distances", "is_connected",
-    "ScalarField", "SlopeValue", "SlopeField", "DeltaProfileEntry",
-    "INFINITE_SLOPE", "OVERFLOW_CAP",
+    "ScalarField", "SlopeField", "DeltaProfileEntry", "OVERFLOW_CAP",
     "local_slope", "slope_field", "scale_field", "delta_slope_profile",
-    "CriticalSet", "SublevelSet", "NoCriticalBelow", "NO_CRITICAL_BELOW",
-    "critical_set", "sublevel_set", "comparison_floor", "grid_critical_tol",
+    "CriticalSet", "NoCriticalBelow", "NO_CRITICAL_BELOW",
+    "critical_set", "comparison_floor", "grid_critical_tol",
     "DescentPath", "NoStep", "StrictComparisonReport",
     "descent_step", "descent_path", "verify_strict_comparison",
     "HypothesisDiagnostics", "DeterminationReport", "Verdict", "Witness",

@@ -1,18 +1,23 @@
-"""Critical sets, sublevel sets, and the comparison floor.
+"""Critical sets and the comparison floor.
 
 A point is critical when its slope is (tolerance-)zero; on a finite
 space every field has at least one critical point because a global
 minimizer has slope exactly 0 (`critical_mask`, one boolean per point,
-is the one test). The comparison floor at x is the least value of f - g
-over critical points inside the sublevel set of x; it is the strict
-lower bound that descent arguments certify for (f - g)(x).
+is the one test). A `CriticalSet` is that mask and its tolerance;
+membership of x is `mask[x]`, and every function that takes a caller's
+set first checks, once, that the mask has one entry per point
+(`require_covers`). The comparison floor at x is the least value of
+f - g over critical points in the sublevel set {z : f(z) <= f(x)}; it
+is the strict lower bound that descent arguments certify for
+(f - g)(x).
 
-`comparison_floor` scans the critical set for one query; the batch
-`sublevel_floor` sorts the critical points once, takes a prefix minimum
-and bisects per query, O((n + |crit|) log |crit|), with the same floats
-(a minimum does not round). f - g may overflow to +inf on purpose, under
-`np.errstate`, so "no critical point below" comes from the insertion
-index, never from an inf.
+`comparison_floor` scans the critical points for one query in Python
+floats, whose subtraction overflows to +inf without a warning; the
+batch `sublevel_floor` sorts the critical points once, takes a prefix
+minimum and bisects per query, O((n + |crit|) log |crit|), with the
+same floats (a minimum does not round). Its f - g may overflow to +inf
+on purpose, under `np.errstate`, so "no critical point below" comes
+from the insertion index, never from an inf.
 """
 from __future__ import annotations
 
@@ -21,53 +26,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPoint
-from .slope import ScalarField, SlopeField, check_constant, check_tol, require_bound
+from .errors import FieldSpaceMismatch
+from .slope import ScalarField, SlopeField, check_tol, require_bound
 from .space import MetricSpaceGraph, PointId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalSet:
-    """Points whose slope is <= tol (infinite slopes never qualify)."""
+    """The points whose slope is <= tol (infinite slopes never qualify),
+    as a read-only 1-D boolean mask over the points.
 
-    members: frozenset[int]
+    The constructor copies `mask`; anything but a 1-D boolean array
+    raises FieldSpaceMismatch.
+    """
+
+    mask: np.ndarray
     tol: float
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
+    def __post_init__(self):
+        mask = np.asarray(self.mask)
+        if mask.ndim != 1 or mask.dtype != bool:
+            raise FieldSpaceMismatch(
+                "a critical set is a 1-D boolean mask over the points, "
+                f"got shape {mask.shape} and dtype {mask.dtype}")
+        mask = mask.copy()
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
-    def __len__(self) -> int:
-        return len(self.members)
+    @property
+    def members(self) -> frozenset[int]:
+        """The critical points as a set (a view derived from the mask)."""
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def check_members(self, n: int) -> None:
-        """InvalidPoint unless every member lies in [0, n)."""
-        if self.members and (min(self.members) < 0 or max(self.members) >= n):
-            bad = min(self.members) if min(self.members) < 0 else max(self.members)
-            raise InvalidPoint(f"critical point {bad} outside [0, {n})")
-
-    def mask(self, n: int) -> np.ndarray:
-        """Boolean membership over the points 0..n-1."""
-        self.check_members(n)
-        inside = np.zeros(n, dtype=bool)
-        inside[np.fromiter(self.members, dtype=np.intp, count=len(self))] = True
-        return inside
+        """The critical points in increasing order."""
+        return tuple(np.flatnonzero(self.mask).tolist())
 
 
-@dataclass(frozen=True)
-class SublevelSet:
-    """Points with f(x) <= threshold."""
-
-    threshold: float
-    members: frozenset[int]
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
+def require_covers(space: MetricSpaceGraph, crit: CriticalSet) -> np.ndarray:
+    """The mask of `crit`; FieldSpaceMismatch unless it has one entry
+    per point of the space."""
+    if crit.mask.shape != (space.n,):
+        raise FieldSpaceMismatch(
+            f"critical mask has {crit.mask.size} entries, space has {space.n} points")
+    return crit.mask
 
 
 class NoCriticalBelow:
@@ -100,17 +102,9 @@ def critical_mask(slopes: SlopeField, tol: float = 0.0) -> np.ndarray:
 
 
 def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
-    """The points of `critical_mask` as a set."""
+    """The points of `critical_mask` as a CriticalSet."""
     tol = check_tol(tol)
-    members = np.flatnonzero(critical_mask(slopes, tol))
-    return CriticalSet(members=frozenset(members.tolist()), tol=tol)
-
-
-def sublevel_set(f: ScalarField, alpha: float) -> SublevelSet:
-    """Points with f(x) <= alpha, a finite threshold, by exact comparison."""
-    alpha = check_constant(alpha, "alpha")
-    members = frozenset(int(x) for x in (f.values <= alpha).nonzero()[0])
-    return SublevelSet(threshold=alpha, members=members)
+    return CriticalSet(critical_mask(slopes, tol), tol)
 
 
 def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -119,23 +113,18 @@ def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     Returns NO_CRITICAL_BELOW when no critical point lies in the
     sublevel set of x. The supplied critical set must come from f's
-    slope field for the floor to have its comparison meaning.
+    slope field for the floor to have its comparison meaning. The first
+    of equal values in increasing id order is returned, which fixes the
+    sign of a zero floor; an overflowing difference is +inf or -inf.
     """
     require_bound(space, f)
     require_bound(space, g)
     space.check_point(x)
-    crit.check_members(space.n)
-    fx = f.values[x]
-    best = None
-    with np.errstate(over="ignore"):
-        for z in crit.members:
-            if f.values[z] <= fx:
-                val = float(f.values[z] - g.values[z])
-                if best is None or val < best:
-                    best = val
-    if best is None:
-        return NO_CRITICAL_BELOW
-    return best
+    ids = np.flatnonzero(require_covers(space, crit))
+    fx = float(f.values[x])
+    pairs = zip(f.values[ids].tolist(), g.values[ids].tolist())
+    best = min((fz - gz for fz, gz in pairs if fz <= fx), default=None)
+    return NO_CRITICAL_BELOW if best is None else best
 
 
 def sublevel_floor(keys: np.ndarray, vals: np.ndarray,

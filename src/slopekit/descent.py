@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalSet, sublevel_floor
+from .critical import CriticalSet, require_covers, sublevel_floor
 from .errors import PointIsCritical, SlopeDominanceViolated, StepLimitExceeded
 from .slope import (
     OVERFLOW_CAP,
@@ -95,23 +95,29 @@ def descent_step(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     ties broken by smallest point id. Returns a NoStep diagnostic if no
     adjacent point qualifies, which can only happen when the dominance
     precondition held just within tolerance.
-
-    Both slopes and the step come from one read of x's adjacent points,
-    with the float operations of `local_slope`.
     """
     require_bound(space, f)
     require_bound(space, g)
     space.check_point(x)
-    if x in crit:
+    on_crit = require_covers(space, crit)
+    if on_crit[x]:
         raise PointIsCritical(f"point {x} is critical (tol={crit.tol})")
-    cap = check_cap(cap)
-    fv, gv = f.values, g.values
+    return _step(space, f.values, g.values, x, check_cap(cap))
+
+
+def _step(space: MetricSpaceGraph, fv: np.ndarray, gv: np.ndarray, x: int,
+          cap: float):
+    """`descent_step` from the non-critical point x, for checked inputs.
+
+    Both slopes and the step come from one read of x's adjacent points,
+    with the float operations of `local_slope`.
+    """
     fx, gx = fv[x], gv[x]
-    diff_x = fx - gx
     slope_f = slope_g = 0.0
     best: int | None = None
     best_q = -1.0
     with np.errstate(over="ignore"):
+        diff_x = fx - gx
         for z, d in zip(*_adjacent(space, x)):
             fz, gz = fv[z], gv[z]
             drop = fx - fz
@@ -151,29 +157,34 @@ def descent_path(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     the dominance precondition holds: strict decrease of f forbids
     revisits, so a path visits at most n distinct points. Exceeding the
     budget therefore raises StepLimitExceeded as a tolerance alarm. A
-    budget must be an integer >= 0 (InvalidCount).
+    budget must be an integer >= 0 (InvalidCount). The inputs are
+    checked once, not per step.
     """
     require_bound(space, f)
     require_bound(space, g)
     space.check_point(x0)
+    on_crit = require_covers(space, crit)
     max_steps = space.n if max_steps is None else check_count(max_steps, "max_steps", 0)
+    cap = check_cap(cap)
+    fv, gv = f.values, g.values
     points = [int(x0)]
-    f_vals = [float(f.values[x0])]
-    diff_vals = [float(f.values[x0] - g.values[x0])]
+    f_vals = [float(fv[x0])]
+    # Python float subtraction overflows to +-inf without a warning.
+    diff_vals = [float(fv[x0]) - float(gv[x0])]
     current = int(x0)
-    while current not in crit:
+    while not on_crit[current]:
         if len(points) - 1 >= max_steps:
             raise StepLimitExceeded(
                 f"no critical point within {max_steps} steps from {x0}")
-        nxt = descent_step(space, f, g, current, crit, cap=cap)
+        nxt = _step(space, fv, gv, current, cap)
         if isinstance(nxt, NoStep):
             raise SlopeDominanceViolated(
                 f"descent stalled at point {nxt.point}: {nxt.reason} "
                 f"(slope_f={nxt.slope_f}, slope_g={nxt.slope_g})")
         current = nxt
         points.append(current)
-        f_vals.append(float(f.values[current]))
-        diff_vals.append(float(f.values[current] - g.values[current]))
+        f_vals.append(float(fv[current]))
+        diff_vals.append(float(fv[current]) - float(gv[current]))
     return DescentPath(points=tuple(points), f_values=tuple(f_vals),
                        diff_values=tuple(diff_vals), terminal_critical=True)
 
@@ -187,12 +198,11 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
     dominance precondition (slope of f strictly above slope of g off the
     critical set); if it fails anywhere the report flags the first
     offending point and skips the comparison. Violations of the
-    comparison itself are reported as data, not raised. A member of
-    `crit` outside [0, n) raises InvalidPoint.
+    comparison itself are reported as data, not raised.
     """
     require_bound(space, f)
     require_bound(space, g)
-    non_critical = ~crit.mask(space.n)
+    non_critical = ~require_covers(space, crit)
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
     offending = np.flatnonzero(non_critical & ~(sf.values > sg.values))

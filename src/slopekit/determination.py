@@ -23,8 +23,10 @@ caller holds; `determine` runs it both ways on the fields and masks of
 its hypothesis checks, so it computes each of them once. Each public
 entry point validates its knobs once.
 
-All outcomes of `determine` are verdicts, never exceptions; the
-individual checks raise typed errors only for malformed inputs.
+The outcomes of `determine` are verdicts. It raises typed errors only
+for malformed inputs, and DifferenceOverflow from `_diagnose` when g - f,
+its mean or spread on the critical set, or the residual overflows the
+float range, a value that no report can state.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import critical_mask, sublevel_floor
-from .errors import EmptyCriticalSet, PreconditionViolated
+from .errors import DifferenceOverflow, EmptyCriticalSet, PreconditionViolated
 from .slope import (
     OVERFLOW_CAP,
     ScalarField,
@@ -216,7 +218,11 @@ def _extremal_witness(ids: np.ndarray, values: np.ndarray,
 def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
               tol_slope: float, tol_crit: float, cap: float):
     """The diagnostics for validated knobs, plus the slope fields and
-    critical masks they were built from: (diag, sf, sg, in_f, in_g)."""
+    critical masks they were built from and the residual g - f - c
+    (None without critical points): (diag, sf, sg, in_f, in_g, resid).
+
+    DifferenceOverflow if g - f, the constant, the spread or the
+    residual is not finite."""
     require_bound(space, f)
     require_bound(space, g)
     sf = slope_field(space, f, cap=cap)
@@ -258,27 +264,46 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     crit_ids = np.flatnonzero(in_f)
     crit_points = tuple(crit_ids.tolist())
+    diff_check = resid = None
     if crit_points:
-        diffs = g.values[crit_ids] - f.values[crit_ids]
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = g.values - f.values
+            diffs = diff[crit_ids]
+            constant = float(np.mean(diffs))
+            resid = diff - constant
+        _require_finite(diff, "g - f")
+        if not math.isfinite(constant):
+            raise DifferenceOverflow(
+                "the mean of g - f on the critical set overflows")
+        _require_finite(resid, "g - f - c")
         max_point, max_value = _extremal_witness(
             crit_ids, diffs, sf.values, pick_max=True)
         min_point, min_value = _extremal_witness(
             crit_ids, diffs, sf.values, pick_max=False)
         spread = max_value - min_value
+        if not math.isfinite(spread):
+            raise DifferenceOverflow(
+                f"the spread of g - f on the critical set, from point "
+                f"{min_point} to point {max_point}, overflows")
         diff_check = DiffConstancyCheck(
-            constant=float(np.mean(diffs)), spread=spread,
+            constant=constant, spread=spread,
             passed=spread <= tol_crit,
             max_point=max_point, max_value=max_value,
             min_point=min_point, min_value=min_value)
-    else:
-        diff_check = None
 
     diag = HypothesisDiagnostics(
         slopes_finite=finiteness, slopes_equal=equality,
         crit_sets_equal=crit_check, diff_constant_on_crit=diff_check,
         critical_points=crit_points, tol_slope=tol_slope, tol_crit=tol_crit,
         overflow_cap=cap)
-    return diag, sf, sg, in_f, in_g
+    return diag, sf, sg, in_f, in_g, resid
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """DifferenceOverflow naming the first point where `values` is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DifferenceOverflow(f"{name} overflows at point {bad[0]}")
 
 
 def check_hypotheses(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -289,7 +314,8 @@ def check_hypotheses(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     `tol_crit` plays two roles: the slope zero test that defines the
     critical set, and the allowed spread of g - f on it. Raises
     EmptyCriticalSet when no critical point exists at tol_crit, which on
-    a finite space can only mean an infinite-slope pathology.
+    a finite space can only mean an infinite-slope pathology, and
+    DifferenceOverflow as `determine` does.
     """
     diag = _diagnose(space, f, g, check_tol(tol_slope, "tol_slope"),
                      check_tol(tol_crit, "tol_crit"), check_cap(cap))[0]
@@ -433,6 +459,7 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     independently re-checks the residual max |g - f - c|. Hypothesis
     failures become HypothesisViolated verdicts with witnesses; a
     residual above tolerance with passing hypotheses is Inconclusive.
+    A difference that overflows raises DifferenceOverflow (`_diagnose`).
     """
     tol_slope = check_tol(tol_slope, "tol_slope")
     tol_crit = check_tol(tol_crit, "tol_crit")
@@ -446,14 +473,13 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         "tol_residual": tol_residual,
         "overflow_cap": cap,
     }
-    diag, sf, sg, in_f, in_g = _diagnose(space, f, g, tol_slope, tol_crit,
-                                         cap)
+    diag, sf, sg, in_f, in_g, resid = _diagnose(space, f, g, tol_slope,
+                                                tol_crit, cap)
     dc = diag.diff_constant_on_crit
     violated = diag.failed_hypotheses()
     residual = None
     if dc is not None:
         c = dc.constant
-        resid = g.values - f.values - c
         abs_resid = np.abs(resid)
         worst = int(np.argmax(abs_resid))
         residual = float(abs_resid[worst])

@@ -62,7 +62,8 @@ class DisconnectedSpace(SlopeKitError):
 # ---- fields and slopes ----
 
 class FieldSpaceMismatch(SlopeKitError):
-    """A field is bound to a different space than the one supplied."""
+    """A field is bound to a different space than the one supplied, or
+    a field or critical mask does not have one entry per point."""
 
 
 class NonFiniteFieldValue(SlopeKitError):
@@ -126,6 +127,11 @@ class EmptyCriticalSet(SlopeKitError):
     so an empty critical set indicates an overflow/infinite-slope
     pathology in the supplied data.
     """
+
+
+class DifferenceOverflow(SlopeKitError):
+    """g - f, or the constant, spread or residual derived from it,
+    overflows the float range, so no report can state it."""
 
 
 class PreconditionViolated(SlopeKitError):

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .critical import CriticalSet
+from .critical import CriticalSet, require_covers
 from .descent import DescentPath
 from .determination import DeterminationReport
 from .errors import FileFormatError, InvariantViolated
@@ -353,7 +353,7 @@ def load_slope_csv(path, space: MetricSpaceGraph,
 
 
 def render_crit_csv(crit: CriticalSet, slopes: SlopeField) -> str:
-    ids = np.flatnonzero(crit.mask(slopes.space.n))
+    ids = np.flatnonzero(require_covers(slopes.space, crit))
     return _render_rows(",", f"# tol={fmt(crit.tol)}\n", ("point", "slope"), "dg",
                         zip(ids.tolist(), slopes.values[ids].tolist()))
 

@@ -4,10 +4,10 @@ For a field f and a point x with adjacent points y, the slope is
 
     max over y of (f(x) - f(y))+ / d(x, y),
 
-where (.)+  is max(., 0). An isolated point has slope 0. Quotients above
-a configurable overflow cap are collapsed to an explicit infinite
-marker, which keeps "genuinely unbounded across refinement" distinct
-from "merely large" in downstream reports.
+where (.)+  is max(., 0). An isolated point has slope 0. A slope above
+a configurable overflow cap is math.inf, and a slope field flags it in
+its infinity mask, which keeps "genuinely unbounded across refinement"
+distinct from "merely large" in downstream reports.
 
 `slope_field` is one pass over the space's directed edge arrays: one
 quotient max(f[src] - f[dst], 0) / w per directed edge, reduced per
@@ -18,8 +18,8 @@ per-point loop in `local_slope`, so both give bitwise-equal slopes.
 Overflow rule: finite values near +-1.7e308 can make f(x) - f(y), or
 the quotient, overflow to +inf. That is deliberate, not an accident:
 both computations run under `np.errstate(over="ignore")`, the +inf
-quotient exceeds every finite cap, and the point gets the infinite
-marker without a RuntimeWarning. The cap itself must be finite and
+quotient exceeds every finite cap, and the point gets slope math.inf
+without a RuntimeWarning. The cap itself must be finite and
 positive (`check_cap`), every tolerance finite and >= 0 (`check_tol`),
 a comparison constant finite (`check_constant`), and a list of radii or
 epsilons non-empty, strictly decreasing, finite and > 0
@@ -114,25 +114,6 @@ class ScalarField:
         return self.space.n
 
 
-@dataclass(frozen=True)
-class SlopeValue:
-    """Extended nonnegative slope: a finite value or an overflow marker."""
-
-    value: float
-    infinite: bool = False
-
-    def as_float(self) -> float:
-        """The slope as a float, with math.inf for the overflow marker."""
-        return math.inf if self.infinite else self.value
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
-
-INFINITE_SLOPE = SlopeValue(math.inf, True)
-
-
 @dataclass(eq=False)
 class SlopeField:
     """Per-point slope values plus an explicit infinity mask.
@@ -166,10 +147,9 @@ class SlopeField:
         self.values = vals
         self.infinite = mask
 
-    def __getitem__(self, x: PointId) -> SlopeValue:
-        if self.infinite[x]:
-            return INFINITE_SLOPE
-        return SlopeValue(float(self.values[x]))
+    def __getitem__(self, x: PointId) -> float:
+        """The slope at x, math.inf where it is flagged infinite."""
+        return float(self.values[x])
 
     def __len__(self) -> int:
         return self.space.n
@@ -180,10 +160,12 @@ class SlopeField:
 
 @dataclass(frozen=True)
 class DeltaProfileEntry:
-    """One radius of a shrinking-ball slope sweep."""
+    """One radius of a shrinking-ball slope sweep: the slope over the
+    ball (math.inf above the cap), and whether the ball held no point
+    but the center."""
 
     delta: float
-    slope: SlopeValue
+    slope: float
     empty_ball: bool
 
 
@@ -194,10 +176,10 @@ def require_bound(space: MetricSpaceGraph, fld) -> None:
 
 
 def local_slope(space: MetricSpaceGraph, f: ScalarField, x: PointId,
-                cap: float = OVERFLOW_CAP) -> SlopeValue:
+                cap: float = OVERFLOW_CAP) -> float:
     """Slope of f at x over adjacent points; exactly 0 if x is isolated.
 
-    Quotients strictly above `cap` return the infinite marker.
+    A slope strictly above `cap` is math.inf.
     """
     require_bound(space, f)
     cap = check_cap(cap)
@@ -211,9 +193,7 @@ def local_slope(space: MetricSpaceGraph, f: ScalarField, x: PointId,
                 q = drop / d
                 if q > best:
                     best = q
-    if best > cap:
-        return INFINITE_SLOPE
-    return SlopeValue(best)
+    return math.inf if best > cap else float(best)
 
 
 def slope_field(space: MetricSpaceGraph, f: ScalarField,
@@ -261,16 +241,15 @@ def delta_slope_profile(space: MetricSpaceGraph, f: ScalarField, x: PointId,
     deltas = check_decreasing(deltas, "radii")
     dist = metric_distances(space, x)
     fx = f.values[x]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         quotients = np.where(dist > 0.0,
                              np.maximum(fx - f.values, 0.0) / dist, 0.0)
     entries = []
     for delta in deltas:
         inside = (dist > 0.0) & (dist <= delta)
         if not inside.any():
-            entries.append(DeltaProfileEntry(delta, SlopeValue(0.0), True))
+            entries.append(DeltaProfileEntry(delta, 0.0, True))
             continue
         best = float(np.max(quotients[inside]))
-        sv = INFINITE_SLOPE if best > cap else SlopeValue(best)
-        entries.append(DeltaProfileEntry(delta, sv, False))
+        entries.append(DeltaProfileEntry(delta, math.inf if best > cap else best, False))
     return entries

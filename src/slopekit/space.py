@@ -138,27 +138,6 @@ def _adjacent(space: MetricSpaceGraph, x: PointId) -> tuple[list[int], list[floa
     return space.dst[a:b].tolist(), space.w[a:b].tolist()
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Points near a center, each with its distance to the center.
-
-    The center itself is never a member and all recorded distances are
-    strictly positive.
-    """
-
-    center: PointId
-    members: tuple[tuple[int, float], ...]
-
-    def point_ids(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def _symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
                coordinates) -> MetricSpaceGraph:
     """The space whose undirected edges are the validated (u, v, w)."""
@@ -405,25 +384,25 @@ def metric_distances(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
 
 
 def neighbors(space: MetricSpaceGraph, x: PointId,
-              radius: float | None = None) -> Neighborhood:
-    """Adjacent points of x, or every point within `radius` of x.
+              radius: float | None = None) -> tuple[tuple[int, float], ...]:
+    """The (point, distance) pairs of the adjacent points of x, or of
+    every point within `radius` of x, in increasing point order.
 
-    Without a radius the members are the graph-adjacent points with
-    their edge lengths. With a radius, which must be finite and > 0, the
-    members are all points y != x with 0 < d(x, y) <= radius under
-    `metric_distances`.
+    Without a radius the pairs are the graph-adjacent points with their
+    edge lengths. With a radius, which must be finite and > 0, they are
+    all points y != x with 0 < d(x, y) <= radius under
+    `metric_distances`. x itself is never among them.
     """
     space.check_point(x)
     if radius is None:
-        return Neighborhood(center=x, members=tuple(zip(*_adjacent(space, x))))
+        return tuple(zip(*_adjacent(space, x)))
     if not 0.0 < radius < math.inf:
         raise InvalidDecreasingList(
             f"radius must be a finite number > 0, got {radius}")
     dist = metric_distances(space, x)
     # d(x, x) = 0, so x itself is never a member.
     ys = np.flatnonzero((dist > 0.0) & (dist <= radius))
-    return Neighborhood(center=x,
-                        members=tuple(zip(ys.tolist(), dist[ys].tolist())))
+    return tuple(zip(ys.tolist(), dist[ys].tolist()))
 
 
 def is_connected(space: MetricSpaceGraph) -> bool:

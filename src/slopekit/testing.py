@@ -16,8 +16,10 @@ the per-point loop that the edge-array slope kernel replaced,
 in no particular relaxation order, `reference_is_connected` keeps
 the depth-first search that array label propagation replaced, and
 `reference_extremal_witness` the loop over the critical points that
-picked the witnesses of `determination`, as the oracles of the
-differential tests.
+picked the witnesses of `determination`, and `reference_comparison_floor`
+the loop over a set of critical points that `comparison_floor` ran
+before critical sets became masks, as the oracles of the differential
+tests.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .critical import comparison_floor, critical_set
+from .critical import NO_CRITICAL_BELOW, CriticalSet, comparison_floor, critical_set
 from .descent import NoStep, descent_path, descent_step
 from .determination import _WITNESS_TIE_WINDOW, VERDICT_EQUAL, determine
 from .io import _FLOAT, _INT
@@ -52,9 +54,8 @@ def reference_slope_field(space: MetricSpaceGraph, f: ScalarField,
                           cap: float = OVERFLOW_CAP) -> SlopeField:
     """The slope field from `local_slope` at each point in turn: the
     per-point loop that the edge-array kernel of `slope_field` replaced."""
-    slopes = [local_slope(space, f, x, cap=cap) for x in range(space.n)]
-    return SlopeField(space=space, values=[s.as_float() for s in slopes],
-                      infinite=[s.infinite for s in slopes],
+    slopes = np.array([local_slope(space, f, x, cap=cap) for x in range(space.n)])
+    return SlopeField(space=space, values=slopes, infinite=slopes == math.inf,
                       provenance="exact-graph", cap=cap)
 
 
@@ -145,6 +146,22 @@ def reference_extremal_witness(points, values, slope_values, pick_max: bool):
     return int(best_point), float(target)
 
 
+def reference_comparison_floor(f: ScalarField, g: ScalarField, x: int,
+                               crit: CriticalSet):
+    """The floor of `critical.comparison_floor` by a loop over the
+    critical points as a set, in increasing order (the first of equal
+    values wins), with each f - g taken in numpy under `np.errstate`."""
+    fx = f.values[x]
+    best = None
+    with np.errstate(over="ignore"):
+        for z in sorted(crit.members):
+            if f.values[z] <= fx:
+                val = float(f.values[z] - g.values[z])
+                if best is None or val < best:
+                    best = val
+    return NO_CRITICAL_BELOW if best is None else best
+
+
 def random_connected_graph(rng: random.Random, n_max: int = 50,
                            n_min: int = 2) -> MetricSpaceGraph:
     """Random connected graph: a random spanning tree plus extra edges,
@@ -208,7 +225,7 @@ def lemma_existence_suite(trials: int = 1000, seed: int = 0,
         g = ScalarField(space, c * f.values)
         crit = critical_set(slope_field(space, f), tol=0.0)
         for x in range(space.n):
-            if x in crit:
+            if crit.mask[x]:
                 continue
             checks += 1
             z = descent_step(space, f, g, x, crit)
@@ -238,12 +255,12 @@ def descent_comparison_suite(trials: int = 1000, seed: int = 0,
         g = ScalarField(space, c * f.values)
         crit = critical_set(slope_field(space, f), tol=0.0)
         for x in range(space.n):
-            if x in crit:
+            if crit.mask[x]:
                 continue
             checks += 1
             path = descent_path(space, f, g, x, crit)
             ok = (path.terminal_critical
-                  and path.points[-1] in crit
+                  and crit.mask[path.points[-1]]
                   and path.steps <= space.n
                   and len(set(path.points)) == len(path.points)
                   and all(a > b for a, b in zip(path.f_values,

@@ -12,9 +12,16 @@ def test_every_public_name_resolves_once():
 
 
 def test_removed_names_are_absent():
-    for name in ("EDGE_LOCAL", "SHORTEST_PATH_CLOSURE"):
+    for name in ("EDGE_LOCAL", "SHORTEST_PATH_CLOSURE", "SublevelSet", "sublevel_set",
+                 "SlopeValue", "INFINITE_SLOPE", "Neighborhood"):
         assert name not in slopekit.__all__
         assert not hasattr(slopekit, name)
+    for module in (slopekit.critical, slopekit.slope, slopekit.space):
+        for name in ("SublevelSet", "sublevel_set", "SlopeValue", "INFINITE_SLOPE",
+                     "Neighborhood"):
+            assert not hasattr(module, name)
+    for attr in ("check_members", "__contains__", "__len__"):
+        assert not hasattr(slopekit.CriticalSet, attr)
     assert not hasattr(errors, "NoMetricClosure")
     for attr in ("adjacency", "_adjacency", "metric_mode"):
         assert not hasattr(slopekit.MetricSpaceGraph, attr)

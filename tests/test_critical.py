@@ -14,9 +14,8 @@ from slopekit import (
     grid_critical_tol,
     sample_interval,
     slope_field,
-    sublevel_set,
 )
-from slopekit.errors import NegativeTolerance
+from slopekit.errors import FieldSpaceMismatch, NegativeTolerance
 from slopekit.gallery import arctan_pair
 from slopekit.testing import random_connected_graph, random_dyadic_field
 
@@ -55,26 +54,15 @@ def test_infinite_slopes_never_critical():
     f = path_field(space, [1.0, 0.0, 0.5])
     sf = slope_field(space, f)
     assert sf.any_infinite()
-    crit = critical_set(sf, tol=1e20)  # huge tol still excludes the marker
-    assert 0 not in crit
+    crit = critical_set(sf, tol=1e20)  # huge tol still excludes the inf slope
+    assert not crit.mask[0]
 
 
-def test_sublevel_sets():
-    space = unit_path(3)
-    f = path_field(space, [2.0, 1.0, 0.0])
-    assert len(sublevel_set(f, -0.5)) == 0
-    assert sublevel_set(f, 5.0).members == frozenset({0, 1, 2})
-    assert sublevel_set(f, 1.0).members == frozenset({1, 2})
-
-
-def test_sublevel_monotone_and_crit_monotone():
+def test_crit_monotone_in_tol():
     rng = random.Random(2)
     for _ in range(20):
         space = random_connected_graph(rng, n_max=20)
         f = random_dyadic_field(rng, space)
-        a1 = rng.uniform(-2, 2)
-        a2 = a1 + rng.uniform(0, 2)
-        assert sublevel_set(f, a1).members <= sublevel_set(f, a2).members
         sf = slope_field(space, f)
         t1 = rng.uniform(0, 1)
         t2 = t1 + rng.uniform(0, 1)
@@ -87,9 +75,9 @@ def test_crit_nonempty_on_finite_spaces():
         space = random_connected_graph(rng, n_max=25)
         f = random_dyadic_field(rng, space)
         crit = critical_set(slope_field(space, f), tol=0.0)
-        assert len(crit) >= 1
+        assert np.count_nonzero(crit.mask) >= 1
         # a global minimizer always qualifies
-        assert int(np.argmin(f.values)) in crit
+        assert crit.mask[int(np.argmin(f.values))]
 
 
 def test_comparison_floor_singleton_and_equal_fields():
@@ -117,7 +105,7 @@ def test_comparison_floor_no_critical_below():
     g = path_field(space, [0.0, 0.0, 0.0])
     # hand a critical set that sits above x; only reachable with a set
     # not derived from f
-    fake = CriticalSet(members=frozenset({0}), tol=0.0)
+    fake = CriticalSet(mask=np.array([True, False, False]), tol=0.0)
     out = comparison_floor(space, f, g, 2, fake)
     assert isinstance(out, NoCriticalBelow)
     assert out is NO_CRITICAL_BELOW
@@ -151,3 +139,26 @@ def test_grid_tolerance_finds_flat_junctions():
     # the flat ascent at +pi/2 is invisible at tol 0 but caught at O(h)
     assert any(abs(ts[i] - math.pi / 2) <= h for i in loose.members)
     assert exact.members <= loose.members
+
+
+def test_critical_set_is_a_read_only_copy_of_its_mask():
+    space = unit_path(3)
+    sf = slope_field(space, path_field(space, [2.0, 1.0, 0.0]))
+    crit = critical_set(sf, 0.0)
+    assert crit.mask.tolist() == [False, False, True]
+    assert crit.members == frozenset({2}) and crit.sorted_members() == (2,)
+    with pytest.raises(ValueError):
+        crit.mask[0] = True
+    source = np.array([True, False, True])
+    mine = CriticalSet(source, 0.0)
+    source[1] = True
+    assert mine.mask.tolist() == [True, False, True]
+    assert mine.sorted_members() == (0, 2)
+
+
+@pytest.mark.parametrize("mask", [frozenset({0, 2}), [0, 2], np.array([1, 0, 1]),
+                                  np.zeros((3, 1), dtype=bool), np.bool_(True)])
+def test_critical_set_wants_a_1d_boolean_mask(mask):
+    # point ids, 0/1 integers and 2-D or scalar masks are not read as membership
+    with pytest.raises(FieldSpaceMismatch, match="1-D boolean mask"):
+        CriticalSet(mask, 0.0)

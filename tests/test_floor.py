@@ -1,14 +1,17 @@
-"""Seeded differential suite for the batch sublevel floor.
+"""Seeded differential suites for the comparison floor.
 
 `verify_strict_comparison` and the bracket of `epsilon_audit` take every
 floor from one `sublevel_floor` pass. Here they are checked, field by
 field, against per-point scans kept in this file: `comparison_floor` at
 each non-critical point, and the bracket loop over the critical points.
-Also checked: `determine` computes each slope field and each critical
-mask once.
+`comparison_floor` itself is checked bit for bit against the loop over
+a set of critical points, `testing.reference_comparison_floor`. Also
+checked: `determine` computes each slope field and each critical mask
+once.
 """
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from slopekit.testing import (
     random_connected_graph,
     random_dyadic_constant,
     random_dyadic_field,
+    reference_comparison_floor,
 )
 
 EPSILONS = (0.5, 0.125, 0.03125)
@@ -42,7 +46,7 @@ EPSILONS = (0.5, 0.125, 0.03125)
 
 def scan_strict_comparison(space, f, g, crit):
     """verify_strict_comparison with one comparison_floor call per point."""
-    non_critical = ~crit.mask(space.n)
+    non_critical = ~crit.mask
     sf, sg = slope_field(space, f), slope_field(space, g)
     offending = np.flatnonzero(non_critical & ~(sf.values > sg.values))
     if offending.size:
@@ -71,7 +75,7 @@ def scan_bracket_rows(f, g, crit, c):
     from a loop over the non-critical points."""
     crit_points = sorted(crit.members)
     f_crit = f.values[crit_points]
-    non_crit = [x for x in range(len(f)) if x not in crit]
+    non_crit = [x for x in range(len(f)) if not crit.mask[x]]
     rows = []
     for e in EPSILONS:
         fe = f.values * (1.0 + e)
@@ -129,8 +133,15 @@ def hand_made_sets(rng, space, f):
     extra = set(rng.sample(range(space.n), rng.randint(0, space.n)))
     minimizer = int(np.argmin(f.values))
     missing = set(rng.sample(range(space.n), rng.randint(1, space.n))) - {minimizer}
-    return [derived, CriticalSet(derived.members | extra, 0.0),
-            CriticalSet(frozenset(missing), 0.0), CriticalSet(frozenset(), 0.0)]
+    return [derived, CriticalSet(derived.mask | mask_of(space.n, extra), 0.0),
+            CriticalSet(mask_of(space.n, missing), 0.0),
+            CriticalSet(mask_of(space.n, ()), 0.0)]
+
+
+def mask_of(n, points):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(points)] = True
+    return mask
 
 
 def test_strict_comparison_matches_per_point_scan():
@@ -157,7 +168,7 @@ def test_sublevel_floor_matches_comparison_floor(make):
         space, f = make(rng)
         g = random_dyadic_field(rng, space)
         for crit in hand_made_sets(rng, space, f):
-            ids = np.array(sorted(crit.members), dtype=np.intp)
+            ids = np.flatnonzero(crit.mask)
             floor, found = sublevel_floor(f.values[ids], f.values[ids] - g.values[ids],
                                           f.values)
             for x in range(space.n):
@@ -193,6 +204,58 @@ def test_overflowing_difference_is_a_floor_not_a_warning():
     report = verify_strict_comparison(space, f, g, crit)
     assert report == scan_strict_comparison(space, f, g, crit)
     assert report.violation_point == 1 and report.violation_floor == math.inf
+
+
+EXTREMES = (1e308, -1e308, 8.9e307, -8.9e307, 1e-308, -1e-308, 0.0, -0.0,
+            0.5, -1.25, 3.0)
+
+
+def extreme_case(rng):
+    """A graph of at most 8 points whose values come from EXTREMES, so
+    that f - g overflows to +-inf, or from (0.0, -0.0, 0.5)."""
+    space = random_connected_graph(rng, n_max=8)
+    palette = rng.choice((EXTREMES, (0.0, -0.0, 0.5)))
+    return space, ScalarField(space, np.array([rng.choice(palette)
+                                                for _ in range(space.n)]))
+
+
+def extreme_partner(rng, f):
+    """g from EXTREMES at every point, so that f - g overflows; or g
+    equal to f or a zero of either sign at each point, so that the
+    candidates +0.0 and -0.0 for a zero floor tie now and then."""
+    if rng.random() < 0.5:
+        return ScalarField(f.space, np.array([rng.choice(EXTREMES) for _ in range(f.space.n)]))
+    return ScalarField(f.space, np.array([rng.choice((v, 0.0, -0.0))
+                                          for v in f.values.tolist()]))
+
+
+def same_floor(got, want):
+    if want is NO_CRITICAL_BELOW:
+        return got is NO_CRITICAL_BELOW
+    return type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_comparison_floor_matches_reference_loop():
+    rng = random.Random(4063)
+    seen = set()
+    cases = 0
+    for make in [dyadic_case, non_dyadic_case, rounding_case] * 20 + [extreme_case] * 300:
+        space, f = make(rng)
+        g = (extreme_partner(rng, f) if make is extreme_case
+             else random_dyadic_field(rng, space))
+        for crit in hand_made_sets(rng, space, f):
+            for x in range(space.n):
+                got = comparison_floor(space, f, g, x, crit)
+                want = reference_comparison_floor(f, g, x, crit)
+                assert same_floor(got, want), (x, got, want)
+                cases += 1
+                if want is NO_CRITICAL_BELOW:
+                    seen.add("none below")
+                elif math.isinf(want) or want == 0.0:
+                    seen.add(struct.pack("<d", want))
+    assert cases >= 1000
+    assert seen == {"none below", *(struct.pack("<d", v)
+                                    for v in (math.inf, -math.inf, 0.0, -0.0))}
 
 
 @pytest.mark.parametrize("make", [dyadic_case, non_dyadic_case, rounding_case])

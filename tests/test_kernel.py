@@ -159,7 +159,7 @@ def test_lazy_views_match_the_input_edge_list():
         for x in range(n):
             want = sorted((v if u == x else u, w) for u, v, w in canonical
                           if x in (u, v))
-            assert neighbors(space, x).members == tuple(want)
+            assert neighbors(space, x) == tuple(want)
         assert all(type(a) is int and type(b) is int and type(w) is float
                    for a, b, w in space.edges)
 

@@ -24,7 +24,6 @@ from slopekit import (
     sample_interval,
     scale_field,
     slope_field,
-    sublevel_set,
 )
 from slopekit.cli import main
 from slopekit.errors import (
@@ -200,14 +199,6 @@ def test_descent_path_rejects_step_budget(max_steps):
     with pytest.raises(InvalidCount):
         descent_path(space, f, path_field(space, [0.0] * 3), 0, crit,
                      max_steps=max_steps)
-
-
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_sublevel_set_rejects_non_finite_threshold(alpha):
-    # nan used to return the empty set
-    space = unit_path(3)
-    with pytest.raises(NonFiniteConstant, match="alpha"):
-        sublevel_set(path_field(space, [2.0, 1.0, 0.0]), alpha)
 
 
 @pytest.mark.parametrize("h,lipschitz", [(math.nan, 1.0), (-1.0, 1.0), (math.inf, 1.0),

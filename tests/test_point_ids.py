@@ -1,6 +1,7 @@
-"""Point ids are integers in [0, n): a float, string or bool id, or a
-critical set built by a caller with an id outside the space, raises
-InvalidPoint instead of wrapping around or being dropped."""
+"""Point ids are integers in [0, n): a float, string or bool id raises
+InvalidPoint instead of wrapping around or being dropped, and a
+critical set built by a caller must have one mask entry per point
+(FieldSpaceMismatch)."""
 import numpy as np
 import pytest
 
@@ -8,6 +9,8 @@ from conftest import path_field, unit_path
 from slopekit import (
     CriticalSet,
     comparison_floor,
+    descent_path,
+    descent_step,
     local_slope,
     neighbors,
     reconstruct,
@@ -15,7 +18,7 @@ from slopekit import (
     verify_strict_comparison,
 )
 from slopekit import io as skio
-from slopekit.errors import InvalidPoint, NonFiniteFieldValue
+from slopekit.errors import FieldSpaceMismatch, InvalidPoint, NonFiniteFieldValue
 from slopekit.reconstruct import SlopeData
 
 
@@ -25,27 +28,31 @@ def path3():
     return space, path_field(space, [2.0, 1.0, 0.0]), path_field(space, [0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("members", [{-1}, {3}, {7}, {0, -1}, {2, 3}])
+@pytest.mark.parametrize("members", [[True], [False, False], [False] * 4,
+                                     [False, False, True, True], [True] * 7])
 def test_caller_critical_set_outside_the_space(path3, members):
+    # a short mask used to raise a bare IndexError, a long one to pass
     space, f, g = path3
-    crit = CriticalSet(frozenset(members), 0.0)
-    with pytest.raises(InvalidPoint, match="outside"):
-        crit.mask(space.n)
-    # -1 used to wrap around to point 2 and give the floor 0.0
-    with pytest.raises(InvalidPoint):
-        comparison_floor(space, f, g, 2, crit)
-    with pytest.raises(InvalidPoint):
-        verify_strict_comparison(space, f, g, crit)
-    with pytest.raises(InvalidPoint):
-        skio.render_crit_csv(crit, slope_field(space, f))
+    crit = CriticalSet(np.array(members), 0.0)
+    for call in (lambda: comparison_floor(space, f, g, 2, crit),
+                 lambda: verify_strict_comparison(space, f, g, crit),
+                 lambda: skio.render_crit_csv(crit, slope_field(space, f)),
+                 lambda: descent_step(space, f, g, 0, crit),
+                 lambda: descent_path(space, f, g, 0, crit)):
+        with pytest.raises(FieldSpaceMismatch,
+                           match=f"critical mask has {len(members)} entries, "
+                                 "space has 3 points"):
+            call()
 
 
 def test_caller_critical_set_inside_the_space(path3):
     space, f, g = path3
-    crit = CriticalSet(frozenset({2, 0}), 0.0)
-    assert crit.mask(space.n).tolist() == [True, False, True]
+    crit = CriticalSet(np.array([True, False, True]), 0.0)
+    assert crit.sorted_members() == (0, 2)
     assert comparison_floor(space, f, g, 1, crit) == 0.0
-    assert CriticalSet(frozenset(), 0.0).mask(space.n).tolist() == [False] * 3
+    assert descent_step(space, f, g, 1, crit) == 2
+    assert descent_path(space, f, g, 1, crit).points == (1, 2)
+    assert CriticalSet(np.zeros(3, dtype=bool), 0.0).sorted_members() == ()
 
 
 @pytest.mark.parametrize("x", [1.5, 1.0, np.float64(1.0), "1", True, None])
@@ -63,7 +70,7 @@ def test_integer_point_ids_of_any_int_type(path3):
     space, f, _ = path3
     for x in (1, np.int64(1), np.int32(1), np.uint8(1)):
         space.check_point(x)
-        assert local_slope(space, f, x).value == 1.0
+        assert local_slope(space, f, x) == 1.0
 
 
 def prescription(space, f, crit_values):
