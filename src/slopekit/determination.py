@@ -331,7 +331,8 @@ def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
     """`comparison_principle` on precomputed slope fields sf, sg and
     the ascending ids `crit_ids` of the critical points of f. A `c` of
     None takes the max of g - f over them, which meets the critical
-    bound by construction."""
+    bound by construction. g - f and the margins may overflow to +-inf,
+    on purpose: an inf margin fails the bound, a -inf one meets it."""
     if sf.any_infinite():
         worst = int(np.flatnonzero(sf.infinite)[0])
         raise PreconditionViolated(
@@ -346,16 +347,17 @@ def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
         raise PreconditionViolated(
             "slope_dominance",
             f"slope_g - slope_f = {float(excess[worst])} at point {worst}")
-    diffs = g.values - f.values
-    if c is None:
-        c = float(diffs[crit_ids].max())
-    above = crit_ids[diffs[crit_ids] - c > pre_tol]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = g.values - f.values
+        if c is None:
+            c = float(diffs[crit_ids].max())
+        above = crit_ids[diffs[crit_ids] - c > pre_tol]
+        margins = diffs - c
     if above.size:
         z = int(above[0])
         raise PreconditionViolated(
             "critical_bound",
             f"(g - f)({z}) = {float(diffs[z])} exceeds c = {c}")
-    margins = diffs - c
     worst = int(np.argmax(margins))
     worst_margin = float(margins[worst])
     return ComparisonResult(holds=worst_margin <= tol, constant=c,
@@ -424,10 +426,12 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         dominance_ok = bool(np.all((sg.values < se.values)[~on_crit_e]))
         floor_f, _ = sublevel_floor(fe.values[crit_arr], f.values[crit_arr],
                                     fe.values[non_crit])
-        brackets = fx - floor_f
-        margins = gx - (fx + e * brackets + c)
-        # The first point of largest margin; a -inf margin (from an
-        # overflowing bracket) never counts as the worst.
+        # Brackets and margins may overflow to +-inf (a margin to NaN).
+        with np.errstate(over="ignore", invalid="ignore"):
+            brackets = fx - floor_f
+            margins = gx - (fx + e * brackets + c)
+        # The first point of largest margin; a -inf or NaN margin (from
+        # an overflowing bracket) never counts as the worst.
         ranked = np.flatnonzero(margins > -math.inf)
         if ranked.size:
             k = int(ranked[int(np.argmax(margins[ranked]))])

@@ -223,7 +223,9 @@ def scale_field(f: ScalarField, scale: float) -> ScalarField:
     scale = float(scale)
     if not (math.isfinite(scale) and scale > 0.0):
         raise NonPositiveScale(f"scale must be a finite number > 0, got {scale}")
-    return ScalarField(f.space, f.values * scale)
+    # A product that overflows is a NonFiniteFieldValue, not a warning.
+    with np.errstate(over="ignore"):
+        return ScalarField(f.space, f.values * scale)
 
 
 def delta_slope_profile(space: MetricSpaceGraph, f: ScalarField, x: PointId,

@@ -1,8 +1,9 @@
 """Fields with values near the float range: every public call either
-raises a typed error or returns a result, with no RuntimeWarning, and a
-`determine` report always renders as strict JSON that the report schema
-accepts. A g - f that overflows, or a constant, spread or residual
-derived from it, is DifferenceOverflow (exit 74 from the command line).
+raises a typed error or returns a result, with no RuntimeWarning (the
+suite turns warnings into errors), and a `determine` report always
+renders as strict JSON that the report schema accepts. A g - f that
+overflows, or a constant, spread or residual derived from it, is
+DifferenceOverflow (exit 74 from the command line).
 """
 import json
 import random
@@ -68,24 +69,36 @@ def test_determine_exits_74_on_overflow(f, g, message, tmp_path, capsys):
     assert err == f"slopekit: DifferenceOverflow: {message}\n"
 
 
-def public_calls(space, f, g):
+def public_calls(space, f, g, cap):
     """One call of each public entry point that takes f (and g)."""
-    crit = sk.critical_set(sk.slope_field(space, f))
+    crit = sk.critical_set(sk.slope_field(space, f, cap=cap))
     prescribed = {p: f[p] for p in crit.sorted_members()}
     return {
-        "determine": lambda: sk.determine(space, f, g),
-        "check_hypotheses": lambda: sk.check_hypotheses(space, f, g),
-        "comparison_principle": lambda: sk.comparison_principle(space, f, g, 0.0),
-        "epsilon_audit": lambda: sk.epsilon_audit(space, f, g, (0.5, 0.125)),
+        "determine": lambda: sk.determine(space, f, g, cap=cap),
+        "check_hypotheses": lambda: sk.check_hypotheses(space, f, g, cap=cap),
+        "comparison_principle": lambda: sk.comparison_principle(space, f, g, 0.0, cap=cap),
+        "epsilon_audit": lambda: sk.epsilon_audit(space, f, g, (1.0, 0.5, 0.125), cap=cap),
         "comparison_floor": lambda: [sk.comparison_floor(space, f, g, x, crit)
                                      for x in range(space.n)],
-        "verify_strict_comparison": lambda: sk.verify_strict_comparison(space, f, g, crit),
-        "descent_path": lambda: [sk.descent_path(space, f, g, x, crit)
+        "verify_strict_comparison": lambda: sk.verify_strict_comparison(
+            space, f, g, crit, cap=cap),
+        "descent_path": lambda: [sk.descent_path(space, f, g, x, crit, cap=cap)
                                  for x in range(space.n)],
         "reconstruct": lambda: sk.reconstruct(
-            space, sk.SlopeData(sk.slope_field(space, f), prescribed)),
-        "delta_slope_profile": lambda: sk.delta_slope_profile(space, f, 0, (2.0, 0.5)),
+            space, sk.SlopeData(sk.slope_field(space, f, cap=cap), prescribed)),
+        "delta_slope_profile": lambda: sk.delta_slope_profile(space, f, 0, (2.0, 0.5),
+                                                              cap=cap),
     }
+
+
+def extreme_fields(rng, space):
+    """f from EXTREMES; g from EXTREMES, or a contraction of f plus half
+    of a draw from EXTREMES, whose slope is often dominated by f's."""
+    f = np.array([rng.choice(EXTREMES) for _ in range(space.n)])
+    g = np.array([rng.choice(EXTREMES) for _ in range(space.n)])
+    if rng.random() < 0.5:
+        g = rng.choice((0.0, 0.5)) * f + rng.choice((0.0, 0.5)) * g
+    return sk.ScalarField(space, f), sk.ScalarField(space, g)
 
 
 def test_extreme_values_give_typed_errors_or_valid_reports():
@@ -94,10 +107,10 @@ def test_extreme_values_give_typed_errors_or_valid_reports():
     outcomes = Counter()
     for _ in range(600):
         space = random_connected_graph(rng, n_max=8)
-        f, g = (sk.ScalarField(space, np.array([rng.choice(EXTREMES)
-                                                for _ in range(space.n)]))
-                for _ in range(2))
-        for name, call in public_calls(space, f, g).items():
+        f, g = extreme_fields(rng, space)
+        # at the largest cap few slopes are infinite, so the checks run deeper
+        cap = rng.choice((sk.OVERFLOW_CAP, 1.7e308))
+        for name, call in public_calls(space, f, g, cap).items():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
@@ -109,8 +122,18 @@ def test_extreme_values_give_typed_errors_or_valid_reports():
                     jsonschema.validate(json.loads(skio.render_determination_report(out)),
                                         SCHEMA)
                 outcomes[name, "returned"] += 1
-    # both outcomes of determine are common, and it fails only by overflow
-    assert outcomes["determine", "returned"] > 100
+    # every entry point returns now and then, and determine fails only by overflow
+    assert all(outcomes[name, "returned"] > 20 for name, _ in outcomes)
     assert outcomes["determine", "DifferenceOverflow"] > 100
     assert {kind for name, kind in outcomes if name == "determine"} == {
         "returned", "DifferenceOverflow"}
+
+
+def test_overflowing_difference_is_data_in_the_comparison_checks():
+    # g - f is -2e308 at point 1; the slope of f there, 1e308, is below the cap
+    space = sk.build_graph([(0, 1, 1.0)])
+    f, g = path_field(space, [0.0, 1e308]), path_field(space, [-1e308, -1e308])
+    result = sk.comparison_principle(space, f, g, 0.0, cap=1.7e308)
+    assert result.holds and result.worst_point == 0
+    audit = sk.epsilon_audit(space, f, g, [0.5], cap=1.7e308)
+    assert audit.constant == -1e308 and audit.rows[0].bound_holds
