@@ -223,9 +223,12 @@ def scale_field(f: ScalarField, scale: float) -> ScalarField:
     scale = float(scale)
     if not (math.isfinite(scale) and scale > 0.0):
         raise NonPositiveScale(f"scale must be a finite number > 0, got {scale}")
-    # A product that overflows is a NonFiniteFieldValue, not a warning.
-    with np.errstate(over="ignore"):
-        return ScalarField(f.space, f.values * scale)
+    with np.errstate(over="ignore"):  # the values of f are finite
+        values = f.values * scale
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteFieldValue(f"{scale!r} * f overflows at point {bad[0]}")
+    return ScalarField(f.space, values)
 
 
 def delta_slope_profile(space: MetricSpaceGraph, f: ScalarField, x: PointId,

@@ -20,7 +20,9 @@ u < v, sorted) is built from the arrays on each access.
 
 The raw `MetricSpaceGraph` constructor takes the directed arrays as
 stored and checks none of the layout above; `build_graph` and
-`sample_interval` validate their input and produce it.
+`sample_interval` validate their input by array passes and lay it out
+by one sort, which also finds duplicate edges; only input that fails is
+walked entry by entry, to name its first bad entry.
 
 Spaces are immutable after construction and every query is pure: none
 stores anything on the space, so spaces are safe to share across
@@ -54,6 +56,10 @@ from .errors import (
 )
 
 PointId = int
+
+# At most 3037000499 points, so that the CSR sort keys src * span + dst
+# of the directed edges fit int64.
+_MAX_POINTS = math.isqrt(2**63 - 1)
 
 
 def check_count(value, name: str, least: int | None = None) -> int:
@@ -138,83 +144,59 @@ def _adjacent(space: MetricSpaceGraph, x: PointId) -> tuple[list[int], list[floa
     return space.dst[a:b].tolist(), space.w[a:b].tolist()
 
 
-def _symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-               coordinates) -> MetricSpaceGraph:
-    """The space whose undirected edges are the validated (u, v, w)."""
-    src = np.concatenate((u, v))
-    dst = np.concatenate((v, u))
-    # Keys are unique (no duplicate edges) and src * n + dst < n**2
-    # fits int64 for any n whose indptr fits in memory.
-    order = np.argsort(src * n + dst)
-    return MetricSpaceGraph(n=n, src=src[order], dst=dst[order],
-                            w=np.concatenate((w, w))[order],
-                            coordinates=coordinates)
-
-
 def _edge_columns(items):
-    """Endpoint and length columns of an edge list, converted as
-    int(u), int(v), float(length).
+    """Endpoint and length columns (u, v, w) of an edge list, converted
+    as int(u), int(v), float(length).
 
-    Returns (u, v, w, error): the columns of the longest prefix of
-    entries that convert, and the exception for the first entry that
-    does not (None when all do); an endpoint outside the int64 range
-    does not convert. Lists of (int, int, number) triples, which is
-    what the loaders and generators produce, convert in one array pass;
-    anything else goes entry by entry.
+    The first entry that does not convert raises its error, unless an
+    entry before it is bad; an endpoint outside the int64 range does not
+    convert. Lists of (int, int, number) triples, which is what the
+    loaders and generators produce, convert in one array pass; anything
+    else goes entry by entry.
     """
     try:
         if set(map(len, items)) == {3}:
             u, v, w = (np.array(c) for c in zip(*items))
             if u.dtype.kind == v.dtype.kind == "i" and w.dtype.kind in "if":
                 return (u.astype(np.intp, copy=False), v.astype(np.intp, copy=False),
-                        w.astype(float, copy=False), None)
+                        w.astype(float, copy=False))
     except TypeError:  # an entry without len()
         pass
     u = np.empty(len(items), dtype=np.intp)
     v = np.empty(len(items), dtype=np.intp)
     w = np.empty(len(items))
-    k = 0
-    for item in items:
+    for k, item in enumerate(items):
         try:
             a, b, c = item
         except (TypeError, ValueError):
-            return u[:k], v[:k], w[:k], ValueError(
-                f"edge entries must be (u, v, length), got {item!r}")
+            raise _first_bad_edge(u[:k], v[:k], w[:k]) or ValueError(
+                f"edge entries must be (u, v, length), got {item!r}") from None
         try:
             u[k], v[k], w[k] = int(a), int(b), float(c)
         except (TypeError, ValueError, OverflowError) as exc:
-            return u[:k], v[:k], w[:k], exc
-        k += 1
-    return u, v, w, None
+            raise _first_bad_edge(u[:k], v[:k], w[:k]) or exc from None
+    return u, v, w
 
 
-def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-    """Raise for the first entry, in input order, that is not a valid edge.
-
-    Per entry the checks run in a fixed order: negative endpoint,
-    self-loop, length not finite and > 0 (NaN included), then a
-    duplicate of an earlier entry in either orientation. Duplicates are
-    found by a stable sort on the (min, max) keys, so within a run of
-    equal keys every entry after the first in input order is the
-    duplicate.
+def _first_bad_edge(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Exception | None:
+    """The error for the first entry, in input order, that is not a
+    valid edge, or None. Per entry the checks run in a fixed order:
+    negative endpoint, self-loop, length not finite and > 0 (NaN
+    included), then a duplicate of an earlier entry in either orientation.
     """
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))
-    repeat = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
-    dup = np.zeros(u.size, dtype=bool)
-    dup[order[1:][repeat]] = True
-    bad = np.flatnonzero((lo < 0) | (u == v) | ~((w > 0.0) & (w < math.inf)) | dup)
-    if bad.size == 0:
-        return
-    i = int(bad[0])
-    a, b, length = int(u[i]), int(v[i]), float(w[i])
-    if a < 0 or b < 0:
-        raise DanglingEndpoint(f"negative endpoint in edge ({a}, {b})")
-    if a == b:
-        raise SelfLoopEdge(f"self-loop at point {a}")
-    if not 0.0 < length < math.inf:
-        raise NonPositiveLength(f"edge ({a}, {b}) has length {length}")
-    raise DuplicateEdge(f"edge {(min(a, b), max(a, b))} appears more than once")
+    seen = set()
+    for a, b, length in zip(u.tolist(), v.tolist(), w.tolist()):
+        if a < 0 or b < 0:
+            return DanglingEndpoint(f"negative endpoint in edge ({a}, {b})")
+        if a == b:
+            return SelfLoopEdge(f"self-loop at point {a}")
+        if not 0.0 < length < math.inf:
+            return NonPositiveLength(f"edge ({a}, {b}) has length {length}")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            return DuplicateEdge(f"edge {key} appears more than once")
+        seen.add(key)
+    return None
 
 
 def build_graph(edge_list, n: int | None = None,
@@ -224,39 +206,51 @@ def build_graph(edge_list, n: int | None = None,
     Each (u, v, length) entry is one undirected edge; the symmetric
     closure is implied, and a pair appearing twice (in either
     orientation) is rejected, and every length must be finite and > 0.
-    `n` defaults to 1 + the largest endpoint;
-    pass it explicitly to create isolated points or a single-point space.
-    Entries are checked in input order and the first bad one raises.
+    `n` defaults to 1 + the largest endpoint, and may be at most
+    isqrt(2**63 - 1) (InvalidCount); pass it explicitly to create
+    isolated points or a single-point space. Valid input takes array
+    passes and one sort (`_space_from_columns`); failing input is walked
+    entry by entry, and its first bad entry in input order raises.
     """
     items = edge_list if isinstance(edge_list, (list, tuple)) else list(edge_list)
-    u, v, w, error = _edge_columns(items)
-    if error is not None:
-        _check_edges(u, v, w)
-        raise error
-    return _space_from_columns(u, v, w, n, coordinates)
+    return _space_from_columns(*_edge_columns(items), n, coordinates)
 
 
 def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
                         n: int | None, coordinates) -> MetricSpaceGraph:
-    """The array core of `build_graph`: validate the endpoint (int64)
-    and length (float) columns and build the space, with the same
-    errors for the same entries."""
-    _check_edges(u, v, w)
-    max_endpoint = int(max(u.max(), v.max())) if u.size else -1
-    if n is None:
-        if not u.size:
-            raise EmptyEdgeList("cannot infer the point count from an empty edge list")
-        n = max_endpoint + 1
-    else:
-        n = int(n)
-        if n < 1:
-            raise TooFewPoints(f"a space needs at least one point, got {n}")
-        if max_endpoint >= n:
-            raise DanglingEndpoint(
-                f"edge endpoint {max_endpoint} outside [0, {n})")
-        if not u.size and n > 1:
-            raise EmptyEdgeList(f"no edges given for a {n}-point space")
-    return _symmetric(n, u, v, w, coordinates)
+    """The array core of `build_graph` and `sample_interval`: validate
+    the endpoint (int64) and length (float) columns and build the space.
+
+    The point count is checked first, so that no key wraps and no array
+    of more than `_MAX_POINTS` points is made. A mask flags bad
+    endpoints and lengths, and one argsort of the directed keys
+    src * span + dst (span: the largest endpoint + 1) gives the CSR
+    order, where a duplicate edge is two equal neighbours. Only input
+    that fails is walked by `_first_bad_edge`, to name its first bad entry.
+    """
+    span = int(max(u.max(), v.max())) + 1 if u.size else 0
+    if n is None and not u.size:
+        raise EmptyEdgeList("cannot infer the point count from an empty edge list")
+    n = span if n is None else int(n)
+    problem = None
+    if n < 1:
+        problem = TooFewPoints(f"a space needs at least one point, got {n}")
+    elif span > n:
+        problem = DanglingEndpoint(f"edge endpoint {span - 1} outside [0, {n})")
+    elif not u.size and n > 1:
+        problem = EmptyEdgeList(f"no edges given for a {n}-point space")
+    elif n > _MAX_POINTS:
+        problem = InvalidCount(f"a space has at most {_MAX_POINTS} points, got {n}")
+    bad = (u < 0) | (v < 0) | (u == v) | ~((w > 0.0) & (w < math.inf))
+    if problem is not None or bad.any():
+        raise _first_bad_edge(u, v, w) or problem
+    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    key = src * span + dst
+    order = np.argsort(key)
+    if (np.diff(key[order]) == 0).any():
+        raise _first_bad_edge(u, v, w)
+    return MetricSpaceGraph(n=n, src=src[order], dst=dst[order],
+                            w=np.concatenate((w, w))[order], coordinates=coordinates)
 
 
 def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
@@ -265,7 +259,8 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
     Consecutive samples are joined by edges of length h = (b-a)/(n-1)
     and the sample coordinates are stored on the space. An interval so
     wide that b - a overflows, or so narrow that h underflows to 0, is
-    a DegenerateInterval; an n that is not an integer is an InvalidCount.
+    a DegenerateInterval; an n that is not an integer, or is above
+    isqrt(2**63 - 1) as in `build_graph`, is an InvalidCount.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -273,14 +268,16 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
     n = check_count(n, "n")
     if n < 2:
         raise TooFewPoints(f"need at least 2 sample points, got {n}")
+    if n > _MAX_POINTS:
+        raise InvalidCount(f"a space has at most {_MAX_POINTS} points, got {n}")
     h = (b - a) / (n - 1)
     if not (math.isfinite(h) and h > 0.0):
         raise DegenerateInterval(
             f"spacing (b - a) / (n - 1) is not a finite positive number "
             f"for a={a}, b={b}, n={n}")
     left = np.arange(n - 1)
-    return _symmetric(n, left, left + 1, np.full(n - 1, h),
-                      np.linspace(a, b, n))
+    return _space_from_columns(left, left + 1, np.full(n - 1, h), n,
+                               np.linspace(a, b, n))
 
 
 # `_sweep` relaxes its frontier in array rounds while the frontier holds

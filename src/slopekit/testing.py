@@ -13,7 +13,9 @@ bookkeeping of the operation under test. `reference_slope_field` keeps
 the per-point loop that the edge-array slope kernel replaced,
 `reference_read_columns` reads the CSV grammar line by line, and
 `reference_sweep` computes the shortest-path sweep by label correction,
-in no particular relaxation order, `reference_is_connected` keeps
+in no particular relaxation order, `reference_build_graph` checks an
+edge list entry by entry and lays it out by `sorted()`,
+`reference_is_connected` keeps
 the depth-first search that array label propagation replaced, and
 `reference_extremal_witness` the loop over the critical points that
 picked the witnesses of `determination`, and `reference_comparison_floor`
@@ -23,6 +25,7 @@ tests.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -34,6 +37,15 @@ import numpy as np
 from .critical import NO_CRITICAL_BELOW, CriticalSet, comparison_floor, critical_set
 from .descent import NoStep, descent_path, descent_step
 from .determination import _WITNESS_TIE_WINDOW, VERDICT_EQUAL, determine
+from .errors import (
+    DanglingEndpoint,
+    DuplicateEdge,
+    EmptyEdgeList,
+    InvalidCount,
+    NonPositiveLength,
+    SelfLoopEdge,
+    TooFewPoints,
+)
 from .io import _FLOAT, _INT
 from .reconstruct import Inadmissible, SlopeData, reconstruct
 from .slope import (
@@ -125,6 +137,54 @@ def reference_is_connected(space: MetricSpaceGraph) -> bool:
                 count += 1
                 stack.append(y)
     return count == space.n
+
+
+def reference_build_graph(edge_list, n: int | None = None):
+    """The (src, dst, w, indptr) arrays of `build_graph(edge_list, n)`,
+    or its error, by an entry loop: each entry is converted by int(),
+    int(), float() and checked in input order against a set of the
+    pairs seen so far, and the first bad one raises; then the count
+    checks run, and the directed entries are laid out by sorted()."""
+    lengths = {}
+    for item in edge_list:
+        try:
+            a, b, c = item
+        except (TypeError, ValueError):
+            raise ValueError(f"edge entries must be (u, v, length), got {item!r}") from None
+        a, b, length = int(a), int(b), float(c)
+        if not -2**63 <= min(a, b) <= max(a, b) < 2**63:
+            raise OverflowError("Python int too large to convert to C long")
+        if a < 0 or b < 0:
+            raise DanglingEndpoint(f"negative endpoint in edge ({a}, {b})")
+        if a == b:
+            raise SelfLoopEdge(f"self-loop at point {a}")
+        if not 0.0 < length < math.inf:
+            raise NonPositiveLength(f"edge ({a}, {b}) has length {length}")
+        if (min(a, b), max(a, b)) in lengths:
+            raise DuplicateEdge(f"edge {(min(a, b), max(a, b))} appears more than once")
+        lengths[min(a, b), max(a, b)] = length
+    top = max((b for _, b in lengths), default=-1)
+    if n is None:
+        if not lengths:
+            raise EmptyEdgeList("cannot infer the point count from an empty edge list")
+        n = top + 1
+    elif n < 1:
+        raise TooFewPoints(f"a space needs at least one point, got {n}")
+    elif top >= n:
+        raise DanglingEndpoint(f"edge endpoint {top} outside [0, {n})")
+    elif not lengths and n > 1:
+        raise EmptyEdgeList(f"no edges given for a {n}-point space")
+    if n * n >= 2**63:
+        raise InvalidCount(f"a space has at most {math.isqrt(2**63 - 1)} points, got {n}")
+    directed = sorted([(a, b, w) for (a, b), w in lengths.items()]
+                      + [(b, a, w) for (a, b), w in lengths.items()])
+    counts = [0] * n
+    for a, _, _ in directed:
+        counts[a] += 1
+    return (np.array([a for a, _, _ in directed], dtype=np.intp),
+            np.array([b for _, b, _ in directed], dtype=np.intp),
+            np.array([w for _, _, w in directed], dtype=float),
+            np.array([0, *itertools.accumulate(counts)], dtype=np.intp))
 
 
 def reference_extremal_witness(points, values, slope_values, pick_max: bool):

@@ -279,6 +279,17 @@ def test_coordinates_without_rows_are_an_input_error(fixtures, tmp_path, capsys)
     assert "Traceback" not in err
 
 
+def test_space_beyond_the_key_range_is_an_input_error(fixtures, tmp_path, capsys):
+    # one edge to point 2**32 implies more points than a space may have
+    space = tmp_path / "huge.csv"
+    space.write_text("u,v,length\n0,4294967296,1.0\n")
+    rc = main(["slope", "--space", str(space), "--f", fixtures["f.csv"]])
+    out, err = capsys.readouterr()
+    assert rc == 74 and out == ""
+    assert err == ("slopekit: InvalidCount: a space has at most 3037000499 "
+                   "points, got 4294967297\n")
+
+
 def test_descend_without_dominance_is_an_input_error(fixtures, capsys):
     # g = f + 5 has identical slopes, so the descent precondition fails
     rc = main(["descend", "--space", fixtures["graph.csv"],

@@ -6,10 +6,13 @@ loop) bit for bit, values and infinity mask, on every seeded family
 below, without a RuntimeWarning even where f(x) - f(y) overflows.
 `build_graph` must raise, for the first bad entry in input order, the
 class and message of the per-entry validation loop it replaced; the
-expected pairs below are that loop's output.
+expected pairs below are that loop's output. On seeded edge lists with
+injected faults it must raise what `testing.reference_build_graph`
+raises, or build the same four arrays bit for bit.
 """
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -24,12 +27,15 @@ from slopekit import (
 from slopekit.errors import (
     DanglingEndpoint,
     DuplicateEdge,
+    InvalidCount,
     NonPositiveLength,
     SelfLoopEdge,
 )
+from slopekit.io import load_graph_csv
 from slopekit.testing import (
     random_connected_graph,
     random_dyadic_field,
+    reference_build_graph,
     reference_slope_field,
 )
 
@@ -172,6 +178,8 @@ BAD_ENTRIES = [
     (OK + [(2, -4, 1.0)], None,
      DanglingEndpoint, "negative endpoint in edge (2, -4)"),
     (OK + [(2, 2, 1.0)], None, SelfLoopEdge, "self-loop at point 2"),
+    # a self-loop is named before its length
+    (OK + [(3, 3, -1.0)], None, SelfLoopEdge, "self-loop at point 3"),
     (OK + [(2, 3, math.nan)], None,
      NonPositiveLength, "edge (2, 3) has length nan"),
     (OK + [(2, 3, 0.0)], None,
@@ -199,6 +207,9 @@ BAD_ENTRIES = [
     (OK, 2, DanglingEndpoint, "edge endpoint 2 outside [0, 2)"),
     (OK + [(0, 1, 1.0), (0, 9, 1.0)], 3,
      DuplicateEdge, "edge (0, 1) appears more than once"),
+    # keyed by 2**32 + 1, (2**32, 1) and (1, 0) would wrap to one int64 key
+    ([(0, 1, 1.0), (4294967296, 1, 1.0)], 5,
+     DanglingEndpoint, "edge endpoint 4294967296 outside [0, 5)"),
 ]
 
 
@@ -224,3 +235,102 @@ def test_generator_and_tuple_inputs():
     gen = ((i, i + 1, 1.0) for i in range(4))
     assert build_graph(gen).edges == build_graph(tuple(
         (i, i + 1, 1.0) for i in range(4))).edges
+
+
+TOO_MANY = "a space has at most 3037000499 points, got {}"
+
+
+def test_point_counts_beyond_the_key_range_are_invalid(tmp_path):
+    # Each would ask for an array of n + 1 offsets; none is allocated.
+    with pytest.raises(InvalidCount, match=re.escape(TOO_MANY.format(4294967297))):
+        build_graph([(0, 1, 1.0), (4294967296, 1, 1.0)])
+    with pytest.raises(InvalidCount, match=re.escape(TOO_MANY.format(2**62))):
+        build_graph([(0, 1, 1.0)], n=2**62)
+    with pytest.raises(InvalidCount, match=re.escape(TOO_MANY.format(2**62))):
+        sample_interval(0.0, 1.0, 2**62)
+    path = tmp_path / "space.csv"
+    path.write_text("u,v,length\n0,4294967296,1.0\n")
+    with pytest.raises(InvalidCount, match=re.escape(TOO_MANY.format(4294967297))):
+        load_graph_csv(path)
+    # a bad entry still comes first
+    with pytest.raises(SelfLoopEdge):
+        build_graph([(4294967296, 1, 1.0), (2, 2, 1.0)])
+
+
+def outcome(build):
+    """("ok", the four edge arrays) or (error class, message)."""
+    try:
+        out = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        return "ok", out
+    return "ok", (out.src, out.dst, out.w, out.indptr)
+
+
+FAULTS = ("negative", "self-loop", "length", "duplicate", "unconvertible", "huge")
+
+
+def fault(rng, kind, n, edges):
+    """One bad entry of the given kind for the valid `edges` on n points."""
+    a, b = rng.randrange(n + 1), rng.randrange(n + 1)
+    if kind == "negative":
+        return -rng.randint(1, 3), b, 1.0
+    if kind == "self-loop":
+        return a, a, rng.choice((1.0, 0.0))
+    if kind == "length":
+        return a, a + 1, rng.choice((0.0, -1.0, math.nan, math.inf))
+    if kind == "duplicate" and edges:
+        u, v, _ = rng.choice(edges)
+        return rng.choice(((u, v, 1.0), (v, u, 2.0)))
+    if kind == "unconvertible":
+        return rng.choice(((a, b), (a, b, 1.0, 1), 7, ("x", b, 1.0), (a, b, "abc"),
+                           (a, b, None), (a, 2**64, 1.0), (-2**63 - 1, b, 1.0)))
+    return a, 4294967296, 1.0  # "huge", or a duplicate of nothing
+
+
+def faulty_edge_list(rng):
+    """A seeded edge list on at most 30 points, with 1-2 faults of each
+    of some kinds at random positions (or none at all), and an n to
+    pass: None, at least the point count, at most the largest endpoint,
+    or beyond the key range."""
+    n = rng.randint(1, 30)
+    keys = sorted({(min(a, b), max(a, b)) for a, b in
+                   ((rng.randrange(n), rng.randrange(n)) for _ in range(2 * n))
+                   if a != b})
+    entries = [rng.choice(((a, b), (b, a))) + (rng.choice((0.25, 0.5, 1.0, 2.0, 3)),)
+               for a, b in keys]
+    rng.shuffle(entries)
+    top = max((b for _, b in keys), default=0)
+    if rng.random() < 0.6:
+        edges = list(entries)
+        for kind in rng.sample(FAULTS, rng.randint(1, len(FAULTS))):
+            for _ in range(rng.randint(1, 2)):
+                entries.insert(rng.randint(0, len(entries)),
+                               fault(rng, kind, n, edges))
+    if rng.random() < 0.2:  # float first endpoints: the per-entry conversion
+        entries = [(float(e[0]), *e[1:]) if type(e) is tuple and len(e) == 3
+                   and type(e[0]) is int and abs(e[0]) < 2**53 else e for e in entries]
+    return entries, rng.choice((None, None, n + rng.randint(0, 3), rng.randint(0, top),
+                                2**62))
+
+
+def test_build_matches_the_entry_loop_on_faulty_edge_lists():
+    rng = random.Random(109)
+    tally = {}
+    for _ in range(500):
+        entries, n = faulty_edge_list(rng)
+        want = outcome(lambda: reference_build_graph(entries, n))
+        got = outcome(lambda: build_graph(entries, n=n))
+        assert got[0] is want[0], (entries, n, got, want)
+        if want[0] == "ok":
+            for a, b in zip(got[1], want[1]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            assert got[1] == want[1], (entries, n)
+        kind = want[0] if want[0] == "ok" else want[0].__name__
+        tally[kind] = tally.get(kind, 0) + 1
+    assert tally["ok"] >= 100
+    assert all(tally.get(name, 0) >= 10 for name in (
+        "DanglingEndpoint", "SelfLoopEdge", "NonPositiveLength", "DuplicateEdge",
+        "ValueError", "OverflowError", "InvalidCount"))

@@ -3,7 +3,9 @@ raises a typed error or returns a result, with no RuntimeWarning (the
 suite turns warnings into errors), and a `determine` report always
 renders as strict JSON that the report schema accepts. A g - f that
 overflows, or a constant, spread or residual derived from it, is
-DifferenceOverflow (exit 74 from the command line).
+DifferenceOverflow (exit 74 from the command line). Through the command
+line, every failure on such fields is exit 64 or 74 with one line on
+stderr.
 """
 import json
 import random
@@ -18,7 +20,7 @@ import slopekit as sk
 from conftest import path_field, unit_path
 from slopekit import io as skio
 from slopekit.cli import main
-from slopekit.errors import DifferenceOverflow, SlopeKitError
+from slopekit.errors import DifferenceOverflow, NonFiniteFieldValue, SlopeKitError
 from slopekit.testing import random_connected_graph
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" /
@@ -137,3 +139,60 @@ def test_overflowing_difference_is_data_in_the_comparison_checks():
     assert result.holds and result.worst_point == 0
     audit = sk.epsilon_audit(space, f, g, [0.5], cap=1.7e308)
     assert audit.constant == -1e308 and audit.rows[0].bound_holds
+
+
+def test_overflowing_scale_names_the_product():
+    # every value of f is finite; 2.0 * 1e308 is what overflows
+    space = sk.build_graph([(0, 1, 1.0)])
+    f, g = path_field(space, [0.0, 1e308]), path_field(space, [0.0, 0.0])
+    for call in (lambda: sk.scale_field(f, 2.0),
+                 lambda: sk.epsilon_audit(space, f, g, [1.0], cap=1.7e308)):
+        with pytest.raises(NonFiniteFieldValue) as info:
+            call()
+        assert str(info.value) == "2.0 * f overflows at point 1"
+
+
+# Each subcommand that reads fields, with the files it reads.
+CLI_COMMANDS = {
+    "slope": ["slope", "--space", "{space}", "--f", "{f}"],
+    "crit": ["crit", "--space", "{space}", "--f", "{f}"],
+    "descend": ["descend", "--space", "{space}", "--f", "{f}", "--g", "{g}",
+                "--start", "{start}"],
+    "determine": ["determine", "--space", "{space}", "--f", "{f}", "--g", "{g}"],
+    "reconstruct": ["reconstruct", "--space", "{space}", "--slopes", "{slopes}",
+                    "--crit-values", "{crit}"],
+}
+
+
+def test_extreme_values_through_the_command_line(tmp_path, capsys):
+    rng = random.Random(4112)
+    exits = Counter()
+    for _ in range(100):
+        space = random_connected_graph(rng, n_max=8)
+        f, g = extreme_fields(rng, space)
+        cap = rng.choice((sk.OVERFLOW_CAP, 1.7e308))
+        slopes = sk.slope_field(space, f, cap=cap)
+        texts = {
+            "space": skio.render_graph_csv(space),
+            "f": skio.render_field_csv(f),
+            "g": skio.render_field_csv(g),
+            "slopes": skio.render_slope_csv(slopes),
+            "crit": "point,value\n" + "".join(
+                f"{p},{f[p]!r}\n" for p in sk.critical_set(slopes).sorted_members()),
+        }
+        paths = {"start": rng.randrange(space.n)}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        for name, argv in CLI_COMMANDS.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([a.format(**paths) for a in argv] + ["--cap", repr(cap)])
+            _, err = capsys.readouterr()
+            exits[name, rc] += 1
+            if rc > 3:
+                assert rc in (64, 74), (name, rc, err)
+                assert err.count("\n") == 1 and "Traceback" not in err, (name, err)
+    # every subcommand gives a result now and then
+    assert all(sum(k for (name, rc), k in exits.items() if name == cmd and rc <= 3) > 10
+               for cmd in CLI_COMMANDS)
