@@ -160,9 +160,10 @@ def reference_build_graph(edge_list, n: int | None = None):
             raise SelfLoopEdge(f"self-loop at point {a}")
         if not 0.0 < length < math.inf:
             raise NonPositiveLength(f"edge ({a}, {b}) has length {length}")
-        if (min(a, b), max(a, b)) in lengths:
-            raise DuplicateEdge(f"edge {(min(a, b), max(a, b))} appears more than once")
-        lengths[min(a, b), max(a, b)] = length
+        key = (min(a, b), max(a, b))
+        if key in lengths:
+            raise DuplicateEdge(f"edge {key} appears more than once")
+        lengths[key] = length
     top = max((b for _, b in lengths), default=-1)
     if n is None:
         if not lengths:

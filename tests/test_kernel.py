@@ -178,8 +178,6 @@ BAD_ENTRIES = [
     (OK + [(2, -4, 1.0)], None,
      DanglingEndpoint, "negative endpoint in edge (2, -4)"),
     (OK + [(2, 2, 1.0)], None, SelfLoopEdge, "self-loop at point 2"),
-    # a self-loop is named before its length
-    (OK + [(3, 3, -1.0)], None, SelfLoopEdge, "self-loop at point 3"),
     (OK + [(2, 3, math.nan)], None,
      NonPositiveLength, "edge (2, 3) has length nan"),
     (OK + [(2, 3, 0.0)], None,
@@ -210,6 +208,8 @@ BAD_ENTRIES = [
     # keyed by 2**32 + 1, (2**32, 1) and (1, 0) would wrap to one int64 key
     ([(0, 1, 1.0), (4294967296, 1, 1.0)], 5,
      DanglingEndpoint, "edge endpoint 4294967296 outside [0, 5)"),
+    # a self-loop is named before its length
+    (OK + [(3, 3, -1.0)], None, SelfLoopEdge, "self-loop at point 3"),
 ]
 
 
