@@ -37,7 +37,7 @@ class CriticalSet:
     as a read-only 1-D boolean mask over the points.
 
     The constructor copies `mask`; anything but a 1-D boolean array
-    raises FieldSpaceMismatch.
+    raises FieldSpaceMismatch, and a bad `tol` NegativeTolerance.
     """
 
     mask: np.ndarray
@@ -52,6 +52,7 @@ class CriticalSet:
         mask = mask.copy()
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "tol", check_tol(self.tol))
 
     @property
     def members(self) -> frozenset[int]:

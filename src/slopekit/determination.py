@@ -7,21 +7,22 @@ Two fields on the same space are compared through three hypotheses:
   (3) diff_constant_on_crit: g - f is constant (within tol_crit) on the
       critical set of f.
 
-When all three hold, g must equal f plus that constant; `determine`
-certifies this by applying the one-sided comparison principle in both
-directions and re-checking the residual max |g - f - c| directly. The
-constant c is estimated as the mean of g - f over the critical set and
-validated by its spread, since callers typically need c discovered
-rather than supplied.
+When all three hold, g must equal f plus that constant. The paper
+proves it by the one-sided comparison principle applied both ways;
+`determine` reads both directions from the residual resid = g - f - c
+of its checks: the critical bounds, resid <= tol_slope on the critical
+set of f and >= -tol_slope on that of g, then max |resid| <=
+tol_residual. The constant c is estimated as the mean of g - f over the
+critical set and validated by its spread, since callers typically need
+c discovered rather than supplied.
 
 Each critical set is one boolean mask over the points (`critical_mask`);
 the critical points, `only_in_f`/`only_in_g`, g - f on the critical set
 and its witnesses are array selections on it. One private `_compare`
 checks the comparison principle's hypotheses (finite slope of f, slope
 dominance, the critical bound) on slope fields and critical ids the
-caller holds; `determine` runs it both ways on the fields and masks of
-its hypothesis checks, so it computes each of them once. Each public
-entry point validates its knobs once.
+caller holds, for `comparison_principle` and `epsilon_audit`. Each
+public entry point validates its knobs once.
 
 The outcomes of `determine` are verdicts. It raises typed errors only
 for malformed inputs, and DifferenceOverflow from `_diagnose` when g - f,
@@ -326,8 +327,8 @@ def check_hypotheses(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
 
 def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
-             f: ScalarField, g: ScalarField, c: float | None, tol: float,
-             pre_tol: float) -> ComparisonResult:
+             f: ScalarField, g: ScalarField, c: float | None,
+             tol: float) -> ComparisonResult:
     """`comparison_principle` on precomputed slope fields sf, sg and
     the ascending ids `crit_ids` of the critical points of f. A `c` of
     None takes the max of g - f over them, which meets the critical
@@ -343,7 +344,7 @@ def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
             "slope_dominance", f"slope of g overflows at point {worst}")
     excess = sg.values - sf.values
     worst = int(np.argmax(excess))
-    if excess[worst] > pre_tol:
+    if excess[worst] > tol:
         raise PreconditionViolated(
             "slope_dominance",
             f"slope_g - slope_f = {float(excess[worst])} at point {worst}")
@@ -351,7 +352,7 @@ def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
         diffs = g.values - f.values
         if c is None:
             c = float(diffs[crit_ids].max())
-        above = crit_ids[diffs[crit_ids] - c > pre_tol]
+        above = crit_ids[diffs[crit_ids] - c > tol]
         margins = diffs - c
     if above.size:
         z = int(above[0])
@@ -366,27 +367,26 @@ def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
 
 def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
                          g: ScalarField, c: float, tol: float = 1e-9,
-                         crit_tol: float = 0.0, pre_tol: float | None = None,
+                         crit_tol: float = 0.0,
                          cap: float = OVERFLOW_CAP) -> ComparisonResult:
     """One-sided comparison: from slope dominance and a critical bound,
     conclude g <= f + c everywhere (within tol). `c` must be finite.
 
-    Preconditions, checked here with `pre_tol` (default: tol):
-    the slope of f is finite everywhere, the slope of g is pointwise
-    <= the slope of f, and g - f <= c on the critical set of f (taken
-    at `crit_tol`). Violations raise PreconditionViolated naming the
-    failed hypothesis; the conclusion itself is returned as data with
-    its worst witness.
+    Preconditions, checked here within the same tol: the slope of f is
+    finite everywhere, the slope of g is pointwise <= the slope of f,
+    and g - f <= c on the critical set of f (taken at `crit_tol`).
+    Violations raise PreconditionViolated naming the failed hypothesis;
+    the conclusion is returned as data with its worst witness.
+    `determine` reads both directions of it from its residual g - f - c.
     """
     require_bound(space, f)
     require_bound(space, g)
     c = check_constant(c)
     tol = check_tol(tol)
-    pre_tol = tol if pre_tol is None else check_tol(pre_tol, "pre_tol")
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
     crit_ids = np.flatnonzero(critical_mask(sf, crit_tol))
-    return _compare(sf, sg, crit_ids, f, g, c, tol, pre_tol)
+    return _compare(sf, sg, crit_ids, f, g, c, tol)
 
 
 def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -414,7 +414,7 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     sg = slope_field(space, g, cap=cap)
     on_crit = critical_mask(sf, crit_tol)
     crit_arr, non_crit = np.flatnonzero(on_crit), np.flatnonzero(~on_crit)
-    c = _compare(sf, sg, crit_arr, f, g, c, tol, tol).constant
+    c = _compare(sf, sg, crit_arr, f, g, c, tol).constant
     fx, gx = f.values[non_crit], g.values[non_crit]
 
     rows = []
@@ -458,12 +458,13 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
               cap: float = OVERFLOW_CAP) -> DeterminationReport:
     """Full two-sided verdict: is g equal to f plus a constant?
 
-    Runs the hypothesis checks; if all pass, applies the comparison
-    principle in both directions with the estimated constant and then
-    independently re-checks the residual max |g - f - c|. Hypothesis
-    failures become HypothesisViolated verdicts with witnesses; a
-    residual above tolerance with passing hypotheses is Inconclusive.
-    A difference that overflows raises DifferenceOverflow (`_diagnose`).
+    Runs the hypothesis checks; if all pass, reads the comparison
+    principle in both directions from their residual g - f - c: its
+    critical bounds within tol_slope, then max |g - f - c| <= tol_residual.
+    Hypothesis failures become HypothesisViolated verdicts with
+    witnesses; a failed bound or a residual above tolerance with passing
+    hypotheses is Inconclusive. A difference that overflows raises
+    DifferenceOverflow (`_diagnose`).
     """
     tol_slope = check_tol(tol_slope, "tol_slope")
     tol_crit = check_tol(tol_crit, "tol_crit")
@@ -477,13 +478,12 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         "tol_residual": tol_residual,
         "overflow_cap": cap,
     }
-    diag, sf, sg, in_f, in_g, resid = _diagnose(space, f, g, tol_slope,
-                                                tol_crit, cap)
+    diag, sf, _, in_f, in_g, resid = _diagnose(space, f, g, tol_slope,
+                                               tol_crit, cap)
     dc = diag.diff_constant_on_crit
     violated = diag.failed_hypotheses()
     residual = None
     if dc is not None:
-        c = dc.constant
         abs_resid = np.abs(resid)
         worst = int(np.argmax(abs_resid))
         residual = float(abs_resid[worst])
@@ -496,20 +496,15 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     else:
         witnesses = [Witness(point=worst, kind="residual",
                              value=float(resid[worst]))]
-        try:
-            forward = _compare(sf, sg, np.flatnonzero(in_f), f, g, c,
-                               tol_residual, tol_slope)
-            backward = _compare(sg, sf, np.flatnonzero(in_g), g, f, -c,
-                                tol_residual, tol_slope)
-            certified = forward.holds and backward.holds
-        except PreconditionViolated as exc:
-            # Possible only at tolerance boundaries (e.g. the critical set
-            # of g picks up a point the constancy check never saw).
-            certified = False
-            witnesses.append(Witness(point=-1, kind=f"precondition:{exc.which}"))
-        kind = VERDICT_EQUAL if certified and residual <= tol_residual \
+        # Possible only at tolerance boundaries: with tol_crit > tol_slope,
+        # or at a point critical for g alone.
+        bounded = not ((resid[in_f] > tol_slope).any()
+                       or (resid[in_g] < -tol_slope).any())
+        if not bounded:
+            witnesses.append(Witness(point=-1, kind="precondition:critical_bound"))
+        kind = VERDICT_EQUAL if bounded and residual <= tol_residual \
             else VERDICT_INCONCLUSIVE
-        verdict = Verdict(kind=kind, constant=c)
+        verdict = Verdict(kind=kind, constant=dc.constant)
     return DeterminationReport(
         verdict=verdict, diagnostics=diag, residual=residual,
         witnesses=tuple(witnesses), tolerances=tolerances,

@@ -63,9 +63,9 @@ class Inadmissible:
 
 
 def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
-    """The prescription as {int point: float value}, in array passes:
-    every key an integer point (else `check_point` on each), then every
-    value finite."""
+    """The prescription as its points (intp) and values (float), in
+    array passes: every key an integer point (else `check_point` on
+    each), then every value finite."""
     require_bound(space, data.slopes)
     if data.slopes.any_infinite():
         bad = int(np.flatnonzero(data.slopes.infinite)[0])
@@ -75,7 +75,7 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
     if points.dtype.kind not in "iu" or ((points < 0) | (points >= space.n)).any():
         for p in keys:
             space.check_point(p)
-        points = points.astype(np.intp)
+    points = points.astype(np.intp, copy=False)
     values = np.array(list(data.crit_values.values()), dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -91,7 +91,7 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
     if not keys:
         raise EmptyCriticalSet(
             f"no prescribed value and no slope <= {tol}: the sweep has no seed")
-    return dict(zip(points.tolist(), values.tolist()))
+    return points, values
 
 
 def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
@@ -110,11 +110,11 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
     candidate value overflows is a NonFiniteFieldValue.
     """
     tol = check_tol(tol)
-    prescribed = _validate(space, data, tol)
+    points, values = _validate(space, data, tol)
     speeds = data.slopes.values
     with np.errstate(over="ignore"):
         inc = speeds[space.dst] * space.w
-    v = _sweep(space, inc, prescribed)
+    v = _sweep(space, inc, points, values)
     swept_at = np.isfinite(v)
     if not swept_at.all():
         # An unswept point next to a swept one had only candidates that

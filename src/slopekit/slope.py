@@ -108,6 +108,7 @@ class ScalarField:
         self.values = vals
 
     def __getitem__(self, x: PointId) -> float:
+        self.space.check_point(x)
         return float(self.values[x])
 
     def __len__(self) -> int:
@@ -149,6 +150,7 @@ class SlopeField:
 
     def __getitem__(self, x: PointId) -> float:
         """The slope at x, math.inf where it is flagged infinite."""
+        self.space.check_point(x)
         return float(self.values[x])
 
     def __len__(self) -> int:

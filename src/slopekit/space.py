@@ -102,8 +102,8 @@ class MetricSpaceGraph:
         self.src = _frozen(self.src, np.intp)
         self.dst = _frozen(self.dst, np.intp)
         self.w = _frozen(self.w, float)
-        self.indptr = _frozen(
-            np.searchsorted(self.src, np.arange(self.n + 1)), np.intp)
+        self.indptr = _frozen(np.concatenate(
+            ([0], np.cumsum(np.bincount(self.src, minlength=self.n)))), np.intp)
         if self.coordinates is not None:
             coords = np.array(self.coordinates, dtype=float)
             if coords.shape[0] != self.n:
@@ -285,11 +285,11 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
 _WIDE = 256
 
 
-def _sweep(space: MetricSpaceGraph, inc: np.ndarray,
-           seeds: dict[int, float]) -> np.ndarray:
-    """Least path sums from the seeds.
+def _sweep(space: MetricSpaceGraph, inc: np.ndarray, seeds: np.ndarray,
+           values: np.ndarray) -> np.ndarray:
+    """Least path sums from the distinct points `seeds` (intp).
 
-    Seeds keep their values; every other point x gets the least
+    Seeds keep their `values`; every other point x gets the least
     v(y) + inc[k] over its in-edges k = (y, x), for increments inc >= 0
     indexed like the directed edge arrays; unreached points stay inf.
 
@@ -306,12 +306,12 @@ def _sweep(space: MetricSpaceGraph, inc: np.ndarray,
     point that would still lower it raises InvariantViolated.
     """
     v = np.full(space.n, math.inf)
-    frontier = np.fromiter(seeds, dtype=np.intp, count=len(seeds))
-    v[frontier] = np.fromiter(seeds.values(), dtype=float, count=len(seeds))
+    v[seeds] = values
     seeded = np.zeros(space.n, dtype=bool)
-    seeded[frontier] = True
+    seeded[seeds] = True
     # An edge into a seed steps by inf, so it lowers nothing.
     step = np.where(seeded[space.dst], math.inf, inc)
+    frontier = seeds
     with np.errstate(over="ignore"):
         while frontier.size >= _WIDE:
             starts = space.indptr[frontier]
@@ -362,7 +362,7 @@ def distances_from(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
     path sum exceeds the float range.
     """
     space.check_point(x)
-    return _sweep(space, space.w, {x: 0.0})
+    return _sweep(space, space.w, np.array([x], dtype=np.intp), np.zeros(1))
 
 
 def metric_distances(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
@@ -431,4 +431,5 @@ def is_connected(space: MetricSpaceGraph) -> bool:
         if total == last:
             return False
     return not total or bool(np.isfinite(
-        _sweep(space, np.zeros(space.dst.size), {0: 0.0})).all())
+        _sweep(space, np.zeros(space.dst.size), np.zeros(1, dtype=np.intp),
+               np.zeros(1))).all())

@@ -20,8 +20,9 @@ the depth-first search that array label propagation replaced, and
 `reference_extremal_witness` the loop over the critical points that
 picked the witnesses of `determination`, and `reference_comparison_floor`
 the loop over a set of critical points that `comparison_floor` ran
-before critical sets became masks, as the oracles of the differential
-tests.
+before critical sets became masks, and `reference_determine_certificate`
+the two comparison principles that certified `determine` before it read
+its verdict from the residual, as the oracles of the differential tests.
 """
 from __future__ import annotations
 
@@ -36,13 +37,26 @@ import numpy as np
 
 from .critical import NO_CRITICAL_BELOW, CriticalSet, comparison_floor, critical_set
 from .descent import NoStep, descent_path, descent_step
-from .determination import _WITNESS_TIE_WINDOW, VERDICT_EQUAL, determine
+from .determination import (
+    _WITNESS_TIE_WINDOW,
+    VERDICT_EQUAL,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_VIOLATED,
+    DeterminationReport,
+    Verdict,
+    Witness,
+    _compare,
+    _diagnose,
+    _violation_witnesses,
+    determine,
+)
 from .errors import (
     DanglingEndpoint,
     DuplicateEdge,
     EmptyEdgeList,
     InvalidCount,
     NonPositiveLength,
+    PreconditionViolated,
     SelfLoopEdge,
     TooFewPoints,
 )
@@ -221,6 +235,52 @@ def reference_comparison_floor(f: ScalarField, g: ScalarField, x: int,
                 if best is None or val < best:
                     best = val
     return NO_CRITICAL_BELOW if best is None else best
+
+
+def reference_determine_certificate(space: MetricSpaceGraph, f: ScalarField,
+                                    g: ScalarField, tol_slope: float = 1e-9,
+                                    tol_crit: float = 1e-9,
+                                    tol_residual: float | None = None,
+                                    cap: float = OVERFLOW_CAP) -> DeterminationReport:
+    """The report of `determine` (valid knobs only) with the certificate
+    it read from the residual taken instead from the two comparison
+    principles: `_compare` forward on the critical set of f and backward
+    on that of g, hypotheses within tol_slope and each conclusion, its
+    worst margin, within tol_residual. A failed hypothesis is the witness
+    `precondition:<hypothesis>` and an Inconclusive verdict."""
+    if tol_residual is None:
+        tol_residual = 1e-9 + tol_crit
+    tolerances = {"tol_slope": tol_slope, "tol_crit": tol_crit,
+                  "tol_residual": tol_residual, "overflow_cap": cap}
+    diag, sf, sg, in_f, in_g, resid = _diagnose(space, f, g, tol_slope,
+                                                tol_crit, cap)
+    dc = diag.diff_constant_on_crit
+    violated = diag.failed_hypotheses()
+    residual = None if dc is None else float(np.abs(resid).max())
+    if dc is None or violated:
+        verdict = Verdict(kind=VERDICT_VIOLATED,
+                          violated=violated or ("slopes_finite",))
+        witnesses = _violation_witnesses(diag)
+    else:
+        worst = int(np.argmax(np.abs(resid)))
+        witnesses = [Witness(point=worst, kind="residual",
+                             value=float(resid[worst]))]
+        try:
+            forward = _compare(sf, sg, np.flatnonzero(in_f), f, g,
+                               dc.constant, tol_slope)
+            backward = _compare(sg, sf, np.flatnonzero(in_g), g, f,
+                                -dc.constant, tol_slope)
+            certified = max(forward.worst_margin,
+                            backward.worst_margin) <= tol_residual
+        except PreconditionViolated as exc:
+            certified = False
+            witnesses.append(Witness(point=-1, kind=f"precondition:{exc.which}"))
+        verdict = Verdict(kind=VERDICT_EQUAL if certified and residual <= tol_residual
+                          else VERDICT_INCONCLUSIVE, constant=dc.constant)
+    return DeterminationReport(
+        verdict=verdict, diagnostics=diag, residual=residual,
+        witnesses=tuple(witnesses), tolerances=tolerances,
+        slope_provenance=sf.provenance)
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 50,

@@ -9,7 +9,9 @@ witnesses (`reference_extremal_witness`, the loop the selection
 replaced). Some cases place values of g - f inside the witness tie
 window, so the slope-then-id tie rule is exercised. The masks of
 `epsilon_audit` and of the backward comparison in `determine` are
-checked the same way.
+checked the same way, and the certificate that `determine` reads from
+its residual against the two comparison principles it replaced
+(`reference_determine_certificate`).
 """
 import math
 import random
@@ -20,10 +22,13 @@ import pytest
 from slopekit import ScalarField, build_graph, check_hypotheses, determine, epsilon_audit
 from slopekit.determination import _extremal_witness
 from slopekit.errors import EmptyCriticalSet
+from slopekit.io import render_determination_report
+from slopekit.space import distances_from
 from slopekit.testing import (
     random_connected_graph,
     random_dyadic_constant,
     random_dyadic_field,
+    reference_determine_certificate,
     reference_extremal_witness,
     reference_slope_field,
 )
@@ -168,3 +173,45 @@ def test_epsilon_audit_flags_match_per_point_recomputation():
             assert (row.crit_preserved, row.dominance_ok) == (crit_e == crit, dominance)
             outcomes.add((row.crit_preserved, row.dominance_ok))
     assert {(True, True), (False, True)} <= outcomes
+
+
+PERTURBATIONS = (1e-12, 1e-9, 1e-6, 1e-3, 0.25)
+CERT_TOLS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.3)
+
+
+def test_certificate_matches_the_two_comparison_principles():
+    """The rendered report and exit code of `determine` against the
+    oracle's, on g = f + c + a perturbation of size d. A third of the
+    cases perturb random points; the rest tilt g by d times the distance
+    from one point, which moves every slope by at most d, so with
+    tol_slope a little above d the slope hypotheses pass while g - f - c
+    spreads over the critical sets and the critical bounds and the
+    residual test decide."""
+    rng = random.Random(10079)
+    kinds = {"EqualUpToConstant": 0, "HypothesisViolated": 0, "Inconclusive": 0}
+    bounds = 0
+    for k in range(2400):
+        space = random_connected_graph(rng, n_max=30)
+        f = random_dyadic_field(rng, space)
+        d = rng.choice(PERTURBATIONS)
+        if k % 3:
+            delta = d * rng.choice((-1, 1)) * distances_from(
+                space, rng.randrange(space.n))
+            tols = dict(tol_slope=d * rng.choice((1.5, 3)),
+                        tol_crit=rng.choice((1e-9, 0.3, 8 * d, 32 * d, 128 * d)),
+                        tol_residual=rng.choice((None, 0.0, d, 8 * d, 0.3)))
+        else:
+            p = rng.choice((0.1, 0.5, 1.0))
+            delta = np.array([d * rng.choice((-1, 1)) if rng.random() < p else 0.0
+                              for _ in range(space.n)])
+            tols = dict(tol_slope=rng.choice(CERT_TOLS), tol_crit=rng.choice(CERT_TOLS),
+                        tol_residual=rng.choice((None,) + CERT_TOLS))
+        g = ScalarField(space, f.values + random_dyadic_constant(rng) + delta)
+        got = determine(space, f, g, **tols)
+        want = reference_determine_certificate(space, f, g, **tols)
+        assert (render_determination_report(got), got.exit_code) == \
+            (render_determination_report(want), want.exit_code), (k, tols)
+        kinds[got.verdict.kind] += 1
+        bounds += any(w.kind == "precondition:critical_bound" for w in got.witnesses)
+    assert min(kinds.values()) >= 300 and kinds["Inconclusive"] >= 500
+    assert bounds >= 50

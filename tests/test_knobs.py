@@ -9,6 +9,7 @@ import pytest
 
 from conftest import path_field, unit_path
 from slopekit import (
+    CriticalSet,
     SlopeField,
     cantor_approx,
     cantor_pair,
@@ -84,6 +85,13 @@ def test_critical_set_rejects_nan_tol(steep_path):
     space, f = steep_path
     with pytest.raises(NegativeTolerance):
         critical_set(slope_field(space, f), tol=math.nan)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+def test_caller_critical_set_rejects_tol(tol):
+    # it was stored as given, and `render_crit_csv` printed `# tol=nan`
+    with pytest.raises(NegativeTolerance, match="tol must be"):
+        CriticalSet(np.array([True, False]), tol)
 
 
 def test_determine_rejects_nan_tol_crit(steep_path):

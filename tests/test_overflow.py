@@ -5,7 +5,8 @@ renders as strict JSON that the report schema accepts. A g - f that
 overflows, or a constant, spread or residual derived from it, is
 DifferenceOverflow (exit 74 from the command line). Through the command
 line, every failure on such fields is exit 64 or 74 with one line on
-stderr.
+stderr, and `gallery` runs at caps from the least subnormal to the
+largest float.
 """
 import json
 import random
@@ -196,3 +197,28 @@ def test_extreme_values_through_the_command_line(tmp_path, capsys):
     # every subcommand gives a result now and then
     assert all(sum(k for (name, rc), k in exits.items() if name == cmd and rc <= 3) > 10
                for cmd in CLI_COMMANDS)
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
+def test_gallery_at_extreme_caps(capsys, figure):
+    """`gallery` at the least subnormal cap, a tiny normal one and the
+    largest float: exit 0, a header and 7 rows, no warning, and a
+    discrete slope that is `inf` exactly where it exceeds the cap."""
+    tables = {}
+    for cap in ("1.7976931348623157e308", "1e-300", "5e-324"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["gallery", figure, "--n", "7", "--cap", cap])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "t,f,g,slope_f_analytic,slope_f_discrete" and len(lines) == 8
+        tables[float(cap)] = [line.split(",") for line in lines[1:]]
+    uncapped = tables.pop(1.7976931348623157e308)
+    assert all(row[4] != "inf" for row in uncapped)
+    for cap, rows in tables.items():
+        for row, free in zip(rows, uncapped):
+            assert row[:4] == free[:4]
+            assert row[4] == ("inf" if float(free[4]) > cap else free[4])
+    # a subnormal cap is exceeded by every slope that is not 0
+    assert any(row[4] == "inf" for row in tables[5e-324])

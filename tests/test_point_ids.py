@@ -1,5 +1,6 @@
 """Point ids are integers in [0, n): a float, string or bool id raises
-InvalidPoint instead of wrapping around or being dropped, and a
+InvalidPoint instead of wrapping around or being dropped, also when it
+indexes a field, and a
 critical set built by a caller must have one mask entry per point
 (FieldSpaceMismatch)."""
 import numpy as np
@@ -66,11 +67,23 @@ def test_non_integer_point_ids(path3, x):
         neighbors(space, x)
 
 
+@pytest.mark.parametrize("x,match", [(-1, "outside"), (3, "outside"),
+                                     (True, "not an integer"), (1.0, "not an integer")])
+def test_field_indexing_takes_point_ids_only(path3, x, match):
+    # f[-1] used to give the last point, f[3] numpy's IndexError and
+    # f[True] a TypeError
+    space, f, _ = path3
+    for fld in (f, slope_field(space, f)):
+        with pytest.raises(InvalidPoint, match=match):
+            fld[x]
+
+
 def test_integer_point_ids_of_any_int_type(path3):
     space, f, _ = path3
     for x in (1, np.int64(1), np.int32(1), np.uint8(1)):
         space.check_point(x)
         assert local_slope(space, f, x) == 1.0
+        assert (f[x], slope_field(space, f)[x]) == (1.0, 1.0)
 
 
 def prescription(space, f, crit_values):
