@@ -104,7 +104,6 @@ def critical_mask(slopes: SlopeField, tol: float = 0.0) -> np.ndarray:
 
 def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
     """The points of `critical_mask` as a CriticalSet."""
-    tol = check_tol(tol)
     return CriticalSet(critical_mask(slopes, tol), tol)
 
 
