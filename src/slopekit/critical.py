@@ -57,11 +57,11 @@ class CriticalSet:
     @property
     def members(self) -> frozenset[int]:
         """The critical points as a set (a view derived from the mask)."""
-        return frozenset(np.flatnonzero(self.mask).tolist())
+        return frozenset(self.mask.nonzero()[0].tolist())
 
     def sorted_members(self) -> tuple[int, ...]:
         """The critical points in increasing order."""
-        return tuple(np.flatnonzero(self.mask).tolist())
+        return tuple(self.mask.nonzero()[0].tolist())
 
 
 def require_covers(space: MetricSpaceGraph, crit: CriticalSet) -> np.ndarray:
@@ -120,7 +120,7 @@ def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     require_bound(space, f)
     require_bound(space, g)
     space.check_point(x)
-    ids = np.flatnonzero(require_covers(space, crit))
+    ids = require_covers(space, crit).nonzero()[0]
     fx = float(f.values[x])
     pairs = zip(f.values[ids].tolist(), g.values[ids].tolist())
     best = min((fz - gz for fz, gz in pairs if fz <= fx), default=None)

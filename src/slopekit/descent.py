@@ -12,6 +12,12 @@ point can repeat. This module makes the step and the path executable,
 with a deterministic selection rule, and provides a checker for the
 strict comparison inequality (f - g)(x) > comparison_floor(x) that the
 paths certify.
+
+A step reads x's CSR slice once, as lists of Python floats, and takes
+its quotients in Python: float subtraction and division round as
+np.float64 does and overflow to +-inf without a warning, so no
+`np.errstate` is needed and the results are those of the np.float64
+loop it replaced (`testing.reference_descent_step`), bit for bit.
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ from .slope import (
     require_bound,
     slope_field,
 )
-from .space import MetricSpaceGraph, PointId, _adjacent, check_count
+from .space import MetricSpaceGraph, PointId, check_count
 
 
 @dataclass(frozen=True)
@@ -109,31 +115,34 @@ def _step(space: MetricSpaceGraph, fv: np.ndarray, gv: np.ndarray, x: int,
           cap: float):
     """`descent_step` from the non-critical point x, for checked inputs.
 
-    Both slopes and the step come from one read of x's adjacent points,
-    with the float operations of `local_slope`.
+    Both slopes and the step come from one read of x's CSR slice, as
+    lists of Python floats: their subtraction and division round as
+    np.float64 does and overflow to +-inf without a warning, so the
+    slopes are bitwise those of `local_slope`.
     """
-    fx, gx = fv[x], gv[x]
+    a, b = space.indptr[x], space.indptr[x + 1]
+    nbrs = space.dst[a:b]
+    fx, gx = float(fv[x]), float(gv[x])
+    diff_x = fx - gx
     slope_f = slope_g = 0.0
     best: int | None = None
     best_q = -1.0
-    with np.errstate(over="ignore"):
-        diff_x = fx - gx
-        for z, d in zip(*_adjacent(space, x)):
-            fz, gz = fv[z], gv[z]
-            drop = fx - fz
-            if drop > 0.0:
-                q = drop / d
-                if q > slope_f:
-                    slope_f = q
-                if diff_x > fz - gz and (
-                        q > best_q or (q == best_q and z < best)):
-                    best = z
-                    best_q = q
-            drop = gx - gz
-            if drop > 0.0:
-                q = drop / d
-                if q > slope_g:
-                    slope_g = q
+    for z, d, fz, gz in zip(nbrs.tolist(), space.w[a:b].tolist(),
+                            fv[nbrs].tolist(), gv[nbrs].tolist()):
+        drop = fx - fz
+        if drop > 0.0:
+            q = drop / d
+            if q > slope_f:
+                slope_f = q
+            if diff_x > fz - gz and (
+                    q > best_q or (q == best_q and z < best)):
+                best = z
+                best_q = q
+        drop = gx - gz
+        if drop > 0.0:
+            q = drop / d
+            if q > slope_g:
+                slope_g = q
     if slope_f > cap:
         slope_f = math.inf
     if slope_g > cap:
@@ -205,17 +214,17 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
     non_critical = ~require_covers(space, crit)
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
-    offending = np.flatnonzero(non_critical & ~(sf.values > sg.values))
+    offending = (non_critical & ~(sf.values > sg.values)).nonzero()[0]
     if offending.size:
         return StrictComparisonReport(
             dominance_ok=False, dominance_witness=int(offending[0]),
             checked=0, comparison_holds=None,
             violation_point=None, violation_floor=None)
-    xs, ids = np.flatnonzero(non_critical), np.flatnonzero(~non_critical)
+    xs, ids = non_critical.nonzero()[0], (~non_critical).nonzero()[0]
     with np.errstate(over="ignore"):
         floor, found = sublevel_floor(
             f.values[ids], f.values[ids] - g.values[ids], f.values[xs])
-        bad = np.flatnonzero(~(f.values[xs] - g.values[xs] > floor))
+        bad = (~(f.values[xs] - g.values[xs] > floor)).nonzero()[0]
     if bad.size:
         k = int(bad[0])
         return StrictComparisonReport(

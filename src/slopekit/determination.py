@@ -24,6 +24,13 @@ dominance, the critical bound) on slope fields and critical ids the
 caller holds, for `comparison_principle` and `epsilon_audit`. Each
 public entry point validates its knobs once.
 
+`epsilon_audit` inflates f by every epsilon in one 2-D pass: row r is
+(1 + eps[r]) * f, one edge pass over all rows gives their slopes and
+one mask per row their critical sets, with the elementwise float
+operations of the per-epsilon loop it replaced
+(`testing.reference_epsilon_audit`); only the sublevel floors and the
+worst margins are taken row by row.
+
 The outcomes of `determine` are verdicts. It raises typed errors only
 for malformed inputs, and DifferenceOverflow from `_diagnose` when g - f,
 its mean or spread on the critical set, or the residual overflows the
@@ -208,7 +215,7 @@ def _extremal_witness(ids: np.ndarray, values: np.ndarray,
     """The witness among the ascending points `ids` for the first extreme
     of `values`: values tied with it within the window are resolved
     toward the smallest slope, then the smallest point id."""
-    target = float(values[np.argmax(values) if pick_max else np.argmin(values)])
+    target = float(values[values.argmax() if pick_max else values.argmin()])
     window = _WITNESS_TIE_WINDOW * max(1.0, abs(target))
     # A gap overflows to inf and inf - inf is NaN (never tied), silently.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,7 +238,7 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     any_inf = sf.infinite | sg.infinite
     if any_inf.any():
-        worst = int(np.flatnonzero(any_inf)[0])
+        worst = int(any_inf.nonzero()[0][0])
         which = "f" if sf.infinite[worst] else "g"
         finiteness = FinitenessCheck(passed=False, worst_point=worst,
                                      which_field=which)
@@ -240,16 +247,15 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     mask_mismatch = sf.infinite != sg.infinite
     if mask_mismatch.any():
-        worst = int(np.flatnonzero(mask_mismatch)[0])
+        worst = int(mask_mismatch.nonzero()[0][0])
         equality = SlopeEqualityCheck(passed=False, max_gap=None,
                                       worst_point=worst)
     else:
         both_finite = ~sf.infinite
         if both_finite.any():
             gaps = np.abs(sf.values[both_finite] - sg.values[both_finite])
-            idx = np.flatnonzero(both_finite)
-            k = int(idx[int(np.argmax(gaps))])
-            max_gap = float(np.max(gaps))
+            j = int(gaps.argmax())
+            k, max_gap = int(both_finite.nonzero()[0][j]), float(gaps[j])
         else:
             k, max_gap = 0, 0.0
         equality = SlopeEqualityCheck(
@@ -258,19 +264,19 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     in_f = critical_mask(sf, tol_crit)
     in_g = critical_mask(sg, tol_crit)
-    only_f = tuple(np.flatnonzero(in_f & ~in_g).tolist())
-    only_g = tuple(np.flatnonzero(in_g & ~in_f).tolist())
+    only_f = tuple((in_f & ~in_g).nonzero()[0].tolist())
+    only_g = tuple((in_g & ~in_f).nonzero()[0].tolist())
     crit_check = CritSetCheck(passed=not only_f and not only_g,
                               only_in_f=only_f, only_in_g=only_g)
 
-    crit_ids = np.flatnonzero(in_f)
+    crit_ids = in_f.nonzero()[0]
     crit_points = tuple(crit_ids.tolist())
     diff_check = resid = None
     if crit_points:
         with np.errstate(over="ignore", invalid="ignore"):
             diff = g.values - f.values
             diffs = diff[crit_ids]
-            constant = float(np.mean(diffs))
+            constant = float(diffs.mean())
             resid = diff - constant
         _require_finite(diff, "g - f")
         if not math.isfinite(constant):
@@ -302,7 +308,7 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
 def _require_finite(values: np.ndarray, name: str) -> None:
     """DifferenceOverflow naming the first point where `values` is not finite."""
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = (~np.isfinite(values)).nonzero()[0]
     if bad.size:
         raise DifferenceOverflow(f"{name} overflows at point {bad[0]}")
 
@@ -335,15 +341,15 @@ def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
     bound by construction. g - f and the margins may overflow to +-inf,
     on purpose: an inf margin fails the bound, a -inf one meets it."""
     if sf.any_infinite():
-        worst = int(np.flatnonzero(sf.infinite)[0])
+        worst = int(sf.infinite.nonzero()[0][0])
         raise PreconditionViolated(
             "slopes_finite", f"slope of f overflows at point {worst}")
     if sg.any_infinite():
-        worst = int(np.flatnonzero(sg.infinite)[0])
+        worst = int(sg.infinite.nonzero()[0][0])
         raise PreconditionViolated(
             "slope_dominance", f"slope of g overflows at point {worst}")
     excess = sg.values - sf.values
-    worst = int(np.argmax(excess))
+    worst = int(excess.argmax())
     if excess[worst] > tol:
         raise PreconditionViolated(
             "slope_dominance",
@@ -359,7 +365,7 @@ def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
         raise PreconditionViolated(
             "critical_bound",
             f"(g - f)({z}) = {float(diffs[z])} exceeds c = {c}")
-    worst = int(np.argmax(margins))
+    worst = int(margins.argmax())
     worst_margin = float(margins[worst])
     return ComparisonResult(holds=worst_margin <= tol, constant=c,
                             worst_point=worst, worst_margin=worst_margin)
@@ -385,7 +391,7 @@ def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
     tol = check_tol(tol)
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
-    crit_ids = np.flatnonzero(critical_mask(sf, crit_tol))
+    crit_ids = critical_mask(sf, crit_tol).nonzero()[0]
     return _compare(sf, sg, crit_ids, f, g, c, tol)
 
 
@@ -399,9 +405,14 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     (`check_decreasing`). For each epsilon the audit verifies that
     inflating f preserves the critical set and strictly dominates the
     slope of g off it, then evaluates the bound
-    g(x) < f(x) + epsilon * bracket(x) + c at its worst point. `c` must be finite; it defaults to the max of g - f over the
-    critical set of f. The hypotheses of `comparison_principle` are
-    checked within `tol`.
+    g(x) < f(x) + epsilon * bracket(x) + c at its worst point. `c` must
+    be finite; it defaults to the max of g - f over the critical set of
+    f. The hypotheses of `comparison_principle` are checked within
+    `tol`. Each (1 + epsilon) * f is one row of a 2-D array, and one
+    edge pass gives the slopes of every row, with the float operations
+    of `scale_field`, `slope_field` and `critical_mask`. A product that
+    overflows raises the error of `scale_field` for the first such
+    epsilon, before the edge pass.
     """
     require_bound(space, f)
     require_bound(space, g)
@@ -409,39 +420,55 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     tol = check_tol(tol)
     if c is not None:
         c = check_constant(c)
+    cap = check_cap(cap)
+    crit_tol = check_tol(crit_tol)
 
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
     on_crit = critical_mask(sf, crit_tol)
-    crit_arr, non_crit = np.flatnonzero(on_crit), np.flatnonzero(~on_crit)
+    crit_arr, non_crit = on_crit.nonzero()[0], (~on_crit).nonzero()[0]
     c = _compare(sf, sg, crit_arr, f, g, c, tol).constant
     fx, gx = f.values[non_crit], g.values[non_crit]
 
+    # Row r holds (1 + eps[r]) * f, the product of `scale_field`, whose
+    # error names the first overflowing row and point.
+    scales = [1.0 + e for e in eps]
+    with np.errstate(over="ignore"):
+        fe = f.values * np.array(scales)[:, None]
+    finite = np.isfinite(fe).all(axis=1)
+    if not finite.all():
+        scale_field(f, scales[int((~finite).nonzero()[0][0])])
+    # The slope kernel of `slope_field` and `critical_mask` on every row.
+    se = np.zeros(fe.shape)
+    with np.errstate(over="ignore"):
+        q = np.maximum(fe[:, space.src] - fe[:, space.dst], 0.0) / space.w
+    np.maximum.at(se, (slice(None), space.src), q)
+    inf_e = se > cap
+    se[inf_e] = math.inf
+    on_crit_e = ~inf_e & (se <= crit_tol)
+    crit_preserved = (on_crit_e == on_crit).all(axis=1).tolist()
+    dominance_ok = ((sg.values < se) | on_crit_e).all(axis=1).tolist()
+
     rows = []
-    for e in eps:
-        fe = scale_field(f, 1.0 + e)
-        se = slope_field(space, fe, cap=cap)
-        on_crit_e = critical_mask(se, crit_tol)
-        crit_preserved = bool(np.array_equal(on_crit_e, on_crit))
-        dominance_ok = bool(np.all((sg.values < se.values)[~on_crit_e]))
-        floor_f, _ = sublevel_floor(fe.values[crit_arr], f.values[crit_arr],
-                                    fe.values[non_crit])
+    for r, e in enumerate(eps):
+        floor_f, _ = sublevel_floor(fe[r, crit_arr], f.values[crit_arr],
+                                    fe[r, non_crit])
         # Brackets and margins may overflow to +-inf (a margin to NaN).
         with np.errstate(over="ignore", invalid="ignore"):
             brackets = fx - floor_f
             margins = gx - (fx + e * brackets + c)
         # The first point of largest margin; a -inf or NaN margin (from
         # an overflowing bracket) never counts as the worst.
-        ranked = np.flatnonzero(margins > -math.inf)
+        ranked = (margins > -math.inf).nonzero()[0]
         if ranked.size:
-            k = int(ranked[int(np.argmax(margins[ranked]))])
+            k = int(ranked[int(margins[ranked].argmax())])
             worst_point, worst_margin = int(non_crit[k]), float(margins[k])
         else:
             worst_point = None
             worst_margin = -math.inf if non_crit.size else None
         rows.append(EpsilonAuditRow(
-            epsilon=e, crit_preserved=crit_preserved,
-            dominance_ok=dominance_ok,
+            epsilon=e, crit_preserved=crit_preserved[r],
+            dominance_ok=dominance_ok[r],
             bound_holds=worst_margin is None or worst_margin < 0.0,
             worst_point=worst_point, worst_margin=worst_margin,
             bracket_max=float(max(0.0, brackets.max(initial=0.0)))))
@@ -485,7 +512,7 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     residual = None
     if dc is not None:
         abs_resid = np.abs(resid)
-        worst = int(np.argmax(abs_resid))
+        worst = int(abs_resid.argmax())
         residual = float(abs_resid[worst])
 
     if dc is None or violated:

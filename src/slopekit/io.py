@@ -93,10 +93,10 @@ def _in_grammar(body: bytes, kinds: str) -> bool:
     cls = np.frombuffer((b"\n" + body).translate(_CLASS), dtype=np.uint8)
     if not _FOLLOWS.take(cls[:-1] * np.uint8(8) + cls[1:]).all():
         return False
-    dots = np.flatnonzero(cls == _DOT)
+    dots = (cls == _DOT).nonzero()[0]
     if not ((cls[dots - 1] == _DIGIT) | (cls[dots + 1] == _DIGIT)).all():
         return False
-    seps = np.flatnonzero(cls[1:] >= _COMMA)
+    seps = (cls[1:] >= _COMMA).nonzero()[0]
     row_end = np.full(k, _COMMA, dtype=np.uint8)
     row_end[-1] = _NEWLINE
     if seps.size % k or not (cls[1:][seps].reshape(-1, k) == row_end).all():
@@ -106,7 +106,7 @@ def _in_grammar(body: bytes, kinds: str) -> bool:
     if widths[:, ~is_float].max(initial=0) > _MAX_INT_CHARS:
         return False
     # The cell of a byte at body offset q is the number of separators before q.
-    exps = np.flatnonzero(cls == _EXP)
+    exps = (cls == _EXP).nonzero()[0]
     dot_cell = np.searchsorted(seps, dots - 1)
     exp_cell = np.searchsorted(seps, exps - 1)
     if not (is_float[dot_cell % k].all() and is_float[exp_cell % k].all()):
@@ -353,7 +353,7 @@ def load_slope_csv(path, space: MetricSpaceGraph,
 
 
 def render_crit_csv(crit: CriticalSet, slopes: SlopeField) -> str:
-    ids = np.flatnonzero(require_covers(slopes.space, crit))
+    ids = require_covers(slopes.space, crit).nonzero()[0]
     return _render_rows(",", f"# tol={fmt(crit.tol)}\n", ("point", "slope"), "dg",
                         zip(ids.tolist(), slopes.values[ids].tolist()))
 

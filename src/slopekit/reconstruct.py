@@ -33,7 +33,7 @@ from .errors import (
     UncoveredCriticalPoint,
 )
 from .critical import critical_mask
-from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
+from .slope import ScalarField, SlopeField, _built, check_tol, require_bound, slope_field
 from .space import MetricSpaceGraph, _sweep, is_connected
 
 
@@ -68,7 +68,7 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
     each), then every value finite."""
     require_bound(space, data.slopes)
     if data.slopes.any_infinite():
-        bad = int(np.flatnonzero(data.slopes.infinite)[0])
+        bad = int(data.slopes.infinite.nonzero()[0][0])
         raise InfiniteSlopeData(f"infinite slope at point {bad}")
     keys = list(data.crit_values)
     points = np.array(keys) if keys else np.empty(0, dtype=np.intp)
@@ -77,14 +77,14 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
             space.check_point(p)
     points = points.astype(np.intp, copy=False)
     values = np.array(list(data.crit_values.values()), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = (~np.isfinite(values)).nonzero()[0]
     if bad.size:
         raise NonFiniteFieldValue(f"prescribed value at {keys[bad[0]]} is not finite")
     if not is_connected(space):
         raise DisconnectedSpace("reconstruction requires a connected space")
     covered = np.zeros(space.n, dtype=bool)
     covered[points] = True
-    uncovered = np.flatnonzero(critical_mask(data.slopes, tol) & ~covered)
+    uncovered = (critical_mask(data.slopes, tol) & ~covered).nonzero()[0]
     if uncovered.size:
         raise UncoveredCriticalPoint(f"points {uncovered[:8].tolist()} have "
                                      f"slope <= {tol} but no prescribed value")
@@ -128,9 +128,10 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
             f"sweep finalized {int(swept_at.sum())} of {space.n} points "
             "of a connected space")
 
-    result = ScalarField(space, v)
+    # v is finite with one value per point, so it needs no checks.
+    result = _built(ScalarField, space=space, values=v)
     recomputed = slope_field(space, result, cap=data.slopes.cap).values
-    off = np.flatnonzero(~(np.abs(recomputed - speeds) <= tol))
+    off = (~(np.abs(recomputed - speeds) <= tol)).nonzero()[0]
     if off.size:
         return Inadmissible(witnesses=tuple(
             SlopeMismatch(point=x, expected=float(speeds[x]),

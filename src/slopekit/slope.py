@@ -15,6 +15,13 @@ source point with `np.maximum.at` into zeros (so isolated points keep
 0), then compared with the cap. These are the float operations of the
 per-point loop in `local_slope`, so both give bitwise-equal slopes.
 
+Public constructors validate, kernels construct: `ScalarField` and
+`SlopeField` check every array a caller hands them, while
+`slope_field` and `scale_field` build their results through `_built`,
+which skips those checks for arrays that pass them by construction
+(one entry per point, inf exactly where the mask is set, finite values,
+a checked cap) and makes the arrays read-only.
+
 Overflow rule: finite values near +-1.7e308 can make f(x) - f(y), or
 the quotient, overflow to +inf. That is deliberate, not an accident:
 both computations run under `np.errstate(over="ignore")`, the +inf
@@ -101,8 +108,8 @@ class ScalarField:
         if vals.shape != (self.space.n,):
             raise FieldSpaceMismatch(
                 f"field has {vals.shape} values, space has {self.space.n} points")
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        if not np.isfinite(vals).all():
+            bad = int((~np.isfinite(vals)).nonzero()[0][0])
             raise NonFiniteFieldValue(f"non-finite value at point {bad}")
         vals.setflags(write=False)
         self.values = vals
@@ -138,7 +145,7 @@ class SlopeField:
         if vals.shape != (self.space.n,) or mask.shape != (self.space.n,):
             raise FieldSpaceMismatch("slope field length differs from point count")
         vals[mask] = math.inf
-        bad = np.flatnonzero(~((vals >= 0.0) & (vals < math.inf)) & ~mask)
+        bad = (~((vals >= 0.0) & (vals < math.inf)) & ~mask).nonzero()[0]
         if bad.size:
             raise InvalidSlopeValue(
                 f"slope {vals[bad[0]]} at point {bad[0]} is not finite and >= 0")
@@ -212,8 +219,9 @@ def slope_field(space: MetricSpaceGraph, f: ScalarField,
         q = np.maximum(drop, 0.0) / space.w
     np.maximum.at(vals, space.src, q)
     mask = vals > cap
-    return SlopeField(space=space, values=vals, infinite=mask,
-                      provenance="exact-graph", cap=cap)
+    vals[mask] = math.inf
+    return _built(SlopeField, space=space, values=vals, infinite=mask,
+                  provenance="exact-graph", cap=cap)
 
 
 def scale_field(f: ScalarField, scale: float) -> ScalarField:
@@ -227,10 +235,24 @@ def scale_field(f: ScalarField, scale: float) -> ScalarField:
         raise NonPositiveScale(f"scale must be a finite number > 0, got {scale}")
     with np.errstate(over="ignore"):  # the values of f are finite
         values = f.values * scale
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = (~np.isfinite(values)).nonzero()[0]
     if bad.size:
         raise NonFiniteFieldValue(f"{scale!r} * f overflows at point {bad[0]}")
-    return ScalarField(f.space, values)
+    return _built(ScalarField, space=f.space, values=values)
+
+
+def _built(cls, **fields):
+    """A `ScalarField` or `SlopeField` from fields that are valid by
+    construction, without the checks of the public constructor: the
+    arrays are made read-only here, and the caller guarantees the rest
+    (one entry per point, finite values, inf where the mask is set and
+    finite slopes >= 0 elsewhere, a checked cap)."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def delta_slope_profile(space: MetricSpaceGraph, f: ScalarField, x: PointId,

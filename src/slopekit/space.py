@@ -19,7 +19,8 @@ a time, and `edges` (each undirected edge once, as (u, v, length) with
 u < v, sorted) is built from the arrays on each access.
 
 The raw `MetricSpaceGraph` constructor takes the directed arrays as
-stored and checks none of the layout above; `build_graph` and
+stored and checks of the layout above only that the arrays have one
+length and their endpoints lie in [0, n); `build_graph` and
 `sample_interval` validate their input by array passes and lay it out
 by one sort, which also finds duplicate edges; only input that fails is
 walked entry by entry, to name its first bad entry.
@@ -86,7 +87,9 @@ class MetricSpaceGraph:
     Build instances with `build_graph` or `sample_interval`; the raw
     constructor assumes already-validated directed edge arrays: both
     orientations of every edge, sorted by (src, dst), no self-loops,
-    finite positive lengths. It checks only that coordinates are finite.
+    finite positive lengths. It checks only that the three edge arrays
+    have one length and every endpoint lies in [0, n) (DanglingEndpoint),
+    and that coordinates are finite.
     """
 
     n: int
@@ -102,6 +105,18 @@ class MetricSpaceGraph:
         self.src = _frozen(self.src, np.intp)
         self.dst = _frozen(self.dst, np.intp)
         self.w = _frozen(self.w, float)
+        if not self.src.size == self.dst.size == self.w.size:
+            raise DanglingEndpoint(
+                f"edge arrays differ in length: src {self.src.size}, "
+                f"dst {self.dst.size}, w {self.w.size}")
+        # As unsigned integers, negative endpoints are >= n as well.
+        if self.src.size and max(self.src.view(np.uintp).max(),
+                                 self.dst.view(np.uintp).max()) >= self.n:
+            k = int(((self.src < 0) | (self.src >= self.n)
+                     | (self.dst < 0) | (self.dst >= self.n)).nonzero()[0][0])
+            raise DanglingEndpoint(
+                f"edge ({self.src[k]}, {self.dst[k]}) has an endpoint "
+                f"outside [0, {self.n})")
         self.indptr = _frozen(np.concatenate(
             ([0], np.cumsum(np.bincount(self.src, minlength=self.n)))), np.intp)
         if self.coordinates is not None:
@@ -109,7 +124,7 @@ class MetricSpaceGraph:
             if coords.shape[0] != self.n:
                 raise FieldSpaceMismatch(
                     f"coordinates cover {coords.shape[0]} points, space has {self.n}")
-            bad = np.flatnonzero(~np.isfinite(coords.reshape(self.n, -1)).all(axis=1))
+            bad = (~np.isfinite(coords.reshape(self.n, -1)).all(axis=1)).nonzero()[0]
             if bad.size:
                 raise NonFiniteCoordinate(f"non-finite coordinate at point {bad[0]}")
             coords.setflags(write=False)
@@ -320,10 +335,10 @@ def _sweep(space: MetricSpaceGraph, inc: np.ndarray, seeds: np.ndarray,
                      + np.repeat(starts - np.cumsum(counts) + counts, counts))
             before = v.copy()
             np.minimum.at(v, space.dst[edges], v[space.src[edges]] + step[edges])
-            frontier = np.flatnonzero(v < before)
+            frontier = (v < before).nonzero()[0]
         if frontier.size:
             v = _heap_sweep(space, step, v, frontier)
-        bad = np.flatnonzero(v[space.dst] > v[space.src] + step)
+        bad = (v[space.dst] > v[space.src] + step).nonzero()[0]
     if bad.size:
         k = int(bad[0])
         x, y = int(space.src[k]), int(space.dst[k])
@@ -398,7 +413,7 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
             f"radius must be a finite number > 0, got {radius}")
     dist = metric_distances(space, x)
     # d(x, x) = 0, so x itself is never a member.
-    ys = np.flatnonzero((dist > 0.0) & (dist <= radius))
+    ys = ((dist > 0.0) & (dist <= radius)).nonzero()[0]
     return tuple(zip(ys.tolist(), dist[ys].tolist()))
 
 

@@ -22,7 +22,10 @@ picked the witnesses of `determination`, and `reference_comparison_floor`
 the loop over a set of critical points that `comparison_floor` ran
 before critical sets became masks, and `reference_determine_certificate`
 the two comparison principles that certified `determine` before it read
-its verdict from the residual, as the oracles of the differential tests.
+its verdict from the residual, `reference_epsilon_audit` the loop over
+the epsilons that scaled f and took its slope field one epsilon at a
+time, and `reference_descent_step` the step on np.float64 values under
+`np.errstate`, as the oracles of the differential tests.
 """
 from __future__ import annotations
 
@@ -35,7 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .critical import NO_CRITICAL_BELOW, CriticalSet, comparison_floor, critical_set
+from .critical import (
+    NO_CRITICAL_BELOW,
+    CriticalSet,
+    comparison_floor,
+    critical_mask,
+    critical_set,
+    sublevel_floor,
+)
 from .descent import NoStep, descent_path, descent_step
 from .determination import (
     _WITNESS_TIE_WINDOW,
@@ -43,6 +53,8 @@ from .determination import (
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
     DeterminationReport,
+    EpsilonAudit,
+    EpsilonAuditRow,
     Verdict,
     Witness,
     _compare,
@@ -58,6 +70,7 @@ from .errors import (
     NonPositiveLength,
     PreconditionViolated,
     SelfLoopEdge,
+    SlopeDominanceViolated,
     TooFewPoints,
 )
 from .io import _FLOAT, _INT
@@ -66,11 +79,15 @@ from .slope import (
     OVERFLOW_CAP,
     ScalarField,
     SlopeField,
+    check_constant,
+    check_decreasing,
+    check_tol,
     local_slope,
+    require_bound,
     scale_field,
     slope_field,
 )
-from .space import MetricSpaceGraph, build_graph
+from .space import MetricSpaceGraph, _adjacent, build_graph
 
 EDGE_LENGTHS = (0.25, 0.5, 1.0, 2.0)
 VALUE_DENOM = 1024
@@ -281,6 +298,96 @@ def reference_determine_certificate(space: MetricSpaceGraph, f: ScalarField,
         verdict=verdict, diagnostics=diag, residual=residual,
         witnesses=tuple(witnesses), tolerances=tolerances,
         slope_provenance=sf.provenance)
+
+
+def reference_epsilon_audit(space: MetricSpaceGraph, f: ScalarField,
+                            g: ScalarField, epsilons, c: float | None = None,
+                            tol: float = 1e-9, crit_tol: float = 0.0,
+                            cap: float = OVERFLOW_CAP) -> EpsilonAudit:
+    """The audit of `determination.epsilon_audit`, or its error, by a
+    loop over the epsilons: each (1 + epsilon) * f is built by
+    `scale_field`, its slopes by `slope_field` and its critical set by
+    `critical_mask`, one epsilon at a time."""
+    require_bound(space, f)
+    require_bound(space, g)
+    eps = check_decreasing(epsilons, "epsilons")
+    tol = check_tol(tol)
+    if c is not None:
+        c = check_constant(c)
+    sf = slope_field(space, f, cap=cap)
+    sg = slope_field(space, g, cap=cap)
+    on_crit = critical_mask(sf, crit_tol)
+    crit_arr, non_crit = np.flatnonzero(on_crit), np.flatnonzero(~on_crit)
+    c = _compare(sf, sg, crit_arr, f, g, c, tol).constant
+    fx, gx = f.values[non_crit], g.values[non_crit]
+    rows = []
+    for e in eps:
+        fe = scale_field(f, 1.0 + e)
+        se = slope_field(space, fe, cap=cap)
+        on_crit_e = critical_mask(se, crit_tol)
+        floor_f, _ = sublevel_floor(fe.values[crit_arr], f.values[crit_arr],
+                                    fe.values[non_crit])
+        with np.errstate(over="ignore", invalid="ignore"):
+            brackets = fx - floor_f
+            margins = gx - (fx + e * brackets + c)
+        ranked = np.flatnonzero(margins > -math.inf)
+        if ranked.size:
+            k = int(ranked[int(np.argmax(margins[ranked]))])
+            worst_point, worst_margin = int(non_crit[k]), float(margins[k])
+        else:
+            worst_point = None
+            worst_margin = -math.inf if non_crit.size else None
+        rows.append(EpsilonAuditRow(
+            epsilon=e, crit_preserved=bool(np.array_equal(on_crit_e, on_crit)),
+            dominance_ok=bool(np.all((sg.values < se.values)[~on_crit_e])),
+            bound_holds=worst_margin is None or worst_margin < 0.0,
+            worst_point=worst_point, worst_margin=worst_margin,
+            bracket_max=float(max(0.0, brackets.max(initial=0.0)))))
+    bracket_maxes = [row.bracket_max for row in rows]
+    spread = max(bracket_maxes) - min(bracket_maxes)
+    uniform = spread <= 1e-12 * max(1.0, abs(max(bracket_maxes)))
+    return EpsilonAudit(constant=c, rows=tuple(rows), bracket_uniform=uniform)
+
+
+def reference_descent_step(space: MetricSpaceGraph, f: ScalarField,
+                           g: ScalarField, x: int, cap: float = OVERFLOW_CAP):
+    """The result of `descent._step` from the non-critical point x, for
+    checked inputs, by a loop over x's adjacent points on np.float64
+    values under `np.errstate`: the next point, a NoStep, or
+    SlopeDominanceViolated."""
+    fx, gx = f.values[x], g.values[x]
+    slope_f = slope_g = 0.0
+    best = None
+    best_q = -1.0
+    with np.errstate(over="ignore"):
+        diff_x = fx - gx
+        for z, d in zip(*_adjacent(space, x)):
+            fz, gz = f.values[z], g.values[z]
+            drop = fx - fz
+            if drop > 0.0:
+                q = drop / d
+                if q > slope_f:
+                    slope_f = q
+                if diff_x > fz - gz and (
+                        q > best_q or (q == best_q and z < best)):
+                    best = z
+                    best_q = q
+            drop = gx - gz
+            if drop > 0.0:
+                q = drop / d
+                if q > slope_g:
+                    slope_g = q
+    if slope_f > cap:
+        slope_f = math.inf
+    if slope_g > cap:
+        slope_g = math.inf
+    if not slope_f > slope_g:
+        raise SlopeDominanceViolated(
+            f"at point {x}: slope_f={slope_f} <= slope_g={slope_g}")
+    if best is None:
+        return NoStep(point=x, slope_f=slope_f, slope_g=slope_g,
+                      reason="no adjacent point satisfies both strict decreases")
+    return best
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 50,
