@@ -430,15 +430,17 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     c = _compare(sf, sg, crit_arr, f, g, c, tol).constant
     fx, gx = f.values[non_crit], g.values[non_crit]
 
-    # Row r holds (1 + eps[r]) * f, the product of `scale_field`, whose
-    # error names the first overflowing row and point.
+    # Row r holds (1 + eps[r]) * f as `scale_field` computes it. If a
+    # row overflows, `scale_field` on the first such row raises the
+    # error that names its first overflowing point.
     scales = [1.0 + e for e in eps]
     with np.errstate(over="ignore"):
         fe = f.values * np.array(scales)[:, None]
     finite = np.isfinite(fe).all(axis=1)
     if not finite.all():
         scale_field(f, scales[int((~finite).nonzero()[0][0])])
-    # The slope kernel of `slope_field` and `critical_mask` on every row.
+    # The slope kernel of `slope_field` and `critical_mask` on every row;
+    # dominance is checked off the critical set of each row.
     se = np.zeros(fe.shape)
     with np.errstate(over="ignore"):
         q = np.maximum(fe[:, space.src] - fe[:, space.dst], 0.0) / space.w

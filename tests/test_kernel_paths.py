@@ -9,23 +9,18 @@ values and with values near +-1.7e308, at the default cap and at
 1.7e308, both give results equal bit for bit, or raise the same class
 with the same message, and neither warns (RuntimeWarning is an error
 here). Fields that the kernels build without the constructor checks
-pass those checks unchanged, and the raw `MetricSpaceGraph`
-constructor names a dangling endpoint.
+pass those checks unchanged.
 """
 import dataclasses
 import random
 import struct
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slopekit as sk
-from slopekit import MetricSpaceGraph, NoStep, ScalarField, SlopeField
-from slopekit.errors import DanglingEndpoint
+from slopekit import NoStep, ScalarField, SlopeField
 from slopekit.testing import (
     random_connected_graph,
     random_dyadic_constant,
@@ -130,6 +125,25 @@ def test_overflowing_scale_is_named_before_any_edge_pass():
             space, f, g, epsilons, cap=1.7e308))
 
 
+def test_audit_rows_at_the_cap_and_at_equal_slopes():
+    space = sk.build_graph([(0, 1, 1.0)])
+    zero = ScalarField(space, np.zeros(2))
+    # (1 + 0.5) * f has slope 1.5 at point 1: equal to the cap, so finite,
+    # and critical at crit_tol 1.5 like the slope 1 of f
+    f = ScalarField(space, np.array([0.0, 1.0]))
+    audit = sk.epsilon_audit(space, f, zero, [0.5], crit_tol=1.5, cap=1.5)
+    assert audit.rows[0].crit_preserved
+    # the slope of g equals that of 1.5 * f at point 1, so it is not below it
+    f = ScalarField(space, np.array([0.0, 1e-10]))
+    g = ScalarField(space, np.array([0.0, 1e-10 * 1.5]))
+    audit = sk.epsilon_audit(space, f, g, [0.5])
+    assert not audit.rows[0].dominance_ok
+    for args, knobs in (((f, zero, [0.5]), dict(crit_tol=1.5, cap=1.5)),
+                        ((f, g, [0.5]), {})):
+        assert outcome(lambda: sk.epsilon_audit(space, *args, **knobs)) == \
+            outcome(lambda: reference_epsilon_audit(space, *args, **knobs))
+
+
 def reference_path(space, f, g, x0, crit, cap):
     """The points of a descent path from x0 by reference steps, or the
     step outcome that ends it early."""
@@ -176,6 +190,16 @@ def test_no_step_reports_python_floats_with_the_reference_bits():
     want = reference_descent_step(space, f, g, 0, 1.7e308)
     assert isinstance(got, NoStep) and bits(got) == bits(want)
     assert type(got.slope_f) is float and type(got.slope_g) is float
+    # (f - g)(0) and (f - g)(1) overflow to inf; point 2, level with 0 in
+    # f, lowers f - g but is no descent step
+    space = sk.build_graph([(0, 1, 1.0), (0, 2, 1.0)])
+    f = ScalarField(space, np.array([1.7e308, 1e308, 1.7e308]))
+    g = ScalarField(space, np.array([-1e308, -1e308, 0.0]))
+    crit = sk.critical_set(sk.slope_field(space, f, cap=1.7e308))
+    got = sk.descent_step(space, f, g, 0, crit, cap=1.7e308)
+    assert isinstance(got, NoStep)
+    assert (got.slope_f, got.slope_g) == (1.7e308 - 1e308, 0.0)
+    assert bits(got) == bits(reference_descent_step(space, f, g, 0, 1.7e308))
 
 
 def test_kernel_built_fields_pass_the_public_checks():
@@ -208,49 +232,3 @@ def test_kernel_built_fields_pass_the_public_checks():
             assert ScalarField(space, rebuilt.values).values.tobytes() \
                 == rebuilt.values.tobytes()
             assert not rebuilt.values.flags.writeable
-
-
-@pytest.mark.parametrize("kwargs,message", [
-    (dict(n=2, src=[0, 1, 1], dst=[1, 0, 5], w=[1.0] * 3),
-     "edge (1, 5) has an endpoint outside [0, 2)"),
-    (dict(n=2, src=[0, 5], dst=[1, 0], w=[1.0, 1.0]),
-     "edge (5, 0) has an endpoint outside [0, 2)"),
-    (dict(n=3, src=[0, 1], dst=[1, -1], w=[1.0, 1.0]),
-     "edge (1, -1) has an endpoint outside [0, 3)"),
-    (dict(n=2, src=[0, 1], dst=[1], w=[1.0, 1.0]),
-     "edge arrays differ in length: src 2, dst 1, w 2"),
-    (dict(n=2, src=[0, 1], dst=[1, 0], w=[1.0]),
-     "edge arrays differ in length: src 2, dst 2, w 1"),
-])
-def test_raw_constructor_names_dangling_endpoints(kwargs, message):
-    with pytest.raises(DanglingEndpoint) as info:
-        MetricSpaceGraph(**kwargs)
-    assert str(info.value) == message
-
-
-def test_raw_constructor_keeps_valid_arrays():
-    rng = random.Random(5)
-    for _ in range(50):
-        space = random_connected_graph(rng, n_max=50)
-        again = MetricSpaceGraph(n=space.n + rng.randint(0, 2), src=space.src,
-                                 dst=space.dst, w=space.w)
-        assert again.indptr.size == again.n + 1
-        assert again.indptr[: space.n + 1].tobytes() == space.indptr.tobytes()
-    assert MetricSpaceGraph(n=1, src=[], dst=[], w=[]).indptr.tolist() == [0, 0]
-
-
-# What `import slopekit.cli` loads: the package and its modules, and
-# neither slopekit.testing nor anything else of slopekit.
-CLI_MODULES = ["slopekit", "slopekit.cli", "slopekit.critical", "slopekit.descent",
-               "slopekit.determination", "slopekit.errors", "slopekit.gallery",
-               "slopekit.io", "slopekit.reconstruct", "slopekit.slope",
-               "slopekit.space"]
-
-
-def test_cli_import_loads_exactly_the_library_modules():
-    src = str(Path(sk.__file__).resolve().parents[1])
-    code = ("import sys, slopekit.cli; print(sorted(m for m in sys.modules "
-            "if m == 'slopekit' or m.startswith('slopekit.')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True).stdout
-    assert out.strip() == repr(CLI_MODULES)

@@ -138,6 +138,35 @@ def test_bad_edges_rejected():
         MetricSpaceGraph(n=0, src=[], dst=[], w=[])
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(n=2, src=[0, 1, 1], dst=[1, 0, 5], w=[1.0] * 3),
+     "edge (1, 5) has an endpoint outside [0, 2)"),
+    (dict(n=2, src=[0, 5], dst=[1, 0], w=[1.0, 1.0]),
+     "edge (5, 0) has an endpoint outside [0, 2)"),
+    (dict(n=3, src=[0, 1], dst=[1, -1], w=[1.0, 1.0]),
+     "edge (1, -1) has an endpoint outside [0, 3)"),
+    (dict(n=2, src=[0, 1], dst=[1], w=[1.0, 1.0]),
+     "edge arrays differ in length: src 2, dst 1, w 2"),
+    (dict(n=2, src=[0, 1], dst=[1, 0], w=[1.0]),
+     "edge arrays differ in length: src 2, dst 2, w 1"),
+])
+def test_raw_constructor_names_dangling_endpoints(kwargs, message):
+    with pytest.raises(DanglingEndpoint) as info:
+        MetricSpaceGraph(**kwargs)
+    assert str(info.value) == message
+
+
+def test_raw_constructor_keeps_valid_arrays():
+    rng = random.Random(5)
+    for _ in range(50):
+        space = random_connected_graph(rng, n_max=50)
+        again = MetricSpaceGraph(n=space.n + rng.randint(0, 2), src=space.src,
+                                 dst=space.dst, w=space.w)
+        assert again.indptr.size == again.n + 1
+        assert again.indptr[: space.n + 1].tobytes() == space.indptr.tobytes()
+    assert MetricSpaceGraph(n=1, src=[], dst=[], w=[]).indptr.tolist() == [0, 0]
+
+
 def test_infinite_edge_length_rejected():
     with pytest.raises(NonPositiveLength, match=r"edge \(1, 2\) has length inf"):
         build_graph([(0, 1, 1.0), (1, 2, math.inf)])
