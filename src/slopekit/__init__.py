@@ -30,7 +30,6 @@ from .determination import (
     HypothesisDiagnostics,
     Verdict,
     Witness,
-    check_hypotheses,
     comparison_principle,
     determine,
     epsilon_audit,
@@ -85,7 +84,7 @@ __all__ = [
     "descent_step", "descent_path", "verify_strict_comparison",
     "HypothesisDiagnostics", "DeterminationReport", "Verdict", "Witness",
     "ComparisonResult", "EpsilonAudit",
-    "check_hypotheses", "comparison_principle", "epsilon_audit", "determine",
+    "comparison_principle", "epsilon_audit", "determine",
     "SlopeData", "Inadmissible", "SlopeMismatch", "reconstruct",
     "AnalyticFunction1D", "arctan_pair", "square_sine_pair",
     "cantor_approx", "cantor_pair", "emit_figure_data",

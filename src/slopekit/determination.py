@@ -25,11 +25,11 @@ caller holds, for `comparison_principle` and `epsilon_audit`. Each
 public entry point validates its knobs once.
 
 `epsilon_audit` inflates f by every epsilon in one 2-D pass: row r is
-(1 + eps[r]) * f, one edge pass over all rows gives their slopes and
-one mask per row their critical sets, with the elementwise float
-operations of the per-epsilon loop it replaced
-(`testing.reference_epsilon_audit`); only the sublevel floors and the
-worst margins are taken row by row.
+(1 + eps[r]) * f, one call of the slope kernel of `slope_field`
+(`slope._slopes`) over all rows gives their slopes and one mask per
+row their critical sets, with the elementwise float operations of the
+per-epsilon loop it replaced (`testing.reference_epsilon_audit`); only
+the sublevel floors and the worst margins are taken row by row.
 
 The outcomes of `determine` are verdicts. It raises typed errors only
 for malformed inputs, and DifferenceOverflow from `_diagnose` when g - f,
@@ -44,11 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import critical_mask, sublevel_floor
-from .errors import DifferenceOverflow, EmptyCriticalSet, PreconditionViolated
+from .errors import DifferenceOverflow, PreconditionViolated
 from .slope import (
     OVERFLOW_CAP,
     ScalarField,
     SlopeField,
+    _slopes,
     check_cap,
     check_constant,
     check_decreasing,
@@ -118,9 +119,6 @@ class HypothesisDiagnostics:
     crit_sets_equal: CritSetCheck
     diff_constant_on_crit: DiffConstancyCheck | None
     critical_points: tuple[int, ...]
-    tol_slope: float
-    tol_crit: float
-    overflow_cap: float
 
     def failed_hypotheses(self) -> tuple[str, ...]:
         """Names of failed verdict-relevant hypotheses, in fixed order.
@@ -301,8 +299,7 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     diag = HypothesisDiagnostics(
         slopes_finite=finiteness, slopes_equal=equality,
         crit_sets_equal=crit_check, diff_constant_on_crit=diff_check,
-        critical_points=crit_points, tol_slope=tol_slope, tol_crit=tol_crit,
-        overflow_cap=cap)
+        critical_points=crit_points)
     return diag, sf, sg, in_f, in_g, resid
 
 
@@ -311,25 +308,6 @@ def _require_finite(values: np.ndarray, name: str) -> None:
     bad = (~np.isfinite(values)).nonzero()[0]
     if bad.size:
         raise DifferenceOverflow(f"{name} overflows at point {bad[0]}")
-
-
-def check_hypotheses(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
-                     tol_slope: float = 1e-9, tol_crit: float = 1e-9,
-                     cap: float = OVERFLOW_CAP) -> HypothesisDiagnostics:
-    """Evaluate the three hypotheses and estimate the constant.
-
-    `tol_crit` plays two roles: the slope zero test that defines the
-    critical set, and the allowed spread of g - f on it. Raises
-    EmptyCriticalSet when no critical point exists at tol_crit, which on
-    a finite space can only mean an infinite-slope pathology, and
-    DifferenceOverflow as `determine` does.
-    """
-    diag = _diagnose(space, f, g, check_tol(tol_slope, "tol_slope"),
-                     check_tol(tol_crit, "tol_crit"), check_cap(cap))[0]
-    if diag.diff_constant_on_crit is None:
-        raise EmptyCriticalSet(
-            f"no critical point at tol={tol_crit}; cannot estimate the constant")
-    return diag
 
 
 def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
@@ -439,14 +417,9 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     finite = np.isfinite(fe).all(axis=1)
     if not finite.all():
         scale_field(f, scales[int((~finite).nonzero()[0][0])])
-    # The slope kernel of `slope_field` and `critical_mask` on every row;
-    # dominance is checked off the critical set of each row.
-    se = np.zeros(fe.shape)
-    with np.errstate(over="ignore"):
-        q = np.maximum(fe[:, space.src] - fe[:, space.dst], 0.0) / space.w
-    np.maximum.at(se, (slice(None), space.src), q)
-    inf_e = se > cap
-    se[inf_e] = math.inf
+    # The slope kernel of `slope_field` and the test of `critical_mask`
+    # on every row; dominance is checked off the critical set of each row.
+    se, inf_e = _slopes(space, fe, cap)
     on_crit_e = ~inf_e & (se <= crit_tol)
     crit_preserved = (on_crit_e == on_crit).all(axis=1).tolist()
     dominance_ok = ((sg.values < se) | on_crit_e).all(axis=1).tolist()
@@ -476,8 +449,9 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
             bracket_max=float(max(0.0, brackets.max(initial=0.0)))))
 
     bracket_maxes = [row.bracket_max for row in rows]
-    spread = max(bracket_maxes) - min(bracket_maxes)
-    uniform = spread <= 1e-12 * max(1.0, abs(max(bracket_maxes)))
+    hi, lo = max(bracket_maxes), min(bracket_maxes)
+    # hi - lo is NaN when both are inf: equal brackets are uniform.
+    uniform = hi == lo or (hi < math.inf and hi - lo <= 1e-12 * max(1.0, hi))
     return EpsilonAudit(constant=c, rows=tuple(rows), bracket_uniform=uniform)
 
 

@@ -22,7 +22,7 @@ streams columns t, f, g, analytic slope of f, and discrete slope of f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class AnalyticFunction1D:
     value: object            # Callable[[float], float]
     analytic_slope: object   # Callable[[float], float]
     domain: tuple[float, float]
-    metadata: dict = field(default_factory=dict)
 
 
 def _arctan_slope(t: float) -> float:
@@ -149,39 +148,33 @@ def cantor_pair(level: int) -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
     Both are strictly increasing, so the slope at t is the left
     steepness plus 1 (and 0 at t = 0, where there is nothing below).
     The limiting staircase itself has slope in {1, +inf} on (0, 1] and
-    slope 0 at t = 0, recorded as metadata; the approximants make the
-    blow-up explicit as (3/2)^k across refinement levels.
+    slope 0 at t = 0; the approximants make the blow-up explicit as
+    (3/2)^k across refinement levels.
     """
     level = check_count(level, "level")
     if level < 0:
         raise OutOfDomain("level must be >= 0")
     dom = (0.0, 1.0)
-    meta = {
-        "level": level,
-        "stair_steepness": 1.5 ** level,
-        "limit_slope_values": "{1, +inf} on (0, 1], 0 at t = 0",
-    }
 
-    def f_val(t: float, k: int = level) -> float:
-        return cantor_approx(k, t) + t
+    def f_val(t: float) -> float:
+        return cantor_approx(level, t) + t
 
-    def g_val(t: float, k: int = level) -> float:
-        return 2.0 * cantor_approx(k, t) + t
+    def g_val(t: float) -> float:
+        return 2.0 * cantor_approx(level, t) + t
 
-    def f_slope(t: float, k: int = level) -> float:
+    def f_slope(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        return 1.0 + _staircase_left_steepness(k, t)
+        return 1.0 + _staircase_left_steepness(level, t)
 
-    def g_slope(t: float, k: int = level) -> float:
+    def g_slope(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        return 1.0 + 2.0 * _staircase_left_steepness(k, t)
+        return 1.0 + 2.0 * _staircase_left_steepness(level, t)
 
-    f = AnalyticFunction1D(f"staircase-plus-t-level{level}", f_val, f_slope,
-                           dom, metadata=dict(meta))
+    f = AnalyticFunction1D(f"staircase-plus-t-level{level}", f_val, f_slope, dom)
     g = AnalyticFunction1D(f"double-staircase-plus-t-level{level}", g_val,
-                           g_slope, dom, metadata=dict(meta))
+                           g_slope, dom)
     return f, g
 
 

@@ -9,11 +9,12 @@ a configurable overflow cap is math.inf, and a slope field flags it in
 its infinity mask, which keeps "genuinely unbounded across refinement"
 distinct from "merely large" in downstream reports.
 
-`slope_field` is one pass over the space's directed edge arrays: one
-quotient max(f[src] - f[dst], 0) / w per directed edge, reduced per
-source point with `np.maximum.at` into zeros (so isolated points keep
-0), then compared with the cap. These are the float operations of the
-per-point loop in `local_slope`, so both give bitwise-equal slopes.
+One kernel, `_slopes`, serves `slope_field` and `epsilon_audit`: one
+pass over the directed edge arrays, one quotient max(f[src] - f[dst],
+0) / w per directed edge and row, reduced per source point with
+`np.maximum.at` into zeros (so isolated points keep 0), then compared
+with the cap. These are the float operations of the per-point loop in
+`local_slope`, so both give bitwise-equal slopes.
 
 Public constructors validate, kernels construct: `ScalarField` and
 `SlopeField` check every array a caller hands them, while
@@ -126,9 +127,9 @@ class ScalarField:
 class SlopeField:
     """Per-point slope values plus an explicit infinity mask.
 
-    `values` holds math.inf wherever `infinite` is set. `provenance`
-    records how the field was produced ("exact-graph" for adjacent-pair
-    quotients) and `cap` the overflow threshold in force (`check_cap`).
+    `values` holds math.inf wherever `infinite` is set. `provenance` is
+    the constant "exact-graph", also for a field `io.load_slope_csv`
+    reads. `cap` is the overflow threshold in force (`check_cap`).
     An entry not flagged infinite must be finite and >= 0
     (InvalidSlopeValue).
     """
@@ -205,6 +206,20 @@ def local_slope(space: MetricSpaceGraph, f: ScalarField, x: PointId,
     return math.inf if best > cap else float(best)
 
 
+def _slopes(space: MetricSpaceGraph, values: np.ndarray,
+            cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The slopes of (n,) values, or of each row of (k, n) values, and
+    the mask of those above the checked `cap`, which read math.inf."""
+    vt = values.T
+    out = np.zeros(values.shape)
+    with np.errstate(over="ignore"):
+        q = np.maximum((vt[space.src] - vt[space.dst]).T, 0.0) / space.w
+    np.maximum.at(out.T, space.src, q.T)
+    infinite = out > cap
+    out[infinite] = math.inf
+    return out, infinite
+
+
 def slope_field(space: MetricSpaceGraph, f: ScalarField,
                 cap: float = OVERFLOW_CAP) -> SlopeField:
     """The slope at every point, from one pass over the edge arrays.
@@ -213,13 +228,7 @@ def slope_field(space: MetricSpaceGraph, f: ScalarField,
     """
     require_bound(space, f)
     cap = check_cap(cap)
-    vals = np.zeros(space.n)
-    with np.errstate(over="ignore"):
-        drop = f.values[space.src] - f.values[space.dst]
-        q = np.maximum(drop, 0.0) / space.w
-    np.maximum.at(vals, space.src, q)
-    mask = vals > cap
-    vals[mask] = math.inf
+    vals, mask = _slopes(space, f.values, cap)
     return _built(SlopeField, space=space, values=vals, infinite=mask,
                   provenance="exact-graph", cap=cap)
 

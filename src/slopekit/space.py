@@ -144,13 +144,6 @@ class MetricSpaceGraph:
         if not 0 <= x < self.n:
             raise InvalidPoint(f"point {x} outside [0, {self.n})")
 
-    def degree(self, x: PointId) -> int:
-        self.check_point(x)
-        return int(self.indptr[x + 1] - self.indptr[x])
-
-    def is_isolated(self, x: PointId) -> bool:
-        return self.degree(x) == 0
-
 
 def _adjacent(space: MetricSpaceGraph, x: PointId) -> tuple[list[int], list[float]]:
     """The adjacent points of x, in increasing order, and the lengths of

@@ -344,8 +344,8 @@ def reference_epsilon_audit(space: MetricSpaceGraph, f: ScalarField,
             worst_point=worst_point, worst_margin=worst_margin,
             bracket_max=float(max(0.0, brackets.max(initial=0.0)))))
     bracket_maxes = [row.bracket_max for row in rows]
-    spread = max(bracket_maxes) - min(bracket_maxes)
-    uniform = spread <= 1e-12 * max(1.0, abs(max(bracket_maxes)))
+    hi, lo = max(bracket_maxes), min(bracket_maxes)
+    uniform = hi == lo or (hi < math.inf and hi - lo <= 1e-12 * max(1.0, hi))
     return EpsilonAudit(constant=c, rows=tuple(rows), bracket_uniform=uniform)
 
 

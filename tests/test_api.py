@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import subprocess
 import sys
@@ -16,9 +17,10 @@ def test_every_public_name_resolves_once():
 
 def test_removed_names_are_absent():
     for name in ("EDGE_LOCAL", "SHORTEST_PATH_CLOSURE", "SublevelSet", "sublevel_set",
-                 "SlopeValue", "INFINITE_SLOPE", "Neighborhood"):
+                 "SlopeValue", "INFINITE_SLOPE", "Neighborhood", "check_hypotheses"):
         assert name not in slopekit.__all__
         assert not hasattr(slopekit, name)
+    assert not hasattr(slopekit.determination, "check_hypotheses")
     for module in (slopekit.critical, slopekit.slope, slopekit.space):
         for name in ("SublevelSet", "sublevel_set", "SlopeValue", "INFINITE_SLOPE",
                      "Neighborhood"):
@@ -26,8 +28,13 @@ def test_removed_names_are_absent():
     for attr in ("check_members", "__contains__", "__len__"):
         assert not hasattr(slopekit.CriticalSet, attr)
     assert not hasattr(errors, "NoMetricClosure")
-    for attr in ("adjacency", "_adjacency", "metric_mode"):
+    for attr in ("adjacency", "_adjacency", "metric_mode", "degree", "is_isolated"):
         assert not hasattr(slopekit.MetricSpaceGraph, attr)
+    for cls, gone in ((slopekit.AnalyticFunction1D, {"metadata"}),
+                      (slopekit.HypothesisDiagnostics,
+                       {"tol_slope", "tol_crit", "overflow_cap"})):
+        assert not gone & {f.name for f in dataclasses.fields(cls)}
+        assert not any(hasattr(cls, name) for name in gone)
     for fn in (slopekit.build_graph, slopekit.sample_interval, io.load_graph_csv):
         assert "metric_mode" not in inspect.signature(fn).parameters
     assert "provenance" not in inspect.signature(io.load_slope_csv).parameters

@@ -9,7 +9,6 @@ from conftest import path_field, unit_path
 from slopekit import (
     ScalarField,
     build_graph,
-    check_hypotheses,
     comparison_principle,
     critical_set,
     determine,
@@ -45,7 +44,7 @@ def test_shifted_field_passes_all_hypotheses():
     space = unit_path(4)
     f = path_field(space, [3.0, 2.0, 1.0, 0.0])
     g = ScalarField(space, f.values + 5.0)
-    diag = check_hypotheses(space, f, g)
+    diag = determine(space, f, g).diagnostics
     assert diag.slopes_finite.passed
     assert diag.slopes_equal.passed
     assert diag.crit_sets_equal.passed
@@ -57,8 +56,8 @@ def test_shifted_field_passes_all_hypotheses():
 def test_mirrored_pair_fails_constancy_with_spread_four():
     grid, f, g = mirrored_pair_on_grid()
     h = grid.edges[0][2]
-    diag = check_hypotheses(grid, f, g, tol_slope=5 * h,
-                            tol_crit=grid_critical_tol(h))
+    diag = determine(grid, f, g, tol_slope=5 * h,
+                     tol_crit=grid_critical_tol(h)).diagnostics
     assert diag.slopes_finite.passed
     assert diag.slopes_equal.passed
     dc = diag.diff_constant_on_crit
@@ -79,7 +78,7 @@ def test_cantor_pair_fails_slope_equality_and_diverges():
         ts = grid.coordinates
         f = ScalarField(grid, np.array([f_an.value(t) for t in ts]))
         g = ScalarField(grid, np.array([g_an.value(t) for t in ts]))
-        diag = check_hypotheses(grid, f, g)
+        diag = determine(grid, f, g).diagnostics
         assert not diag.slopes_equal.passed
         # the gap grows like the stair steepness
         assert diag.slopes_equal.max_gap >= 1.5 ** k * (1 - 1e-9)
@@ -96,10 +95,10 @@ def test_cantor_pair_overflows_a_tight_cap():
     f = ScalarField(grid, np.array([f_an.value(t) for t in ts]))
     g = ScalarField(grid, np.array([g_an.value(t) for t in ts]))
     # cap between the stair slopes of f (~12.4) and g (~23.8): g overflows
-    diag = check_hypotheses(grid, f, g, cap=15.0)
+    report = determine(grid, f, g, cap=15.0)
+    diag = report.diagnostics
     assert not diag.slopes_finite.passed
     assert not diag.slopes_equal.passed
-    report = determine(grid, f, g, cap=15.0)
     assert report.verdict.kind == VERDICT_VIOLATED
     assert "slopes_finite" in report.verdict.violated
 

@@ -2,7 +2,7 @@
 
 `_diagnose` reads each critical set as one boolean mask and picks its
 witnesses by array selection. Here every derived diagnostic of
-`check_hypotheses` and `determine` is recomputed point by point from
+`determine` is recomputed point by point from
 `reference_slope_field`: the critical sets, `only_in_f` and `only_in_g`,
 the critical points, the constant, the spread and the two extremal
 witnesses (`reference_extremal_witness`, the loop the selection
@@ -17,11 +17,9 @@ import math
 import random
 
 import numpy as np
-import pytest
 
-from slopekit import ScalarField, build_graph, check_hypotheses, determine, epsilon_audit
+from slopekit import ScalarField, build_graph, determine, epsilon_audit
 from slopekit.determination import _extremal_witness
-from slopekit.errors import EmptyCriticalSet
 from slopekit.io import render_determination_report
 from slopekit.space import distances_from
 from slopekit.testing import (
@@ -97,11 +95,7 @@ def test_diagnostics_match_per_point_recomputation():
         want = per_point_diagnostics(f, g, tol)
         report = determine(space, f, g, tol_crit=tol)
         assert observed(report.diagnostics) == want, (k, mode, tol)
-        if want[3] is None:
-            with pytest.raises(EmptyCriticalSet):
-                check_hypotheses(space, f, g, tol_crit=tol)
-        else:
-            assert observed(check_hypotheses(space, f, g, tol_crit=tol)) == want
+        if want[3] is not None:
             dc = report.diagnostics.diff_constant_on_crit
             if not dc.passed:
                 got = [(w.point, w.value) for w in report.witnesses

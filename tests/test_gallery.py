@@ -96,8 +96,6 @@ def test_cantor_pair_values_and_plateau_slopes():
     f, g = cantor_pair(k)
     assert f.value(0.0) == 0.0 and g.value(0.0) == 0.0
     assert f.analytic_slope(0.0) == 0.0 and g.analytic_slope(0.0) == 0.0
-    assert f.metadata["stair_steepness"] == 1.5 ** k
-    assert "limit_slope_values" in f.metadata
     n = 3 ** k + 1
     grid = sample_interval(0.0, 1.0, n)
     ts = grid.coordinates

@@ -9,6 +9,7 @@ stderr, and `gallery` runs at caps from the least subnormal to the
 largest float.
 """
 import json
+import math
 import random
 import warnings
 from collections import Counter
@@ -22,7 +23,7 @@ from conftest import path_field, unit_path
 from slopekit import io as skio
 from slopekit.cli import main
 from slopekit.errors import DifferenceOverflow, NonFiniteFieldValue, SlopeKitError
-from slopekit.testing import random_connected_graph
+from slopekit.testing import random_connected_graph, reference_epsilon_audit
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" /
                      "determination_report.schema.json").read_text())
@@ -55,10 +56,9 @@ def write(path, values):
 @pytest.mark.parametrize("f,g,message", OVERFLOWS)
 def test_overflowing_difference_is_a_typed_error(f, g, message):
     space = unit_path(3)
-    for call in (sk.determine, sk.check_hypotheses):
-        with pytest.raises(DifferenceOverflow) as info:
-            call(space, path_field(space, f), path_field(space, g))
-        assert str(info.value) == message
+    with pytest.raises(DifferenceOverflow) as info:
+        sk.determine(space, path_field(space, f), path_field(space, g))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("f,g,message", OVERFLOWS[:2])
@@ -78,7 +78,6 @@ def public_calls(space, f, g, cap):
     prescribed = {p: f[p] for p in crit.sorted_members()}
     return {
         "determine": lambda: sk.determine(space, f, g, cap=cap),
-        "check_hypotheses": lambda: sk.check_hypotheses(space, f, g, cap=cap),
         "comparison_principle": lambda: sk.comparison_principle(space, f, g, 0.0, cap=cap),
         "epsilon_audit": lambda: sk.epsilon_audit(space, f, g, (1.0, 0.5, 0.125), cap=cap),
         "comparison_floor": lambda: [sk.comparison_floor(space, f, g, x, crit)
@@ -140,6 +139,18 @@ def test_overflowing_difference_is_data_in_the_comparison_checks():
     assert result.holds and result.worst_point == 0
     audit = sk.epsilon_audit(space, f, g, [0.5], cap=1.7e308)
     assert audit.constant == -1e308 and audit.rows[0].bound_holds
+
+
+def test_brackets_that_all_overflow_are_uniform():
+    # f - f(0) overflows at point 2 for every epsilon; inf - inf is NaN,
+    # which must not make equal brackets read as non-uniform
+    space = sk.build_graph([(0, 1, 1.0), (1, 2, 1.0)])
+    f = path_field(space, [-1.1e308, 0.0, 1.1e308])
+    g = path_field(space, [-1.1e308, 0.0, 0.9e308])
+    for audit in (sk.epsilon_audit(space, f, g, (0.5, 0.25), cap=1.7e308),
+                  reference_epsilon_audit(space, f, g, (0.5, 0.25), cap=1.7e308)):
+        assert [row.bracket_max for row in audit.rows] == [math.inf, math.inf]
+        assert audit.bracket_uniform
 
 
 def test_overflowing_scale_names_the_product():

@@ -62,7 +62,6 @@ def test_single_isolated_point():
     space = build_graph([], n=1)
     assert space.n == 1
     assert neighbors(space, 0) == ()
-    assert space.is_isolated(0)
 
 
 def test_closure_mode_path_distance():
@@ -350,5 +349,4 @@ def test_is_connected():
 
 def test_isolated_point_inside_larger_space():
     space = build_graph([(0, 1, 1.0)], n=3)
-    assert space.is_isolated(2)
     assert neighbors(space, 2) == ()
