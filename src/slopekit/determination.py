@@ -83,7 +83,7 @@ class SlopeEqualityCheck:
 
     passed: bool
     max_gap: float | None
-    worst_point: int | None
+    worst_point: int
     slope_f: float | None = None
     slope_g: float | None = None
 
@@ -117,7 +117,7 @@ class HypothesisDiagnostics:
     slopes_finite: FinitenessCheck
     slopes_equal: SlopeEqualityCheck
     crit_sets_equal: CritSetCheck
-    diff_constant_on_crit: DiffConstancyCheck | None
+    diff_constant_on_crit: DiffConstancyCheck
     critical_points: tuple[int, ...]
 
     def failed_hypotheses(self) -> tuple[str, ...]:
@@ -130,8 +130,7 @@ class HypothesisDiagnostics:
             failed.append("slopes_finite")
         if not self.slopes_equal.passed:
             failed.append("slopes_equal")
-        if self.diff_constant_on_crit is not None \
-                and not self.diff_constant_on_crit.passed:
+        if not self.diff_constant_on_crit.passed:
             failed.append("diff_constant_on_crit")
         return tuple(failed)
 
@@ -154,7 +153,7 @@ class Verdict:
 class DeterminationReport:
     verdict: Verdict
     diagnostics: HypothesisDiagnostics
-    residual: float | None
+    residual: float
     witnesses: tuple[Witness, ...]
     tolerances: dict
     slope_provenance: str
@@ -224,9 +223,11 @@ def _extremal_witness(ids: np.ndarray, values: np.ndarray,
 def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
               tol_slope: float, tol_crit: float, cap: float):
     """The diagnostics for validated knobs, plus the slope fields and
-    critical masks they were built from and the residual g - f - c
-    (None without critical points): (diag, sf, sg, in_f, in_g, resid).
+    critical masks they were built from and the residual g - f - c:
+    (diag, sf, sg, in_f, in_g, resid).
 
+    The slope of f is exactly 0 at its minimizers, so the critical set
+    of f always holds argmin f, and the slope of f is finite there.
     DifferenceOverflow if g - f, the constant, the spread or the
     residual is not finite."""
     require_bound(space, f)
@@ -250,12 +251,9 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
                                       worst_point=worst)
     else:
         both_finite = ~sf.infinite
-        if both_finite.any():
-            gaps = np.abs(sf.values[both_finite] - sg.values[both_finite])
-            j = int(gaps.argmax())
-            k, max_gap = int(both_finite.nonzero()[0][j]), float(gaps[j])
-        else:
-            k, max_gap = 0, 0.0
+        gaps = np.abs(sf.values[both_finite] - sg.values[both_finite])
+        j = int(gaps.argmax())
+        k, max_gap = int(both_finite.nonzero()[0][j]), float(gaps[j])
         equality = SlopeEqualityCheck(
             passed=max_gap <= tol_slope, max_gap=max_gap, worst_point=k,
             slope_f=float(sf.values[k]), slope_g=float(sg.values[k]))
@@ -268,38 +266,34 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
                               only_in_f=only_f, only_in_g=only_g)
 
     crit_ids = in_f.nonzero()[0]
-    crit_points = tuple(crit_ids.tolist())
-    diff_check = resid = None
-    if crit_points:
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = g.values - f.values
-            diffs = diff[crit_ids]
-            constant = float(diffs.mean())
-            resid = diff - constant
-        _require_finite(diff, "g - f")
-        if not math.isfinite(constant):
-            raise DifferenceOverflow(
-                "the mean of g - f on the critical set overflows")
-        _require_finite(resid, "g - f - c")
-        max_point, max_value = _extremal_witness(
-            crit_ids, diffs, sf.values, pick_max=True)
-        min_point, min_value = _extremal_witness(
-            crit_ids, diffs, sf.values, pick_max=False)
-        spread = max_value - min_value
-        if not math.isfinite(spread):
-            raise DifferenceOverflow(
-                f"the spread of g - f on the critical set, from point "
-                f"{min_point} to point {max_point}, overflows")
-        diff_check = DiffConstancyCheck(
-            constant=constant, spread=spread,
-            passed=spread <= tol_crit,
-            max_point=max_point, max_value=max_value,
-            min_point=min_point, min_value=min_value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = g.values - f.values
+        diffs = diff[crit_ids]
+        constant = float(diffs.mean())
+        resid = diff - constant
+    _require_finite(diff, "g - f")
+    if not math.isfinite(constant):
+        raise DifferenceOverflow(
+            "the mean of g - f on the critical set overflows")
+    _require_finite(resid, "g - f - c")
+    max_point, max_value = _extremal_witness(
+        crit_ids, diffs, sf.values, pick_max=True)
+    min_point, min_value = _extremal_witness(
+        crit_ids, diffs, sf.values, pick_max=False)
+    spread = max_value - min_value
+    if not math.isfinite(spread):
+        raise DifferenceOverflow(
+            f"the spread of g - f on the critical set, from point "
+            f"{min_point} to point {max_point}, overflows")
+    diff_check = DiffConstancyCheck(
+        constant=constant, spread=spread, passed=spread <= tol_crit,
+        max_point=max_point, max_value=max_value,
+        min_point=min_point, min_value=min_value)
 
     diag = HypothesisDiagnostics(
         slopes_finite=finiteness, slopes_equal=equality,
         crit_sets_equal=crit_check, diff_constant_on_crit=diff_check,
-        critical_points=crit_points)
+        critical_points=tuple(crit_ids.tolist()))
     return diag, sf, sg, in_f, in_g, resid
 
 
@@ -483,18 +477,13 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     }
     diag, sf, _, in_f, in_g, resid = _diagnose(space, f, g, tol_slope,
                                                tol_crit, cap)
-    dc = diag.diff_constant_on_crit
     violated = diag.failed_hypotheses()
-    residual = None
-    if dc is not None:
-        abs_resid = np.abs(resid)
-        worst = int(abs_resid.argmax())
-        residual = float(abs_resid[worst])
+    abs_resid = np.abs(resid)
+    worst = int(abs_resid.argmax())
+    residual = float(abs_resid[worst])
 
-    if dc is None or violated:
-        # dc is None only if overflow emptied the critical set.
-        verdict = Verdict(kind=VERDICT_VIOLATED,
-                          violated=violated or ("slopes_finite",))
+    if violated:
+        verdict = Verdict(kind=VERDICT_VIOLATED, violated=violated)
         witnesses = _violation_witnesses(diag)
     else:
         witnesses = [Witness(point=worst, kind="residual",
@@ -507,7 +496,7 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
             witnesses.append(Witness(point=-1, kind="precondition:critical_bound"))
         kind = VERDICT_EQUAL if bounded and residual <= tol_residual \
             else VERDICT_INCONCLUSIVE
-        verdict = Verdict(kind=kind, constant=dc.constant)
+        verdict = Verdict(kind=kind, constant=diag.diff_constant_on_crit.constant)
     return DeterminationReport(
         verdict=verdict, diagnostics=diag, residual=residual,
         witnesses=tuple(witnesses), tolerances=tolerances,
@@ -519,12 +508,12 @@ def _violation_witnesses(diag: HypothesisDiagnostics) -> list[Witness]:
     if not diag.slopes_finite.passed:
         witnesses.append(Witness(point=diag.slopes_finite.worst_point,
                                  kind="infinite_slope"))
-    if not diag.slopes_equal.passed and diag.slopes_equal.worst_point is not None:
+    if not diag.slopes_equal.passed:
         witnesses.append(Witness(point=diag.slopes_equal.worst_point,
                                  kind="slope_gap",
                                  value=diag.slopes_equal.max_gap))
     dc = diag.diff_constant_on_crit
-    if dc is not None and not dc.passed:
+    if not dc.passed:
         witnesses.append(Witness(point=dc.max_point, kind="diff_max",
                                  value=dc.max_value))
         witnesses.append(Witness(point=dc.min_point, kind="diff_min",

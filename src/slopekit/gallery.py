@@ -132,9 +132,7 @@ def stair_segment_is_steep(level: int, index: int) -> bool:
 
 
 def _staircase_left_steepness(level: int, t: float) -> float:
-    """Steepness of the level-k staircase just left of t (0 at t <= 0)."""
-    if t <= 0.0:
-        return 0.0
+    """Steepness of the level-k staircase just left of t, for t > 0."""
     m = 3 ** int(level)
     # tolerate grid coordinates that land a few ulps past a breakpoint
     j = math.ceil(t * m - 1e-9) - 1

@@ -387,8 +387,7 @@ def determination_report_to_dict(report: DeterminationReport) -> dict:
                 "only_in_f": list(d.crit_sets_equal.only_in_f[:crit_preview]),
                 "only_in_g": list(d.crit_sets_equal.only_in_g[:crit_preview]),
             },
-            "diff_constant_on_crit":
-                None if dc is None else {"passed": dc.passed, **asdict(dc)},
+            "diff_constant_on_crit": {"passed": dc.passed, **asdict(dc)},
             "critical_point_count": len(d.critical_points),
         },
         "witnesses": [asdict(w) for w in report.witnesses],

@@ -13,8 +13,8 @@ One kernel, `_slopes`, serves `slope_field` and `epsilon_audit`: one
 pass over the directed edge arrays, one quotient max(f[src] - f[dst],
 0) / w per directed edge and row, reduced per source point with
 `np.maximum.at` into zeros (so isolated points keep 0), then compared
-with the cap. These are the float operations of the per-point loop in
-`local_slope`, so both give bitwise-equal slopes.
+with the cap. `local_slope` takes the same quotients on one point's CSR
+slice of the edge arrays, so both give bitwise-equal slopes.
 
 Public constructors validate, kernels construct: `ScalarField` and
 `SlopeField` check every array a caller hands them, while
@@ -52,7 +52,7 @@ from .errors import (
     NonFiniteFieldValue,
     NonPositiveScale,
 )
-from .space import MetricSpaceGraph, PointId, _adjacent, metric_distances
+from .space import MetricSpaceGraph, PointId, metric_distances
 
 OVERFLOW_CAP = 1e12
 
@@ -194,16 +194,11 @@ def local_slope(space: MetricSpaceGraph, f: ScalarField, x: PointId,
     require_bound(space, f)
     cap = check_cap(cap)
     space.check_point(x)
-    fx = f.values[x]
-    best = 0.0
+    a, b = space.indptr[x], space.indptr[x + 1]
     with np.errstate(over="ignore"):
-        for y, d in zip(*_adjacent(space, x)):
-            drop = fx - f.values[y]
-            if drop > 0.0:
-                q = drop / d
-                if q > best:
-                    best = q
-    return math.inf if best > cap else float(best)
+        q = np.maximum(f.values[x] - f.values[space.dst[a:b]], 0.0) / space.w[a:b]
+    best = float(q.max(initial=0.0))
+    return math.inf if best > cap else best
 
 
 def _slopes(space: MetricSpaceGraph, values: np.ndarray,

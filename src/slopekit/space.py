@@ -62,6 +62,9 @@ PointId = int
 # of the directed edges fit int64.
 _MAX_POINTS = math.isqrt(2**63 - 1)
 
+# Not integer endpoints, although int() reads them as 0 or 1.
+_BOOLS = (bool, np.bool_)
+
 
 def check_count(value, name: str, least: int | None = None) -> int:
     """A count knob as an int; InvalidCount unless it is an integral
@@ -145,27 +148,23 @@ class MetricSpaceGraph:
             raise InvalidPoint(f"point {x} outside [0, {self.n})")
 
 
-def _adjacent(space: MetricSpaceGraph, x: PointId) -> tuple[list[int], list[float]]:
-    """The adjacent points of x, in increasing order, and the lengths of
-    their edges: x's CSR slice of `dst` and `w`, as lists."""
-    a, b = space.indptr[x], space.indptr[x + 1]
-    return space.dst[a:b].tolist(), space.w[a:b].tolist()
-
-
 def _edge_columns(items):
     """Endpoint and length columns (u, v, w) of an edge list, converted
-    as int(u), int(v), float(length).
+    as `_endpoint(u)`, `_endpoint(v)`, float(length).
 
     The first entry that does not convert raises its error, unless an
     entry before it is bad; an endpoint outside the int64 range does not
-    convert. Lists of (int, int, number) triples, which is what the
-    loaders and generators produce, convert in one array pass; anything
-    else goes entry by entry.
+    convert. Lists of (int, int, number) triples without bools, which is
+    what the loaders and generators produce, convert in one array pass;
+    anything else goes entry by entry.
     """
     try:
         if set(map(len, items)) == {3}:
-            u, v, w = (np.array(c) for c in zip(*items))
-            if u.dtype.kind == v.dtype.kind == "i" and w.dtype.kind in "if":
+            cols = tuple(zip(*items))
+            u, v, w = (np.array(c) for c in cols)
+            # numpy reads a bool among ints as 0 or 1
+            if u.dtype.kind == v.dtype.kind == "i" and w.dtype.kind in "if" \
+                    and {*map(type, cols[0]), *map(type, cols[1])}.isdisjoint(_BOOLS):
                 return (u.astype(np.intp, copy=False), v.astype(np.intp, copy=False),
                         w.astype(float, copy=False))
     except TypeError:  # an entry without len()
@@ -180,10 +179,20 @@ def _edge_columns(items):
             raise _first_bad_edge(u[:k], v[:k], w[:k]) or ValueError(
                 f"edge entries must be (u, v, length), got {item!r}") from None
         try:
-            u[k], v[k], w[k] = int(a), int(b), float(c)
-        except (TypeError, ValueError, OverflowError) as exc:
+            u[k], v[k], w[k] = _endpoint(a, item), _endpoint(b, item), float(c)
+        except (TypeError, ValueError, OverflowError, InvalidPoint) as exc:
             raise _first_bad_edge(u[:k], v[:k], w[:k]) or exc from None
     return u, v, w
+
+
+def _endpoint(e, item) -> int:
+    """int(e) for an endpoint of the edge entry `item`: InvalidPoint if e
+    is a bool or a number that int() truncates (1.7), while an integral
+    float (1.0) or an integer string converts."""
+    k = int(e)
+    if isinstance(e, _BOOLS) or (k != e and not isinstance(e, (str, bytes))):
+        raise InvalidPoint(f"edge {item!r}: endpoint {e!r} is not an integer")
+    return k
 
 
 def _first_bad_edge(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Exception | None:
@@ -214,6 +223,8 @@ def build_graph(edge_list, n: int | None = None,
     Each (u, v, length) entry is one undirected edge; the symmetric
     closure is implied, and a pair appearing twice (in either
     orientation) is rejected, and every length must be finite and > 0.
+    An endpoint that is a bool, or a number int() would truncate, is
+    InvalidPoint (`_endpoint`).
     `n` defaults to 1 + the largest endpoint, and may be at most
     isqrt(2**63 - 1) (InvalidCount); pass it explicitly to create
     isolated points or a single-point space. Valid input takes array
@@ -400,7 +411,8 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
     """
     space.check_point(x)
     if radius is None:
-        return tuple(zip(*_adjacent(space, x)))
+        a, b = space.indptr[x], space.indptr[x + 1]
+        return tuple(zip(space.dst[a:b].tolist(), space.w[a:b].tolist()))
     if not 0.0 < radius < math.inf:
         raise InvalidDecreasingList(
             f"radius must be a finite number > 0, got {radius}")

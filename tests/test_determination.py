@@ -18,11 +18,16 @@ from slopekit import (
     slope_field,
 )
 from slopekit.determination import (
+    DiffConstancyCheck,
     VERDICT_EQUAL,
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
 )
-from slopekit.errors import InvalidDecreasingList, PreconditionViolated
+from slopekit.errors import (
+    DifferenceOverflow,
+    InvalidDecreasingList,
+    PreconditionViolated,
+)
 from slopekit.gallery import cantor_pair, square_sine_pair
 from slopekit.testing import (
     random_connected_graph,
@@ -324,3 +329,43 @@ def test_brute_force_uniqueness_small():
                 groups.setdefault(key, []).append(vals)
             for members in groups.values():
                 assert len(members) == 1
+
+
+def test_every_returned_report_has_argmin_f_in_its_critical_set():
+    # The slope of f is exactly 0 at a minimizer (every drop from it is
+    # <= 0), and 0 is critical at every tolerance and below every cap.
+    # So every report determine returns has the minimizers of f among
+    # its critical points, the constancy check, a float residual and an
+    # int slope-gap point; no report is built without them.
+    rng = random.Random(1801)
+    big = 1.7e308
+    returned = {"dyadic": 0, "near range": 0}
+    overflowed = 0
+    for k in range(150):
+        space = random_connected_graph(rng, n_max=20)
+        if k % 2:
+            kind = "dyadic"
+            f = random_dyadic_field(rng, space)
+            g = random_dyadic_field(rng, space) if k % 4 == 1 else \
+                ScalarField(space, f.values + random_dyadic_constant(rng))
+        else:
+            kind = "near range"
+            f, g = (ScalarField(space, np.array(
+                [rng.choice((-big, big, 0.0, big * rng.uniform(-1.0, 1.0)))
+                 for _ in range(space.n)])) for _ in range(2))
+            if k % 4 == 2:  # g - f = -f / 2 stays finite
+                g = ScalarField(space, f.values / 2)
+        minimizers = set(np.flatnonzero(f.values == f.values.min()).tolist())
+        for cap, tol_crit in product((1e12, 1.7e308, 1e-3), (0.0, 1e-9, 1.0)):
+            try:
+                report = determine(space, f, g, tol_crit=tol_crit, cap=cap)
+            except DifferenceOverflow:
+                overflowed += 1
+                continue
+            returned[kind] += 1
+            diag = report.diagnostics
+            assert minimizers <= set(diag.critical_points)
+            assert type(diag.diff_constant_on_crit) is DiffConstancyCheck
+            assert type(report.residual) is float
+            assert type(diag.slopes_equal.worst_point) is int
+    assert min(returned.values()) >= 150 and overflowed >= 200

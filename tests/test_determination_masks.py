@@ -76,11 +76,10 @@ def per_point_diagnostics(f, g, tol):
 
 def observed(diag):
     dc = diag.diff_constant_on_crit
-    derived = None if dc is None else (
-        dc.constant, dc.spread, (dc.max_point, dc.max_value),
-        (dc.min_point, dc.min_value))
     return (diag.critical_points, diag.crit_sets_equal.only_in_f,
-            diag.crit_sets_equal.only_in_g, derived)
+            diag.crit_sets_equal.only_in_g,
+            (dc.constant, dc.spread, (dc.max_point, dc.max_value),
+             (dc.min_point, dc.min_value)))
 
 
 def test_diagnostics_match_per_point_recomputation():

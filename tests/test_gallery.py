@@ -115,6 +115,16 @@ def test_cantor_pair_values_and_plateau_slopes():
             assert abs(sg.values[x] - 1.0) <= 1e-9
 
 
+def test_cantor_pair_analytic_slopes_on_steps_and_plateaus():
+    # Level 1: a stair segment on (0, 1/3] and (2/3, 1], steepness 3/2,
+    # and a plateau between; f adds t once and g adds the staircase twice.
+    f, g = cantor_pair(1)
+    for t, slope_f, slope_g in ((0.0, 0.0, 0.0), (0.25, 2.5, 4.0),
+                                (0.5, 1.0, 1.0), (0.9, 2.5, 4.0), (1.0, 2.5, 4.0)):
+        assert f.analytic_slope(t) == slope_f
+        assert g.analytic_slope(t) == slope_g
+
+
 def test_discrete_slope_tracks_analytic_at_rate_h():
     # empirical constant in max_err <= C * h, asserted C <= 1 (with a
     # tolerance-based comparison for the knife-edge quadratic case)

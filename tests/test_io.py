@@ -43,6 +43,14 @@ def test_graph_csv_comments_and_header(tmp_path):
         skio.load_graph_csv(p)
 
 
+def test_csv_of_only_comments_and_blank_lines_is_empty(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("# a comment\n\n   \n# another\n")
+    with pytest.raises(FileFormatError,
+                       match=r"g\.csv: empty file, expected header u,v,length$"):
+        skio.load_graph_csv(p)
+
+
 def test_coordinates_csv(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("point,x\n1,0.5\n0,0.0\n2,1.0\n")
@@ -119,6 +127,14 @@ def test_slope_csv_two_column_form(tmp_path):
     loaded = skio.load_slope_csv(p, space)
     assert list(loaded.values) == [1.0, 1.0, 0.0]
     assert not loaded.any_infinite()
+
+
+def test_slope_csv_needs_a_row_per_point(tmp_path):
+    space = unit_path(3)
+    p = tmp_path / "s.csv"
+    p.write_text("point,slope\n0,1.0\n2,0.0\n")
+    with pytest.raises(FileFormatError, match=r"s\.csv: 2 slopes for a 3-point space$"):
+        skio.load_slope_csv(p, space)
 
 
 def test_crit_csv_records_tolerance(tmp_path):

@@ -2,8 +2,9 @@
 per-point and per-entry references.
 
 `slope_field` must equal `testing.reference_slope_field` (the per-point
-loop) bit for bit, values and infinity mask, on every seeded family
-below, without a RuntimeWarning even where f(x) - f(y) overflows.
+loop) bit for bit, values and infinity mask, and `local_slope` at every
+point, on every seeded family below, without a RuntimeWarning even
+where f(x) - f(y) overflows.
 `build_graph` must raise, for the first bad entry in input order, the
 class and message of the per-entry validation loop it replaced; the
 expected pairs below are that loop's output. On seeded edge lists with
@@ -20,6 +21,7 @@ import pytest
 from slopekit import (
     ScalarField,
     build_graph,
+    local_slope,
     neighbors,
     sample_interval,
     slope_field,
@@ -28,6 +30,7 @@ from slopekit.errors import (
     DanglingEndpoint,
     DuplicateEdge,
     InvalidCount,
+    InvalidPoint,
     NonPositiveLength,
     SelfLoopEdge,
 )
@@ -48,6 +51,8 @@ def assert_same_slopes(space, f, cap=1e12):
     assert np.array_equal(got.infinite, want.infinite)
     assert np.array_equal(got.values, want.values)
     assert got.values.tobytes() == want.values.tobytes()
+    local = np.array([local_slope(space, f, x, cap=cap) for x in range(space.n)])
+    assert local.tobytes() == got.values.tobytes()
     return got
 
 
@@ -63,7 +68,9 @@ def test_dyadic_random_graphs():
     rng = random.Random(101)
     for _ in range(200):
         space = random_connected_graph(rng, n_max=50)
-        assert_same_slopes(space, random_dyadic_field(rng, space))
+        f = random_dyadic_field(rng, space)
+        for cap in (1e12, 1.7e308):
+            assert_same_slopes(space, f, cap=cap)
 
 
 def test_non_dyadic_floats_and_lengths():
@@ -118,7 +125,7 @@ def test_values_near_the_float_limit():
         vals = np.array([rng.choice((-big, big, 0.0, big * rng.uniform(-1.0, 1.0)))
                          for _ in range(space.n)])
         f = ScalarField(space, vals)
-        for cap in (1e12, 1e300):
+        for cap in (1e12, 1e300, 1.7e308):
             assert_same_slopes(space, f, cap=cap)
 
 
@@ -210,6 +217,20 @@ BAD_ENTRIES = [
      DanglingEndpoint, "edge endpoint 4294967296 outside [0, 5)"),
     # a self-loop is named before its length
     (OK + [(3, 3, -1.0)], None, SelfLoopEdge, "self-loop at point 3"),
+    # int() would truncate these endpoints, or read a bool as 0 or 1
+    ([(1.7, 0, 1.0)], None,
+     InvalidPoint, "edge (1.7, 0, 1.0): endpoint 1.7 is not an integer"),
+    (OK + [(2, 3, 1.0), (True, 3, 1.0)], None,
+     InvalidPoint, "edge (True, 3, 1.0): endpoint True is not an integer"),
+    (OK + [(np.float64(2.9), 0, 1.0)], None, InvalidPoint,
+     "edge (np.float64(2.9), 0, 1.0): endpoint np.float64(2.9) is not an integer"),
+    (OK + [(2, np.False_, 1.0)], None,
+     InvalidPoint, "edge (2, np.False_, 1.0): endpoint np.False_ is not an integer"),
+    (OK + [(0.5, "x", 1.0)], None,
+     InvalidPoint, "edge (0.5, 'x', 1.0): endpoint 0.5 is not an integer"),
+    (OK + [("x", 0.5, 1.0)], None,
+     ValueError, "invalid literal for int() with base 10: 'x'"),
+    (OK + [(2, 2, 1.0), (2.5, 3, 1.0)], None, SelfLoopEdge, "self-loop at point 2"),
 ]
 
 
@@ -268,7 +289,8 @@ def outcome(build):
     return "ok", (out.src, out.dst, out.w, out.indptr)
 
 
-FAULTS = ("negative", "self-loop", "length", "duplicate", "unconvertible", "huge")
+FAULTS = ("negative", "self-loop", "length", "duplicate", "unconvertible", "huge",
+          "non-integral")
 
 
 def fault(rng, kind, n, edges):
@@ -286,6 +308,9 @@ def fault(rng, kind, n, edges):
     if kind == "unconvertible":
         return rng.choice(((a, b), (a, b, 1.0, 1), 7, ("x", b, 1.0), (a, b, "abc"),
                            (a, b, None), (a, 2**64, 1.0), (-2**63 - 1, b, 1.0)))
+    if kind == "non-integral":
+        return rng.choice(((a + 0.5, b, 1.0), (a, np.float64(b + 0.25), 1.0),
+                           (True, b, 1.0), (a, np.False_, 1.0)))
     return a, 4294967296, 1.0  # "huge", or a duplicate of nothing
 
 
@@ -333,4 +358,4 @@ def test_build_matches_the_entry_loop_on_faulty_edge_lists():
     assert tally["ok"] >= 100
     assert all(tally.get(name, 0) >= 10 for name in (
         "DanglingEndpoint", "SelfLoopEdge", "NonPositiveLength", "DuplicateEdge",
-        "ValueError", "OverflowError", "InvalidCount"))
+        "ValueError", "OverflowError", "InvalidCount", "InvalidPoint"))

@@ -7,6 +7,7 @@ import pytest
 from conftest import path_field, unit_path
 from slopekit import (
     ScalarField,
+    SlopeField,
     build_graph,
     delta_slope_profile,
     local_slope,
@@ -195,6 +196,15 @@ def test_field_validation():
         path_field(space, [0.0, math.inf, 1.0])
     with pytest.raises(FieldSpaceMismatch):
         path_field(space, [0.0, 1.0])
+
+
+def test_slope_field_mask_must_cover_every_point():
+    space = unit_path(3)
+    SlopeField(space, [1.0, 0.0, 0.0], [False, False, False])
+    for mask in ([False, False], [False, False, False, False]):
+        with pytest.raises(FieldSpaceMismatch,
+                           match="slope field length differs from point count"):
+            SlopeField(space, [1.0, 0.0, 0.0], mask)
 
 
 def test_field_space_binding_enforced():

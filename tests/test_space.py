@@ -249,6 +249,21 @@ def test_neighbors_radius_grid():
     assert [y for y, _ in nb] == [48, 49, 51, 52]
 
 
+def test_planar_coordinates_give_euclidean_distances():
+    # A 3-4-5 right triangle with only its legs as edges: the path from
+    # 0 to 2 is 7 long, the straight line between their coordinates 5.
+    space = build_graph([(0, 1, 3.0), (1, 2, 4.0)],
+                        coordinates=[[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
+    assert metric_distances(space, 0).tolist() == [0.0, 3.0, 5.0]
+    assert metric_distances(space, 2).tolist() == [5.0, 4.0, 0.0]
+    assert neighbors(space, 0, radius=5.0) == ((1, 3.0), (2, 5.0))
+    assert neighbors(space, 0, radius=4.5) == ((1, 3.0),)
+    f = ScalarField(space, np.array([10.0, 7.0, 0.0]))
+    entries = delta_slope_profile(space, f, 0, [6.0, 4.0, 1.0])
+    assert [(e.slope, e.empty_ball) for e in entries] == \
+        [(2.0, False), (1.0, False), (0.0, True)]
+
+
 def test_neighbors_radius_monotone():
     grid = sample_interval(0.0, 1.0, 101)
     rng = random.Random(11)
