@@ -20,14 +20,9 @@ import argparse
 import sys
 import traceback
 
-from . import io as skio
-from .critical import critical_set
-from .descent import descent_path
-from .determination import determine
+# The one slopekit module loaded at import: each command imports what it
+# calls, so a process loads the modules of its own command only.
 from .errors import FileFormatError, SlopeKitError
-from .gallery import FIGURE_TAGS, emit_figure_data
-from .reconstruct import Inadmissible, SlopeData, reconstruct
-from .slope import OVERFLOW_CAP, check_cap, check_tol, slope_field
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -71,10 +66,6 @@ def _int_in(lo: int, hi: int | None = None):
     return _checked(convert)
 
 
-_CAP = _checked(check_cap)
-_TOL = _checked(check_tol)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -84,10 +75,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_space(args):
-    return skio.load_graph_csv(args.space, coordinates_path=args.coords)
+    from .io import load_graph_csv
+    return load_graph_csv(args.space, coordinates_path=args.coords)
 
 
 def cmd_slope(args) -> int:
+    from . import io as skio
+    from .slope import slope_field
     space = _load_space(args)
     f = skio.load_field_csv(args.f, space)
     slopes = slope_field(space, f, cap=args.cap)
@@ -102,6 +96,9 @@ def cmd_slope(args) -> int:
 
 
 def cmd_crit(args) -> int:
+    from . import io as skio
+    from .critical import critical_set
+    from .slope import slope_field
     space = _load_space(args)
     if args.slopes is not None:
         slopes = skio.load_slope_csv(args.slopes, space, cap=args.cap)
@@ -114,6 +111,10 @@ def cmd_crit(args) -> int:
 
 
 def cmd_descend(args) -> int:
+    from . import io as skio
+    from .critical import critical_set
+    from .descent import descent_path
+    from .slope import slope_field
     space = _load_space(args)
     f = skio.load_field_csv(args.f, space)
     g = skio.load_field_csv(args.g, space)
@@ -126,6 +127,8 @@ def cmd_descend(args) -> int:
 
 
 def cmd_determine(args) -> int:
+    from . import io as skio
+    from .determination import determine
     space = _load_space(args)
     f = skio.load_field_csv(args.f, space)
     g = skio.load_field_csv(args.g, space)
@@ -137,6 +140,8 @@ def cmd_determine(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import io as skio
+    from .reconstruct import Inadmissible, SlopeData, reconstruct
     space = _load_space(args)
     slopes = skio.load_slope_csv(args.slopes, space, cap=args.cap)
     crit_values = skio.load_crit_values_csv(args.crit_values, space)
@@ -150,6 +155,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_gallery(args) -> int:
+    from . import io as skio
+    from .gallery import emit_figure_data
     header, rows = emit_figure_data(args.figure, n=args.n, level=args.level,
                                     cap=args.cap)
     if args.format == "gnuplot":
@@ -177,6 +184,9 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> _Parser:
+    from .gallery import FIGURE_TAGS
+    from .slope import OVERFLOW_CAP, check_cap, check_tol
+    cap_type, tol_type = _checked(check_cap), _checked(check_tol)
     parser = _Parser(prog="slopekit",
                      description="Slope calculus on finite metric spaces")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -188,7 +198,7 @@ def build_parser() -> _Parser:
                               help="optional coordinates CSV (point,x[,y])")
 
     cap_parent = _Parser(add_help=False)
-    cap_parent.add_argument("--cap", type=_CAP, default=OVERFLOW_CAP,
+    cap_parent.add_argument("--cap", type=cap_type, default=OVERFLOW_CAP,
                             help="slope overflow cap (default 1e12)")
 
     out_parent = _Parser(add_help=False)
@@ -208,7 +218,7 @@ def build_parser() -> _Parser:
                         help="slope CSV (point,slope[,is_infinite])")
     source.add_argument("--f", default=None,
                         help="field CSV, slopes computed here")
-    p.add_argument("--tol-crit", type=_TOL, default=0.0,
+    p.add_argument("--tol-crit", type=tol_type, default=0.0,
                    help="slope zero-test tolerance (default 0)")
     p.set_defaults(func=cmd_crit)
 
@@ -218,7 +228,7 @@ def build_parser() -> _Parser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--start", type=int, required=True)
-    p.add_argument("--tol-crit", type=_TOL, default=0.0)
+    p.add_argument("--tol-crit", type=tol_type, default=0.0)
     p.add_argument("--max-steps", type=_int_in(0), default=None)
     p.set_defaults(func=cmd_descend)
 
@@ -227,9 +237,9 @@ def build_parser() -> _Parser:
                        help="check whether g = f + constant (JSON report)")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--tol-slope", type=_TOL, default=1e-9)
-    p.add_argument("--tol-crit", type=_TOL, default=1e-9)
-    p.add_argument("--tol-residual", type=_TOL, default=None)
+    p.add_argument("--tol-slope", type=tol_type, default=1e-9)
+    p.add_argument("--tol-crit", type=tol_type, default=1e-9)
+    p.add_argument("--tol-residual", type=tol_type, default=None)
     p.set_defaults(func=cmd_determine)
 
     p = sub.add_parser("reconstruct",
@@ -237,7 +247,7 @@ def build_parser() -> _Parser:
                        help="rebuild a field from slopes and critical values")
     p.add_argument("--slopes", required=True)
     p.add_argument("--crit-values", required=True)
-    p.add_argument("--tol", type=_TOL, default=1e-9)
+    p.add_argument("--tol", type=tol_type, default=1e-9)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("gallery", parents=[cap_parent, out_parent],

@@ -270,6 +270,12 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         diff = g.values - f.values
         diffs = diff[crit_ids]
         constant = float(diffs.mean())
+        if not math.isfinite(constant):
+            # The sum behind the mean overflowed. Centred on the least
+            # difference it does not while the spread is finite, and it
+            # is exact when the differences are equal.
+            lo = diffs.min()
+            constant = float(lo + (diffs - lo).mean())
         resid = diff - constant
     _require_finite(diff, "g - f")
     if not math.isfinite(constant):

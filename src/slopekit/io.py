@@ -34,16 +34,19 @@ from dataclasses import asdict
 from io import StringIO
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .critical import CriticalSet, require_covers
-from .descent import DescentPath
-from .determination import DeterminationReport
 from .errors import FileFormatError, InvariantViolated
-from .reconstruct import Inadmissible
 from .slope import OVERFLOW_CAP, ScalarField, SlopeField
 from .space import MetricSpaceGraph, _space_from_columns
+
+if TYPE_CHECKING:  # annotations only: a `slope` process never loads these
+    from .descent import DescentPath
+    from .determination import DeterminationReport
+    from .reconstruct import Inadmissible
 
 
 def fmt(x: float) -> str:

@@ -62,15 +62,18 @@ PointId = int
 # of the directed edges fit int64.
 _MAX_POINTS = math.isqrt(2**63 - 1)
 
-# Not integer endpoints, although int() reads them as 0 or 1.
+# Not integer endpoints, counts or radii, although int() reads them as 0 or 1.
 _BOOLS = (bool, np.bool_)
+_REALS = (int, float, np.integer, np.floating)
 
 
 def check_count(value, name: str, least: int | None = None) -> int:
     """A count knob as an int; InvalidCount unless it is an integral
-    number (10.0 passes; NaN and inf do not), and >= least if given."""
-    integral = isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating)) and value.is_integer())
+    number (10.0 passes; NaN, inf, bools and strings do not), and
+    >= least if given."""
+    integral = not isinstance(value, _BOOLS) and (
+        isinstance(value, (int, np.integer))
+        or (isinstance(value, (float, np.floating)) and value.is_integer()))
     if not integral or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise InvalidCount(f"{name} must be an integer{bound}, got {value!r}")
@@ -225,8 +228,9 @@ def build_graph(edge_list, n: int | None = None,
     orientation) is rejected, and every length must be finite and > 0.
     An endpoint that is a bool, or a number int() would truncate, is
     InvalidPoint (`_endpoint`).
-    `n` defaults to 1 + the largest endpoint, and may be at most
-    isqrt(2**63 - 1) (InvalidCount); pass it explicitly to create
+    `n` defaults to 1 + the largest endpoint; a given n must be an
+    integral number (`check_count`), and n may be at most
+    isqrt(2**63 - 1) (InvalidCount). Pass it explicitly to create
     isolated points or a single-point space. Valid input takes array
     passes and one sort (`_space_from_columns`); failing input is walked
     entry by entry, and its first bad entry in input order raises.
@@ -250,7 +254,7 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     span = int(max(u.max(), v.max())) + 1 if u.size else 0
     if n is None and not u.size:
         raise EmptyEdgeList("cannot infer the point count from an empty edge list")
-    n = span if n is None else int(n)
+    n = span if n is None else check_count(n, "n")
     problem = None
     if n < 1:
         problem = TooFewPoints(f"a space needs at least one point, got {n}")
@@ -405,17 +409,19 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
     every point within `radius` of x, in increasing point order.
 
     Without a radius the pairs are the graph-adjacent points with their
-    edge lengths. With a radius, which must be finite and > 0, they are
-    all points y != x with 0 < d(x, y) <= radius under
-    `metric_distances`. x itself is never among them.
+    edge lengths. With a radius, which must be a finite number > 0 and
+    not a bool (InvalidDecreasingList), they are all points y != x with
+    0 < d(x, y) <= radius under `metric_distances`. x itself is never
+    among them.
     """
     space.check_point(x)
     if radius is None:
         a, b = space.indptr[x], space.indptr[x + 1]
         return tuple(zip(space.dst[a:b].tolist(), space.w[a:b].tolist()))
-    if not 0.0 < radius < math.inf:
+    if isinstance(radius, _BOOLS) or not isinstance(radius, _REALS) \
+            or not 0.0 < radius < math.inf:
         raise InvalidDecreasingList(
-            f"radius must be a finite number > 0, got {radius}")
+            f"radius must be a finite number > 0, got {radius!r}")
     dist = metric_distances(space, x)
     # d(x, x) = 0, so x itself is never a member.
     ys = ((dist > 0.0) & (dist <= radius)).nonzero()[0]

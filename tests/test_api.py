@@ -1,8 +1,11 @@
 import dataclasses
+import importlib
 import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import slopekit
 from slopekit import errors, io
@@ -40,20 +43,96 @@ def test_removed_names_are_absent():
     assert "provenance" not in inspect.signature(io.load_slope_csv).parameters
 
 
-# What `import slopekit.cli` loads: the package and its modules, and
-# neither slopekit.testing nor anything else of slopekit. Every
-# command-line process pays for this import, so a module that joins it
-# has to be listed here.
-CLI_MODULES = ["slopekit", "slopekit.cli", "slopekit.critical", "slopekit.descent",
-               "slopekit.determination", "slopekit.errors", "slopekit.gallery",
-               "slopekit.io", "slopekit.reconstruct", "slopekit.slope",
-               "slopekit.space"]
+# What `import slopekit.cli` loads: the package, the command line and
+# the errors, and no numpy. Every command-line process pays for this
+# import, so a module that joins it has to be listed here.
+CLI_MODULES = ["slopekit", "slopekit.cli", "slopekit.errors"]
+
+
+def _run_fresh(code: str, *args: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports slopekit
+    from this source tree."""
+    src = str(Path(slopekit.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, check=True).stdout
 
 
 def test_cli_import_loads_exactly_the_library_modules():
-    src = str(Path(slopekit.__file__).resolve().parents[1])
-    code = ("import sys, slopekit.cli; print(sorted(m for m in sys.modules "
+    code = ("import sys, slopekit.cli; assert 'numpy' not in sys.modules; "
+            "print(sorted(m for m in sys.modules "
             "if m == 'slopekit' or m.startswith('slopekit.')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True).stdout
-    assert out.strip() == repr(CLI_MODULES)
+    assert _run_fresh(code).strip() == repr(CLI_MODULES)
+
+
+# The modules each command loads beyond CLI_MODULES. Building the parser
+# loads `slope` (the knob checks) and `gallery` (the figure tags), and
+# every command reads or writes files through `io`, which loads `critical`.
+_COMMON = ["critical", "gallery", "io", "slope", "space"]
+COMMAND_MODULES = {
+    "slope": (["slope", "--space", "{space}", "--f", "{f}"], _COMMON),
+    "crit": (["crit", "--space", "{space}", "--f", "{f}"], _COMMON),
+    "descend": (["descend", "--space", "{space}", "--f", "{f}", "--g", "{g}",
+                 "--start", "0"], [*_COMMON, "descent"]),
+    "determine": (["determine", "--space", "{space}", "--f", "{f}", "--g", "{fc}"],
+                  [*_COMMON, "determination"]),
+    "reconstruct": (["reconstruct", "--space", "{space}", "--slopes", "{slopes}",
+                     "--crit-values", "{crit}"], [*_COMMON, "reconstruct"]),
+    "gallery": (["gallery", "fig1", "--n", "5"], _COMMON),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    files = {"space": "u,v,length\n0,1,1.0\n1,2,1.0\n",
+             "f": "point,value\n0,2.0\n1,1.0\n2,0.0\n",
+             "g": "point,value\n0,1.0\n1,0.5\n2,0.0\n",
+             "fc": "point,value\n0,3.0\n1,2.0\n2,1.0\n",
+             "slopes": "point,slope,is_infinite\n0,1.0,0\n1,1.0,0\n2,0.0,0\n",
+             "crit": "point,value\n2,0.0\n"}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text)
+    argv, extra = COMMAND_MODULES[command]
+    code = ("import sys; from slopekit.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m == 'slopekit' or m.startswith('slopekit.')))")
+    out = _run_fresh(code, *(a.format(**paths) for a in argv),
+                     "--out", str(tmp_path / "out"))
+    expected = sorted([*CLI_MODULES, *(f"slopekit.{m}" for m in extra)])
+    assert out.strip() == f"0 {expected!r}"
+
+
+@pytest.mark.parametrize("first", [
+    "import importlib; importlib.import_module('slopekit.reconstruct')",
+    "from slopekit.reconstruct import SlopeData",
+    "import slopekit.cli",
+    "import slopekit.reconstruct",
+])
+def test_reconstruct_stays_the_function(first):
+    # Loading the module binds it to the package; that must not hide the function.
+    code = (f"{first}\nimport importlib, slopekit\n"
+            "fn = importlib.import_module('slopekit.reconstruct').reconstruct\n"
+            "print(callable(fn), slopekit.reconstruct is fn)")
+    assert _run_fresh(code).strip() == "True True"
+
+
+def test_names_load_their_module_on_first_use():
+    code = ("import sys, slopekit; public = set(slopekit.__all__); "
+            "loaded = sorted(m for m in sys.modules if m.startswith('slopekit')); "
+            "cached = sorted(public & set(vars(slopekit))); "
+            "numpy = 'numpy' in sys.modules; slopekit.determine; "
+            "print(loaded, cached, numpy, "
+            "'slopekit.determination' in sys.modules, 'determine' in vars(slopekit))")
+    assert _run_fresh(code).strip() == "['slopekit'] [] False True True"
+
+
+def test_public_names_are_their_modules_objects():
+    for name in slopekit.__all__:
+        module = importlib.import_module(f"slopekit.{slopekit._MODULE_OF.get(name, name)}")
+        expected = module if name == "errors" else vars(module)[name]
+        assert getattr(slopekit, name) is expected, name
+    assert set(slopekit.__all__) <= set(dir(slopekit))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        slopekit.no_such_name

@@ -11,6 +11,7 @@ from conftest import path_field, unit_path
 from slopekit import (
     CriticalSet,
     SlopeField,
+    build_graph,
     cantor_approx,
     cantor_pair,
     comparison_principle,
@@ -27,6 +28,7 @@ from slopekit import (
     slope_field,
 )
 from slopekit.cli import main
+from slopekit.io import load_graph_csv
 from slopekit.errors import (
     InvalidCap,
     InvalidCount,
@@ -35,6 +37,7 @@ from slopekit.errors import (
     NegativeTolerance,
     NonFiniteConstant,
     NonPositiveScale,
+    TooFewPoints,
 )
 from slopekit.reconstruct import SlopeData
 
@@ -169,11 +172,34 @@ def test_valid_knobs_still_pass():
                           [0.0, 1.0, 1.0])
 
 
-@pytest.mark.parametrize("n", [10.7, math.nan, math.inf, "10", None])
+@pytest.mark.parametrize("n", [10.7, math.nan, math.inf, "10", None, True])
 def test_sample_interval_rejects_non_integer_count(n):
     # 10.7 used to build 10 points
     with pytest.raises(InvalidCount):
         sample_interval(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [10.7, math.nan, math.inf, "3", True, np.True_])
+def test_build_graph_rejects_non_integer_count(tmp_path, n):
+    # 10.7 used to build 10 points and "3" 3; nan raised a bare ValueError,
+    # inf an OverflowError and True a DanglingEndpoint
+    graph = tmp_path / "graph.csv"
+    graph.write_text("u,v,length\n0,1,1.0\n")
+    with pytest.raises(InvalidCount, match="n must be an integer"):
+        build_graph([(0, 1, 1.0)], n=n)
+    with pytest.raises(InvalidCount, match="n must be an integer"):
+        load_graph_csv(graph, n=n)
+
+
+@pytest.mark.parametrize("n", [0, -1, 0.0])
+def test_build_graph_count_below_one_is_too_few_points(n):
+    with pytest.raises(TooFewPoints):
+        build_graph([], n=n)
+
+
+def test_build_graph_accepts_integral_counts():
+    for n in (3, 3.0, np.int64(3)):
+        assert build_graph([(0, 1, 1.0)], n=n).n == 3
 
 
 def test_sample_interval_accepts_integral_counts():
@@ -181,7 +207,7 @@ def test_sample_interval_accepts_integral_counts():
         assert sample_interval(0.0, 1.0, n).n == 10
 
 
-@pytest.mark.parametrize("level", [2.9, math.nan, math.inf])
+@pytest.mark.parametrize("level", [2.9, math.nan, math.inf, True])
 def test_cantor_rejects_non_integer_level(level):
     # 2.9 used to run level 2
     with pytest.raises(InvalidCount):
@@ -198,7 +224,7 @@ def test_gallery_rejects_non_integer_size():
         emit_figure_data("fig1", n=10.7)
 
 
-@pytest.mark.parametrize("max_steps", [math.nan, 1.5, -1, math.inf])
+@pytest.mark.parametrize("max_steps", [math.nan, 1.5, -1, math.inf, True])
 def test_descent_path_rejects_step_budget(max_steps):
     # nan used to never stop on the budget, -1 to raise StepLimitExceeded
     space = unit_path(3)

@@ -38,8 +38,9 @@ OVERFLOWS = [
     ([-1e308, 0.0, 0.0], [1e308, 0.0, 0.0], "g - f overflows at point 0"),
     # g - f is finite: the residual at 2 is 1e308 - (-1e308)
     ([0.0, 1.0, 2.0], [-1e308, 0.0, 1e308], "g - f - c overflows at point 2"),
-    # the sum behind the mean of g - f = (1e308, 1e308, 1e308) overflows
-    ([0.0, 0.0, 0.0], [1e308, 1e308, 1e308],
+    # the sum behind the mean of g - f = (1e308, 1e308, -1e308) overflows,
+    # and so does the sum centred on its least entry
+    ([0.0, 0.0, 0.0], [1e308, 1e308, -1e308],
      "the mean of g - f on the critical set overflows"),
     # the mean is 0, but the spread is 1e308 - (-1e308)
     ([0.0, 0.0, 0.0], [1e308, 0.0, -1e308],
@@ -59,6 +60,19 @@ def test_overflowing_difference_is_a_typed_error(f, g, message):
     with pytest.raises(DifferenceOverflow) as info:
         sk.determine(space, path_field(space, f), path_field(space, g))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("f,g,c", [
+    # the plain sum of g - f = (1e308,)*3 overflows
+    ([0.0, 0.0, 0.0], [1e308, 1e308, 1e308], 1e308),
+    # the plain sum of g - f = (-8e307,)*3 overflows
+    ([1.6e308] * 3, [0.8e308] * 3, -8e307),
+])
+def test_representable_constant_whose_sum_overflows(f, g, c):
+    space = unit_path(3)
+    report = sk.determine(space, path_field(space, f), path_field(space, g))
+    assert report.verdict.kind == "EqualUpToConstant"
+    assert report.verdict.constant == c and report.residual == 0.0
 
 
 @pytest.mark.parametrize("f,g,message", OVERFLOWS[:2])

@@ -320,7 +320,7 @@ def test_coordinates_take_precedence_over_path_distances():
     assert neighbors(space, 0, radius=1.0) == ((1, 1.0),)
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, True, "1"])
 def test_neighbors_rejects_radius(radius):
     with pytest.raises(InvalidDecreasingList, match="radius must be a finite number"):
         neighbors(unit_path(3), 0, radius=radius)
