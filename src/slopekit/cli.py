@@ -26,8 +26,6 @@ from .errors import FileFormatError, SlopeKitError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
-EXIT_HYPOTHESIS_VIOLATED = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 EXIT_IO = 74
@@ -184,7 +182,6 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> _Parser:
-    from .gallery import FIGURE_TAGS
     from .slope import OVERFLOW_CAP, check_cap, check_tol
     cap_type, tol_type = _checked(check_cap), _checked(check_tol)
     parser = _Parser(prog="slopekit",
@@ -252,7 +249,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gallery", parents=[cap_parent, out_parent],
                        help="emit figure data for the example pairs")
-    p.add_argument("figure", choices=FIGURE_TAGS)
+    p.add_argument("figure", choices=("fig1", "fig2", "fig3"))
     p.add_argument("--n", type=_int_in(2, MAX_POINTS), default=None,
                    help=f"grid size override, at most {MAX_POINTS}")
     p.add_argument("--level", type=_int_in(0, MAX_LEVEL), default=8,

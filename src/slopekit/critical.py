@@ -3,11 +3,12 @@
 A point is critical when its slope is (tolerance-)zero; on a finite
 space every field has at least one critical point because a global
 minimizer has slope exactly 0 (`critical_mask`, one boolean per point,
-is the one test). A `CriticalSet` is that mask and its tolerance;
-membership of x is `mask[x]`, and every function that takes a caller's
-set first checks, once, that the mask has one entry per point
-(`require_covers`). The comparison floor at x is the least value of
-f - g over critical points in the sublevel set {z : f(z) <= f(x)}; it
+is the one test). A `CriticalSet` is that mask, its tolerance and the
+space it is bound to, like a field; membership of x is `mask[x]`. Its
+constructor checks that the mask has one entry per point, and a
+function that takes a caller's set binds it to the space with its
+fields, in one `require_bound` call. The comparison floor at x is the
+least value of f - g over critical points in the sublevel set {z : f(z) <= f(x)}; it
 is the strict lower bound that descent arguments certify for
 (f - g)(x).
 
@@ -33,13 +34,15 @@ from .space import MetricSpaceGraph, PointId
 
 @dataclass(frozen=True, eq=False)
 class CriticalSet:
-    """The points whose slope is <= tol (infinite slopes never qualify),
-    as a read-only 1-D boolean mask over the points.
+    """The points of `space` whose slope is <= tol (infinite slopes
+    never qualify), as a read-only 1-D boolean mask over its points.
 
     The constructor copies `mask`; anything but a 1-D boolean array
-    raises FieldSpaceMismatch, and a bad `tol` NegativeTolerance.
+    with one entry per point raises FieldSpaceMismatch, and a bad `tol`
+    NegativeTolerance.
     """
 
+    space: MetricSpaceGraph
     mask: np.ndarray
     tol: float
 
@@ -49,6 +52,9 @@ class CriticalSet:
             raise FieldSpaceMismatch(
                 "a critical set is a 1-D boolean mask over the points, "
                 f"got shape {mask.shape} and dtype {mask.dtype}")
+        if mask.size != self.space.n:
+            raise FieldSpaceMismatch(
+                f"critical mask has {mask.size} entries, space has {self.space.n} points")
         mask = mask.copy()
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
@@ -62,15 +68,6 @@ class CriticalSet:
     def sorted_members(self) -> tuple[int, ...]:
         """The critical points in increasing order."""
         return tuple(self.mask.nonzero()[0].tolist())
-
-
-def require_covers(space: MetricSpaceGraph, crit: CriticalSet) -> np.ndarray:
-    """The mask of `crit`; FieldSpaceMismatch unless it has one entry
-    per point of the space."""
-    if crit.mask.shape != (space.n,):
-        raise FieldSpaceMismatch(
-            f"critical mask has {crit.mask.size} entries, space has {space.n} points")
-    return crit.mask
 
 
 class NoCriticalBelow:
@@ -104,7 +101,7 @@ def critical_mask(slopes: SlopeField, tol: float = 0.0) -> np.ndarray:
 
 def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
     """The points of `critical_mask` as a CriticalSet."""
-    return CriticalSet(critical_mask(slopes, tol), tol)
+    return CriticalSet(slopes.space, critical_mask(slopes, tol), tol)
 
 
 def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -117,10 +114,9 @@ def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     of equal values in increasing id order is returned, which fixes the
     sign of a zero floor; an overflowing difference is +inf or -inf.
     """
-    require_bound(space, f)
-    require_bound(space, g)
+    require_bound(space, f, g, crit)
     space.check_point(x)
-    ids = require_covers(space, crit).nonzero()[0]
+    ids = crit.mask.nonzero()[0]
     fx = float(f.values[x])
     pairs = zip(f.values[ids].tolist(), g.values[ids].tolist())
     best = min((fz - gz for fz, gz in pairs if fz <= fx), default=None)

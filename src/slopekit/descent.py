@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalSet, require_covers, sublevel_floor
+from .critical import CriticalSet, sublevel_floor
 from .errors import PointIsCritical, SlopeDominanceViolated, StepLimitExceeded
 from .slope import (
     OVERFLOW_CAP,
@@ -102,11 +102,9 @@ def descent_step(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     adjacent point qualifies, which can only happen when the dominance
     precondition held just within tolerance.
     """
-    require_bound(space, f)
-    require_bound(space, g)
+    require_bound(space, f, g, crit)
     space.check_point(x)
-    on_crit = require_covers(space, crit)
-    if on_crit[x]:
+    if crit.mask[x]:
         raise PointIsCritical(f"point {x} is critical (tol={crit.tol})")
     return _step(space, f.values, g.values, x, check_cap(cap))
 
@@ -169,10 +167,8 @@ def descent_path(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     budget must be an integer >= 0 (InvalidCount). The inputs are
     checked once, not per step.
     """
-    require_bound(space, f)
-    require_bound(space, g)
+    require_bound(space, f, g, crit)
     space.check_point(x0)
-    on_crit = require_covers(space, crit)
     max_steps = space.n if max_steps is None else check_count(max_steps, "max_steps", 0)
     cap = check_cap(cap)
     fv, gv = f.values, g.values
@@ -181,7 +177,7 @@ def descent_path(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     # Python float subtraction overflows to +-inf without a warning.
     diff_vals = [float(fv[x0]) - float(gv[x0])]
     current = int(x0)
-    while not on_crit[current]:
+    while not crit.mask[current]:
         if len(points) - 1 >= max_steps:
             raise StepLimitExceeded(
                 f"no critical point within {max_steps} steps from {x0}")
@@ -209,9 +205,8 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
     offending point and skips the comparison. Violations of the
     comparison itself are reported as data, not raised.
     """
-    require_bound(space, f)
-    require_bound(space, g)
-    non_critical = ~require_covers(space, crit)
+    require_bound(space, f, g, crit)
+    non_critical = ~crit.mask
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
     offending = (non_critical & ~(sf.values > sg.values)).nonzero()[0]

@@ -230,8 +230,7 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     of f always holds argmin f, and the slope of f is finite there.
     DifferenceOverflow if g - f, the constant, the spread or the
     residual is not finite."""
-    require_bound(space, f)
-    require_bound(space, g)
+    require_bound(space, f, g)
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
 
@@ -363,8 +362,7 @@ def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
     the conclusion is returned as data with its worst witness.
     `determine` reads both directions of it from its residual g - f - c.
     """
-    require_bound(space, f)
-    require_bound(space, g)
+    require_bound(space, f, g)
     c = check_constant(c)
     tol = check_tol(tol)
     sf = slope_field(space, f, cap=cap)
@@ -392,8 +390,7 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     overflows raises the error of `scale_field` for the first such
     epsilon, before the edge pass.
     """
-    require_bound(space, f)
-    require_bound(space, g)
+    require_bound(space, f, g)
     eps = check_decreasing(epsilons, "epsilons")
     tol = check_tol(tol)
     if c is not None:

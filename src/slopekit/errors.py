@@ -62,8 +62,9 @@ class DisconnectedSpace(SlopeKitError):
 # ---- fields and slopes ----
 
 class FieldSpaceMismatch(SlopeKitError):
-    """A field is bound to a different space than the one supplied, or
-    a field or critical mask does not have one entry per point."""
+    """A field or critical set is bound to a different space than the
+    one supplied, or a field or critical mask does not have one entry
+    per point."""
 
 
 class NonFiniteFieldValue(SlopeKitError):

@@ -35,12 +35,11 @@ HALF_PI = math.pi / 2.0
 
 @dataclass(frozen=True)
 class AnalyticFunction1D:
-    """A named 1-D function with a closed-form slope on its domain."""
+    """A named 1-D function with a closed-form slope."""
 
     name: str
     value: object            # Callable[[float], float]
     analytic_slope: object   # Callable[[float], float]
-    domain: tuple[float, float]
 
 
 def _arctan_slope(t: float) -> float:
@@ -52,10 +51,8 @@ def arctan_pair() -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
 
     Both slopes are 1/(t^2 + 1): identical, finite, and never zero.
     """
-    dom = (-math.inf, math.inf)
-    f = AnalyticFunction1D("arctan", math.atan, _arctan_slope, dom)
-    g = AnalyticFunction1D("neg-arctan", lambda t: -math.atan(t),
-                           _arctan_slope, dom)
+    f = AnalyticFunction1D("arctan", math.atan, _arctan_slope)
+    g = AnalyticFunction1D("neg-arctan", lambda t: -math.atan(t), _arctan_slope)
     return f, g
 
 
@@ -80,12 +77,9 @@ def square_sine_pair() -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
     the junctions x = -pi/2 (the minimum of f) and x = +pi/2 (the flat
     ascent of f), where g - f equals +2 and -2 respectively.
     """
-    dom = (-math.inf, math.inf)
-    f = AnalyticFunction1D("square-sine", _square_sine_value,
-                           _square_sine_slope, dom)
+    f = AnalyticFunction1D("square-sine", _square_sine_value, _square_sine_slope)
     g = AnalyticFunction1D("square-sine-mirrored",
-                           lambda x: _square_sine_value(-x),
-                           _square_sine_slope, dom)
+                           lambda x: _square_sine_value(-x), _square_sine_slope)
     return f, g
 
 
@@ -152,7 +146,6 @@ def cantor_pair(level: int) -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
     level = check_count(level, "level")
     if level < 0:
         raise OutOfDomain("level must be >= 0")
-    dom = (0.0, 1.0)
 
     def f_val(t: float) -> float:
         return cantor_approx(level, t) + t
@@ -170,9 +163,8 @@ def cantor_pair(level: int) -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
             return 0.0
         return 1.0 + 2.0 * _staircase_left_steepness(level, t)
 
-    f = AnalyticFunction1D(f"staircase-plus-t-level{level}", f_val, f_slope, dom)
-    g = AnalyticFunction1D(f"double-staircase-plus-t-level{level}", g_val,
-                           g_slope, dom)
+    f = AnalyticFunction1D(f"staircase-plus-t-level{level}", f_val, f_slope)
+    g = AnalyticFunction1D(f"double-staircase-plus-t-level{level}", g_val, g_slope)
     return f, g
 
 

@@ -38,12 +38,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .critical import CriticalSet, require_covers
 from .errors import FileFormatError, InvariantViolated
-from .slope import OVERFLOW_CAP, ScalarField, SlopeField
+from .slope import OVERFLOW_CAP, ScalarField, SlopeField, require_bound
 from .space import MetricSpaceGraph, _space_from_columns
 
 if TYPE_CHECKING:  # annotations only: a `slope` process never loads these
+    from .critical import CriticalSet
     from .descent import DescentPath
     from .determination import DeterminationReport
     from .reconstruct import Inadmissible
@@ -356,7 +356,8 @@ def load_slope_csv(path, space: MetricSpaceGraph,
 
 
 def render_crit_csv(crit: CriticalSet, slopes: SlopeField) -> str:
-    ids = require_covers(slopes.space, crit).nonzero()[0]
+    require_bound(slopes.space, crit)
+    ids = crit.mask.nonzero()[0]
     return _render_rows(",", f"# tol={fmt(crit.tol)}\n", ("point", "slope"), "dg",
                         zip(ids.tolist(), slopes.values[ids].tolist()))
 

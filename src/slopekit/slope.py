@@ -179,10 +179,14 @@ class DeltaProfileEntry:
     empty_ball: bool
 
 
-def require_bound(space: MetricSpaceGraph, fld) -> None:
-    """Raise unless `fld` is bound to exactly this space."""
-    if fld.space is not space:
-        raise FieldSpaceMismatch("field is bound to a different space")
+def require_bound(space: MetricSpaceGraph, *objs) -> None:
+    """Raise unless every field, slope field or critical set in `objs`
+    is bound to exactly this space: the one check of every per-point
+    argument of a call."""
+    for obj in objs:
+        if obj.space is not space:
+            what = "field" if isinstance(obj, (ScalarField, SlopeField)) else "critical set"
+            raise FieldSpaceMismatch(f"{what} is bound to a different space")
 
 
 def local_slope(space: MetricSpaceGraph, f: ScalarField, x: PointId,

@@ -289,10 +289,9 @@ def reference_determine_certificate(space: MetricSpaceGraph, f: ScalarField,
                                                 tol_crit, cap)
     dc = diag.diff_constant_on_crit
     violated = diag.failed_hypotheses()
-    residual = None if dc is None else float(np.abs(resid).max())
-    if dc is None or violated:
-        verdict = Verdict(kind=VERDICT_VIOLATED,
-                          violated=violated or ("slopes_finite",))
+    residual = float(np.abs(resid).max())
+    if violated:
+        verdict = Verdict(kind=VERDICT_VIOLATED, violated=violated)
         witnesses = _violation_witnesses(diag)
     else:
         worst = int(np.argmax(np.abs(resid)))
@@ -324,8 +323,7 @@ def reference_epsilon_audit(space: MetricSpaceGraph, f: ScalarField,
     loop over the epsilons: each (1 + epsilon) * f is built by
     `scale_field`, its slopes by `slope_field` and its critical set by
     `critical_mask`, one epsilon at a time."""
-    require_bound(space, f)
-    require_bound(space, g)
+    require_bound(space, f, g)
     eps = check_decreasing(epsilons, "epsilons")
     tol = check_tol(tol)
     if c is not None:

@@ -65,19 +65,20 @@ def test_cli_import_loads_exactly_the_library_modules():
 
 
 # The modules each command loads beyond CLI_MODULES. Building the parser
-# loads `slope` (the knob checks) and `gallery` (the figure tags), and
-# every command reads or writes files through `io`, which loads `critical`.
-_COMMON = ["critical", "gallery", "io", "slope", "space"]
+# loads `slope` (the knob checks), and every command reads or writes
+# files through `io`, which loads `space`. `critical` loads with the
+# commands that take a critical set, `gallery` with `gallery` alone.
+_COMMON = ["io", "slope", "space"]
 COMMAND_MODULES = {
     "slope": (["slope", "--space", "{space}", "--f", "{f}"], _COMMON),
-    "crit": (["crit", "--space", "{space}", "--f", "{f}"], _COMMON),
+    "crit": (["crit", "--space", "{space}", "--f", "{f}"], [*_COMMON, "critical"]),
     "descend": (["descend", "--space", "{space}", "--f", "{f}", "--g", "{g}",
-                 "--start", "0"], [*_COMMON, "descent"]),
+                 "--start", "0"], [*_COMMON, "critical", "descent"]),
     "determine": (["determine", "--space", "{space}", "--f", "{f}", "--g", "{fc}"],
-                  [*_COMMON, "determination"]),
+                  [*_COMMON, "critical", "determination"]),
     "reconstruct": (["reconstruct", "--space", "{space}", "--slopes", "{slopes}",
-                     "--crit-values", "{crit}"], [*_COMMON, "reconstruct"]),
-    "gallery": (["gallery", "fig1", "--n", "5"], _COMMON),
+                     "--crit-values", "{crit}"], [*_COMMON, "critical", "reconstruct"]),
+    "gallery": (["gallery", "fig1", "--n", "5"], [*_COMMON, "gallery"]),
 }
 
 

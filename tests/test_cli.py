@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -5,7 +6,8 @@ import random
 
 import pytest
 
-from slopekit.cli import main
+from slopekit import gallery, testing
+from slopekit.cli import build_parser, main
 from slopekit.testing import random_connected_graph, random_dyadic_field
 
 PATH_GRAPH = "u,v,length\n0,1,1.0\n1,2,1.0\n2,3,1.0\n"
@@ -305,3 +307,26 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "suite=lemma" in out and "PASS" in out
+
+
+def test_verify_reports_a_failing_suite(monkeypatch, capsys):
+    def failing(trials, seed):
+        return testing.SuiteResult("fake", trials, 3, 1, f"gap at seed {seed}")
+    monkeypatch.setattr(testing, "SUITES", {"fake": failing})
+    rc = main(["verify", "--trials", "4", "--seed", "7"])
+    assert rc == 1
+    assert capsys.readouterr().out == \
+        "suite=fake trials=4 checks=3 failures=1 FAIL (gap at seed 7)\n"
+
+
+def test_parser_choices_are_the_library_names():
+    # The parser keeps the figure tags and suite names as literals, so
+    # that building it loads neither `gallery` nor `testing`.
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, dest):
+        return next(tuple(a.choices) for a in sub.choices[command]._actions
+                    if a.dest == dest)
+    assert choices("gallery", "figure") == gallery.FIGURE_TAGS
+    assert choices("verify", "suite") == ("all", *testing.SUITES)

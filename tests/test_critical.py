@@ -105,7 +105,7 @@ def test_comparison_floor_no_critical_below():
     g = path_field(space, [0.0, 0.0, 0.0])
     # hand a critical set that sits above x; only reachable with a set
     # not derived from f
-    fake = CriticalSet(mask=np.array([True, False, False]), tol=0.0)
+    fake = CriticalSet(space=space, mask=np.array([True, False, False]), tol=0.0)
     out = comparison_floor(space, f, g, 2, fake)
     assert isinstance(out, NoCriticalBelow)
     assert out is NO_CRITICAL_BELOW
@@ -150,7 +150,7 @@ def test_critical_set_is_a_read_only_copy_of_its_mask():
     with pytest.raises(ValueError):
         crit.mask[0] = True
     source = np.array([True, False, True])
-    mine = CriticalSet(source, 0.0)
+    mine = CriticalSet(space, source, 0.0)
     source[1] = True
     assert mine.mask.tolist() == [True, False, True]
     assert mine.sorted_members() == (0, 2)
@@ -161,4 +161,4 @@ def test_critical_set_is_a_read_only_copy_of_its_mask():
 def test_critical_set_wants_a_1d_boolean_mask(mask):
     # point ids, 0/1 integers and 2-D or scalar masks are not read as membership
     with pytest.raises(FieldSpaceMismatch, match="1-D boolean mask"):
-        CriticalSet(mask, 0.0)
+        CriticalSet(unit_path(3), mask, 0.0)

@@ -133,9 +133,9 @@ def hand_made_sets(rng, space, f):
     extra = set(rng.sample(range(space.n), rng.randint(0, space.n)))
     minimizer = int(np.argmin(f.values))
     missing = set(rng.sample(range(space.n), rng.randint(1, space.n))) - {minimizer}
-    return [derived, CriticalSet(derived.mask | mask_of(space.n, extra), 0.0),
-            CriticalSet(mask_of(space.n, missing), 0.0),
-            CriticalSet(mask_of(space.n, ()), 0.0)]
+    return [derived, CriticalSet(space, derived.mask | mask_of(space.n, extra), 0.0),
+            CriticalSet(space, mask_of(space.n, missing), 0.0),
+            CriticalSet(space, mask_of(space.n, ()), 0.0)]
 
 
 def mask_of(n, points):

@@ -94,7 +94,7 @@ def test_critical_set_rejects_nan_tol(steep_path):
 def test_caller_critical_set_rejects_tol(tol):
     # it was stored as given, and `render_crit_csv` printed `# tol=nan`
     with pytest.raises(NegativeTolerance, match="tol must be"):
-        CriticalSet(np.array([True, False]), tol)
+        CriticalSet(unit_path(2), np.array([True, False]), tol)
 
 
 def test_determine_rejects_nan_tol_crit(steep_path):

@@ -37,7 +37,7 @@ def test_workload_views_and_keywords():
     sf = slope_field(space, f)
     crit = critical_set(sf)
     assert crit.members == frozenset({2}) and crit.sorted_members() == (2,)
-    above = CriticalSet(np.array([True, False, False]), 0.0)
+    above = CriticalSet(space, np.array([True, False, False]), 0.0)
     assert type(NO_CRITICAL_BELOW).__name__ == "NoCriticalBelow"
     assert comparison_floor(space, f, f, 2, above) is NO_CRITICAL_BELOW
     copy = SlopeField(space, sf.values.copy(), sf.infinite.copy(),

@@ -1,8 +1,8 @@
 """Point ids are integers in [0, n): a float, string or bool id raises
 InvalidPoint instead of wrapping around or being dropped, also when it
 indexes a field, and a
-critical set built by a caller must have one mask entry per point
-(FieldSpaceMismatch)."""
+critical set built by a caller must have one mask entry per point and
+be used on its own space (FieldSpaceMismatch)."""
 import numpy as np
 import pytest
 
@@ -31,29 +31,41 @@ def path3():
 
 @pytest.mark.parametrize("members", [[True], [False, False], [False] * 4,
                                      [False, False, True, True], [True] * 7])
-def test_caller_critical_set_outside_the_space(path3, members):
-    # a short mask used to raise a bare IndexError, a long one to pass
+def test_caller_critical_set_outside_the_space(members):
+    # a short mask used to raise a bare IndexError, a long one to pass;
+    # both are rejected where the set is built
+    with pytest.raises(FieldSpaceMismatch,
+                       match=f"critical mask has {len(members)} entries, "
+                             "space has 3 points"):
+        CriticalSet(unit_path(3), np.array(members), 0.0)
+
+
+def test_caller_critical_set_of_another_space(path3):
+    # an equal point count used to pass: the set is bound to its space,
+    # as a field is
     space, f, g = path3
-    crit = CriticalSet(np.array(members), 0.0)
-    for call in (lambda: comparison_floor(space, f, g, 2, crit),
+    crit = CriticalSet(unit_path(3), np.array([True, False, True]), 0.0)
+    for call in (lambda: comparison_floor(space, f, g, 1, crit),
                  lambda: verify_strict_comparison(space, f, g, crit),
                  lambda: skio.render_crit_csv(crit, slope_field(space, f)),
-                 lambda: descent_step(space, f, g, 0, crit),
-                 lambda: descent_path(space, f, g, 0, crit)):
+                 lambda: descent_step(space, f, g, 1, crit),
+                 lambda: descent_path(space, f, g, 1, crit)):
         with pytest.raises(FieldSpaceMismatch,
-                           match=f"critical mask has {len(members)} entries, "
-                                 "space has 3 points"):
+                           match="critical set is bound to a different space"):
             call()
+    with pytest.raises(FieldSpaceMismatch,
+                       match="field is bound to a different space"):
+        comparison_floor(crit.space, f, g, 1, crit)
 
 
 def test_caller_critical_set_inside_the_space(path3):
     space, f, g = path3
-    crit = CriticalSet(np.array([True, False, True]), 0.0)
+    crit = CriticalSet(space, np.array([True, False, True]), 0.0)
     assert crit.sorted_members() == (0, 2)
     assert comparison_floor(space, f, g, 1, crit) == 0.0
     assert descent_step(space, f, g, 1, crit) == 2
     assert descent_path(space, f, g, 1, crit).points == (1, 2)
-    assert CriticalSet(np.zeros(3, dtype=bool), 0.0).sorted_members() == ()
+    assert CriticalSet(space, np.zeros(3, dtype=bool), 0.0).sorted_members() == ()
 
 
 @pytest.mark.parametrize("x", [1.5, 1.0, np.float64(1.0), "1", True, None])
