@@ -183,7 +183,8 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> _Parser:
     from .slope import OVERFLOW_CAP, check_cap, check_tol
-    cap_type, tol_type = _checked(check_cap), _checked(check_tol)
+    cap_type = _checked(lambda text: check_cap(float(text)))
+    tol_type = _checked(lambda text: check_tol(float(text)))
     parser = _Parser(prog="slopekit",
                      description="Slope calculus on finite metric spaces")
     sub = parser.add_subparsers(dest="command", required=True)

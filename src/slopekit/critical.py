@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldSpaceMismatch
-from .slope import ScalarField, SlopeField, check_tol, require_bound
+from .slope import ScalarField, SlopeField, _built, check_tol, require_bound
 from .space import MetricSpaceGraph, PointId
 
 
@@ -100,8 +100,10 @@ def critical_mask(slopes: SlopeField, tol: float = 0.0) -> np.ndarray:
 
 
 def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
-    """The points of `critical_mask` as a CriticalSet."""
-    return CriticalSet(slopes.space, critical_mask(slopes, tol), tol)
+    """The points of `critical_mask`, which checks tol, as a CriticalSet
+    built without a second check, like the kernel's fields (`_built`)."""
+    mask = critical_mask(slopes, tol)
+    return _built(CriticalSet, space=slopes.space, mask=mask, tol=float(tol))
 
 
 def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,

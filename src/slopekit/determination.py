@@ -12,9 +12,10 @@ proves it by the one-sided comparison principle applied both ways;
 `determine` reads both directions from the residual resid = g - f - c
 of its checks: the critical bounds, resid <= tol_slope on the critical
 set of f and >= -tol_slope on that of g, then max |resid| <=
-tol_residual. The constant c is estimated as the mean of g - f over the
-critical set and validated by its spread, since callers typically need
-c discovered rather than supplied.
+tol_residual. The constant c is estimated as the average of g - f over
+the critical set and validated by its spread, since callers typically
+need c discovered rather than supplied; that average (`_mean`) is
+finite and does not depend on the order of the points.
 
 Each critical set is one boolean mask over the points (`critical_mask`);
 the critical points, `only_in_f`/`only_in_g`, g - f on the critical set
@@ -33,8 +34,8 @@ the sublevel floors and the worst margins are taken row by row.
 
 The outcomes of `determine` are verdicts. It raises typed errors only
 for malformed inputs, and DifferenceOverflow from `_diagnose` when g - f,
-its mean or spread on the critical set, or the residual overflows the
-float range, a value that no report can state.
+its spread on the critical set, or the residual overflows the float
+range, a value that no report can state.
 """
 from __future__ import annotations
 
@@ -125,14 +126,9 @@ class HypothesisDiagnostics:
 
         `crit_sets_equal` is informational and never listed here.
         """
-        failed = []
-        if not self.slopes_finite.passed:
-            failed.append("slopes_finite")
-        if not self.slopes_equal.passed:
-            failed.append("slopes_equal")
-        if not self.diff_constant_on_crit.passed:
-            failed.append("diff_constant_on_crit")
-        return tuple(failed)
+        return tuple(name for name in ("slopes_finite", "slopes_equal",
+                                       "diff_constant_on_crit")
+                     if not getattr(self, name).passed)
 
 
 @dataclass(frozen=True)
@@ -160,11 +156,7 @@ class DeterminationReport:
 
     @property
     def exit_code(self) -> int:
-        if self.verdict.kind == VERDICT_EQUAL:
-            return 0
-        if self.verdict.kind == VERDICT_VIOLATED:
-            return 2
-        return 3
+        return {VERDICT_EQUAL: 0, VERDICT_VIOLATED: 2}.get(self.verdict.kind, 3)
 
 
 @dataclass(frozen=True)
@@ -228,8 +220,8 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
     The slope of f is exactly 0 at its minimizers, so the critical set
     of f always holds argmin f, and the slope of f is finite there.
-    DifferenceOverflow if g - f, the constant, the spread or the
-    residual is not finite."""
+    DifferenceOverflow if g - f, the spread or the residual is not
+    finite; the constant, a `_mean` of finite differences, always is."""
     require_bound(space, f, g)
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
@@ -265,21 +257,12 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
                               only_in_f=only_f, only_in_g=only_g)
 
     crit_ids = in_f.nonzero()[0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # differences of finite values
         diff = g.values - f.values
+        _require_finite(diff, "g - f")
         diffs = diff[crit_ids]
-        constant = float(diffs.mean())
-        if not math.isfinite(constant):
-            # The sum behind the mean overflowed. Centred on the least
-            # difference it does not while the spread is finite, and it
-            # is exact when the differences are equal.
-            lo = diffs.min()
-            constant = float(lo + (diffs - lo).mean())
+        constant = _mean(diffs)
         resid = diff - constant
-    _require_finite(diff, "g - f")
-    if not math.isfinite(constant):
-        raise DifferenceOverflow(
-            "the mean of g - f on the critical set overflows")
     _require_finite(resid, "g - f - c")
     max_point, max_value = _extremal_witness(
         crit_ids, diffs, sf.values, pick_max=True)
@@ -300,6 +283,18 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         crit_sets_equal=crit_check, diff_constant_on_crit=diff_check,
         critical_points=tuple(crit_ids.tolist()))
     return diag, sf, sg, in_f, in_g, resid
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean of finite `values`, in no order and with no overflow: the
+    common value if all are equal (+0.0 for zeros), else the correctly
+    rounded `math.fsum` of the values over a power of two at least their
+    count (exact for normal values), divided by the count and scaled back."""
+    first = float(values[0])
+    if (values == first).all():
+        return first + 0.0
+    scale = 2.0 ** values.size.bit_length()
+    return math.fsum((values / scale).tolist()) / values.size * scale
 
 
 def _require_finite(values: np.ndarray, name: str) -> None:

@@ -21,7 +21,8 @@ Public constructors validate, kernels construct: `ScalarField` and
 `slope_field` and `scale_field` build their results through `_built`,
 which skips those checks for arrays that pass them by construction
 (one entry per point, inf exactly where the mask is set, finite values,
-a checked cap) and makes the arrays read-only.
+a checked cap) and makes the arrays read-only. Both classes are frozen
+dataclasses, so no attribute can be reassigned after those checks.
 
 Overflow rule: finite values near +-1.7e308 can make f(x) - f(y), or
 the quotient, overflow to +inf. That is deliberate, not an accident:
@@ -31,8 +32,8 @@ without a RuntimeWarning. The cap itself must be finite and
 positive (`check_cap`), every tolerance finite and >= 0 (`check_tol`),
 a comparison constant finite (`check_constant`), and a list of radii or
 epsilons non-empty, strictly decreasing, finite and > 0
-(`check_decreasing`); these checks are shared by all modules that take
-such knobs.
+(`check_decreasing`), each by `space.check_real`, which also rejects a
+bool or a string; all modules that take such knobs share these checks.
 """
 from __future__ import annotations
 
@@ -52,52 +53,41 @@ from .errors import (
     NonFiniteFieldValue,
     NonPositiveScale,
 )
-from .space import MetricSpaceGraph, PointId, metric_distances
+from .space import MetricSpaceGraph, PointId, check_real, metric_distances
 
 OVERFLOW_CAP = 1e12
 
 
 def check_cap(cap) -> float:
     """The overflow cap as a float; InvalidCap unless finite and > 0."""
-    cap = float(cap)
-    if not (math.isfinite(cap) and cap > 0.0):
-        raise InvalidCap(f"cap must be a finite number > 0, got {cap}")
-    return cap
+    return check_real(cap, InvalidCap, "cap", "must be a finite number > 0", 0.0)
 
 
 def check_tol(tol, name: str = "tol") -> float:
     """A tolerance as a float; NegativeTolerance unless finite and >= 0."""
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise NegativeTolerance(f"{name} must be a finite number >= 0, got {tol}")
-    return tol
+    return check_real(tol, NegativeTolerance, name, "must be a finite number >= 0",
+                      0.0, closed=True)
 
 
 def check_constant(c, name: str = "c") -> float:
     """A constant or threshold as a float; NonFiniteConstant unless finite."""
-    c = float(c)
-    if not math.isfinite(c):
-        raise NonFiniteConstant(f"{name} must be a finite number, got {c}")
-    return c
+    return check_real(c, NonFiniteConstant, name, "must be a finite number")
 
 
 def check_decreasing(values, name: str) -> list[float]:
     """A list option (radii, epsilons) as floats: EmptyDeltaList if it is
     empty, InvalidDecreasingList unless every entry is finite and > 0
     and the entries strictly decrease."""
-    vals = [float(v) for v in values]
+    vals = [check_real(v, InvalidDecreasingList, name, "must be finite numbers > 0",
+                       0.0) for v in values]
     if not vals:
         raise EmptyDeltaList(f"{name} must not be empty")
-    bad = [v for v in vals if not 0.0 < v < math.inf]
-    if bad:
-        raise InvalidDecreasingList(
-            f"{name} must be finite numbers > 0, got {bad[0]}")
     if not all(b < a for a, b in zip(vals, vals[1:])):
         raise InvalidDecreasingList(f"{name} must be strictly decreasing")
     return vals
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """A finite real value per point, bound to the space it lives on."""
 
@@ -113,7 +103,7 @@ class ScalarField:
             bad = int((~np.isfinite(vals)).nonzero()[0][0])
             raise NonFiniteFieldValue(f"non-finite value at point {bad}")
         vals.setflags(write=False)
-        self.values = vals
+        object.__setattr__(self, "values", vals)
 
     def __getitem__(self, x: PointId) -> float:
         self.space.check_point(x)
@@ -123,7 +113,7 @@ class ScalarField:
         return self.space.n
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SlopeField:
     """Per-point slope values plus an explicit infinity mask.
 
@@ -150,11 +140,11 @@ class SlopeField:
         if bad.size:
             raise InvalidSlopeValue(
                 f"slope {vals[bad[0]]} at point {bad[0]} is not finite and >= 0")
-        self.cap = check_cap(self.cap)
         vals.setflags(write=False)
         mask.setflags(write=False)
-        self.values = vals
-        self.infinite = mask
+        for name, value in (("values", vals), ("infinite", mask),
+                            ("cap", check_cap(self.cap))):
+            object.__setattr__(self, name, value)
 
     def __getitem__(self, x: PointId) -> float:
         """The slope at x, math.inf where it is flagged infinite."""
@@ -238,9 +228,8 @@ def scale_field(f: ScalarField, scale: float) -> ScalarField:
     Slopes are positively homogeneous, so the slope field of the result
     is the original slope field scaled by the same constant.
     """
-    scale = float(scale)
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise NonPositiveScale(f"scale must be a finite number > 0, got {scale}")
+    scale = check_real(scale, NonPositiveScale, "scale",
+                       "must be a finite number > 0", 0.0)
     with np.errstate(over="ignore"):  # the values of f are finite
         values = f.values * scale
     bad = (~np.isfinite(values)).nonzero()[0]
@@ -250,11 +239,12 @@ def scale_field(f: ScalarField, scale: float) -> ScalarField:
 
 
 def _built(cls, **fields):
-    """A `ScalarField` or `SlopeField` from fields that are valid by
-    construction, without the checks of the public constructor: the
-    arrays are made read-only here, and the caller guarantees the rest
-    (one entry per point, finite values, inf where the mask is set and
-    finite slopes >= 0 elsewhere, a checked cap)."""
+    """A `ScalarField`, `SlopeField` or `CriticalSet` from fields that
+    are valid by construction, without the checks of the public
+    constructor: the arrays are made read-only here, and the caller
+    guarantees the rest (one entry per point, finite values, inf where
+    the mask is set and finite slopes >= 0 elsewhere, a checked cap or
+    tolerance)."""
     for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)

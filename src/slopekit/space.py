@@ -80,13 +80,28 @@ def check_count(value, name: str, least: int | None = None) -> int:
     return int(value)
 
 
+def check_real(value, error, name: str, rule: str, least: float = -math.inf,
+               closed: bool = False) -> float:
+    """A real-valued knob as a float: `error` ("{name} {rule}, got ...")
+    unless it is a Python or numpy int or float, not a bool, that is
+    finite and > least (>= least if `closed`). The message gives the
+    float value, so a numpy scalar reads like a Python float."""
+    if type(value) is not float:
+        if isinstance(value, _BOOLS) or not isinstance(value, _REALS):
+            raise error(f"{name} {rule}, got {value!r}")
+        value = float(value)
+    if not (math.isfinite(value) and (value > least or closed and value == least)):
+        raise error(f"{name} {rule}, got {value}")
+    return value
+
+
 def _frozen(a, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MetricSpaceGraph:
     """A finite point set with symmetric positive pairwise edge lengths.
 
@@ -106,35 +121,34 @@ class MetricSpaceGraph:
     indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise TooFewPoints(f"a space needs at least one point, got {self.n}")
-        self.src = _frozen(self.src, np.intp)
-        self.dst = _frozen(self.dst, np.intp)
-        self.w = _frozen(self.w, float)
-        if not self.src.size == self.dst.size == self.w.size:
+        n = self.n
+        if n < 1:
+            raise TooFewPoints(f"a space needs at least one point, got {n}")
+        src, dst = _frozen(self.src, np.intp), _frozen(self.dst, np.intp)
+        w = _frozen(self.w, float)
+        if not src.size == dst.size == w.size:
             raise DanglingEndpoint(
-                f"edge arrays differ in length: src {self.src.size}, "
-                f"dst {self.dst.size}, w {self.w.size}")
+                f"edge arrays differ in length: src {src.size}, "
+                f"dst {dst.size}, w {w.size}")
         # As unsigned integers, negative endpoints are >= n as well.
-        if self.src.size and max(self.src.view(np.uintp).max(),
-                                 self.dst.view(np.uintp).max()) >= self.n:
-            k = int(((self.src < 0) | (self.src >= self.n)
-                     | (self.dst < 0) | (self.dst >= self.n)).nonzero()[0][0])
+        if src.size and max(src.view(np.uintp).max(), dst.view(np.uintp).max()) >= n:
+            k = int(((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).nonzero()[0][0])
             raise DanglingEndpoint(
-                f"edge ({self.src[k]}, {self.dst[k]}) has an endpoint "
-                f"outside [0, {self.n})")
-        self.indptr = _frozen(np.concatenate(
-            ([0], np.cumsum(np.bincount(self.src, minlength=self.n)))), np.intp)
+                f"edge ({src[k]}, {dst[k]}) has an endpoint outside [0, {n})")
+        fields = {"src": src, "dst": dst, "w": w, "indptr": _frozen(np.concatenate(
+            ([0], np.cumsum(np.bincount(src, minlength=n)))), np.intp)}
         if self.coordinates is not None:
             coords = np.array(self.coordinates, dtype=float)
-            if coords.shape[0] != self.n:
+            if coords.shape[0] != n:
                 raise FieldSpaceMismatch(
-                    f"coordinates cover {coords.shape[0]} points, space has {self.n}")
-            bad = (~np.isfinite(coords.reshape(self.n, -1)).all(axis=1)).nonzero()[0]
+                    f"coordinates cover {coords.shape[0]} points, space has {n}")
+            bad = (~np.isfinite(coords.reshape(n, -1)).all(axis=1)).nonzero()[0]
             if bad.size:
                 raise NonFiniteCoordinate(f"non-finite coordinate at point {bad[0]}")
             coords.setflags(write=False)
-            self.coordinates = coords
+            fields["coordinates"] = coords
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -409,19 +423,17 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
     every point within `radius` of x, in increasing point order.
 
     Without a radius the pairs are the graph-adjacent points with their
-    edge lengths. With a radius, which must be a finite number > 0 and
-    not a bool (InvalidDecreasingList), they are all points y != x with
-    0 < d(x, y) <= radius under `metric_distances`. x itself is never
-    among them.
+    edge lengths. With a radius, which must be a finite number > 0
+    (`check_real`, InvalidDecreasingList), they are all points y != x
+    with 0 < d(x, y) <= radius under `metric_distances`. x itself is
+    never among them.
     """
     space.check_point(x)
     if radius is None:
         a, b = space.indptr[x], space.indptr[x + 1]
         return tuple(zip(space.dst[a:b].tolist(), space.w[a:b].tolist()))
-    if isinstance(radius, _BOOLS) or not isinstance(radius, _REALS) \
-            or not 0.0 < radius < math.inf:
-        raise InvalidDecreasingList(
-            f"radius must be a finite number > 0, got {radius!r}")
+    radius = check_real(radius, InvalidDecreasingList, "radius",
+                        "must be a finite number > 0", 0.0)
     dist = metric_distances(space, x)
     # d(x, x) = 0, so x itself is never a member.
     ys = ((dist > 0.0) & (dist <= radius)).nonzero()[0]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slopekit
@@ -137,3 +138,34 @@ def test_public_names_are_their_modules_objects():
     assert set(slopekit.__all__) <= set(dir(slopekit))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         slopekit.no_such_name
+
+
+def assignments():
+    """The repros of reassigning a checked attribute: each used to be
+    accepted and to skip every check the constructor made."""
+    space = slopekit.build_graph([(0, 1, 1.0), (1, 2, 1.0)])
+    other = slopekit.sample_interval(0.0, 1.0, 5)
+    f = slopekit.ScalarField(space, [0.0, 1.0, 2.0])
+    slopes = slopekit.slope_field(space, f)
+    return {
+        # slope_field then returned 5 slopes for 3 points
+        "values-length": (f, "values", np.zeros(5)),
+        # slope_field then returned NaN slopes, determine a bare ValueError
+        "values-nan": (f, "values", [np.nan, 0.0, 1.0]),
+        # later calls sized their arrays by it
+        "space-n": (space, "n", 10),
+        # require_bound then passed, and slope_field raised IndexError
+        "field-space": (f, "space", other),
+        "slopes-infinite": (slopes, "infinite", np.ones(3, dtype=bool)),
+        "slopes-cap": (slopes, "cap", -1.0),
+        "space-coordinates": (other, "coordinates", None),
+    }
+
+
+@pytest.mark.parametrize("case", list(assignments()))
+def test_validated_objects_cannot_be_reassigned(case):
+    obj, name, value = assignments()[case]
+    before = getattr(obj, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, value)
+    assert getattr(obj, name) is before

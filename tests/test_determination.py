@@ -58,6 +58,17 @@ def test_shifted_field_passes_all_hypotheses():
     assert diag.diff_constant_on_crit.spread == 0.0
 
 
+def test_equal_differences_give_their_value_exactly():
+    # the mean of (0.1, 0.1, 0.1) used to read 0.10000000000000002,
+    # with a residual of 1.39e-17
+    space = unit_path(3)
+    report = determine(space, path_field(space, [0.0, 0.0, 0.0]),
+                       path_field(space, [0.1, 0.1, 0.1]))
+    assert report.verdict.kind == VERDICT_EQUAL
+    assert report.diagnostics.diff_constant_on_crit.constant == 0.1
+    assert report.verdict.constant == 0.1 and report.residual == 0.0
+
+
 def test_mirrored_pair_fails_constancy_with_spread_four():
     grid, f, g = mirrored_pair_on_grid()
     h = grid.edges[0][2]

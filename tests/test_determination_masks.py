@@ -57,6 +57,16 @@ def make_g(rng, f, mode):
 MODES = ("shift", "random", "mirror", "bump", "near_ties", "exact_ties")
 
 
+def order_free_mean(diffs):
+    """The mean rule of `determine`, on a list: the common value when
+    all are equal, else the fsum of the values over a power of two at
+    least their count, divided by the count and scaled back."""
+    if all(d == diffs[0] for d in diffs):
+        return diffs[0] + 0.0
+    scale = 2.0 ** len(diffs).bit_length()
+    return math.fsum(d / scale for d in diffs) / len(diffs) * scale
+
+
 def per_point_diagnostics(f, g, tol):
     """(crit_f, only_f, only_g, constant, spread, max witness, min
     witness) from per-point slopes and loops over the points."""
@@ -69,7 +79,7 @@ def per_point_diagnostics(f, g, tol):
         return tuple(crit_f), only_f, only_g, None
     diffs = [float(g.values[z] - f.values[z]) for z in crit_f]
     return tuple(crit_f), only_f, only_g, (
-        float(np.mean(diffs)), max(diffs) - min(diffs),
+        order_free_mean(diffs), max(diffs) - min(diffs),
         reference_extremal_witness(crit_f, diffs, sf.values, pick_max=True),
         reference_extremal_witness(crit_f, diffs, sf.values, pick_max=False))
 

@@ -1,7 +1,9 @@
 """Numeric knobs are validated in one place (`check_cap`, `check_tol`,
 `check_constant`, `check_count`): a NaN, infinite or out-of-range cap,
 tolerance, constant, threshold or count raises a typed error instead of
-silently changing the answer."""
+silently changing the answer. Every real-valued knob goes through
+`space.check_real`, so a bool or a string is rejected like a NaN, with
+the knob's own error, and a numpy scalar is read like a Python float."""
 import math
 
 import numpy as np
@@ -16,12 +18,14 @@ from slopekit import (
     cantor_pair,
     comparison_principle,
     critical_set,
+    delta_slope_profile,
     descent_path,
     determine,
     emit_figure_data,
     epsilon_audit,
     grid_critical_tol,
     local_slope,
+    neighbors,
     reconstruct,
     sample_interval,
     scale_field,
@@ -37,9 +41,11 @@ from slopekit.errors import (
     NegativeTolerance,
     NonFiniteConstant,
     NonPositiveScale,
+    SlopeKitError,
     TooFewPoints,
 )
 from slopekit.reconstruct import SlopeData
+from slopekit.slope import check_cap, check_tol
 
 BAD_CAPS = [math.nan, 0.0, -1.0, math.inf]
 
@@ -258,3 +264,82 @@ def test_slope_field_constructor_rejects_unflagged_entry(entry):
         SlopeField(space, np.array([0.0, entry, 1.0]), np.zeros(3, dtype=bool))
     flagged = SlopeField(space, np.array([0.0, entry, 1.0]), [False, True, False])
     assert flagged.values[1] == math.inf
+
+
+# Each real-valued knob: the error it raises, its name in the message,
+# and a call that passes v as its value.
+REAL_KNOBS = {
+    "slope_field-cap": (InvalidCap, "cap", lambda s, f, v: slope_field(s, f, cap=v)),
+    "determine-cap": (InvalidCap, "cap", lambda s, f, v: determine(s, f, f, cap=v)),
+    "determine-tol_slope": (NegativeTolerance, "tol_slope",
+                            lambda s, f, v: determine(s, f, f, tol_slope=v)),
+    "determine-tol_crit": (NegativeTolerance, "tol_crit",
+                           lambda s, f, v: determine(s, f, f, tol_crit=v)),
+    "determine-tol_residual": (NegativeTolerance, "tol_residual",
+                               lambda s, f, v: determine(s, f, f, tol_residual=v)),
+    "critical_set-tol": (NegativeTolerance, "tol",
+                         lambda s, f, v: critical_set(slope_field(s, f), v)),
+    "grid_critical_tol-h": (NegativeTolerance, "h", lambda s, f, v: grid_critical_tol(v)),
+    "comparison_principle-c": (NonFiniteConstant, "c",
+                               lambda s, f, v: comparison_principle(s, f, f, v)),
+    "epsilon_audit-epsilons": (InvalidDecreasingList, "epsilons",
+                               lambda s, f, v: epsilon_audit(s, f, f, [v, 0.25])),
+    "delta_slope_profile-radii": (InvalidDecreasingList, "radii",
+                                  lambda s, f, v: delta_slope_profile(s, f, 2, [v])),
+    "neighbors-radius": (InvalidDecreasingList, "radius",
+                         lambda s, f, v: neighbors(s, 0, v)),
+    "scale_field-scale": (NonPositiveScale, "scale", lambda s, f, v: scale_field(f, v)),
+}
+knobs = pytest.mark.parametrize("error,name,call", REAL_KNOBS.values(), ids=REAL_KNOBS)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", "7"])
+@knobs
+def test_real_knobs_reject_bools_and_strings(value, error, name, call):
+    # True used to run as 1.0 and "0.5" as 0.5, with no error
+    space = unit_path(3)
+    f = path_field(space, [0.0, 1.0, 1.0])
+    with pytest.raises(error) as info:
+        call(space, f, value)
+    assert str(info.value).startswith(f"{name} must be ")
+    assert str(info.value).endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(2), 2])
+@knobs
+def test_real_knobs_take_ints_and_numpy_scalars(value, error, name, call):
+    space = unit_path(3)
+    f = path_field(space, [0.0, 1.0, 1.0])
+    try:
+        call(space, f, value)
+    except SlopeKitError as exc:
+        # a valid value may still fail a later check, never this knob's own
+        assert not str(exc).startswith(f"{name} must be ")
+
+
+def test_real_knob_messages_give_the_float_value():
+    for value in (np.float64("nan"), np.float32("nan"), math.nan):
+        with pytest.raises(InvalidCap) as info:
+            check_cap(value)
+        assert str(info.value) == "cap must be a finite number > 0, got nan"
+    with pytest.raises(NegativeTolerance) as info:
+        check_tol(np.int64(-1), "tol_crit")
+    assert str(info.value) == "tol_crit must be a finite number >= 0, got -1.0"
+    assert type(check_cap(np.int64(7))) is float and check_cap(np.int64(7)) == 7.0
+
+
+@pytest.mark.parametrize("cap,message", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ("nan", "cap must be a finite number > 0, got nan"),
+    ("True", "could not convert string to float: 'True'"),
+])
+def test_cli_cap_usage_errors(tmp_path, capsys, cap, message):
+    graph = tmp_path / "graph.csv"
+    graph.write_text("u,v,length\n0,1,1.0\n")
+    field = tmp_path / "f.csv"
+    field.write_text("point,value\n0,1.0\n1,0.0\n")
+    with pytest.raises(SystemExit) as info:
+        main(["slope", "--space", str(graph), "--f", str(field), "--cap", cap])
+    assert info.value.code == 64
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"slopekit slope: error: argument --cap: {message}"

@@ -2,8 +2,9 @@
 raises a typed error or returns a result, with no RuntimeWarning (the
 suite turns warnings into errors), and a `determine` report always
 renders as strict JSON that the report schema accepts. A g - f that
-overflows, or a constant, spread or residual derived from it, is
-DifferenceOverflow (exit 74 from the command line). Through the command
+overflows, or a spread or residual derived from it, is
+DifferenceOverflow (exit 74 from the command line); the constant, a
+mean of finite differences, is always finite. Through the command
 line, every failure on such fields is exit 64 or 74 with one line on
 stderr, and `gallery` runs at caps from the least subnormal to the
 largest float.
@@ -38,10 +39,10 @@ OVERFLOWS = [
     ([-1e308, 0.0, 0.0], [1e308, 0.0, 0.0], "g - f overflows at point 0"),
     # g - f is finite: the residual at 2 is 1e308 - (-1e308)
     ([0.0, 1.0, 2.0], [-1e308, 0.0, 1e308], "g - f - c overflows at point 2"),
-    # the sum behind the mean of g - f = (1e308, 1e308, -1e308) overflows,
-    # and so does the sum centred on its least entry
+    # the mean of g - f = (1e308, 1e308, -1e308), about 3.3e307, and the
+    # residual are finite, but the spread is 1e308 - (-1e308)
     ([0.0, 0.0, 0.0], [1e308, 1e308, -1e308],
-     "the mean of g - f on the critical set overflows"),
+     "the spread of g - f on the critical set, from point 2 to point 0, overflows"),
     # the mean is 0, but the spread is 1e308 - (-1e308)
     ([0.0, 0.0, 0.0], [1e308, 0.0, -1e308],
      "the spread of g - f on the critical set, from point 2 to point 0, overflows"),

@@ -1,0 +1,196 @@
+"""Mutation gate: every mutant in MUTANTS must be killed by its tests.
+
+A mutant is a source file, an exact snippet of it, the snippet's
+replacement, and the pytest node ids expected to fail on the result.
+The runner copies the repository (without .git) to a temporary
+directory. For each mutant it first runs the listed tests there on the
+unmutated code, where they must pass, then writes the mutant and runs
+them again, where they must fail, and restores the file. Tests run with
+PYTHONPATH=src and PYTHONDONTWRITEBYTECODE=1, so no stale bytecode of an
+earlier mutant is imported.
+
+A mutant is killed when a listed test fails (pytest exit status 1) or
+the run times out. The run fails when a snippet does not occur exactly
+once in its file (the table went stale), when a mutant does not parse,
+when the tests fail on the unmutated code, when pytest ends with any
+other status (a collection error, say), or when a mutant survives.
+
+Usage, from any directory (standard library and pytest only):
+    python3 tools/mutate.py
+Exit status 0 when every mutant is killed, 1 otherwise.
+"""
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+SLOPE = "src/slopekit/slope.py"
+SPACE = "src/slopekit/space.py"
+CRITICAL = "src/slopekit/critical.py"
+DETERMINATION = "src/slopekit/determination.py"
+
+MUTANTS = (
+    # The slope kernel.
+    Mutant("kernel-reversed-lengths", SLOPE,
+           "0.0) / space.w\n", "0.0) / space.w[::-1]\n",
+           ("tests/test_slope.py::test_random_graph_matches_brute_force",)),
+    Mutant("kernel-sum-not-max", SLOPE,
+           "np.maximum.at(out.T, space.src, q.T)", "np.add.at(out.T, space.src, q.T)",
+           ("tests/test_slope.py::test_random_graph_matches_brute_force",)),
+    Mutant("cap-not-applied", SLOPE,
+           "    infinite = out > cap\n", "    infinite = out > math.inf\n",
+           ("tests/test_kernel.py::test_quotients_above_a_small_cap",)),
+    # Critical sets and floors.
+    Mutant("floor-first-not-least", CRITICAL,
+           "best = min((fz - gz for fz, gz in pairs if fz <= fx), default=None)",
+           "best = next((fz - gz for fz, gz in pairs if fz <= fx), None)",
+           ("tests/test_floor.py::test_comparison_floor_matches_reference_loop",)),
+    Mutant("critical-strict-tolerance", CRITICAL,
+           "(slopes.values <= check_tol(tol))", "(slopes.values < check_tol(tol))",
+           ("tests/test_critical.py::test_constant_field_all_critical_at_zero_tol",)),
+    # Spaces.
+    Mutant("l1-distances", SPACE,
+           "np.sqrt(np.sum(diff * diff, axis=1))", "np.sum(np.abs(diff), axis=1)",
+           ("tests/test_space.py::test_planar_coordinates_give_euclidean_distances",)),
+    Mutant("build-fast-path-takes-bools", SPACE,
+           ' \\\n                    and {*map(type, cols[0]), *map(type, cols[1])}'
+           '.isdisjoint(_BOOLS):',
+           ":",
+           ("tests/test_kernel.py::test_first_bad_entry_raises_as_the_entry_loop_did",)),
+    # The binding rule.
+    Mutant("binding-skips-critical-sets", SLOPE,
+           "        if obj.space is not space:\n",
+           '        if obj.space is not space and hasattr(obj, "values"):\n',
+           ("tests/test_point_ids.py::test_caller_critical_set_of_another_space",)),
+    Mutant("binding-by-size", SLOPE,
+           "        if obj.space is not space:\n",
+           "        if obj.space.n != space.n:\n",
+           ("tests/test_slope.py::test_field_space_binding_enforced",)),
+    # Knobs.
+    Mutant("knob-takes-bools", SPACE,
+           "        if isinstance(value, _BOOLS) or not isinstance(value, _REALS):\n",
+           "        if not isinstance(value, _REALS):\n",
+           ("tests/test_knobs.py::test_real_knobs_reject_bools_and_strings",)),
+    Mutant("knob-bound-always-closed", SPACE,
+           "(value > least or closed and value == least)", "value >= least",
+           ("tests/test_knobs.py::test_slope_field_rejects_cap",)),
+    # Validated objects stay as checked.
+    Mutant("scalar-field-not-frozen", SLOPE,
+           "@dataclass(frozen=True, eq=False)\nclass ScalarField:",
+           "@dataclass(eq=False)\nclass ScalarField:",
+           ("tests/test_api.py::test_validated_objects_cannot_be_reassigned",)),
+    Mutant("slope-field-not-frozen", SLOPE,
+           "@dataclass(frozen=True, eq=False)\nclass SlopeField:",
+           "@dataclass(eq=False)\nclass SlopeField:",
+           ("tests/test_api.py::test_validated_objects_cannot_be_reassigned",)),
+    Mutant("space-not-frozen", SPACE,
+           "@dataclass(frozen=True, eq=False)\nclass MetricSpaceGraph:",
+           "@dataclass(eq=False)\nclass MetricSpaceGraph:",
+           ("tests/test_api.py::test_validated_objects_cannot_be_reassigned",)),
+    # The constant of determine and the overflow paths.
+    Mutant("numpy-mean", DETERMINATION,
+           "        constant = _mean(diffs)\n", "        constant = float(diffs.mean())\n",
+           ("tests/test_determination.py::test_equal_differences_give_their_value_exactly",
+            "tests/test_symmetries.py::"
+            "test_relabelling_keeps_a_non_dyadic_constant_bit_for_bit")),
+    Mutant("mean-without-equal-shortcut", DETERMINATION,
+           "    if (values == first).all():\n        return first + 0.0\n", "",
+           ("tests/test_determination.py::test_equal_differences_give_their_value_exactly",)),
+    Mutant("residual-overflow-unchecked", DETERMINATION,
+           '    _require_finite(resid, "g - f - c")\n', "",
+           ("tests/test_overflow.py::test_overflowing_difference_is_a_typed_error",)),
+    Mutant("spread-overflow-unchecked", DETERMINATION,
+           "    if not math.isfinite(spread):\n", "    if False:\n",
+           ("tests/test_overflow.py::test_overflowing_difference_is_a_typed_error",)),
+)
+
+
+def mutated(mutant: Mutant, root: Path) -> str:
+    """The text of the mutant's file under `root` with the snippet
+    replaced; ValueError unless the snippet occurs exactly once and the
+    result parses."""
+    text = (root / mutant.path).read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: snippet occurs {count} times in {mutant.path}")
+    out = text.replace(mutant.old, mutant.new)
+    try:
+        ast.parse(out, filename=mutant.path)
+    except SyntaxError as exc:
+        raise ValueError(f"{mutant.name}: mutant does not parse: {exc}") from None
+    return out
+
+
+def run_tests(tests: tuple[str, ...], cwd: Path) -> int | None:
+    """The exit status of pytest on `tests` in `cwd` (1: a test failed),
+    or None on timeout."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=cwd, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main() -> int:
+    problems = []
+    for mutant in MUTANTS:
+        try:
+            mutated(mutant, ROOT)
+        except ValueError as exc:
+            problems.append(str(exc))
+    if problems:
+        print("\n".join(problems))
+        return 1
+
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="slopekit-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", "out"))
+        for mutant in MUTANTS:
+            path = copy / mutant.path
+            original = path.read_text(encoding="utf-8")
+            status = run_tests(mutant.tests, copy)
+            if status != 0:
+                outcome = "tests fail on the unmutated code"
+            else:
+                path.write_text(mutated(mutant, copy), encoding="utf-8")
+                try:
+                    status = run_tests(mutant.tests, copy)
+                finally:
+                    path.write_text(original, encoding="utf-8")
+                outcome = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(
+                    status, f"pytest error {status}")
+            print(f"{mutant.name}: {outcome}", flush=True)
+            if not outcome.startswith("killed"):
+                problems.append(mutant.name)
+    seconds = time.perf_counter() - start
+    print(f"{len(MUTANTS) - len(problems)}/{len(MUTANTS)} mutants killed "
+          f"in {seconds:.0f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
