@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import OutOfDomain, UnknownFigure
 from .slope import OVERFLOW_CAP, ScalarField, slope_field
-from .space import check_count, sample_interval
+from .space import check_count, check_real, sample_interval
 
 HALF_PI = math.pi / 2.0
 
@@ -89,12 +89,13 @@ def cantor_approx(level: int, t: float) -> float:
     c_0(t) = t, and each level maps the left third through t -> 3t at
     half height, holds 1/2 on the middle third, and mirrors on the
     right third. Stair segments of c_k have width 3^-k, rise 2^-k, and
-    hence steepness (3/2)^k. The level must be an integer >= 0.
+    hence steepness (3/2)^k. The level must be an integer >= 0, and t a
+    number in [0, 1] (`check_real`: not a bool or a string).
     """
     level = check_count(level, "level")
     if level < 0:
         raise OutOfDomain("level must be >= 0")
-    t = float(t)
+    t = check_real(t, OutOfDomain, "t", "must be a finite number")
     if not 0.0 <= t <= 1.0:
         raise OutOfDomain(f"t={t} outside [0, 1]")
     base = 0.0

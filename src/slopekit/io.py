@@ -18,12 +18,17 @@ A file outside the grammar, or a row that fails a loader's check
 (points in range and distinct, flags in {0, 1}, slopes >= 0), is a
 FileFormatError naming that line.
 
-Reading is column-wise. A numpy guard on the bytes (`_in_grammar`)
-proves the rows in the grammar, and np.loadtxt parses whole columns
-with the values of int() and float() (`testing.reference_read_columns`
-is the oracle). A file in the renderers' exact form is guarded as read;
-any other file is normalised once and guarded again. Only a rejected
-file is read line by line, to find the line to name.
+Reading is column-wise, and each rule of the grammar is checked once.
+A guard on the bytes (`_in_grammar`) enforces what np.loadtxt would let
+through: only the bytes `0-9 - + . e E , \n`, a '+' only right after
+'e' or 'E', the header's number of cells in every row, and int cells of
+at most 18 characters with no '.', 'e' or 'E'. np.loadtxt then parses
+whole columns with the values of int() and float()
+(`testing.reference_read_columns` is the oracle), and rejects every
+other malformed cell: an empty one, a lone sign or '.', a second '.' or
+exponent, a misplaced '-'. A file in the renderers' exact form is
+guarded as read; any other file is normalised once and guarded again.
+Only a rejected file is read line by line, to find the line to name.
 """
 from __future__ import annotations
 
@@ -56,70 +61,46 @@ def fmt(x: float) -> str:
 
 # ---- reading ----
 
-# The cells of the grammar; `_in_grammar` is the array form of _INT and _FLOAT.
+# The cells of the grammar, as patterns; `_grammar_error` names the first
+# row outside them.
 _INT = r"(?:-?[0-9]{1,17}|[0-9]{18})"  # at most 18 characters
 _FLOAT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 _CELL = {"i": re.compile(_INT), "f": re.compile(f"{_FLOAT}|inf")}
-
-# Byte classes of the grammar; 0 is any other byte.
-_DIGIT, _MINUS, _PLUS, _DOT, _EXP, _COMMA, _NEWLINE = range(1, 8)
-_CLASS = bytearray(256)
-for _chars, _cls in ((b"0123456789", _DIGIT), (b"-", _MINUS), (b"+", _PLUS),
-                     (b".", _DOT), (b"eE", _EXP), (b",", _COMMA),
-                     (b"\n", _NEWLINE)):
-    for _ch in _chars:
-        _CLASS[_ch] = _cls
-_CLASS = bytes(_CLASS)
-# _FOLLOWS[8 * a + b]: whether a byte of class b may follow one of class a.
-_FOLLOWS = np.zeros((8, 8), dtype=bool)
-for _before, _after in {
-        _COMMA: (_DIGIT, _MINUS, _DOT), _NEWLINE: (_DIGIT, _MINUS, _DOT),
-        _MINUS: (_DIGIT, _DOT), _PLUS: (_DIGIT,),
-        _DIGIT: (_DIGIT, _DOT, _EXP, _COMMA, _NEWLINE),
-        _DOT: (_DIGIT, _EXP, _COMMA, _NEWLINE),
-        _EXP: (_DIGIT, _MINUS, _PLUS)}.items():
-    _FOLLOWS[_before, list(_after)] = True
-_FOLLOWS = _FOLLOWS.ravel()
+_ALPHABET = b"0123456789-+.eE,\n"
 _MAX_INT_CHARS = 18
 
 
 def _in_grammar(body: bytes, kinds: str) -> bool:
-    """Whether `body` (data rows, each ended by a newline) is in the
-    grammar, with column kinds 'i' (int) and 'f' (float) and no `inf`.
-
-    Which byte may follow which settles everything within a cell except
-    that a float cell holds at most one '.' and one exponent, in that
-    order, and a '.' needs a digit beside it; cell kinds, lengths and
-    the column count come from the separator positions.
+    """Whether `body` (data rows, each ended by a newline) keeps the rules
+    of the grammar that np.loadtxt does not enforce, with column kinds 'i'
+    (int) and 'f' (float): only bytes of `_ALPHABET`, a '+' only right
+    after an exponent mark, `len(kinds)` cells in every row (so no blank
+    line shifts a cell into another column), and int cells of at most 18
+    characters without '.', 'e' or 'E' (which numpy 1.24 may still read
+    into an int column). np.loadtxt rejects every other cell outside the
+    grammar as it parses.
     """
+    if body.translate(None, _ALPHABET):
+        return False
+    b = np.frombuffer(body, dtype=np.uint8)
+    # b[-1] is a newline, so a '+' at offset 0 fails too.
+    before_plus = b[np.flatnonzero(b == ord("+")) - 1]
+    if not ((before_plus == ord("e")) | (before_plus == ord("E"))).all():
+        return False
     k = len(kinds)
-    cls = np.frombuffer((b"\n" + body).translate(_CLASS), dtype=np.uint8)
-    if not _FOLLOWS.take(cls[:-1] * np.uint8(8) + cls[1:]).all():
+    seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    row_end = np.frombuffer(b"," * (k - 1) + b"\n", dtype=np.uint8)
+    if seps.size % k or not (b[seps].reshape(-1, k) == row_end).all():
         return False
-    dots = (cls == _DOT).nonzero()[0]
-    if not ((cls[dots - 1] == _DIGIT) | (cls[dots + 1] == _DIGIT)).all():
-        return False
-    seps = (cls[1:] >= _COMMA).nonzero()[0]
-    row_end = np.full(k, _COMMA, dtype=np.uint8)
-    row_end[-1] = _NEWLINE
-    if seps.size % k or not (cls[1:][seps].reshape(-1, k) == row_end).all():
-        return False
-    is_float = np.array([c == "f" for c in kinds])
+    is_int = np.array([c == "i" for c in kinds])
     widths = np.diff(seps, prepend=-1).reshape(-1, k) - 1
-    if widths[:, ~is_float].max(initial=0) > _MAX_INT_CHARS:
+    if widths[:, is_int].max(initial=0) > _MAX_INT_CHARS:
         return False
-    # The cell of a byte at body offset q is the number of separators before q.
-    exps = (cls == _EXP).nonzero()[0]
-    dot_cell = np.searchsorted(seps, dots - 1)
-    exp_cell = np.searchsorted(seps, exps - 1)
-    if not (is_float[dot_cell % k].all() and is_float[exp_cell % k].all()):
-        return False
-    if (np.diff(dot_cell) == 0).any() or (np.diff(exp_cell) == 0).any():
-        return False
-    # A '.' after the exponent of its cell.
-    nxt = np.searchsorted(dots, exps)
-    has = nxt < dots.size
-    return not (dot_cell[nxt[has]] == exp_cell[has]).any()
+    # '.', 'e' and 'E' are the bytes of the alphabet above '-' other than
+    # the digits. The cell of a byte at body offset q is the number of
+    # separators before q.
+    marks = np.flatnonzero((b == ord(".")) | (b > ord("9")))
+    return not is_int[np.searchsorted(seps, marks) % k].any()
 
 
 def _data_lines(text: str):
@@ -151,7 +132,7 @@ def _grammar_error(path, text: str, kinds: str, names) -> Exception:
                 finite = True
             return FileFormatError(
                 f"{where} {'bad' if finite else 'non-finite'} {what} {cell!r}")
-    return InvariantViolated(f"{path}: the byte guard rejects rows that "
+    return InvariantViolated(f"{path}: the reader rejects rows that "
                              "the cell patterns accept")
 
 
@@ -198,8 +179,11 @@ def _read_columns(path, layouts: dict[str, str], names):
     dtype = [(f"c{i}", "i8" if c == "i" else "f8") for i, c in enumerate(kinds)]
     if not body:
         return [np.empty(0, dt) for _, dt in dtype], raw
-    table = np.loadtxt(StringIO(body.decode("ascii")), dtype=dtype,
-                       delimiter=",", comments=None, ndmin=1)
+    try:
+        table = np.loadtxt(StringIO(body.decode("ascii")), dtype=dtype,
+                           delimiter=",", comments=None, ndmin=1)
+    except ValueError:  # a cell that does not parse
+        raise _grammar_error(path, raw.decode(), kinds, names) from None
     return [np.ascontiguousarray(table[name]) for name, _ in dtype], raw
 
 

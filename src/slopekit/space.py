@@ -19,11 +19,12 @@ a time, and `edges` (each undirected edge once, as (u, v, length) with
 u < v, sorted) is built from the arrays on each access.
 
 The raw `MetricSpaceGraph` constructor takes the directed arrays as
-stored and checks of the layout above only that the arrays have one
-length and their endpoints lie in [0, n); `build_graph` and
-`sample_interval` validate their input by array passes and lay it out
-by one sort, which also finds duplicate edges; only input that fails is
-walked entry by entry, to name its first bad entry.
+stored and checks the layout above, except that it allows an edge
+without its reverse. `build_graph` and `sample_interval` validate their
+input by array passes and lay it out by one sort, which also finds
+duplicate edges, and build the space without the constructor's checks;
+only input that fails is walked entry by entry, to name its first bad
+entry.
 
 Spaces are immutable after construction and every query is pure: none
 stores anything on the space, so spaces are safe to share across
@@ -37,6 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .errors import (
     NonPositiveLength,
     SelfLoopEdge,
     TooFewPoints,
+    UnsortedEdges,
 )
 
 PointId = int
@@ -95,22 +98,19 @@ def check_real(value, error, name: str, rule: str, least: float = -math.inf,
     return value
 
 
-def _frozen(a, dtype) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class MetricSpaceGraph:
     """A finite point set with symmetric positive pairwise edge lengths.
 
-    Build instances with `build_graph` or `sample_interval`; the raw
-    constructor assumes already-validated directed edge arrays: both
-    orientations of every edge, sorted by (src, dst), no self-loops,
-    finite positive lengths. It checks only that the three edge arrays
-    have one length and every endpoint lies in [0, n) (DanglingEndpoint),
-    and that coordinates are finite.
+    Build instances with `build_graph` or `sample_interval`. The raw
+    constructor takes directed edge arrays in the layout of the module
+    docstring, an edge without its reverse allowed, and checks the rest
+    of that layout: the three arrays have one length and every endpoint
+    lies in [0, n) (DanglingEndpoint); the (src, dst) pairs strictly
+    increase (UnsortedEdges, or DuplicateEdge for a repeated pair); no
+    edge is a self-loop (SelfLoopEdge); every length is finite and > 0
+    (NonPositiveLength); and coordinates are finite. The order, self-loop
+    and length errors name the first edge index that breaks any of them.
     """
 
     n: int
@@ -124,8 +124,9 @@ class MetricSpaceGraph:
         n = self.n
         if n < 1:
             raise TooFewPoints(f"a space needs at least one point, got {n}")
-        src, dst = _frozen(self.src, np.intp), _frozen(self.dst, np.intp)
-        w = _frozen(self.w, float)
+        src = np.array(self.src, dtype=np.intp)
+        dst = np.array(self.dst, dtype=np.intp)
+        w = np.array(self.w, dtype=float)
         if not src.size == dst.size == w.size:
             raise DanglingEndpoint(
                 f"edge arrays differ in length: src {src.size}, "
@@ -135,20 +136,21 @@ class MetricSpaceGraph:
             k = int(((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).nonzero()[0][0])
             raise DanglingEndpoint(
                 f"edge ({src[k]}, {dst[k]}) has an endpoint outside [0, {n})")
-        fields = {"src": src, "dst": dst, "w": w, "indptr": _frozen(np.concatenate(
-            ([0], np.cumsum(np.bincount(src, minlength=n)))), np.intp)}
-        if self.coordinates is not None:
-            coords = np.array(self.coordinates, dtype=float)
-            if coords.shape[0] != n:
-                raise FieldSpaceMismatch(
-                    f"coordinates cover {coords.shape[0]} points, space has {n}")
-            bad = (~np.isfinite(coords.reshape(n, -1)).all(axis=1)).nonzero()[0]
-            if bad.size:
-                raise NonFiniteCoordinate(f"non-finite coordinate at point {bad[0]}")
-            coords.setflags(write=False)
-            fields["coordinates"] = coords
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        bad = (src == dst) | ~((w > 0.0) & (w < math.inf))
+        bad[1:] |= (src[1:] < src[:-1]) | (
+            (src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))
+        if bad.any():
+            k = int(bad.argmax())
+            edge = f"edge {k} ({src[k]}, {dst[k]})"
+            if src[k] == dst[k]:
+                raise SelfLoopEdge(f"{edge} is a self-loop")
+            if not 0.0 < w[k] < math.inf:
+                raise NonPositiveLength(f"{edge} has length {w[k]}")
+            repeat = src[k] == src[k - 1] and dst[k] == dst[k - 1]
+            raise (DuplicateEdge if repeat else UnsortedEdges)(
+                f"{edge} does not follow edge {k - 1} "
+                f"({src[k - 1]}, {dst[k - 1]}) in (src, dst) order")
+        _lay_out(self, n, src, dst, w, self.coordinates)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -165,9 +167,32 @@ class MetricSpaceGraph:
             raise InvalidPoint(f"point {x} outside [0, {self.n})")
 
 
+def _lay_out(space: MetricSpaceGraph, n: int, src: np.ndarray, dst: np.ndarray,
+             w: np.ndarray, coordinates) -> None:
+    """Store n, the edge arrays (made read-only), their CSR offsets and
+    the checked coordinates on `space`. The caller owns the arrays and
+    guarantees their layout."""
+    fields = {"n": n, "src": src, "dst": dst, "w": w, "coordinates": None,
+              "indptr": np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))}
+    if coordinates is not None:
+        coords = np.array(coordinates, dtype=float)
+        if coords.shape[0] != n:
+            raise FieldSpaceMismatch(
+                f"coordinates cover {coords.shape[0]} points, space has {n}")
+        bad = (~np.isfinite(coords.reshape(n, -1)).all(axis=1)).nonzero()[0]
+        if bad.size:
+            raise NonFiniteCoordinate(f"non-finite coordinate at point {bad[0]}")
+        fields["coordinates"] = coords
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(space, name, value)
+
+
 def _edge_columns(items):
     """Endpoint and length columns (u, v, w) of an edge list, converted
-    as `_endpoint(u)`, `_endpoint(v)`, float(length).
+    as `_endpoint(u)`, `_endpoint(v)`, float(length); a bool length is
+    NonPositiveLength.
 
     The first entry that does not convert raises its error, unless an
     entry before it is bad; an endpoint outside the int64 range does not
@@ -179,9 +204,9 @@ def _edge_columns(items):
         if set(map(len, items)) == {3}:
             cols = tuple(zip(*items))
             u, v, w = (np.array(c) for c in cols)
-            # numpy reads a bool among ints as 0 or 1
+            # numpy reads a bool among numbers as 0 or 1
             if u.dtype.kind == v.dtype.kind == "i" and w.dtype.kind in "if" \
-                    and {*map(type, cols[0]), *map(type, cols[1])}.isdisjoint(_BOOLS):
+                    and set(map(type, chain(*cols))).isdisjoint(_BOOLS):
                 return (u.astype(np.intp, copy=False), v.astype(np.intp, copy=False),
                         w.astype(float, copy=False))
     except TypeError:  # an entry without len()
@@ -197,7 +222,10 @@ def _edge_columns(items):
                 f"edge entries must be (u, v, length), got {item!r}") from None
         try:
             u[k], v[k], w[k] = _endpoint(a, item), _endpoint(b, item), float(c)
-        except (TypeError, ValueError, OverflowError, InvalidPoint) as exc:
+            if isinstance(c, _BOOLS):
+                raise NonPositiveLength(f"edge {item!r}: length {c!r} is not a number")
+        except (TypeError, ValueError, OverflowError, InvalidPoint,
+                NonPositiveLength) as exc:
             raise _first_bad_edge(u[:k], v[:k], w[:k]) or exc from None
     return u, v, w
 
@@ -286,19 +314,27 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     order = np.argsort(key)
     if (np.diff(key[order]) == 0).any():
         raise _first_bad_edge(u, v, w)
-    return MetricSpaceGraph(n=n, src=src[order], dst=dst[order],
-                            w=np.concatenate((w, w))[order], coordinates=coordinates)
+    # The arrays are in the constructor's layout by construction: build
+    # the space without its checks.
+    space = object.__new__(MetricSpaceGraph)
+    _lay_out(space, n, src[order], dst[order], np.concatenate((w, w))[order],
+             coordinates)
+    return space
 
 
 def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
     """Sample [a, b] at n uniformly spaced points.
 
     Consecutive samples are joined by edges of length h = (b-a)/(n-1)
-    and the sample coordinates are stored on the space. An interval so
-    wide that b - a overflows, or so narrow that h underflows to 0, is
-    a DegenerateInterval; an n that is not an integer, or is above
+    and the sample coordinates are stored on the space. An endpoint that
+    is a bool or a string, an interval without a < b, one so wide that
+    b - a overflows, or one so narrow that h underflows to 0, is a
+    DegenerateInterval; an n that is not an integer, or is above
     isqrt(2**63 - 1) as in `build_graph`, is an InvalidCount.
     """
+    # Not `check_real`: a NaN or infinite endpoint keeps the messages below.
+    if any(isinstance(x, _BOOLS) or not isinstance(x, _REALS) for x in (a, b)):
+        raise DegenerateInterval(f"need numbers a < b, got a={a!r}, b={b!r}")
     a, b = float(a), float(b)
     if not a < b:
         raise DegenerateInterval(f"need a < b, got a={a}, b={b}")

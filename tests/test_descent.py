@@ -38,6 +38,18 @@ def test_descent_step_hand_example():
     assert (f[0] - g[0]) > (f[1] - g[1])
 
 
+def test_level_difference_is_no_step():
+    # f - g is 2.7 at both points, yet in floats f drops by 0.5 and g by
+    # 0.49999999999999994, so the slope of f is above that of g at 0: a
+    # neighbour where f - g only ties is no step.
+    space = unit_path(2)
+    f = path_field(space, [2.5, 2.0])
+    g = path_field(space, [-0.2, -0.7])
+    step = descent_step(space, f, g, 0, make_crit(space, f))
+    assert isinstance(step, NoStep)
+    assert step.slope_f > step.slope_g
+
+
 def test_descent_step_from_critical_point_rejected():
     space = unit_path(3)
     f = path_field(space, [2.0, 1.0, 0.0])

@@ -34,13 +34,16 @@ from slopekit import (
 from slopekit.cli import main
 from slopekit.io import load_graph_csv
 from slopekit.errors import (
+    DegenerateInterval,
     InvalidCap,
     InvalidCount,
     InvalidDecreasingList,
     InvalidSlopeValue,
     NegativeTolerance,
     NonFiniteConstant,
+    NonPositiveLength,
     NonPositiveScale,
+    OutOfDomain,
     SlopeKitError,
     TooFewPoints,
 )
@@ -213,6 +216,44 @@ def test_sample_interval_accepts_integral_counts():
         assert sample_interval(0.0, 1.0, n).n == 10
 
 
+@pytest.mark.parametrize("a,b", [("0", True), (0.0, True), (np.False_, 1.0),
+                                 ("0", 1.0), (0.0, b"1")])
+def test_sample_interval_rejects_bool_and_string_endpoints(a, b):
+    # ("0", True) used to sample 0, 0.5, 1
+    with pytest.raises(DegenerateInterval) as info:
+        sample_interval(a, b, 3)
+    assert str(info.value) == f"need numbers a < b, got a={a!r}, b={b!r}"
+
+
+def test_sample_interval_takes_numpy_and_int_endpoints():
+    for a, b in ((0, 1), (np.int64(0), np.float32(1.0)), (np.float64(0.0), 1)):
+        assert sample_interval(a, b, 3).coordinates.tolist() == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("t,message", [
+    (math.nan, "t must be a finite number, got nan"),
+    (-math.inf, "t must be a finite number, got -inf"),
+    (1.5, "t=1.5 outside [0, 1]"),
+])
+def test_cantor_argument_messages(t, message):
+    with pytest.raises(OutOfDomain) as info:
+        cantor_approx(2, t)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, True)],                        # the array pass
+    [(0, 1, 1.0), (1, 2, np.True_)],
+    [(0, 1, 1.0), ("1", 2, False)],        # the entry loop
+])
+def test_build_graph_rejects_bool_lengths(edges):
+    # (0, 1, True) used to build an edge of length 1.0
+    with pytest.raises(NonPositiveLength) as info:
+        build_graph(edges)
+    assert str(info.value) == \
+        f"edge {edges[-1]!r}: length {edges[-1][2]!r} is not a number"
+
+
 @pytest.mark.parametrize("level", [2.9, math.nan, math.inf, True])
 def test_cantor_rejects_non_integer_level(level):
     # 2.9 used to run level 2
@@ -289,6 +330,8 @@ REAL_KNOBS = {
     "neighbors-radius": (InvalidDecreasingList, "radius",
                          lambda s, f, v: neighbors(s, 0, v)),
     "scale_field-scale": (NonPositiveScale, "scale", lambda s, f, v: scale_field(f, v)),
+    # True and "0.5" used to read as 1.0 and 0.5
+    "cantor_approx-t": (OutOfDomain, "t", lambda s, f, v: cantor_approx(2, v)),
 }
 knobs = pytest.mark.parametrize("error,name,call", REAL_KNOBS.values(), ids=REAL_KNOBS)
 

@@ -34,6 +34,7 @@ from slopekit.errors import (
     NonPositiveLength,
     SelfLoopEdge,
     TooFewPoints,
+    UnsortedEdges,
 )
 from slopekit.testing import random_connected_graph, random_dyadic_field
 
@@ -152,6 +153,33 @@ def test_bad_edges_rejected():
 def test_raw_constructor_names_dangling_endpoints(kwargs, message):
     with pytest.raises(DanglingEndpoint) as info:
         MetricSpaceGraph(**kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kwargs,error,message", [
+    (dict(n=3, src=[2, 0, 0], dst=[0, 0, 1], w=[-1.0, math.nan, 0.0]),
+     NonPositiveLength, "edge 0 (2, 0) has length -1.0"),
+    (dict(n=3, src=[0, 1, 1], dst=[1, 1, 0], w=[1.0] * 3),
+     SelfLoopEdge, "edge 1 (1, 1) is a self-loop"),
+    (dict(n=2, src=[0, 1], dst=[1, 0], w=[1.0, math.inf]),
+     NonPositiveLength, "edge 1 (1, 0) has length inf"),
+    (dict(n=2, src=[0, 1], dst=[1, 0], w=[math.nan, 1.0]),
+     NonPositiveLength, "edge 0 (0, 1) has length nan"),
+    (dict(n=2, src=[1, 0], dst=[0, 1], w=[1.0, 1.0]),
+     UnsortedEdges, "edge 1 (0, 1) does not follow edge 0 (1, 0) in (src, dst) order"),
+    (dict(n=3, src=[0, 0, 1], dst=[2, 1, 0], w=[1.0] * 3),
+     UnsortedEdges, "edge 1 (0, 1) does not follow edge 0 (0, 2) in (src, dst) order"),
+    (dict(n=2, src=[0, 0, 1], dst=[1, 1, 0], w=[1.0] * 3),
+     DuplicateEdge, "edge 1 (0, 1) does not follow edge 0 (0, 1) in (src, dst) order"),
+    # The endpoint checks come first.
+    (dict(n=2, src=[1, 0], dst=[1, 5], w=[0.0, 1.0]),
+     DanglingEndpoint, "edge (0, 5) has an endpoint outside [0, 2)"),
+])
+def test_raw_constructor_checks_the_layout(kwargs, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            MetricSpaceGraph(**kwargs)
     assert str(info.value) == message
 
 

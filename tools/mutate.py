@@ -47,6 +47,10 @@ SLOPE = "src/slopekit/slope.py"
 SPACE = "src/slopekit/space.py"
 CRITICAL = "src/slopekit/critical.py"
 DETERMINATION = "src/slopekit/determination.py"
+DESCENT = "src/slopekit/descent.py"
+RECONSTRUCT = "src/slopekit/reconstruct.py"
+IO = "src/slopekit/io.py"
+GUARD_REJECTS = "tests/test_csv_fast.py::test_guard_rejects"
 
 MUTANTS = (
     # The slope kernel.
@@ -72,10 +76,14 @@ MUTANTS = (
            "np.sqrt(np.sum(diff * diff, axis=1))", "np.sum(np.abs(diff), axis=1)",
            ("tests/test_space.py::test_planar_coordinates_give_euclidean_distances",)),
     Mutant("build-fast-path-takes-bools", SPACE,
-           ' \\\n                    and {*map(type, cols[0]), *map(type, cols[1])}'
-           '.isdisjoint(_BOOLS):',
+           " \\\n                    and set(map(type, chain(*cols))).isdisjoint(_BOOLS):",
            ":",
-           ("tests/test_kernel.py::test_first_bad_entry_raises_as_the_entry_loop_did",)),
+           ("tests/test_kernel.py::test_first_bad_entry_raises_as_the_entry_loop_did",
+            "tests/test_knobs.py::test_build_graph_rejects_bool_lengths")),
+    Mutant("raw-constructor-takes-unsorted", SPACE,
+           "        bad[1:] |= (src[1:] < src[:-1]) | (\n"
+           "            (src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))\n", "",
+           ("tests/test_space.py::test_raw_constructor_checks_the_layout",)),
     # The binding rule.
     Mutant("binding-skips-critical-sets", SLOPE,
            "        if obj.space is not space:\n",
@@ -121,6 +129,35 @@ MUTANTS = (
     Mutant("spread-overflow-unchecked", DETERMINATION,
            "    if not math.isfinite(spread):\n", "    if False:\n",
            ("tests/test_overflow.py::test_overflowing_difference_is_a_typed_error",)),
+    Mutant("witness-without-tie-window", DETERMINATION,
+           "    window = _WITNESS_TIE_WINDOW * max(1.0, abs(target))\n",
+           "    window = 0.0\n",
+           ("tests/test_determination_masks.py::"
+            "test_witness_selection_matches_loop_on_awkward_values",)),
+    # Descent and reconstruction.
+    Mutant("descent-takes-level-difference", DESCENT,
+           "            if diff_x > fz - gz and (", "            if diff_x >= fz - gz and (",
+           ("tests/test_descent.py::test_level_difference_is_no_step",)),
+    Mutant("reconstruct-unverified", RECONSTRUCT,
+           "    if off.size:\n", "    if False:\n",
+           ("tests/test_reconstruct.py::test_perturbed_prescribed_slope_rejected",)),
+    # The CSV reader: the guard's rules and the first bad row.
+    Mutant("guard-takes-plus", IO,
+           '    if not ((before_plus == ord("e")) | (before_plus == ord("E"))).all():\n',
+           "    if False:\n",
+           (f"{GUARD_REJECTS}[+1,2\\n-if]",)),
+    Mutant("guard-takes-long-ints", IO,
+           "    if widths[:, is_int].max(initial=0) > _MAX_INT_CHARS:\n", "    if False:\n",
+           (f"{GUARD_REJECTS}[0000000000000000001,2\\n-if]",)),
+    Mutant("guard-rows-unaligned", IO,
+           "    if seps.size % k or not (b[seps].reshape(-1, k) == row_end).all():\n",
+           "    if seps.size % k:\n",
+           (f"{GUARD_REJECTS}[1,2\\n\\n1234567890123456789,5\\n\\n-if]",)),
+    Mutant("loader-names-last-bad-row", IO,
+           "    row = int(np.argmax(bad))\n",
+           "    row = int(bad.size - 1 - np.argmax(bad[::-1]))\n",
+           ("tests/test_csv_fast.py::test_array_checks_fail_the_same_way"
+            "[field-point,value\\n0,1\\n1,1e999\\n2,-1e999\\n]",)),
 )
 
 
