@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # Each public name with the module that defines it.
 _MODULE_OF = {name: module for module, names in (
     ("space", ("PointId", "MetricSpaceGraph", "build_graph", "sample_interval",
-               "neighbors", "distances_from", "metric_distances", "is_connected")),
+               "neighbors", "distances_from", "is_connected")),
     ("slope", ("ScalarField", "SlopeField", "DeltaProfileEntry", "OVERFLOW_CAP",
                "local_slope", "slope_field", "scale_field", "delta_slope_profile")),
     ("critical", ("CriticalSet", "NoCriticalBelow", "NO_CRITICAL_BELOW",

@@ -74,7 +74,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _load_space(args):
     from .io import load_graph_csv
-    return load_graph_csv(args.space, coordinates_path=args.coords)
+    return load_graph_csv(args.space)
 
 
 def cmd_slope(args) -> int:
@@ -192,8 +192,6 @@ def build_parser() -> _Parser:
     space_parent = _Parser(add_help=False)
     space_parent.add_argument("--space", required=True,
                               help="edge list CSV (u,v,length)")
-    space_parent.add_argument("--coords", default=None,
-                              help="optional coordinates CSV (point,x[,y])")
 
     cap_parent = _Parser(add_help=False)
     cap_parent.add_argument("--cap", type=cap_type, default=OVERFLOW_CAP,

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldSpaceMismatch
-from .slope import ScalarField, SlopeField, _built, check_tol, require_bound
-from .space import MetricSpaceGraph, PointId
+from .slope import ScalarField, SlopeField, check_tol, require_bound
+from .space import MetricSpaceGraph, PointId, _built
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,10 +48,6 @@ class TooFewPoints(SlopeKitError):
     fewer than two."""
 
 
-class NonFiniteCoordinate(SlopeKitError):
-    """A stored point coordinate is NaN or infinite."""
-
-
 class InvalidPoint(SlopeKitError):
     """A point id is not an integer or lies outside [0, n)."""
 

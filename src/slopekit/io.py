@@ -228,8 +228,7 @@ def _point_checks(points: np.ndarray, n: int | None):
 
 # ---- spaces ----
 
-def load_graph_csv(path, coordinates_path=None,
-                   n: int | None = None) -> MetricSpaceGraph:
+def load_graph_csv(path, n: int | None = None) -> MetricSpaceGraph:
     """Load a space from an edge list CSV with header `u,v,length`.
 
     The edges are validated, and the space built, as by `build_graph`.
@@ -237,12 +236,7 @@ def load_graph_csv(path, coordinates_path=None,
     (u, v, w), raw = _read_columns(path, {"u,v,length": "iif"},
                                    ("endpoint", "endpoint", "length"))
     _reject_rows(path, raw, [(~np.isfinite(w), "non-finite length {2!r}")])
-    coords = None
-    if coordinates_path is not None:
-        coords = load_coordinates_csv(coordinates_path)
-        if n is None:
-            n = coords.shape[0]
-    return _space_from_columns(u, v, w, n, coords)
+    return _space_from_columns(u, v, w, n)
 
 
 def render_graph_csv(space: MetricSpaceGraph) -> str:
@@ -254,7 +248,8 @@ def render_graph_csv(space: MetricSpaceGraph) -> str:
 def load_coordinates_csv(path) -> np.ndarray:
     """Load per-point coordinates from a CSV with header `point,x[,y]`.
 
-    Every point in [0, n) must appear exactly once (any order).
+    Every point in [0, n) must appear exactly once (any order). Spaces
+    take no coordinates: the array is for the caller's own use.
     """
     (points, *xs), raw = _read_columns(
         path, {"point,x": "if", "point,x,y": "iff"},

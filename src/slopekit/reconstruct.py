@@ -33,8 +33,8 @@ from .errors import (
     UncoveredCriticalPoint,
 )
 from .critical import critical_mask
-from .slope import ScalarField, SlopeField, _built, check_tol, require_bound, slope_field
-from .space import MetricSpaceGraph, _sweep, is_connected
+from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
+from .space import MetricSpaceGraph, _built, _sweep, is_connected
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,12 @@ slice of the edge arrays, so both give bitwise-equal slopes.
 
 Public constructors validate, kernels construct: `ScalarField` and
 `SlopeField` check every array a caller hands them, while
-`slope_field` and `scale_field` build their results through `_built`,
-which skips those checks for arrays that pass them by construction
-(one entry per point, inf exactly where the mask is set, finite values,
-a checked cap) and makes the arrays read-only. Both classes are frozen
-dataclasses, so no attribute can be reassigned after those checks.
+`slope_field` and `scale_field` build their results through
+`space._built`, which skips those checks for arrays that pass them by
+construction (one entry per point, inf exactly where the mask is set,
+finite values, a checked cap) and makes the arrays read-only. Both
+classes are frozen dataclasses, so no attribute can be reassigned after
+those checks.
 
 Overflow rule: finite values near +-1.7e308 can make f(x) - f(y), or
 the quotient, overflow to +inf. That is deliberate, not an accident:
@@ -53,7 +54,7 @@ from .errors import (
     NonFiniteFieldValue,
     NonPositiveScale,
 )
-from .space import MetricSpaceGraph, PointId, check_real, metric_distances
+from .space import MetricSpaceGraph, PointId, _built, check_real, distances_from
 
 OVERFLOW_CAP = 1e12
 
@@ -238,35 +239,23 @@ def scale_field(f: ScalarField, scale: float) -> ScalarField:
     return _built(ScalarField, space=f.space, values=values)
 
 
-def _built(cls, **fields):
-    """A `ScalarField`, `SlopeField` or `CriticalSet` from fields that
-    are valid by construction, without the checks of the public
-    constructor: the arrays are made read-only here, and the caller
-    guarantees the rest (one entry per point, finite values, inf where
-    the mask is set and finite slopes >= 0 elsewhere, a checked cap or
-    tolerance)."""
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    obj = cls.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def delta_slope_profile(space: MetricSpaceGraph, f: ScalarField, x: PointId,
                         deltas, cap: float = OVERFLOW_CAP) -> list[DeltaProfileEntry]:
     """Sup of the descent quotient over balls of shrinking radius.
 
     For each delta the entry holds the sup of (f(x)-f(y))+ / d(x, y)
-    over 0 < d(x, y) <= delta, with d from `metric_distances`. Radii
-    must be finite, positive and strictly decreasing (`check_decreasing`).
+    over 0 < d(x, y) <= delta, with d the shortest-path distance of
+    `distances_from`. A delta at least the longest edge at x takes in
+    every adjacent point, at a distance at most its edge length, so its
+    entry is at least the slope of f at x. Radii must be finite,
+    positive and strictly decreasing (`check_decreasing`).
     An empty ball reports slope 0 with its `empty_ball` flag set.
     """
     require_bound(space, f)
     cap = check_cap(cap)
     space.check_point(x)
     deltas = check_decreasing(deltas, "radii")
-    dist = metric_distances(space, x)
+    dist = distances_from(space, x)
     fx = f.values[x]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         quotients = np.where(dist > 0.0,

@@ -1,22 +1,24 @@
 """Finite metric spaces: weighted graphs and uniform interval samplings.
 
 A space is a finite point set {0, ..., n-1} with symmetric positive edge
-lengths. Slope computations only ever compare adjacent points. Beyond
-adjacent pairs, the distance between two points is the Euclidean
-distance between their stored coordinates when the space has
-coordinates, and otherwise the shortest-path distance along edges
-(`metric_distances`).
+lengths, and its one metric is the shortest-path distance along edges
+(`distances_from`). Slope computations only ever compare adjacent
+points; radius queries (`neighbors` with a radius,
+`slope.delta_slope_profile`) measure with the same distances.
 
 A space stores its point count `n`, its directed edge arrays `src`,
-`dst`, `w`, their CSR offsets `indptr` and its optional coordinates,
-and nothing else. Every undirected edge {u, v} appears twice in the
-edge arrays, as (u, v) and as (v, u), and the entries are sorted by
-(src, dst). The offsets `indptr` then give each point's edges as one
-contiguous slice, `indptr[x]:indptr[x + 1]`, with its adjacent points
-in increasing order. Array passes (the slope kernel, validation,
-sweeps) read these arrays directly; per-point code reads one slice at
-a time, and `edges` (each undirected edge once, as (u, v, length) with
-u < v, sorted) is built from the arrays on each access.
+`dst`, `w`, their CSR offsets `indptr` and `coordinates`, and nothing
+else. `coordinates` holds the sample positions of a `sample_interval`
+grid, for callers that evaluate functions there, and is None on every
+other space; no distance is read from it. Every undirected edge {u, v}
+appears twice in the edge arrays, as (u, v) and as (v, u), and the
+entries are sorted by (src, dst). The offsets `indptr` then give each
+point's edges as one contiguous slice, `indptr[x]:indptr[x + 1]`, with
+its adjacent points in increasing order. Array passes (the slope
+kernel, validation, sweeps) read these arrays directly; per-point code
+reads one slice at a time, and `edges` (each undirected edge once, as
+(u, v, length) with u < v, sorted) is built from the arrays on each
+access.
 
 The raw `MetricSpaceGraph` constructor takes the directed arrays as
 stored and checks the layout above, except that it allows an edge
@@ -47,12 +49,10 @@ from .errors import (
     DegenerateInterval,
     DuplicateEdge,
     EmptyEdgeList,
-    FieldSpaceMismatch,
     InvalidCount,
     InvalidDecreasingList,
     InvalidPoint,
     InvariantViolated,
-    NonFiniteCoordinate,
     NonPositiveLength,
     SelfLoopEdge,
     TooFewPoints,
@@ -109,15 +109,15 @@ class MetricSpaceGraph:
     lies in [0, n) (DanglingEndpoint); the (src, dst) pairs strictly
     increase (UnsortedEdges, or DuplicateEdge for a repeated pair); no
     edge is a self-loop (SelfLoopEdge); every length is finite and > 0
-    (NonPositiveLength); and coordinates are finite. The order, self-loop
-    and length errors name the first edge index that breaks any of them.
+    (NonPositiveLength). The order, self-loop and length errors name the
+    first edge index that breaks any of them. Its `coordinates` are None.
     """
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     w: np.ndarray
-    coordinates: np.ndarray | None = None
+    coordinates: np.ndarray | None = field(init=False, default=None)
     indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -150,7 +150,7 @@ class MetricSpaceGraph:
             raise (DuplicateEdge if repeat else UnsortedEdges)(
                 f"{edge} does not follow edge {k - 1} "
                 f"({src[k - 1]}, {dst[k - 1]}) in (src, dst) order")
-        _lay_out(self, n, src, dst, w, self.coordinates)
+        _built(self, src=src, dst=dst, w=w, indptr=_offsets(src, n))
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -167,32 +167,31 @@ class MetricSpaceGraph:
             raise InvalidPoint(f"point {x} outside [0, {self.n})")
 
 
-def _lay_out(space: MetricSpaceGraph, n: int, src: np.ndarray, dst: np.ndarray,
-             w: np.ndarray, coordinates) -> None:
-    """Store n, the edge arrays (made read-only), their CSR offsets and
-    the checked coordinates on `space`. The caller owns the arrays and
-    guarantees their layout."""
-    fields = {"n": n, "src": src, "dst": dst, "w": w, "coordinates": None,
-              "indptr": np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))}
-    if coordinates is not None:
-        coords = np.array(coordinates, dtype=float)
-        if coords.shape[0] != n:
-            raise FieldSpaceMismatch(
-                f"coordinates cover {coords.shape[0]} points, space has {n}")
-        bad = (~np.isfinite(coords.reshape(n, -1)).all(axis=1)).nonzero()[0]
-        if bad.size:
-            raise NonFiniteCoordinate(f"non-finite coordinate at point {bad[0]}")
-        fields["coordinates"] = coords
-    for name, value in fields.items():
+def _offsets(src: np.ndarray, n: int) -> np.ndarray:
+    """The CSR offsets of n points' edges, sorted by their sources `src`."""
+    return np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+
+
+def _built(target, **fields):
+    """`target` with `fields` stored, without the checks of a public
+    constructor: `target` is a frozen class (a space, field or critical
+    set), for a new instance, or an instance already made. The arrays
+    are made read-only here; the caller owns them and guarantees the
+    rest (the layout of a space; one entry per point, finite values, inf
+    where the mask is set and finite slopes >= 0 elsewhere, a checked
+    cap or tolerance)."""
+    obj = target.__new__(target) if isinstance(target, type) else target
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(space, name, value)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _edge_columns(items):
     """Endpoint and length columns (u, v, w) of an edge list, converted
-    as `_endpoint(u)`, `_endpoint(v)`, float(length); a bool length is
-    NonPositiveLength.
+    as `_endpoint(u)`, `_endpoint(v)`, float(length); a bool, str or
+    bytes length is NonPositiveLength.
 
     The first entry that does not convert raises its error, unless an
     entry before it is bad; an endpoint outside the int64 range does not
@@ -221,9 +220,11 @@ def _edge_columns(items):
             raise _first_bad_edge(u[:k], v[:k], w[:k]) or ValueError(
                 f"edge entries must be (u, v, length), got {item!r}") from None
         try:
-            u[k], v[k], w[k] = _endpoint(a, item), _endpoint(b, item), float(c)
-            if isinstance(c, _BOOLS):
+            u[k], v[k] = _endpoint(a, item), _endpoint(b, item)
+            # float() reads a bool as 0 or 1 and a numeric string as its number.
+            if isinstance(c, (*_BOOLS, str, bytes)):
                 raise NonPositiveLength(f"edge {item!r}: length {c!r} is not a number")
+            w[k] = float(c)
         except (TypeError, ValueError, OverflowError, InvalidPoint,
                 NonPositiveLength) as exc:
             raise _first_bad_edge(u[:k], v[:k], w[:k]) or exc from None
@@ -261,8 +262,7 @@ def _first_bad_edge(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Exception | 
     return None
 
 
-def build_graph(edge_list, n: int | None = None,
-                coordinates=None) -> MetricSpaceGraph:
+def build_graph(edge_list, n: int | None = None) -> MetricSpaceGraph:
     """Construct a space from an undirected edge list.
 
     Each (u, v, length) entry is one undirected edge; the symmetric
@@ -278,11 +278,11 @@ def build_graph(edge_list, n: int | None = None,
     entry by entry, and its first bad entry in input order raises.
     """
     items = edge_list if isinstance(edge_list, (list, tuple)) else list(edge_list)
-    return _space_from_columns(*_edge_columns(items), n, coordinates)
+    return _space_from_columns(*_edge_columns(items), n)
 
 
 def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                        n: int | None, coordinates) -> MetricSpaceGraph:
+                        n: int | None) -> MetricSpaceGraph:
     """The array core of `build_graph` and `sample_interval`: validate
     the endpoint (int64) and length (float) columns and build the space.
 
@@ -316,21 +316,22 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
         raise _first_bad_edge(u, v, w)
     # The arrays are in the constructor's layout by construction: build
     # the space without its checks.
-    space = object.__new__(MetricSpaceGraph)
-    _lay_out(space, n, src[order], dst[order], np.concatenate((w, w))[order],
-             coordinates)
-    return space
+    src = src[order]
+    return _built(MetricSpaceGraph, n=n, src=src, dst=dst[order],
+                  w=np.concatenate((w, w))[order], coordinates=None,
+                  indptr=_offsets(src, n))
 
 
 def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
     """Sample [a, b] at n uniformly spaced points.
 
-    Consecutive samples are joined by edges of length h = (b-a)/(n-1)
-    and the sample coordinates are stored on the space. An endpoint that
-    is a bool or a string, an interval without a < b, one so wide that
-    b - a overflows, or one so narrow that h underflows to 0, is a
-    DegenerateInterval; an n that is not an integer, or is above
-    isqrt(2**63 - 1) as in `build_graph`, is an InvalidCount.
+    Consecutive samples are joined by edges of length h = (b-a)/(n-1),
+    and the samples np.linspace(a, b, n) are stored as the space's
+    `coordinates`. An endpoint that is a bool or a string, an interval
+    without a < b, one so wide that b - a overflows, or one so narrow
+    that h underflows to 0, is a DegenerateInterval; an n that is not an
+    integer, or is above isqrt(2**63 - 1) as in `build_graph`, is an
+    InvalidCount.
     """
     # Not `check_real`: a NaN or infinite endpoint keeps the messages below.
     if any(isinstance(x, _BOOLS) or not isinstance(x, _REALS) for x in (a, b)):
@@ -349,8 +350,8 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
             f"spacing (b - a) / (n - 1) is not a finite positive number "
             f"for a={a}, b={b}, n={n}")
     left = np.arange(n - 1)
-    return _space_from_columns(left, left + 1, np.full(n - 1, h), n,
-                               np.linspace(a, b, n))
+    grid = _space_from_columns(left, left + 1, np.full(n - 1, h), n)
+    return _built(grid, coordinates=np.linspace(a, b, n))
 
 
 # `_sweep` relaxes its frontier in array rounds while the frontier holds
@@ -438,21 +439,6 @@ def distances_from(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
     return _sweep(space, space.w, np.array([x], dtype=np.intp), np.zeros(1))
 
 
-def metric_distances(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
-    """Distances from x to every point under the space's metric.
-
-    The Euclidean distances between stored coordinates when the space
-    has them; otherwise the shortest-path distances of `distances_from`.
-    """
-    space.check_point(x)
-    if space.coordinates is None:
-        return distances_from(space, x)
-    diff = space.coordinates - space.coordinates[x]
-    if diff.ndim == 1:
-        return np.abs(diff)
-    return np.sqrt(np.sum(diff * diff, axis=1))
-
-
 def neighbors(space: MetricSpaceGraph, x: PointId,
               radius: float | None = None) -> tuple[tuple[int, float], ...]:
     """The (point, distance) pairs of the adjacent points of x, or of
@@ -461,8 +447,10 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
     Without a radius the pairs are the graph-adjacent points with their
     edge lengths. With a radius, which must be a finite number > 0
     (`check_real`, InvalidDecreasingList), they are all points y != x
-    with 0 < d(x, y) <= radius under `metric_distances`. x itself is
-    never among them.
+    with d(x, y) <= radius, d the shortest-path distance of
+    `distances_from`, which is at most the edge length for an adjacent
+    point; unreachable points are never among them. The query sweeps the
+    whole component of x, whatever the radius.
     """
     space.check_point(x)
     if radius is None:
@@ -470,7 +458,7 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
         return tuple(zip(space.dst[a:b].tolist(), space.w[a:b].tolist()))
     radius = check_real(radius, InvalidDecreasingList, "radius",
                         "must be a finite number > 0", 0.0)
-    dist = metric_distances(space, x)
+    dist = distances_from(space, x)
     # d(x, x) = 0, so x itself is never a member.
     ys = ((dist > 0.0) & (dist <= radius)).nonzero()[0]
     return tuple(zip(ys.tolist(), dist[ys].tolist()))

@@ -10,6 +10,7 @@ import pytest
 
 import slopekit
 from slopekit import errors, io
+from slopekit.cli import main
 
 
 def test_every_public_name_resolves_once():
@@ -21,7 +22,8 @@ def test_every_public_name_resolves_once():
 
 def test_removed_names_are_absent():
     for name in ("EDGE_LOCAL", "SHORTEST_PATH_CLOSURE", "SublevelSet", "sublevel_set",
-                 "SlopeValue", "INFINITE_SLOPE", "Neighborhood", "check_hypotheses"):
+                 "SlopeValue", "INFINITE_SLOPE", "Neighborhood", "check_hypotheses",
+                 "metric_distances"):
         assert name not in slopekit.__all__
         assert not hasattr(slopekit, name)
     assert not hasattr(slopekit.determination, "check_hypotheses")
@@ -32,6 +34,8 @@ def test_removed_names_are_absent():
     for attr in ("check_members", "__contains__", "__len__"):
         assert not hasattr(slopekit.CriticalSet, attr)
     assert not hasattr(errors, "NoMetricClosure")
+    assert not hasattr(errors, "NonFiniteCoordinate")
+    assert not hasattr(slopekit.space, "metric_distances")
     for attr in ("adjacency", "_adjacency", "metric_mode", "degree", "is_isolated"):
         assert not hasattr(slopekit.MetricSpaceGraph, attr)
     for cls, gone in ((slopekit.AnalyticFunction1D, {"metadata"}),
@@ -42,6 +46,25 @@ def test_removed_names_are_absent():
     for fn in (slopekit.build_graph, slopekit.sample_interval, io.load_graph_csv):
         assert "metric_mode" not in inspect.signature(fn).parameters
     assert "provenance" not in inspect.signature(io.load_slope_csv).parameters
+
+
+def test_spaces_take_no_coordinates(tmp_path, capsys):
+    # One metric per space: the edge lengths. Only `sample_interval`
+    # stores coordinates, its sample positions.
+    with pytest.raises(AttributeError, match="metric_distances"):
+        slopekit.metric_distances
+    for fn in (slopekit.build_graph, slopekit.MetricSpaceGraph, io.load_graph_csv):
+        assert not {"coordinates", "coordinates_path"} & set(
+            inspect.signature(fn).parameters), fn
+    space, f = tmp_path / "space.csv", tmp_path / "f.csv"
+    space.write_text("u,v,length\n0,1,1.0\n")
+    f.write_text("point,value\n0,1.0\n1,0.0\n")
+    with pytest.raises(SystemExit) as info:
+        main(["slope", "--space", str(space), "--f", str(f),
+              "--coords", "x.csv"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 64 and out == ""
+    assert "unrecognized arguments: --coords x.csv" in err
 
 
 # What `import slopekit.cli` loads: the package, the command line and

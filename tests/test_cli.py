@@ -260,27 +260,6 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     assert rc == 74
 
 
-def test_nan_coordinate_is_an_input_error(fixtures, tmp_path, capsys):
-    coords = tmp_path / "coords.csv"
-    coords.write_text("point,x\n0,0.0\n1,nan\n2,2.0\n3,3.0\n")
-    rc = main(["slope", "--space", fixtures["graph.csv"],
-               "--coords", str(coords), "--f", fixtures["f.csv"]])
-    assert rc == 74
-    assert f"{coords}:3: non-finite coordinate 'nan'" in capsys.readouterr().err
-
-
-def test_coordinates_without_rows_are_an_input_error(fixtures, tmp_path, capsys):
-    # No rows means a space with no points.
-    coords = tmp_path / "coords.csv"
-    coords.write_text("point,x\n")
-    rc = main(["slope", "--space", fixtures["graph.csv"],
-               "--coords", str(coords), "--f", fixtures["f.csv"]])
-    err = capsys.readouterr().err
-    assert rc == 74
-    assert "TooFewPoints: a space needs at least one point, got 0" in err
-    assert "Traceback" not in err
-
-
 def test_space_beyond_the_key_range_is_an_input_error(fixtures, tmp_path, capsys):
     # one edge to point 2**32 implies more points than a space may have
     space = tmp_path / "huge.csv"

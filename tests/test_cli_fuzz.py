@@ -6,7 +6,8 @@ an empty cell, an extra or a missing column, a duplicated point,
 non-numeric text, a byte that is not UTF-8, or an integer beyond int64
 in an integer column. Every case must be rejected as a usage or input error
 (exit 64 or 74), never as an internal error (exit 70), and must print
-no traceback.
+no traceback. No command reads a coordinates file: its cases go to its
+one reader, `io.load_coordinates_csv` (`read_back`).
 
 Further cases: cells respelled in ways that only Python's int() and
 float() accept, text in the unread slope cell of a flagged row, and
@@ -17,6 +18,8 @@ import random
 import pytest
 
 from slopekit.cli import build_parser, main
+from slopekit.errors import SlopeKitError
+from slopekit.io import load_coordinates_csv
 
 SPACE = "u,v,length\n0,1,1.0\n1,2,0.5\n2,3,2.0\n0,3,1.0\n3,4,0.25\n"
 COORDS = "point,x\n0,0.0\n1,1.0\n2,1.5\n3,3.5\n4,3.75\n"
@@ -28,11 +31,10 @@ CRIT_VALUES = "point,value\n4,0.0\n"
 FILES = {"space": SPACE, "coords": COORDS, "f": FIELD_F, "g": FIELD_G,
          "slopes": SLOPES, "crit_values": CRIT_VALUES}
 
-# The command that reads each file, as arguments after the subcommand.
+# The command that reads each file but the coordinates, as arguments
+# after the subcommand.
 COMMANDS = {
     "space": ["slope", "--space", "{space}", "--f", "{f}"],
-    "coords": ["slope", "--space", "{space}", "--coords", "{coords}",
-               "--f", "{f}"],
     "f": ["determine", "--space", "{space}", "--f", "{f}", "--g", "{g}"],
     "g": ["determine", "--space", "{space}", "--f", "{f}", "--g", "{g}"],
     "slopes": ["reconstruct", "--space", "{space}", "--slopes", "{slopes}",
@@ -109,12 +111,7 @@ def test_uncorrupted_files_pass(tmp_path, capsys):
 
 @pytest.mark.parametrize("name,mutation,text", cases())
 def test_malformed_cell_is_an_input_error(tmp_path, capsys, name, mutation, text):
-    paths = {}
-    for other, content in FILES.items():
-        paths[other] = tmp_path / f"{other}.csv"
-        write(paths[other], text if other == name else content)
-    code = main([a.format(**paths) for a in COMMANDS[name]])
-    err = capsys.readouterr().err
+    code, err = read_back(tmp_path, capsys, name, text)
     assert code in (64, 74), (name, mutation, text, err)
     assert "Traceback" not in err
 
@@ -155,11 +152,27 @@ def run_with(tmp_path, name, text, args):
     return main([a.format(**paths) for a in args])
 
 
+def read_back(tmp_path, capsys, name, text):
+    """The exit status and stderr of the command that reads the file
+    `name` (COMMANDS) when it holds `text`. For a coordinates file,
+    which no command reads, its one reader runs instead, and an error
+    from it gives exit 74, as `main` reports an input error."""
+    if name in COMMANDS:
+        code = run_with(tmp_path, name, text, COMMANDS[name])
+        return code, capsys.readouterr().err
+    path = tmp_path / f"{name}.csv"
+    write(path, text)
+    try:
+        load_coordinates_csv(path)
+    except SlopeKitError as exc:
+        return 74, str(exc)
+    return 0, ""
+
+
 @pytest.mark.parametrize("name,lineno,cell,text", spelling_cases())
 def test_python_only_spelling_is_an_input_error(tmp_path, capsys, name,
                                                 lineno, cell, text):
-    code = run_with(tmp_path, name, text, COMMANDS[name])
-    err = capsys.readouterr().err
+    code, err = read_back(tmp_path, capsys, name, text)
     assert code == 74, err
     assert f"{name}.csv:{lineno}: bad " in err and repr(cell) in err
     assert "Traceback" not in err

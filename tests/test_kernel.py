@@ -207,7 +207,7 @@ BAD_ENTRIES = [
      ValueError, "edge entries must be (u, v, length), got (2, 3)"),
     ([(0.0, 1.0, 1.0), (1.0, 1.0, 1.0)], None,
      SelfLoopEdge, "self-loop at point 1"),
-    ([("0", "1", "1.0"), ("1", "0", "2")], None,
+    ([("0", "1", 1.0), ("1", "0", 2.0)], None,
      DuplicateEdge, "edge (0, 1) appears more than once"),
     (OK, 2, DanglingEndpoint, "edge endpoint 2 outside [0, 2)"),
     (OK + [(0, 1, 1.0), (0, 9, 1.0)], 3,

@@ -254,6 +254,20 @@ def test_build_graph_rejects_bool_lengths(edges):
         f"edge {edges[-1]!r}: length {edges[-1][2]!r} is not a number"
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1, "0.5")],
+    [(0, 1, 1.0), (1, 2, "0.5"), (2, 3, 2.0)],   # a string among floats
+    [(0, 1, 1.0), (1, 2, b"2")],
+    [("0", "1", "1e0")],                         # string endpoints pass, the length not
+])
+def test_build_graph_rejects_string_lengths(edges):
+    # (0, 1, "0.5") used to build an edge of length 0.5
+    bad = next(e for e in edges if isinstance(e[2], (str, bytes)))
+    with pytest.raises(NonPositiveLength) as info:
+        build_graph(edges)
+    assert str(info.value) == f"edge {bad!r}: length {bad[2]!r} is not a number"
+
+
 @pytest.mark.parametrize("level", [2.9, math.nan, math.inf, True])
 def test_cantor_rejects_non_integer_level(level):
     # 2.9 used to run level 2

@@ -17,7 +17,6 @@ from slopekit import (
     distances_from,
     is_connected,
     local_slope,
-    metric_distances,
     neighbors,
     sample_interval,
     slope_field,
@@ -27,15 +26,15 @@ from slopekit.errors import (
     DegenerateInterval,
     DuplicateEdge,
     EmptyEdgeList,
-    FieldSpaceMismatch,
+    FileFormatError,
     InvalidDecreasingList,
     InvalidPoint,
-    NonFiniteCoordinate,
     NonPositiveLength,
     SelfLoopEdge,
     TooFewPoints,
     UnsortedEdges,
 )
+from slopekit.io import load_coordinates_csv
 from slopekit.testing import random_connected_graph, random_dyadic_field
 
 
@@ -204,16 +203,15 @@ def test_infinite_edge_length_rejected():
     ([0.0, 1.0, math.inf], 2),
     ([[0.0, 0.0], [1.0, -math.inf], [2.0, 0.0]], 1),
 ])
-def test_non_finite_coordinates_rejected(coords, bad):
-    # A NaN coordinate would drop the point out of every radius ball.
-    with pytest.raises(NonFiniteCoordinate, match=f"at point {bad}$"):
-        build_graph([(0, 1, 1.0), (1, 2, 1.0)], coordinates=coords)
-
-
-def test_coordinate_count_must_match():
-    with pytest.raises(FieldSpaceMismatch,
-                       match="coordinates cover 2 points, space has 3"):
-        build_graph([(0, 1, 1.0), (1, 2, 1.0)], coordinates=[0.0, 1.0])
+def test_non_finite_coordinates_rejected(tmp_path, coords, bad):
+    # Spaces take no coordinates; their one reader names the bad row,
+    # in either column.
+    rows = [[p, *np.atleast_1d(c).tolist()] for p, c in enumerate(coords)]
+    header = "point,x,y" if len(rows[0]) == 3 else "point,x"
+    path = tmp_path / "c.csv"
+    path.write_text("\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n")
+    with pytest.raises(FileFormatError, match=f"c.csv:{bad + 2}: non-finite coordinate"):
+        load_coordinates_csv(path)
 
 
 def test_sample_interval_two_points():
@@ -277,19 +275,57 @@ def test_neighbors_radius_grid():
     assert [y for y, _ in nb] == [48, 49, 51, 52]
 
 
-def test_planar_coordinates_give_euclidean_distances():
+def test_triangle_legs_give_path_distances():
     # A 3-4-5 right triangle with only its legs as edges: the path from
-    # 0 to 2 is 7 long, the straight line between their coordinates 5.
-    space = build_graph([(0, 1, 3.0), (1, 2, 4.0)],
-                        coordinates=[[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
-    assert metric_distances(space, 0).tolist() == [0.0, 3.0, 5.0]
-    assert metric_distances(space, 2).tolist() == [5.0, 4.0, 0.0]
-    assert neighbors(space, 0, radius=5.0) == ((1, 3.0), (2, 5.0))
-    assert neighbors(space, 0, radius=4.5) == ((1, 3.0),)
+    # 0 to 2 is 7 long, and no straight line of length 5 enters any query.
+    space = build_graph([(0, 1, 3.0), (1, 2, 4.0)])
+    assert distances_from(space, 0).tolist() == [0.0, 3.0, 7.0]
+    assert distances_from(space, 2).tolist() == [7.0, 4.0, 0.0]
+    assert neighbors(space, 0, radius=5.0) == ((1, 3.0),)
+    assert neighbors(space, 0, radius=7.0) == ((1, 3.0), (2, 7.0))
     f = ScalarField(space, np.array([10.0, 7.0, 0.0]))
-    entries = delta_slope_profile(space, f, 0, [6.0, 4.0, 1.0])
+    entries = delta_slope_profile(space, f, 0, [7.0, 5.0, 1.0])
     assert [(e.slope, e.empty_ball) for e in entries] == \
-        [(2.0, False), (1.0, False), (0.0, True)]
+        [(10.0 / 7.0, False), (1.0, False), (0.0, True)]
+
+
+def uneven_grids():
+    """Grids, the `gallery fig2` grid among them, where the rounded
+    sample positions of some adjacent points lie more than the spacing
+    h apart: a ball must not be measured between them."""
+    return [sample_interval(0.0, 1.0, 11), sample_interval(-math.pi, math.pi, 1005),
+            sample_interval(-1.0, 3.0, 97)]
+
+
+def test_grid_ball_of_one_spacing_is_the_adjacent_points():
+    for grid in uneven_grids():
+        h = grid.w[0]
+        for x in range(grid.n):
+            assert neighbors(grid, x, radius=h) == neighbors(grid, x), x
+
+
+def test_profile_at_the_longest_edge_bounds_the_slope():
+    # Every adjacent point is at most its edge length away, so a ball of
+    # a radius at least the longest edge at x sees every edge quotient.
+    rng = random.Random("one-metric")
+    spaces = uneven_grids()
+    for _ in range(30):
+        tree = random_connected_graph(rng, n_max=30)
+        spaces.append(build_graph(tree.edges, n=tree.n + rng.randint(0, 2)))
+    for space in spaces:
+        fields = [random_dyadic_field(rng, space)]
+        if space.coordinates is not None:
+            fields.append(ScalarField(space, -space.coordinates))
+        for f in fields:
+            slopes = slope_field(space, f)
+            for x in range(space.n):
+                lengths = space.w[space.indptr[x]:space.indptr[x + 1]]
+                if not lengths.size:
+                    continue
+                longest = float(lengths.max())
+                for entry in delta_slope_profile(space, f, x, [2.0 * longest, longest]):
+                    assert not entry.empty_ball
+                    assert entry.slope >= slopes[x], (x, entry)
 
 
 def test_neighbors_radius_monotone():
@@ -305,18 +341,16 @@ def test_neighbors_radius_monotone():
 
 
 def test_neighbors_radius_matches_point_scan():
-    # The members are every y != x with 0 < d(x, y) <= r, in increasing
-    # order, under the coordinates (with a repeated one) or the paths.
+    # The members are every y != x with d(x, y) <= r, in increasing
+    # order, under the path distances; unreached points are never members.
     rng = random.Random("radius-members")
     for _ in range(60):
         tree = random_connected_graph(rng, n_max=30)
-        n = tree.n + rng.randint(0, 2)
-        coords = ([float(rng.randint(0, 8)) for _ in range(n)]
-                  if rng.random() < 0.5 else None)
-        space = build_graph(tree.edges, n=n, coordinates=coords)
+        space = build_graph(tree.edges, n=tree.n + rng.randint(0, 2))
+        all_pairs = floyd_warshall(space)
         for x in rng.sample(range(space.n), min(space.n, 4)):
             r = rng.choice([0.25, 1.0, 2.5, 6.0])
-            dist = metric_distances(space, x)
+            dist = all_pairs[x]
             expected = tuple((y, float(dist[y])) for y in range(space.n)
                              if y != x and 0.0 < dist[y] <= r)
             members = neighbors(space, x, radius=r)
@@ -333,19 +367,13 @@ def test_neighbors_radius_closure_mode():
 def test_radius_queries_without_coordinates_use_path_distances():
     # 0 -1- 1 -2- 2, plus a chord 0 -4- 2 that the path via 1 beats.
     space = build_graph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)], n=4)
-    assert metric_distances(space, 0).tolist() == [0.0, 1.0, 3.0, math.inf]
+    assert distances_from(space, 0).tolist() == [0.0, 1.0, 3.0, math.inf]
     assert neighbors(space, 0, radius=1.5) == ((1, 1.0),)
     assert neighbors(space, 0, radius=3.0) == ((1, 1.0), (2, 3.0))
     f = ScalarField(space, [6.0, 5.0, 0.0, -100.0])
     profile = delta_slope_profile(space, f, 0, [5.0, 3.0, 1.0, 0.5])
     assert [(e.slope, e.empty_ball) for e in profile] == [
         (2.0, False), (2.0, False), (1.0, False), (0.0, True)]
-
-
-def test_coordinates_take_precedence_over_path_distances():
-    space = build_graph([(0, 1, 5.0), (1, 2, 5.0)], coordinates=[0.0, 1.0, 3.0])
-    assert metric_distances(space, 2).tolist() == [3.0, 2.0, 0.0]
-    assert neighbors(space, 0, radius=1.0) == ((1, 1.0),)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, True, "1"])
@@ -368,7 +396,6 @@ def test_queries_store_nothing_on_the_space():
             neighbors(space, x, radius=0.5)
             local_slope(space, f, x)
             distances_from(space, x)
-            metric_distances(space, x)
             if not crit.mask[x]:
                 descent_path(space, f, g, x, crit)
         after = vars(space)

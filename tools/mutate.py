@@ -72,9 +72,15 @@ MUTANTS = (
            "(slopes.values <= check_tol(tol))", "(slopes.values < check_tol(tol))",
            ("tests/test_critical.py::test_constant_field_all_critical_at_zero_tol",)),
     # Spaces.
-    Mutant("l1-distances", SPACE,
-           "np.sqrt(np.sum(diff * diff, axis=1))", "np.sum(np.abs(diff), axis=1)",
-           ("tests/test_space.py::test_planar_coordinates_give_euclidean_distances",)),
+    Mutant("radius-ball-open", SPACE,
+           "(dist <= radius)", "(dist < radius)",
+           ("tests/test_space.py::test_grid_ball_of_one_spacing_is_the_adjacent_points",)),
+    Mutant("profile-ball-open", SLOPE,
+           "(dist <= delta)", "(dist < delta)",
+           ("tests/test_space.py::test_profile_at_the_longest_edge_bounds_the_slope",)),
+    Mutant("build-takes-string-lengths", SPACE,
+           "if isinstance(c, (*_BOOLS, str, bytes)):", "if isinstance(c, _BOOLS):",
+           ("tests/test_knobs.py::test_build_graph_rejects_string_lengths",)),
     Mutant("build-fast-path-takes-bools", SPACE,
            " \\\n                    and set(map(type, chain(*cols))).isdisjoint(_BOOLS):",
            ":",
