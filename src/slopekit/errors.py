@@ -19,12 +19,7 @@ class NonPositiveLength(SlopeKitError):
 
 
 class DuplicateEdge(SlopeKitError):
-    """The same unordered point pair appears twice in an edge list, or
-    the same (src, dst) pair twice in the raw edge arrays of a space."""
-
-
-class UnsortedEdges(SlopeKitError):
-    """The raw edge arrays of a space are not sorted by (src, dst)."""
+    """The same unordered point pair appears twice in an edge list."""
 
 
 class SelfLoopEdge(SlopeKitError):

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .critical import critical_mask
 from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
-from .space import MetricSpaceGraph, _built, _sweep, is_connected
+from .space import _BOOLS, MetricSpaceGraph, _built, _sweep, is_connected
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,17 @@ class Inadmissible:
 
 def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
     """The prescription as its points (intp) and values (float), in
-    array passes: every key an integer point (else `check_point` on
-    each), then every value finite."""
+    array passes: every key an integer point, not a bool (else
+    `check_point` on each), then every value finite."""
     require_bound(space, data.slopes)
     if data.slopes.any_infinite():
         bad = int(data.slopes.infinite.nonzero()[0][0])
         raise InfiniteSlopeData(f"infinite slope at point {bad}")
     keys = list(data.crit_values)
     points = np.array(keys) if keys else np.empty(0, dtype=np.intp)
-    if points.dtype.kind not in "iu" or ((points < 0) | (points >= space.n)).any():
+    # numpy reads a bool among integers as 0 or 1
+    if points.dtype.kind not in "iu" or not set(map(type, keys)).isdisjoint(_BOOLS) \
+            or ((points < 0) | (points >= space.n)).any():
         for p in keys:
             space.check_point(p)
     points = points.astype(np.intp, copy=False)

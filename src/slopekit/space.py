@@ -20,13 +20,11 @@ reads one slice at a time, and `edges` (each undirected edge once, as
 (u, v, length) with u < v, sorted) is built from the arrays on each
 access.
 
-The raw `MetricSpaceGraph` constructor takes the directed arrays as
-stored and checks the layout above, except that it allows an edge
-without its reverse. `build_graph` and `sample_interval` validate their
-input by array passes and lay it out by one sort, which also finds
-duplicate edges, and build the space without the constructor's checks;
-only input that fails is walked entry by entry, to name its first bad
-entry.
+Every space is made by `_space_from_columns`, under `build_graph`,
+`io.load_graph_csv` and `sample_interval`: it validates an undirected
+edge list by array passes and lays out its symmetric closure by one
+sort, which also finds duplicate edges; only input that fails is walked
+entry by entry, to name its first bad entry.
 
 Spaces are immutable after construction and every query is pure: none
 stores anything on the space, so spaces are safe to share across
@@ -56,7 +54,6 @@ from .errors import (
     NonPositiveLength,
     SelfLoopEdge,
     TooFewPoints,
-    UnsortedEdges,
 )
 
 PointId = int
@@ -98,59 +95,24 @@ def check_real(value, error, name: str, rule: str, least: float = -math.inf,
     return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MetricSpaceGraph:
     """A finite point set with symmetric positive pairwise edge lengths.
 
-    Build instances with `build_graph` or `sample_interval`. The raw
-    constructor takes directed edge arrays in the layout of the module
-    docstring, an edge without its reverse allowed, and checks the rest
-    of that layout: the three arrays have one length and every endpoint
-    lies in [0, n) (DanglingEndpoint); the (src, dst) pairs strictly
-    increase (UnsortedEdges, or DuplicateEdge for a repeated pair); no
-    edge is a self-loop (SelfLoopEdge); every length is finite and > 0
-    (NonPositiveLength). The order, self-loop and length errors name the
-    first edge index that breaks any of them. Its `coordinates` are None.
+    Build instances with `build_graph`, `io.load_graph_csv` or
+    `sample_interval`; calling the class is a TypeError.
     """
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     w: np.ndarray
-    coordinates: np.ndarray | None = field(init=False, default=None)
-    indptr: np.ndarray = field(init=False, repr=False)
+    coordinates: np.ndarray | None
+    indptr: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise TooFewPoints(f"a space needs at least one point, got {n}")
-        src = np.array(self.src, dtype=np.intp)
-        dst = np.array(self.dst, dtype=np.intp)
-        w = np.array(self.w, dtype=float)
-        if not src.size == dst.size == w.size:
-            raise DanglingEndpoint(
-                f"edge arrays differ in length: src {src.size}, "
-                f"dst {dst.size}, w {w.size}")
-        # As unsigned integers, negative endpoints are >= n as well.
-        if src.size and max(src.view(np.uintp).max(), dst.view(np.uintp).max()) >= n:
-            k = int(((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).nonzero()[0][0])
-            raise DanglingEndpoint(
-                f"edge ({src[k]}, {dst[k]}) has an endpoint outside [0, {n})")
-        bad = (src == dst) | ~((w > 0.0) & (w < math.inf))
-        bad[1:] |= (src[1:] < src[:-1]) | (
-            (src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))
-        if bad.any():
-            k = int(bad.argmax())
-            edge = f"edge {k} ({src[k]}, {dst[k]})"
-            if src[k] == dst[k]:
-                raise SelfLoopEdge(f"{edge} is a self-loop")
-            if not 0.0 < w[k] < math.inf:
-                raise NonPositiveLength(f"{edge} has length {w[k]}")
-            repeat = src[k] == src[k - 1] and dst[k] == dst[k - 1]
-            raise (DuplicateEdge if repeat else UnsortedEdges)(
-                f"{edge} does not follow edge {k - 1} "
-                f"({src[k - 1]}, {dst[k - 1]}) in (src, dst) order")
-        _built(self, src=src, dst=dst, w=w, indptr=_offsets(src, n))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a MetricSpaceGraph with build_graph, "
+                        "io.load_graph_csv or sample_interval")
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -283,8 +245,9 @@ def build_graph(edge_list, n: int | None = None) -> MetricSpaceGraph:
 
 def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
                         n: int | None) -> MetricSpaceGraph:
-    """The array core of `build_graph` and `sample_interval`: validate
-    the endpoint (int64) and length (float) columns and build the space.
+    """The one maker of spaces, under `build_graph`, `io.load_graph_csv`
+    and `sample_interval`: validate the endpoint (int64) and length
+    (float) columns of an undirected edge list and build the space.
 
     The point count is checked first, so that no key wraps and no array
     of more than `_MAX_POINTS` points is made. A mask flags bad
@@ -314,8 +277,6 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     order = np.argsort(key)
     if (np.diff(key[order]) == 0).any():
         raise _first_bad_edge(u, v, w)
-    # The arrays are in the constructor's layout by construction: build
-    # the space without its checks.
     src = src[order]
     return _built(MetricSpaceGraph, n=n, src=src, dst=dst[order],
                   w=np.concatenate((w, w))[order], coordinates=None,
@@ -465,8 +426,7 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
 
 
 def is_connected(space: MetricSpaceGraph) -> bool:
-    """Whether every point is reachable from point 0 along the directed
-    edges; for a space from `build_graph`, whether it is one component.
+    """Whether the space is one component.
 
     Every point starts labelled with its own id. Each round lowers the
     label of every edge's target to its source's label, then replaces

@@ -160,9 +160,9 @@ def reference_sweep(space: MetricSpaceGraph, inc: np.ndarray,
 
 
 def reference_is_connected(space: MetricSpaceGraph) -> bool:
-    """Whether every point is reachable from point 0 along the directed
-    edges, by a depth-first search over the CSR slices: the per-point
-    loop that the label propagation of `space.is_connected` replaced."""
+    """Whether the space is one component, by a depth-first search from
+    point 0 over the CSR slices: the per-point loop that the label
+    propagation of `space.is_connected` replaced."""
     ends = space.indptr.tolist()
     dst = space.dst.tolist()
     seen = [False] * space.n

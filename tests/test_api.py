@@ -35,6 +35,7 @@ def test_removed_names_are_absent():
         assert not hasattr(slopekit.CriticalSet, attr)
     assert not hasattr(errors, "NoMetricClosure")
     assert not hasattr(errors, "NonFiniteCoordinate")
+    assert not hasattr(errors, "UnsortedEdges")
     assert not hasattr(slopekit.space, "metric_distances")
     for attr in ("adjacency", "_adjacency", "metric_mode", "degree", "is_isolated"):
         assert not hasattr(slopekit.MetricSpaceGraph, attr)

@@ -116,6 +116,16 @@ def test_reconstruct_rejects_keys_outside_the_space(path3, key):
         reconstruct(space, prescription(space, f, {2: 0.0, key: 0.0}))
 
 
+@pytest.mark.parametrize("crit_values", [{True: 0.0, 2: 0.0}, {2: 0.0, np.True_: 5.0}],
+                         ids=["bool-first", "numpy-bool-last"])
+def test_reconstruct_rejects_bool_keys_among_integers(path3, crit_values):
+    # np.array reads a bool among ints as 0 or 1: unless bools are
+    # refused by type, True prescribes point 1.
+    space, f, _ = path3
+    with pytest.raises(InvalidPoint, match="not an integer"):
+        reconstruct(space, prescription(space, f, crit_values))
+
+
 def test_reconstruct_checks_every_key_before_the_values(path3):
     space, f, _ = path3
     with pytest.raises(InvalidPoint):

@@ -1,4 +1,5 @@
 import heapq
+import importlib
 import random
 import types
 
@@ -9,7 +10,6 @@ import slopekit.space as space_module
 from conftest import path_field, unit_path
 from slopekit import (
     Inadmissible,
-    MetricSpaceGraph,
     ScalarField,
     SlopeData,
     SlopeField,
@@ -205,16 +205,16 @@ def test_sweep_order_violation_raises(monkeypatch):
         reconstruct(space, SlopeData(slopes, {0: 0.0}))
 
 
-def test_incomplete_sweep_raises():
-    # Raw arrays that break the constructor's symmetry contract: 2 -> 1
-    # is missing, so the space looks connected from 0 but the sweep
-    # seeded at 2 reaches nothing else.
-    space = MetricSpaceGraph(n=3, src=[0, 1, 1], dst=[1, 0, 2],
-                             w=[1.0, 1.0, 1.0])
-    slopes = SlopeField(space, np.array([1.0, 1.0, 0.0]),
-                        np.zeros(3, dtype=bool))
-    with pytest.raises(InvariantViolated, match="1 of 3"):
-        reconstruct(space, SlopeData(slopes, {2: 0.0}))
+def test_incomplete_sweep_raises(monkeypatch):
+    # Two components, with the connectivity check patched to pass: the
+    # sweep seeded at 0 never reaches 2 and 3, whose slopes are above tol.
+    monkeypatch.setattr(importlib.import_module("slopekit.reconstruct"),
+                        "is_connected", lambda space: True)
+    space = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
+    slopes = SlopeField(space, np.array([0.0, 1.0, 1.0, 1.0]),
+                        np.zeros(4, dtype=bool))
+    with pytest.raises(InvariantViolated, match="finalized 2 of 4 points"):
+        reconstruct(space, SlopeData(slopes, {0: 0.0}))
 
 
 # Slope data the sweep cannot start or finish on: no prescribed value

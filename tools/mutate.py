@@ -86,10 +86,10 @@ MUTANTS = (
            ":",
            ("tests/test_kernel.py::test_first_bad_entry_raises_as_the_entry_loop_did",
             "tests/test_knobs.py::test_build_graph_rejects_bool_lengths")),
-    Mutant("raw-constructor-takes-unsorted", SPACE,
-           "        bad[1:] |= (src[1:] < src[:-1]) | (\n"
-           "            (src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))\n", "",
-           ("tests/test_space.py::test_raw_constructor_checks_the_layout",)),
+    Mutant("raw-constructor-builds", SPACE,
+           "    def __init__(self, *args, **kwargs):\n        raise TypeError(",
+           "    def __init__(self, *args, **kwargs):\n        return\n        raise TypeError(",
+           ("tests/test_space.py::test_raw_constructor_is_a_type_error",)),
     # The binding rule.
     Mutant("binding-skips-critical-sets", SLOPE,
            "        if obj.space is not space:\n",
@@ -117,8 +117,8 @@ MUTANTS = (
            "@dataclass(eq=False)\nclass SlopeField:",
            ("tests/test_api.py::test_validated_objects_cannot_be_reassigned",)),
     Mutant("space-not-frozen", SPACE,
-           "@dataclass(frozen=True, eq=False)\nclass MetricSpaceGraph:",
-           "@dataclass(eq=False)\nclass MetricSpaceGraph:",
+           "@dataclass(frozen=True, eq=False, init=False)\nclass MetricSpaceGraph:",
+           "@dataclass(eq=False, init=False)\nclass MetricSpaceGraph:",
            ("tests/test_api.py::test_validated_objects_cannot_be_reassigned",)),
     # The constant of determine and the overflow paths.
     Mutant("numpy-mean", DETERMINATION,
@@ -144,6 +144,10 @@ MUTANTS = (
     Mutant("descent-takes-level-difference", DESCENT,
            "            if diff_x > fz - gz and (", "            if diff_x >= fz - gz and (",
            ("tests/test_descent.py::test_level_difference_is_no_step",)),
+    Mutant("prescription-takes-bool-keys", RECONSTRUCT,
+           " or not set(map(type, keys)).isdisjoint(_BOOLS) \\\n"
+           "            or ((points", " or ((points",
+           ("tests/test_point_ids.py::test_reconstruct_rejects_bool_keys_among_integers",)),
     Mutant("reconstruct-unverified", RECONSTRUCT,
            "    if off.size:\n", "    if False:\n",
            ("tests/test_reconstruct.py::test_perturbed_prescribed_slope_rejected",)),
