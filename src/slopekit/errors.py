@@ -51,10 +51,6 @@ class InvalidCount(SlopeKitError):
     """A count (sample points, level, step budget) is not an integer in range."""
 
 
-class DisconnectedSpace(SlopeKitError):
-    """The operation requires a connected space."""
-
-
 # ---- fields and slopes ----
 
 class FieldSpaceMismatch(SlopeKitError):
@@ -118,11 +114,11 @@ class StepLimitExceeded(SlopeKitError):
 # ---- determination ----
 
 class EmptyCriticalSet(SlopeKitError):
-    """No critical points to compare on.
+    """A component of the space has no prescribed value and no slope
+    <= tol, so reconstruction has no seed there.
 
-    On a finite space every field has a minimizer with slope exactly 0,
-    so an empty critical set indicates an overflow/infinite-slope
-    pathology in the supplied data.
+    Each component of a finite space holds a minimizer of every field,
+    with slope exactly 0, so data taken from a field never lacks one.
     """
 
 

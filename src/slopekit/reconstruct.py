@@ -16,7 +16,9 @@ slope field of the output and rejects the result (with witnesses)
 wherever it deviates from the input slopes beyond tolerance. When the
 data really came from a field, uniqueness of the answer is exactly the
 determination property: equal slopes plus equal critical values leave
-no freedom beyond what the prescription already fixes.
+no freedom beyond what the prescription already fixes. This holds on
+each component, since each holds a minimizer, whose slope is 0; so the
+space need not be connected.
 """
 from __future__ import annotations
 
@@ -25,16 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DisconnectedSpace,
     EmptyCriticalSet,
     InfiniteSlopeData,
-    InvariantViolated,
     NonFiniteFieldValue,
     UncoveredCriticalPoint,
 )
 from .critical import critical_mask
 from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
-from .space import _BOOLS, MetricSpaceGraph, _built, _sweep, is_connected
+from .space import _BOOLS, _REALS, MetricSpaceGraph, _built, _sweep
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ class Inadmissible:
 def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
     """The prescription as its points (intp) and values (float), in
     array passes: every key an integer point, not a bool (else
-    `check_point` on each), then every value finite."""
+    `check_point` on each), then every value a Python or numpy int or
+    float, not a bool (the type rule of `space.check_real`), and finite."""
     require_bound(space, data.slopes)
     if data.slopes.any_infinite():
         bad = int(data.slopes.infinite.nonzero()[0][0])
@@ -78,21 +79,23 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
         for p in keys:
             space.check_point(p)
     points = points.astype(np.intp, copy=False)
-    values = np.array(list(data.crit_values.values()), dtype=float)
+    values = list(data.crit_values.values())
+    odd = [t for t in set(map(type, values))
+           if issubclass(t, _BOOLS) or not issubclass(t, _REALS)]
+    if odd:
+        p = next(p for p, v in data.crit_values.items() if type(v) in odd)
+        raise NonFiniteFieldValue(f"prescribed value at {p} must be an int or float, "
+                                  f"got {data.crit_values[p]!r}")
+    values = np.array(values, dtype=float)
     bad = (~np.isfinite(values)).nonzero()[0]
     if bad.size:
         raise NonFiniteFieldValue(f"prescribed value at {keys[bad[0]]} is not finite")
-    if not is_connected(space):
-        raise DisconnectedSpace("reconstruction requires a connected space")
     covered = np.zeros(space.n, dtype=bool)
     covered[points] = True
     uncovered = (critical_mask(data.slopes, tol) & ~covered).nonzero()[0]
     if uncovered.size:
         raise UncoveredCriticalPoint(f"points {uncovered[:8].tolist()} have "
                                      f"slope <= {tol} but no prescribed value")
-    if not keys:
-        raise EmptyCriticalSet(
-            f"no prescribed value and no slope <= {tol}: the sweep has no seed")
     return points, values
 
 
@@ -106,10 +109,11 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
     does not depend on the order of relaxation. The sweep runs array
     rounds while at least `space._WIDE` points wait in its frontier and
     a heap after that. Its result must be a fixpoint (no edge into a
-    non-prescribed point lowers it) and must reach every point;
-    InvariantViolated is raised if either fails. Data with no
-    prescribed value is an EmptyCriticalSet, and a point whose every
-    candidate value overflows is a NonFiniteFieldValue.
+    non-prescribed point lowers it), else InvariantViolated. The space
+    need not be connected. A point the sweep does not reach is a
+    NonFiniteFieldValue when it lies next to a reached point (its every
+    candidate value overflows), and otherwise an EmptyCriticalSet: its
+    component has no prescribed value and no slope <= tol.
     """
     tol = check_tol(tol)
     points, values = _validate(space, data, tol)
@@ -120,15 +124,14 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
     swept_at = np.isfinite(v)
     if not swept_at.all():
         # An unswept point next to a swept one had only candidates that
-        # overflowed to inf.
+        # overflowed to inf; any other lies in a component without a seed.
         cut = swept_at[space.src] & ~swept_at[space.dst]
         if cut.any():
             raise NonFiniteFieldValue(
                 f"reconstructed value at point {int(space.dst[cut].min())} "
                 "overflows the float range")
-        raise InvariantViolated(
-            f"sweep finalized {int(swept_at.sum())} of {space.n} points "
-            "of a connected space")
+        raise EmptyCriticalSet(f"no prescribed value and no slope <= {tol} in "
+                               f"the component of point {int(swept_at.argmin())}")
 
     # v is finite with one value per point, so it needs no checks.
     result = _built(ScalarField, space=space, values=v)

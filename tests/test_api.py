@@ -33,9 +33,9 @@ def test_removed_names_are_absent():
             assert not hasattr(module, name)
     for attr in ("check_members", "__contains__", "__len__"):
         assert not hasattr(slopekit.CriticalSet, attr)
-    assert not hasattr(errors, "NoMetricClosure")
-    assert not hasattr(errors, "NonFiniteCoordinate")
-    assert not hasattr(errors, "UnsortedEdges")
+    for name in ("NoMetricClosure", "NonFiniteCoordinate", "UnsortedEdges",
+                 "DisconnectedSpace"):
+        assert not hasattr(errors, name)
     assert not hasattr(slopekit.space, "metric_distances")
     for attr in ("adjacency", "_adjacency", "metric_mode", "degree", "is_isolated"):
         assert not hasattr(slopekit.MetricSpaceGraph, attr)

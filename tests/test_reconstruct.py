@@ -1,5 +1,5 @@
 import heapq
-import importlib
+import itertools
 import random
 import types
 
@@ -20,7 +20,6 @@ from slopekit import (
 )
 from slopekit.cli import main
 from slopekit.errors import (
-    DisconnectedSpace,
     EmptyCriticalSet,
     InfiniteSlopeData,
     InvariantViolated,
@@ -150,20 +149,45 @@ def test_translation_of_prescribed_values():
 
 
 def test_disconnected_space_rejected():
+    # No seed at all: the least point of an unseeded component is named.
     space = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
     slopes = SlopeField(space, np.ones(4), np.zeros(4, dtype=bool))
-    with pytest.raises(DisconnectedSpace):
+    with pytest.raises(EmptyCriticalSet, match="no prescribed value and no slope "
+                                               r"<= 1e-09 in the component of point 0$"):
         reconstruct(space, SlopeData(slopes, {}))
 
 
-def test_disconnected_space_rejected_when_every_component_is_seeded():
-    # Each component has its critical point covered, so a sweep alone
-    # would reach every point; connectivity is checked first.
+def test_disconnected_space_reconstructs_when_every_component_is_seeded():
+    # Each component has its critical point covered, so the sweep
+    # reaches every point; no connectivity is required.
     space = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
-    slopes = SlopeField(space, np.array([0.0, 1.0, 0.0, 1.0]),
-                        np.zeros(4, dtype=bool))
-    with pytest.raises(DisconnectedSpace):
-        reconstruct(space, SlopeData(slopes, {0: 0.0, 2: 5.0}))
+    f = path_field(space, [0.0, 1.0, 5.0, 6.0])
+    out = reconstruct(space, SlopeData(slope_field(space, f), {0: 0.0, 2: 5.0}))
+    assert isinstance(out, ScalarField)
+    assert out.values.tolist() == [0.0, 1.0, 5.0, 6.0]
+
+
+def edge_subsets(n):
+    """Every non-empty set of unit edges on n points, connected or not;
+    the one-point space has only the empty one."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [subset for k in range(1, len(pairs) + 1)
+            for subset in itertools.combinations(pairs, k)] or [()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slopes_and_critical_values_fix_every_field_without_connectivity(n):
+    # Every component of a finite space holds a minimizer of f, whose
+    # slope is 0, so prescribing f on its slope-0 points seeds each
+    # component and the sweep returns f itself, bit for bit. n is passed
+    # to build_graph, so a point on no edge stays isolated.
+    for edges in edge_subsets(n):
+        space = build_graph([(u, v, 1.0) for u, v in edges], n=n)
+        for values in itertools.product([0.0, 1.0, 2.0, 3.0], repeat=n):
+            f = ScalarField(space, np.array(values))
+            out = reconstruct(space, roundtrip_data(space, f))
+            assert isinstance(out, ScalarField), (edges, values)
+            assert out.values.tobytes() == f.values.tobytes(), (edges, values)
 
 
 def test_infinite_slope_data_rejected():
@@ -205,16 +229,54 @@ def test_sweep_order_violation_raises(monkeypatch):
         reconstruct(space, SlopeData(slopes, {0: 0.0}))
 
 
-def test_incomplete_sweep_raises(monkeypatch):
-    # Two components, with the connectivity check patched to pass: the
-    # sweep seeded at 0 never reaches 2 and 3, whose slopes are above tol.
-    monkeypatch.setattr(importlib.import_module("slopekit.reconstruct"),
-                        "is_connected", lambda space: True)
+def test_incomplete_sweep_raises():
+    # Two components: the sweep seeded at 0 never reaches 2 and 3, whose
+    # slopes are above tol, so their component has no seed.
     space = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
     slopes = SlopeField(space, np.array([0.0, 1.0, 1.0, 1.0]),
                         np.zeros(4, dtype=bool))
-    with pytest.raises(InvariantViolated, match="finalized 2 of 4 points"):
+    with pytest.raises(EmptyCriticalSet, match="in the component of point 2$"):
         reconstruct(space, SlopeData(slopes, {0: 0.0}))
+
+
+def test_overflow_is_named_before_an_unseeded_component():
+    # Point 1 is next to the seed but overflows; points 2 and 3 have no seed.
+    space = build_graph([(0, 1, 10.0), (2, 3, 1.0)])
+    slopes = SlopeField(space, np.array([0.0, 1e308, 1.0, 1.0]),
+                        np.zeros(4, dtype=bool))
+    with pytest.raises(NonFiniteFieldValue, match="point 1 overflows"):
+        reconstruct(space, SlopeData(slopes, {0: 0.0}))
+
+
+# A prescribed value follows the type rule of the real-valued knobs
+# (`space.check_real`): a Python or numpy int or float, not a bool. The
+# rule is by type because a float conversion reads "0", b"0" and False
+# as 0.0, and True as 1.0.
+@pytest.mark.parametrize("value", ["0", b"0", False, True, np.True_],
+                         ids=["str", "bytes", "False", "True", "numpy-True"])
+def test_prescribed_values_reject_bools_and_strings(value):
+    space = unit_path(3)
+    f = path_field(space, [2.0, 1.0, 0.0])
+    with pytest.raises(NonFiniteFieldValue,
+                       match="prescribed value at 2 must be an int or float, got "):
+        reconstruct(space, SlopeData(slope_field(space, f), {2: value}))
+
+
+def test_prescribed_values_name_the_first_bad_key():
+    space = unit_path(3)
+    f = path_field(space, [2.0, 1.0, 0.0])
+    data = SlopeData(slope_field(space, f), {2: 0.0, 1: True, 0: "2"})
+    with pytest.raises(NonFiniteFieldValue, match="at 1 must be an int or float, got True$"):
+        reconstruct(space, data)
+
+
+@pytest.mark.parametrize("value", [0, np.float32(0), 10**20, np.int64(-3)],
+                         ids=["int", "float32", "big-int", "int64"])
+def test_prescribed_values_take_ints_and_floats(value):
+    space = build_graph([], n=1)
+    zero = SlopeField(space, np.zeros(1), np.zeros(1, dtype=bool))
+    out = reconstruct(space, SlopeData(zero, {0: value}))
+    assert out.values.tolist() == [float(value)]
 
 
 # Slope data the sweep cannot start or finish on: no prescribed value

@@ -135,6 +135,10 @@ MUTANTS = (
     Mutant("spread-overflow-unchecked", DETERMINATION,
            "    if not math.isfinite(spread):\n", "    if False:\n",
            ("tests/test_overflow.py::test_overflowing_difference_is_a_typed_error",)),
+    Mutant("determine-second-slope-pass", DETERMINATION,
+           "    diag, sf, _, in_f, in_g, resid = _diagnose(",
+           "    slope_field(space, f, cap=cap)\n    diag, sf, _, in_f, in_g, resid = _diagnose(",
+           ("tests/test_budgets.py::test_kernel_passes_per_public_call[determine-path3]",)),
     Mutant("witness-without-tie-window", DETERMINATION,
            "    window = _WITNESS_TIE_WINDOW * max(1.0, abs(target))\n",
            "    window = 0.0\n",
@@ -148,6 +152,12 @@ MUTANTS = (
            " or not set(map(type, keys)).isdisjoint(_BOOLS) \\\n"
            "            or ((points", " or ((points",
            ("tests/test_point_ids.py::test_reconstruct_rejects_bool_keys_among_integers",)),
+    Mutant("prescription-takes-any-value", RECONSTRUCT,
+           "    if odd:\n", "    if False:\n",
+           ("tests/test_reconstruct.py::test_prescribed_values_reject_bools_and_strings",)),
+    Mutant("unseeded-component-unreported", RECONSTRUCT,
+           "        raise EmptyCriticalSet(", "        if False: raise EmptyCriticalSet(",
+           ("tests/test_reconstruct.py::test_incomplete_sweep_raises",)),
     Mutant("reconstruct-unverified", RECONSTRUCT,
            "    if off.size:\n", "    if False:\n",
            ("tests/test_reconstruct.py::test_perturbed_prescribed_slope_rejected",)),
