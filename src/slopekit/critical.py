@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import FieldSpaceMismatch
 from .slope import ScalarField, SlopeField, check_tol, require_bound
-from .space import MetricSpaceGraph, PointId, _built
+from .space import MetricSpaceGraph, PointId, _built, check_flags
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,28 +37,20 @@ class CriticalSet:
     """The points of `space` whose slope is <= tol (infinite slopes
     never qualify), as a read-only 1-D boolean mask over its points.
 
-    The constructor copies `mask`; anything but a 1-D boolean array
-    with one entry per point raises FieldSpaceMismatch, and a bad `tol`
-    NegativeTolerance.
-    """
+    The constructor copies `mask`; anything but a 1-D boolean array with
+    one entry per point (`space.check_flags`) raises FieldSpaceMismatch,
+    and a bad `tol` NegativeTolerance."""
 
     space: MetricSpaceGraph
     mask: np.ndarray
     tol: float
 
     def __post_init__(self):
-        mask = np.asarray(self.mask)
-        if mask.ndim != 1 or mask.dtype != bool:
-            raise FieldSpaceMismatch(
-                "a critical set is a 1-D boolean mask over the points, "
-                f"got shape {mask.shape} and dtype {mask.dtype}")
+        mask = check_flags(self.mask, FieldSpaceMismatch, "a critical set")
         if mask.size != self.space.n:
             raise FieldSpaceMismatch(
                 f"critical mask has {mask.size} entries, space has {self.space.n} points")
-        mask = mask.copy()
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "tol", check_tol(self.tol))
+        _built(self, mask=mask, tol=check_tol(self.tol))
 
     @property
     def members(self) -> frozenset[int]:
@@ -89,14 +81,14 @@ NO_CRITICAL_BELOW = NoCriticalBelow()
 
 
 def critical_mask(slopes: SlopeField, tol: float = 0.0) -> np.ndarray:
-    """Whether each point is critical: its slope is finite and <= tol.
+    """Whether each point is critical: its slope (inf if flagged) is <= tol.
 
     The default tol 0 is the right choice for exact graph slopes, where
     minimizers hit zero exactly; sampled continuous data needs a
     positive tol because slopes at near-critical samples are O(h)
     (see `grid_critical_tol`).
     """
-    return ~slopes.infinite & (slopes.values <= check_tol(tol))
+    return slopes.values <= check_tol(tol)
 
 
 def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:

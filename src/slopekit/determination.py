@@ -411,8 +411,8 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         scale_field(f, scales[int((~finite).nonzero()[0][0])])
     # The slope kernel of `slope_field` and the test of `critical_mask`
     # on every row; dominance is checked off the critical set of each row.
-    se, inf_e = _slopes(space, fe, cap)
-    on_crit_e = ~inf_e & (se <= crit_tol)
+    se = _slopes(space, fe, cap)[0]
+    on_crit_e = se <= crit_tol
     crit_preserved = (on_crit_e == on_crit).all(axis=1).tolist()
     dominance_ok = ((sg.values < se) | on_crit_e).all(axis=1).tolist()
 

@@ -54,17 +54,18 @@ class InvalidCount(SlopeKitError):
 # ---- fields and slopes ----
 
 class FieldSpaceMismatch(SlopeKitError):
-    """A field or critical set is bound to a different space than the
-    one supplied, or a field or critical mask does not have one entry
-    per point."""
+    """A field or critical set is bound to another space than the one
+    supplied, a field or mask lacks one entry per point, or a critical
+    mask is not a 1-D bool array."""
 
 
 class NonFiniteFieldValue(SlopeKitError):
-    """A scalar field value is NaN or infinite."""
+    """A field or prescribed value is not a finite int or float (a bool is not one)."""
 
 
 class InvalidSlopeValue(SlopeKitError):
-    """A slope entry not flagged infinite is negative, NaN or infinite."""
+    """A slope entry is not an int or float (a bool is not one), or is not
+    flagged infinite and is negative, NaN or infinite; or a mask is not of bools."""
 
 
 class NonPositiveScale(SlopeKitError):

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .critical import critical_mask
 from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
-from .space import _BOOLS, _REALS, MetricSpaceGraph, _built, _sweep
+from .space import _BOOLS, MetricSpaceGraph, _built, _sweep, check_reals
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,9 @@ class Inadmissible:
 
 
 def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
-    """The prescription as its points (intp) and values (float), in
-    array passes: every key an integer point, not a bool (else
-    `check_point` on each), then every value a Python or numpy int or
-    float, not a bool (the type rule of `space.check_real`), and finite."""
+    """The prescription as its points (intp) and values (float), in array
+    passes: every key an integer point, not a bool (else `check_point` on
+    each), then every value a finite number (`space.check_reals`)."""
     require_bound(space, data.slopes)
     if data.slopes.any_infinite():
         bad = int(data.slopes.infinite.nonzero()[0][0])
@@ -79,14 +78,8 @@ def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
         for p in keys:
             space.check_point(p)
     points = points.astype(np.intp, copy=False)
-    values = list(data.crit_values.values())
-    odd = [t for t in set(map(type, values))
-           if issubclass(t, _BOOLS) or not issubclass(t, _REALS)]
-    if odd:
-        p = next(p for p, v in data.crit_values.items() if type(v) in odd)
-        raise NonFiniteFieldValue(f"prescribed value at {p} must be an int or float, "
-                                  f"got {data.crit_values[p]!r}")
-    values = np.array(values, dtype=float)
+    values = check_reals(list(data.crit_values.values()), NonFiniteFieldValue,
+                         "prescribed value at", keys)
     bad = (~np.isfinite(values)).nonzero()[0]
     if bad.size:
         raise NonFiniteFieldValue(f"prescribed value at {keys[bad[0]]} is not finite")

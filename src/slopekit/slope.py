@@ -17,13 +17,13 @@ with the cap. `local_slope` takes the same quotients on one point's CSR
 slice of the edge arrays, so both give bitwise-equal slopes.
 
 Public constructors validate, kernels construct: `ScalarField` and
-`SlopeField` check every array a caller hands them, while
-`slope_field` and `scale_field` build their results through
-`space._built`, which skips those checks for arrays that pass them by
-construction (one entry per point, inf exactly where the mask is set,
-finite values, a checked cap) and makes the arrays read-only. Both
-classes are frozen dataclasses, so no attribute can be reassigned after
-those checks.
+`SlopeField` check every array a caller hands them (one entry per
+point, then the rules of `space`: finite numbers by `check_reals`, and
+a mask of bools by `check_flags`), while `slope_field` and `scale_field`
+build their results through `space._built`, which skips those checks
+for arrays that pass them by construction (inf exactly where the mask
+is set, finite values, a checked cap) and makes the arrays read-only.
+Both classes are frozen, so no attribute can be reassigned after them.
 
 Overflow rule: finite values near +-1.7e308 can make f(x) - f(y), or
 the quotient, overflow to +inf. That is deliberate, not an accident:
@@ -54,7 +54,8 @@ from .errors import (
     NonFiniteFieldValue,
     NonPositiveScale,
 )
-from .space import MetricSpaceGraph, PointId, _built, check_real, distances_from
+from .space import (MetricSpaceGraph, PointId, _built, check_flags, check_real,
+                    check_reals, distances_from)
 
 OVERFLOW_CAP = 1e12
 
@@ -79,6 +80,10 @@ def check_decreasing(values, name: str) -> list[float]:
     """A list option (radii, epsilons) as floats: EmptyDeltaList if it is
     empty, InvalidDecreasingList unless every entry is finite and > 0
     and the entries strictly decrease."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise InvalidDecreasingList(f"{name} must be a list, got {values!r}") from None
     vals = [check_real(v, InvalidDecreasingList, name, "must be finite numbers > 0",
                        0.0) for v in values]
     if not vals:
@@ -96,15 +101,14 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.space.n,):
-            raise FieldSpaceMismatch(
-                f"field has {vals.shape} values, space has {self.space.n} points")
+        if np.shape(self.values) != (self.space.n,):
+            raise FieldSpaceMismatch(f"field has {np.shape(self.values)} values, "
+                                     f"space has {self.space.n} points")
+        vals = check_reals(self.values, NonFiniteFieldValue, "value at point")
         if not np.isfinite(vals).all():
             bad = int((~np.isfinite(vals)).nonzero()[0][0])
             raise NonFiniteFieldValue(f"non-finite value at point {bad}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _built(self, values=vals)
 
     def __getitem__(self, x: PointId) -> float:
         self.space.check_point(x)
@@ -121,8 +125,8 @@ class SlopeField:
     `values` holds math.inf wherever `infinite` is set. `provenance` is
     the constant "exact-graph", also for a field `io.load_slope_csv`
     reads. `cap` is the overflow threshold in force (`check_cap`).
-    An entry not flagged infinite must be finite and >= 0
-    (InvalidSlopeValue).
+    An entry not flagged infinite must be finite and >= 0, and the mask
+    must hold bools (InvalidSlopeValue).
     """
 
     space: MetricSpaceGraph
@@ -132,20 +136,16 @@ class SlopeField:
     cap: float = OVERFLOW_CAP
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        mask = np.array(self.infinite, dtype=bool)
-        if vals.shape != (self.space.n,) or mask.shape != (self.space.n,):
+        if {np.shape(self.values), np.shape(self.infinite)} != {(self.space.n,)}:
             raise FieldSpaceMismatch("slope field length differs from point count")
+        vals = check_reals(self.values, InvalidSlopeValue, "slope at point")
+        mask = check_flags(self.infinite, InvalidSlopeValue, "the infinity mask")
         vals[mask] = math.inf
         bad = (~((vals >= 0.0) & (vals < math.inf)) & ~mask).nonzero()[0]
         if bad.size:
             raise InvalidSlopeValue(
                 f"slope {vals[bad[0]]} at point {bad[0]} is not finite and >= 0")
-        vals.setflags(write=False)
-        mask.setflags(write=False)
-        for name, value in (("values", vals), ("infinite", mask),
-                            ("cap", check_cap(self.cap))):
-            object.__setattr__(self, name, value)
+        _built(self, values=vals, infinite=mask, cap=check_cap(self.cap))
 
     def __getitem__(self, x: PointId) -> float:
         """The slope at x, math.inf where it is flagged infinite."""

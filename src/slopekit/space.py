@@ -67,13 +67,25 @@ _BOOLS = (bool, np.bool_)
 _REALS = (int, float, np.integer, np.floating)
 
 
+def _number(t: type) -> bool:
+    """Whether t is a type of numbers: a Python or numpy int or float, not a bool."""
+    return issubclass(t, _REALS) and not issubclass(t, _BOOLS)
+
+
+def _float(x) -> float:
+    """float(x) for a number x; an int beyond the float range is +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def check_count(value, name: str, least: int | None = None) -> int:
     """A count knob as an int; InvalidCount unless it is an integral
     number (10.0 passes; NaN, inf, bools and strings do not), and
     >= least if given."""
-    integral = not isinstance(value, _BOOLS) and (
-        isinstance(value, (int, np.integer))
-        or (isinstance(value, (float, np.floating)) and value.is_integer()))
+    integral = _number(type(value)) and (
+        isinstance(value, (int, np.integer)) or value.is_integer())
     if not integral or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise InvalidCount(f"{name} must be an integer{bound}, got {value!r}")
@@ -82,17 +94,40 @@ def check_count(value, name: str, least: int | None = None) -> int:
 
 def check_real(value, error, name: str, rule: str, least: float = -math.inf,
                closed: bool = False) -> float:
-    """A real-valued knob as a float: `error` ("{name} {rule}, got ...")
-    unless it is a Python or numpy int or float, not a bool, that is
-    finite and > least (>= least if `closed`). The message gives the
-    float value, so a numpy scalar reads like a Python float."""
+    """A real-valued knob as a float: `error` ("{name} {rule}, got ...") unless
+    it is a finite `_number` > least (>= least if `closed`). The message gives
+    the float value (a numpy scalar as a Python float, a huge int as inf)."""
     if type(value) is not float:
-        if isinstance(value, _BOOLS) or not isinstance(value, _REALS):
+        if not _number(type(value)):
             raise error(f"{name} {rule}, got {value!r}")
-        value = float(value)
+        value = _float(value)
     if not (math.isfinite(value) and (value > least or closed and value == least)):
         raise error(f"{name} {rule}, got {value}")
     return value
+
+
+def check_reals(values, error, name: str, keys=None) -> np.ndarray:
+    """Numbers as a new float array, +-inf for an int beyond the float
+    range. An int, uint or float ndarray passes on its dtype; else each
+    entry type is tested once, and the first non-`_number` raises `error`."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf") \
+            and not all(map(_number, set(map(type, values)))):
+        k = next(k for k, v in enumerate(values) if not _number(type(v)))
+        raise error(f"{name} {k if keys is None else keys[k]} must be an int "
+                    f"or float, got {values[k]!r}")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array([_float(v) for v in values])
+
+
+def check_flags(flags, error, name: str) -> np.ndarray:
+    """`flags` copied as a 1-D bool array (a list of bools only), else `error`."""
+    mask = np.array(flags)
+    if mask.ndim != 1 or mask.dtype != bool:
+        raise error(f"{name} is a 1-D boolean mask over the points, "
+                    f"got shape {mask.shape} and dtype {mask.dtype}")
+    return mask
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -152,8 +187,8 @@ def _built(target, **fields):
 
 def _edge_columns(items):
     """Endpoint and length columns (u, v, w) of an edge list, converted
-    as `_endpoint(u)`, `_endpoint(v)`, float(length); a bool, str or
-    bytes length is NonPositiveLength.
+    as `_endpoint(u)`, `_endpoint(v)`, `_float(length)`; a length that
+    is not a `_number` (a bool, a str, None) is NonPositiveLength.
 
     The first entry that does not convert raises its error, unless an
     entry before it is bad; an endpoint outside the int64 range does not
@@ -183,10 +218,9 @@ def _edge_columns(items):
                 f"edge entries must be (u, v, length), got {item!r}") from None
         try:
             u[k], v[k] = _endpoint(a, item), _endpoint(b, item)
-            # float() reads a bool as 0 or 1 and a numeric string as its number.
-            if isinstance(c, (*_BOOLS, str, bytes)):
+            if not _number(type(c)):
                 raise NonPositiveLength(f"edge {item!r}: length {c!r} is not a number")
-            w[k] = float(c)
+            w[k] = _float(c)
         except (TypeError, ValueError, OverflowError, InvalidPoint,
                 NonPositiveLength) as exc:
             raise _first_bad_edge(u[:k], v[:k], w[:k]) or exc from None
@@ -288,16 +322,16 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
 
     Consecutive samples are joined by edges of length h = (b-a)/(n-1),
     and the samples np.linspace(a, b, n) are stored as the space's
-    `coordinates`. An endpoint that is a bool or a string, an interval
+    `coordinates`. An endpoint that is not a `_number`, an interval
     without a < b, one so wide that b - a overflows, or one so narrow
     that h underflows to 0, is a DegenerateInterval; an n that is not an
     integer, or is above isqrt(2**63 - 1) as in `build_graph`, is an
     InvalidCount.
     """
     # Not `check_real`: a NaN or infinite endpoint keeps the messages below.
-    if any(isinstance(x, _BOOLS) or not isinstance(x, _REALS) for x in (a, b)):
+    if not (_number(type(a)) and _number(type(b))):
         raise DegenerateInterval(f"need numbers a < b, got a={a!r}, b={b!r}")
-    a, b = float(a), float(b)
+    a, b = _float(a), _float(b)
     if not a < b:
         raise DegenerateInterval(f"need a < b, got a={a}, b={b}")
     n = check_count(n, "n")

@@ -182,11 +182,12 @@ def reference_is_connected(space: MetricSpaceGraph) -> bool:
 def reference_build_graph(edge_list, n: int | None = None):
     """The (src, dst, w, indptr) arrays of `build_graph(edge_list, n)`,
     or its error, by an entry loop: each entry is converted by int(),
-    int(), float(), where a bool endpoint or one that int() truncates is
-    InvalidPoint and a bool, str or bytes length NonPositiveLength, and
-    checked in input order against a set of the pairs seen so far, and
-    the first bad one raises; then the count checks run, and the
-    directed entries are laid out by sorted()."""
+    int(), float() (an int length beyond the float range as inf), where
+    a bool endpoint or one that int() truncates is InvalidPoint and a
+    length that is a bool, or not a Python or numpy int or float,
+    NonPositiveLength, and checked in input order against a set of the
+    pairs seen so far, and the first bad one raises; then the count
+    checks run, and the directed entries are laid out by sorted()."""
     lengths = {}
     for item in edge_list:
         try:
@@ -199,9 +200,14 @@ def reference_build_graph(edge_list, n: int | None = None):
                     not isinstance(e, (str, bytes)) and int(e) != e):
                 raise InvalidPoint(f"edge {item!r}: endpoint {e!r} is not an integer")
             ends.append(int(e))
-        if isinstance(c, (bool, np.bool_, str, bytes)):
+        if isinstance(c, (bool, np.bool_)) or not isinstance(
+                c, (int, float, np.integer, np.floating)):
             raise NonPositiveLength(f"edge {item!r}: length {c!r} is not a number")
-        (a, b), length = ends, float(c)
+        try:
+            length = float(c)
+        except OverflowError:
+            length = math.inf if c > 0 else -math.inf
+        a, b = ends
         if not -2**63 <= min(a, b) <= max(a, b) < 2**63:
             raise OverflowError("Python int too large to convert to C long")
         if a < 0 or b < 0:

@@ -17,16 +17,25 @@ import pytest
 
 from conftest import path_field, unit_path
 from slopekit import (
+    CriticalSet,
+    ScalarField,
     SlopeData,
+    SlopeField,
     comparison_floor,
     comparison_principle,
     critical_set,
+    delta_slope_profile,
     descent_path,
+    descent_step,
     determine,
+    distances_from,
     epsilon_audit,
+    local_slope,
+    neighbors,
     reconstruct,
     scale_field,
     slope_field,
+    space as space_module,
     verify_strict_comparison,
 )
 from slopekit.testing import random_connected_graph, random_dyadic_field
@@ -85,8 +94,23 @@ class Inputs:
         self.c = float(np.max(self.g.values - f.values))
 
 
-# public call -> (slope passes, sweeps, connectivity tests)
+# public call -> (slope passes, sweeps, connectivity tests); a constructor
+# checks its input by the rules of `space` and runs no kernel
 BUDGETS = {
+    "ScalarField": ((0, 0, 0), lambda a: ScalarField(a.space, a.f.values)),
+    "SlopeField": ((0, 0, 0),
+                   lambda a: SlopeField(a.space, a.slopes.values, a.slopes.infinite)),
+    "CriticalSet": ((0, 0, 0), lambda a: CriticalSet(a.space, a.crit.mask, 0.0)),
+    "local_slope": ((0, 0, 0), lambda a: local_slope(a.space, a.f, a.x0)),
+    "scale_field": ((0, 0, 0), lambda a: scale_field(a.f, 2.0)),
+    "neighbors": ((0, 0, 0), lambda a: neighbors(a.space, 0)),
+    "neighbors-radius": ((0, 1, 0), lambda a: neighbors(a.space, 0, radius=1.0)),
+    "distances_from": ((0, 1, 0), lambda a: distances_from(a.space, 0)),
+    "delta_slope_profile": (
+        (0, 1, 0), lambda a: delta_slope_profile(a.space, a.f, a.x0, [2.0, 1.0])),
+    # read from the module at call time, where the counter replaces it
+    "is_connected": ((0, 0, 1), lambda a: space_module.is_connected(a.space)),
+    "descent_step": ((0, 0, 0), lambda a: descent_step(a.space, a.f, a.g, a.x0, a.crit)),
     "slope_field": ((1, 0, 0), lambda a: slope_field(a.space, a.f)),
     "critical_set": ((0, 0, 0), lambda a: critical_set(a.slopes)),
     "comparison_floor": ((0, 0, 0),

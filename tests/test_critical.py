@@ -157,8 +157,11 @@ def test_critical_set_is_a_read_only_copy_of_its_mask():
 
 
 @pytest.mark.parametrize("mask", [frozenset({0, 2}), [0, 2], np.array([1, 0, 1]),
-                                  np.zeros((3, 1), dtype=bool), np.bool_(True)])
+                                  np.zeros((3, 1), dtype=bool), np.bool_(True),
+                                  [0.5, 0, 0], ["0", "0", "0"], [None, 0, 0]])
 def test_critical_set_wants_a_1d_boolean_mask(mask):
-    # point ids, 0/1 integers and 2-D or scalar masks are not read as membership
+    # point ids, 0/1 integers, 2-D or scalar masks, and entries that are
+    # not bools (the flag rule of `space.check_flags`) are not read as
+    # membership
     with pytest.raises(FieldSpaceMismatch, match="1-D boolean mask"):
         CriticalSet(unit_path(3), mask, 0.0)

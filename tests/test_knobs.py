@@ -374,6 +374,18 @@ def test_real_knobs_take_ints_and_numpy_scalars(value, error, name, call):
         assert not str(exc).startswith(f"{name} must be ")
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["big", "minus-big"])
+@knobs
+def test_real_knobs_reject_ints_beyond_the_float_range(value, error, name, call):
+    # used to raise a bare OverflowError; the message reads the int as inf
+    space = unit_path(3)
+    f = path_field(space, [0.0, 1.0, 1.0])
+    with pytest.raises(error) as info:
+        call(space, f, value)
+    assert str(info.value).startswith(f"{name} must be ")
+    assert str(info.value).endswith(", got inf" if value > 0 else ", got -inf")
+
+
 def test_real_knob_messages_give_the_float_value():
     for value in (np.float64("nan"), np.float32("nan"), math.nan):
         with pytest.raises(InvalidCap) as info:

@@ -69,7 +69,7 @@ MUTANTS = (
            "best = next((fz - gz for fz, gz in pairs if fz <= fx), None)",
            ("tests/test_floor.py::test_comparison_floor_matches_reference_loop",)),
     Mutant("critical-strict-tolerance", CRITICAL,
-           "(slopes.values <= check_tol(tol))", "(slopes.values < check_tol(tol))",
+           "slopes.values <= check_tol(tol)", "slopes.values < check_tol(tol)",
            ("tests/test_critical.py::test_constant_field_all_critical_at_zero_tol",)),
     # Spaces.
     Mutant("radius-ball-open", SPACE,
@@ -79,7 +79,7 @@ MUTANTS = (
            "(dist <= delta)", "(dist < delta)",
            ("tests/test_space.py::test_profile_at_the_longest_edge_bounds_the_slope",)),
     Mutant("build-takes-string-lengths", SPACE,
-           "if isinstance(c, (*_BOOLS, str, bytes)):", "if isinstance(c, _BOOLS):",
+           "            if not _number(type(c)):\n", "            if isinstance(c, _BOOLS):\n",
            ("tests/test_knobs.py::test_build_graph_rejects_string_lengths",)),
     Mutant("build-fast-path-takes-bools", SPACE,
            " \\\n                    and set(map(type, chain(*cols))).isdisjoint(_BOOLS):",
@@ -99,11 +99,34 @@ MUTANTS = (
            "        if obj.space is not space:\n",
            "        if obj.space.n != space.n:\n",
            ("tests/test_slope.py::test_field_space_binding_enforced",)),
-    # Knobs.
+    # Knobs and the number and flag rules of `space`.
     Mutant("knob-takes-bools", SPACE,
-           "        if isinstance(value, _BOOLS) or not isinstance(value, _REALS):\n",
-           "        if not isinstance(value, _REALS):\n",
+           "    return issubclass(t, _REALS) and not issubclass(t, _BOOLS)\n",
+           "    return issubclass(t, _REALS)\n",
            ("tests/test_knobs.py::test_real_knobs_reject_bools_and_strings",)),
+    Mutant("knob-overflow-read-as-finite", SPACE,
+           "        return math.inf if x > 0 else -math.inf\n",
+           "        return 1e308 if x > 0 else -1e308\n",
+           ("tests/test_knobs.py::test_real_knobs_reject_ints_beyond_the_float_range",)),
+    Mutant("list-knob-takes-a-number", SLOPE,
+           "        values = iter(values)\n",
+           '        values = iter(values if hasattr(values, "__iter__") else [values])\n',
+           ("tests/test_inputs.py::test_list_knobs_reject_a_single_number",)),
+    Mutant("prescription-takes-any-value", SPACE,
+           "            and not all(map(_number, set(map(type, values)))):",
+           "            and False:",
+           ("tests/test_reconstruct.py::test_prescribed_values_reject_bools_and_strings",)),
+    Mutant("field-takes-any-value", SLOPE,
+           'check_reals(self.values, NonFiniteFieldValue, "value at point")',
+           "np.array(self.values, dtype=float)",
+           ("tests/test_inputs.py::test_fields_reject_values_that_are_not_numbers",)),
+    Mutant("slope-takes-any-value", SLOPE,
+           'check_reals(self.values, InvalidSlopeValue, "slope at point")',
+           "np.array(self.values, dtype=float)",
+           ("tests/test_inputs.py::test_slope_values_reject_values_that_are_not_numbers",)),
+    Mutant("mask-takes-any-flags", SPACE,
+           "    if mask.ndim != 1 or mask.dtype != bool:\n", "    if mask.ndim != 1:\n",
+           ("tests/test_inputs.py::test_infinity_mask_wants_bools",)),
     Mutant("knob-bound-always-closed", SPACE,
            "(value > least or closed and value == least)", "value >= least",
            ("tests/test_knobs.py::test_slope_field_rejects_cap",)),
@@ -152,9 +175,6 @@ MUTANTS = (
            " or not set(map(type, keys)).isdisjoint(_BOOLS) \\\n"
            "            or ((points", " or ((points",
            ("tests/test_point_ids.py::test_reconstruct_rejects_bool_keys_among_integers",)),
-    Mutant("prescription-takes-any-value", RECONSTRUCT,
-           "    if odd:\n", "    if False:\n",
-           ("tests/test_reconstruct.py::test_prescribed_values_reject_bools_and_strings",)),
     Mutant("unseeded-component-unreported", RECONSTRUCT,
            "        raise EmptyCriticalSet(", "        if False: raise EmptyCriticalSet(",
            ("tests/test_reconstruct.py::test_incomplete_sweep_raises",)),
