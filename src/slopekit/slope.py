@@ -54,8 +54,8 @@ from .errors import (
     NonFiniteFieldValue,
     NonPositiveScale,
 )
-from .space import (MetricSpaceGraph, PointId, _built, check_flags, check_real,
-                    check_reals, distances_from)
+from .space import (MetricSpaceGraph, PointId, _array, _built, check_flags,
+                    check_real, check_reals, distances_from)
 
 OVERFLOW_CAP = 1e12
 
@@ -101,10 +101,12 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        if np.shape(self.values) != (self.space.n,):
-            raise FieldSpaceMismatch(f"field has {np.shape(self.values)} values, "
+        vals = check_reals(self.values, NonFiniteFieldValue, "value at point",
+                           n=self.space.n)
+        if vals is None:
+            shape = getattr(_array(self.values), "shape", "ragged")
+            raise FieldSpaceMismatch(f"field has {shape} values, "
                                      f"space has {self.space.n} points")
-        vals = check_reals(self.values, NonFiniteFieldValue, "value at point")
         if not np.isfinite(vals).all():
             bad = int((~np.isfinite(vals)).nonzero()[0][0])
             raise NonFiniteFieldValue(f"non-finite value at point {bad}")
@@ -136,10 +138,12 @@ class SlopeField:
     cap: float = OVERFLOW_CAP
 
     def __post_init__(self):
-        if {np.shape(self.values), np.shape(self.infinite)} != {(self.space.n,)}:
+        mask = _array(self.infinite)
+        vals = None if getattr(mask, "shape", None) != (self.space.n,) else check_reals(
+            self.values, InvalidSlopeValue, "slope at point", n=self.space.n)
+        if vals is None:
             raise FieldSpaceMismatch("slope field length differs from point count")
-        vals = check_reals(self.values, InvalidSlopeValue, "slope at point")
-        mask = check_flags(self.infinite, InvalidSlopeValue, "the infinity mask")
+        mask = check_flags(mask, InvalidSlopeValue, "the infinity mask")
         vals[mask] = math.inf
         bad = (~((vals >= 0.0) & (vals < math.inf)) & ~mask).nonzero()[0]
         if bad.size:

@@ -24,7 +24,12 @@ Every space is made by `_space_from_columns`, under `build_graph`,
 `io.load_graph_csv` and `sample_interval`: it validates an undirected
 edge list by array passes and lays out its symmetric closure by one
 sort, which also finds duplicate edges; only input that fails is walked
-entry by entry, to name its first bad entry.
+entry by entry, to name its first bad entry. Inputs follow three rules,
+written once here, each caller raising its own typed error. An integer
+(`_integer`: point ids, counts, endpoints, `reconstruct` keys) is a
+Python int or numpy integer, not a bool; counts and endpoints lie in
+int64. A number (`_number`) is an integer or a Python or numpy float. A
+flag array (`check_flags`) is a 1-D bool array.
 
 Spaces are immutable after construction and every query is pure: none
 stores anything on the space, so spaces are safe to share across
@@ -62,14 +67,26 @@ PointId = int
 # of the directed edges fit int64.
 _MAX_POINTS = math.isqrt(2**63 - 1)
 
-# Not integer endpoints, counts or radii, although int() reads them as 0 or 1.
-_BOOLS = (bool, np.bool_)
-_REALS = (int, float, np.integer, np.floating)
+
+def _too_many(n: int) -> InvalidCount | None:
+    """InvalidCount if n is more points than a space may have, else None."""
+    return InvalidCount(f"a space has at most {_MAX_POINTS} points, got {n}") \
+        if n > _MAX_POINTS else None
+
+
+def _integer(t: type) -> bool:
+    """Whether t is a type of integers: a Python int or numpy integer, not a bool."""
+    return issubclass(t, (int, np.integer)) and t is not bool
 
 
 def _number(t: type) -> bool:
-    """Whether t is a type of numbers: a Python or numpy int or float, not a bool."""
-    return issubclass(t, _REALS) and not issubclass(t, _BOOLS)
+    """Whether t is a type of numbers: an `_integer` or a Python or numpy float."""
+    return _integer(t) or issubclass(t, (float, np.floating))
+
+
+def _shown(x) -> str:
+    """repr(x) for a message, but "<beyond int64>" for an `_integer` beyond it."""
+    return "<beyond int64>" if _integer(type(x)) and not -2**63 <= x < 2**63 else repr(x)
 
 
 def _float(x) -> float:
@@ -81,14 +98,12 @@ def _float(x) -> float:
 
 
 def check_count(value, name: str, least: int | None = None) -> int:
-    """A count knob as an int; InvalidCount unless it is an integral
-    number (10.0 passes; NaN, inf, bools and strings do not), and
-    >= least if given."""
-    integral = _number(type(value)) and (
-        isinstance(value, (int, np.integer)) or value.is_integer())
-    if not integral or (least is not None and value < least):
+    """A count knob as an int; InvalidCount unless it is an `_integer` in
+    the int64 range (10.0 is not), and >= least if given."""
+    if not (_integer(type(value)) and -2**63 <= value < 2**63
+            and (least is None or value >= least)):
         bound = "" if least is None else f" >= {least}"
-        raise InvalidCount(f"{name} must be an integer{bound}, got {value!r}")
+        raise InvalidCount(f"{name} must be an integer{bound}, got {_shown(value)}")
     return int(value)
 
 
@@ -106,12 +121,30 @@ def check_real(value, error, name: str, rule: str, least: float = -math.inf,
     return value
 
 
-def check_reals(values, error, name: str, keys=None) -> np.ndarray:
+def _array(values) -> np.ndarray | None:
+    """np.asarray(values), or None for a ragged sequence, which has no shape."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        return None
+
+
+def check_reals(values, error, name: str, keys=None, n: int | None = None):
     """Numbers as a new float array, +-inf for an int beyond the float
-    range. An int, uint or float ndarray passes on its dtype; else each
-    entry type is tested once, and the first non-`_number` raises `error`."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf") \
-            and not all(map(_number, set(map(type, values)))):
+    range; with n given, None unless `values` has shape (n,), tested
+    first. An int, uint or float ndarray passes on its dtype, and a list
+    or tuple of numbers on its set of entry types (its length is its
+    shape, so it is converted once); else `_array` gives the shape, and
+    the first entry that is not a `_number` raises `error`."""
+    if isinstance(values, np.ndarray):
+        numbers, shape = values.dtype.kind in "iuf", values.shape
+    else:
+        numbers = isinstance(values, (list, tuple)) and all(
+            map(_number, set(map(type, values))))
+        shape = (len(values),) if numbers else getattr(_array(values), "shape", None)
+    if n is not None and shape != (n,):
+        return None
+    if not numbers and not all(map(_number, set(map(type, values)))):
         k = next(k for k, v in enumerate(values) if not _number(type(v)))
         raise error(f"{name} {k if keys is None else keys[k]} must be an int "
                     f"or float, got {values[k]!r}")
@@ -123,11 +156,12 @@ def check_reals(values, error, name: str, keys=None) -> np.ndarray:
 
 def check_flags(flags, error, name: str) -> np.ndarray:
     """`flags` copied as a 1-D bool array (a list of bools only), else `error`."""
-    mask = np.array(flags)
-    if mask.ndim != 1 or mask.dtype != bool:
-        raise error(f"{name} is a 1-D boolean mask over the points, "
-                    f"got shape {mask.shape} and dtype {mask.dtype}")
-    return mask
+    mask = _array(flags)
+    if mask is None or mask.ndim != 1 or mask.dtype != bool:
+        got = "ragged values" if mask is None else \
+            f"shape {mask.shape} and dtype {mask.dtype}"
+        raise error(f"{name} is a 1-D boolean mask over the points, got {got}")
+    return mask.copy()
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -157,11 +191,11 @@ class MetricSpaceGraph:
                          self.w[up].tolist()))
 
     def check_point(self, x: PointId) -> None:
-        """InvalidPoint unless x is an integer (not a bool) in [0, n)."""
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        """InvalidPoint unless x is an `_integer` in [0, n) (`_shown` in messages)."""
+        if not _integer(type(x)):
             raise InvalidPoint(f"point id {x!r} is not an integer")
         if not 0 <= x < self.n:
-            raise InvalidPoint(f"point {x} outside [0, {self.n})")
+            raise InvalidPoint(f"point {_shown(x)} outside [0, {self.n})")
 
 
 def _offsets(src: np.ndarray, n: int) -> np.ndarray:
@@ -186,15 +220,15 @@ def _built(target, **fields):
 
 
 def _edge_columns(items):
-    """Endpoint and length columns (u, v, w) of an edge list, converted
-    as `_endpoint(u)`, `_endpoint(v)`, `_float(length)`; a length that
-    is not a `_number` (a bool, a str, None) is NonPositiveLength.
+    """Endpoint and length columns (u, v, w) of an edge list. An entry
+    that is not a triple is a ValueError, an endpoint that is not an
+    `_integer` in the int64 range InvalidPoint, and a length that is not
+    a `_number` (a bool, a str, None) NonPositiveLength.
 
     The first entry that does not convert raises its error, unless an
-    entry before it is bad; an endpoint outside the int64 range does not
-    convert. Lists of (int, int, number) triples without bools, which is
-    what the loaders and generators produce, convert in one array pass;
-    anything else goes entry by entry.
+    entry before it is bad. Lists of (int, int, number) triples without
+    bools, which is what the loaders and generators produce, convert in
+    one array pass; anything else goes entry by entry.
     """
     try:
         if set(map(len, items)) == {3}:
@@ -202,7 +236,7 @@ def _edge_columns(items):
             u, v, w = (np.array(c) for c in cols)
             # numpy reads a bool among numbers as 0 or 1
             if u.dtype.kind == v.dtype.kind == "i" and w.dtype.kind in "if" \
-                    and set(map(type, chain(*cols))).isdisjoint(_BOOLS):
+                    and all(map(_number, set(map(type, chain(*cols))))):
                 return (u.astype(np.intp, copy=False), v.astype(np.intp, copy=False),
                         w.astype(float, copy=False))
     except TypeError:  # an entry without len()
@@ -213,28 +247,20 @@ def _edge_columns(items):
     for k, item in enumerate(items):
         try:
             a, b, c = item
-        except (TypeError, ValueError):
-            raise _first_bad_edge(u[:k], v[:k], w[:k]) or ValueError(
-                f"edge entries must be (u, v, length), got {item!r}") from None
-        try:
-            u[k], v[k] = _endpoint(a, item), _endpoint(b, item)
+            for e in (a, b):
+                if not _integer(type(e)):
+                    raise InvalidPoint(f"edge {item!r}: endpoint {e!r} is not an integer")
+                if not -2**63 <= e < 2**63:
+                    raise InvalidPoint(f"edge entry {k}: an endpoint lies beyond int64")
             if not _number(type(c)):
                 raise NonPositiveLength(f"edge {item!r}: length {c!r} is not a number")
-            w[k] = _float(c)
-        except (TypeError, ValueError, OverflowError, InvalidPoint,
-                NonPositiveLength) as exc:
+        except (InvalidPoint, NonPositiveLength) as exc:
             raise _first_bad_edge(u[:k], v[:k], w[:k]) or exc from None
+        except (TypeError, ValueError):  # not a triple
+            raise _first_bad_edge(u[:k], v[:k], w[:k]) or ValueError(
+                f"edge entries must be (u, v, length), got {item!r}") from None
+        u[k], v[k], w[k] = a, b, _float(c)
     return u, v, w
-
-
-def _endpoint(e, item) -> int:
-    """int(e) for an endpoint of the edge entry `item`: InvalidPoint if e
-    is a bool or a number that int() truncates (1.7), while an integral
-    float (1.0) or an integer string converts."""
-    k = int(e)
-    if isinstance(e, _BOOLS) or (k != e and not isinstance(e, (str, bytes))):
-        raise InvalidPoint(f"edge {item!r}: endpoint {e!r} is not an integer")
-    return k
 
 
 def _first_bad_edge(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Exception | None:
@@ -264,10 +290,10 @@ def build_graph(edge_list, n: int | None = None) -> MetricSpaceGraph:
     Each (u, v, length) entry is one undirected edge; the symmetric
     closure is implied, and a pair appearing twice (in either
     orientation) is rejected, and every length must be finite and > 0.
-    An endpoint that is a bool, or a number int() would truncate, is
-    InvalidPoint (`_endpoint`).
-    `n` defaults to 1 + the largest endpoint; a given n must be an
-    integral number (`check_count`), and n may be at most
+    An endpoint that is not an `_integer` in the int64 range (a bool, a
+    float such as 1.0, a str) is InvalidPoint, and an entry that is not a
+    triple a ValueError. `n` defaults to 1 + the largest endpoint;
+    a given n must be an `_integer` (`check_count`), and n may be at most
     isqrt(2**63 - 1) (InvalidCount). Pass it explicitly to create
     isolated points or a single-point space. Valid input takes array
     passes and one sort (`_space_from_columns`); failing input is walked
@@ -294,15 +320,14 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     if n is None and not u.size:
         raise EmptyEdgeList("cannot infer the point count from an empty edge list")
     n = span if n is None else check_count(n, "n")
-    problem = None
     if n < 1:
         problem = TooFewPoints(f"a space needs at least one point, got {n}")
     elif span > n:
         problem = DanglingEndpoint(f"edge endpoint {span - 1} outside [0, {n})")
     elif not u.size and n > 1:
         problem = EmptyEdgeList(f"no edges given for a {n}-point space")
-    elif n > _MAX_POINTS:
-        problem = InvalidCount(f"a space has at most {_MAX_POINTS} points, got {n}")
+    else:
+        problem = _too_many(n)
     bad = (u < 0) | (v < 0) | (u == v) | ~((w > 0.0) & (w < math.inf))
     if problem is not None or bad.any():
         raise _first_bad_edge(u, v, w) or problem
@@ -325,7 +350,7 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
     `coordinates`. An endpoint that is not a `_number`, an interval
     without a < b, one so wide that b - a overflows, or one so narrow
     that h underflows to 0, is a DegenerateInterval; an n that is not an
-    integer, or is above isqrt(2**63 - 1) as in `build_graph`, is an
+    `_integer`, or is above isqrt(2**63 - 1) as in `build_graph`, is an
     InvalidCount.
     """
     # Not `check_real`: a NaN or infinite endpoint keeps the messages below.
@@ -337,8 +362,9 @@ def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:
     n = check_count(n, "n")
     if n < 2:
         raise TooFewPoints(f"need at least 2 sample points, got {n}")
-    if n > _MAX_POINTS:
-        raise InvalidCount(f"a space has at most {_MAX_POINTS} points, got {n}")
+    problem = _too_many(n)
+    if problem is not None:
+        raise problem
     h = (b - a) / (n - 1)
     if not (math.isfinite(h) and h > 0.0):
         raise DegenerateInterval(

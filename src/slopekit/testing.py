@@ -183,23 +183,23 @@ def reference_build_graph(edge_list, n: int | None = None):
     """The (src, dst, w, indptr) arrays of `build_graph(edge_list, n)`,
     or its error, by an entry loop: each entry is converted by int(),
     int(), float() (an int length beyond the float range as inf), where
-    a bool endpoint or one that int() truncates is InvalidPoint and a
-    length that is a bool, or not a Python or numpy int or float,
-    NonPositiveLength, and checked in input order against a set of the
-    pairs seen so far, and the first bad one raises; then the count
-    checks run, and the directed entries are laid out by sorted()."""
+    an endpoint that is not a Python int or numpy integer in the int64
+    range, or is a bool, is InvalidPoint and a length that is a bool, or
+    not a Python or numpy int or float, NonPositiveLength, and checked
+    in input order against a set of the pairs seen so far, and the first
+    bad one raises; then the count checks run, and the directed entries
+    are laid out by sorted()."""
     lengths = {}
-    for item in edge_list:
+    for k, item in enumerate(edge_list):
         try:
             a, b, c = item
         except (TypeError, ValueError):
             raise ValueError(f"edge entries must be (u, v, length), got {item!r}") from None
-        ends = []
         for e in (a, b):
-            if type(e) in (bool, np.bool_) or (
-                    not isinstance(e, (str, bytes)) and int(e) != e):
+            if type(e) is bool or not isinstance(e, (int, np.integer)):
                 raise InvalidPoint(f"edge {item!r}: endpoint {e!r} is not an integer")
-            ends.append(int(e))
+            if not -2**63 <= int(e) < 2**63:
+                raise InvalidPoint(f"edge entry {k}: an endpoint lies beyond int64")
         if isinstance(c, (bool, np.bool_)) or not isinstance(
                 c, (int, float, np.integer, np.floating)):
             raise NonPositiveLength(f"edge {item!r}: length {c!r} is not a number")
@@ -207,9 +207,7 @@ def reference_build_graph(edge_list, n: int | None = None):
             length = float(c)
         except OverflowError:
             length = math.inf if c > 0 else -math.inf
-        a, b = ends
-        if not -2**63 <= min(a, b) <= max(a, b) < 2**63:
-            raise OverflowError("Python int too large to convert to C long")
+        a, b = int(a), int(b)
         if a < 0 or b < 0:
             raise DanglingEndpoint(f"negative endpoint in edge ({a}, {b})")
         if a == b:

@@ -1,12 +1,16 @@
-"""One input rule for numbers and one for flags, both in `space`.
+"""One input rule each for numbers, flags and integers, all in `space`.
 
 A number is a Python or numpy int or float, not a bool, and it must be
 finite; an int beyond the float range is not finite. Per-point values
 (`ScalarField`, `SlopeField`), prescribed values, interval endpoints,
 edge lengths and real-valued knobs all follow it, each with its own
 error. A flag array (a `SlopeField` infinity mask, a `CriticalSet` mask)
-is a 1-D bool array. The rejected forms below used to be read by numpy
-as numbers or flags, or to end in a bare OverflowError or TypeError.
+is a 1-D bool array. An integer is a Python int or numpy integer, not a
+bool: point ids, edge endpoints and prescription keys raise InvalidPoint
+and counts InvalidCount, naming a value beyond int64 without its digits.
+The rejected forms below used to be read by numpy as numbers or flags,
+or by int() as integers, or to end in a bare OverflowError, TypeError or
+ValueError.
 """
 import math
 from fractions import Fraction
@@ -21,8 +25,17 @@ from slopekit import (
     SlopeData,
     SlopeField,
     build_graph,
+    cantor_approx,
+    cantor_pair,
+    comparison_floor,
     delta_slope_profile,
+    descent_path,
+    descent_step,
+    distances_from,
+    emit_figure_data,
     epsilon_audit,
+    local_slope,
+    neighbors,
     reconstruct,
     sample_interval,
     slope_field,
@@ -30,12 +43,15 @@ from slopekit import (
 from slopekit.errors import (
     DegenerateInterval,
     FieldSpaceMismatch,
+    InvalidCount,
     InvalidDecreasingList,
+    InvalidPoint,
     InvalidSlopeValue,
     NonFiniteFieldValue,
     NonPositiveLength,
     SelfLoopEdge,
 )
+from slopekit.io import load_graph_csv
 from slopekit.testing import reference_build_graph
 
 BIG = 10**400
@@ -204,3 +220,90 @@ def test_list_knobs_reject_a_single_number(call, name):
     with pytest.raises(InvalidDecreasingList,
                        match=f"^{name} must be a list, got "):
         call(space, path_field(space, [2.0, 1.0, 0.0]))
+
+
+# Ragged input has no shape: numpy raised a bare ValueError for it.
+RAGGED = [[1.0, 2.0], [1.0], 3.0]
+
+
+def test_ragged_input_is_a_shape_mismatch():
+    space = unit_path(3)
+    with pytest.raises(FieldSpaceMismatch) as info:
+        ScalarField(space, RAGGED)
+    assert str(info.value) == "field has ragged values, space has 3 points"
+    for values, mask in ((RAGGED, [False] * 3), ([1.0] * 3, RAGGED)):
+        with pytest.raises(FieldSpaceMismatch,
+                           match="^slope field length differs from point count$"):
+            SlopeField(space, values, mask)
+    with pytest.raises(FieldSpaceMismatch) as info:
+        CriticalSet(space, [[True], [False, True], True], 0.0)
+    assert str(info.value) == \
+        "a critical set is a 1-D boolean mask over the points, got ragged values"
+
+
+# Spaces and fields are immutable, so the table shares one path 0-1-2.
+PATH = unit_path(3)
+F = path_field(PATH, [2.0, 1.0, 0.0])
+G = path_field(PATH, [0.0, 0.0, 0.0])
+CRIT = CriticalSet(PATH, [True, False, True], 0.0)
+
+
+def _graph_csv(tmp_path):
+    path = tmp_path / "graph.csv"
+    path.write_text("u,v,length\n0,1,1.0\n")
+    return path
+
+
+# Every integer input: (the call on x and a tmp_path, its error, an
+# integer it takes).
+INTEGER_INPUTS = {
+    "neighbors": (lambda x, _: neighbors(PATH, x), InvalidPoint, 1),
+    "distances_from": (lambda x, _: distances_from(PATH, x), InvalidPoint, 1),
+    "local_slope": (lambda x, _: local_slope(PATH, F, x), InvalidPoint, 1),
+    "descent_step": (lambda x, _: descent_step(PATH, F, G, x, CRIT), InvalidPoint, 1),
+    "descent_path-start": (lambda x, _: descent_path(PATH, F, G, x, CRIT),
+                           InvalidPoint, 1),
+    "descent_path-max_steps": (
+        lambda x, _: descent_path(PATH, F, G, 1, CRIT, max_steps=x), InvalidCount, 3),
+    "comparison_floor": (lambda x, _: comparison_floor(PATH, F, G, x, CRIT),
+                         InvalidPoint, 1),
+    "delta_slope_profile": (lambda x, _: delta_slope_profile(PATH, F, x, [2.0, 1.0]),
+                            InvalidPoint, 1),
+    "scalar-field-index": (lambda x, _: F[x], InvalidPoint, 1),
+    "slope-field-index": (lambda x, _: slope_field(PATH, F)[x], InvalidPoint, 1),
+    "build_graph-n": (lambda x, _: build_graph([(0, 1, 1.0)], n=x), InvalidCount, 3),
+    "load_graph_csv-n": (lambda x, tmp: load_graph_csv(_graph_csv(tmp), n=x),
+                         InvalidCount, 3),
+    "sample_interval-n": (lambda x, _: sample_interval(0.0, 1.0, x), InvalidCount, 3),
+    "cantor_approx-level": (lambda x, _: cantor_approx(x, 0.5), InvalidCount, 3),
+    "cantor_pair-level": (lambda x, _: cantor_pair(x), InvalidCount, 3),
+    "emit_figure_data-level": (lambda x, _: emit_figure_data("fig3", level=x),
+                               InvalidCount, 2),
+    "emit_figure_data-n": (lambda x, _: emit_figure_data("fig1", n=x), InvalidCount, 3),
+    "build_graph-endpoint": (lambda x, _: build_graph([(0, 1, 1.0), (x, 2, 1.0)]),
+                             InvalidPoint, 1),
+    # x first: a dict keeps the first of equal keys, and np.float64(2.0) == 2
+    "reconstruct-key": (lambda x, _: reconstruct(PATH, SlopeData(
+        slope_field(PATH, F), {x: 1.0, 2: 0.0})), InvalidPoint, 1),
+}
+
+# None is the default of these, so it is no bad input there.
+NONE_IS_DEFAULT = {"descent_path-max_steps", "build_graph-n", "load_graph_csv-n",
+                   "emit_figure_data-n"}
+
+NOT_INTEGERS = [True, np.True_, 1.0, np.float64(2.0), "1", b"1", None, 1.5,
+                2**64, -2**63 - 1, BIG]
+
+
+@pytest.mark.parametrize("call,error,good", INTEGER_INPUTS.values(), ids=INTEGER_INPUTS)
+def test_integer_inputs_follow_one_rule(request, tmp_path, call, error, good):
+    name = request.node.callspec.id
+    for x in NOT_INTEGERS:
+        if x is None and name in NONE_IS_DEFAULT:
+            continue
+        with pytest.raises(error) as info:
+            call(x, tmp_path)
+        assert type(info.value) is error, (name, x)
+        assert len(str(info.value)) <= 120, (name, str(info.value)[:200])
+    for x in (np.int8(good), np.uint64(good)):
+        call(x, tmp_path)

@@ -201,13 +201,15 @@ BAD_ENTRIES = [
      ValueError, "edge entries must be (u, v, length), got (2, 3, 1.0, 4)"),
     (OK + [7], None, ValueError, "edge entries must be (u, v, length), got 7"),
     (OK + [("x", 3, 1.0)], None,
-     ValueError, "invalid literal for int() with base 10: 'x'"),
+     InvalidPoint, "edge ('x', 3, 1.0): endpoint 'x' is not an integer"),
     (OK + [(1, 1, 1.0), (2, 3)], None, SelfLoopEdge, "self-loop at point 1"),
     (OK + [(2, 3), (1, 1, 1.0)], None,
      ValueError, "edge entries must be (u, v, length), got (2, 3)"),
-    ([(0.0, 1.0, 1.0), (1.0, 1.0, 1.0)], None,
+    # numpy integers of mixed kinds: numpy reads the column as float, so
+    # these take the entry loop
+    ([(np.int8(0), np.uint64(1), 1.0), (np.uint64(1), np.int8(1), 1.0)], None,
      SelfLoopEdge, "self-loop at point 1"),
-    ([("0", "1", 1.0), ("1", "0", 2.0)], None,
+    ([(np.uint64(0), np.int8(1), 1.0), (np.int16(1), np.uint64(0), 2.0)], None,
      DuplicateEdge, "edge (0, 1) appears more than once"),
     (OK, 2, DanglingEndpoint, "edge endpoint 2 outside [0, 2)"),
     (OK + [(0, 1, 1.0), (0, 9, 1.0)], 3,
@@ -230,8 +232,18 @@ BAD_ENTRIES = [
     (OK + [(0.5, "x", 1.0)], None,
      InvalidPoint, "edge (0.5, 'x', 1.0): endpoint 0.5 is not an integer"),
     (OK + [("x", 0.5, 1.0)], None,
-     ValueError, "invalid literal for int() with base 10: 'x'"),
+     InvalidPoint, "edge ('x', 0.5, 1.0): endpoint 'x' is not an integer"),
     (OK + [(2, 2, 1.0), (2.5, 3, 1.0)], None, SelfLoopEdge, "self-loop at point 2"),
+    # integral floats, strings and bytes are no integers; int() read them
+    ([(0.0, 1.0, 1.0)], None,
+     InvalidPoint, "edge (0.0, 1.0, 1.0): endpoint 0.0 is not an integer"),
+    (OK + [("2", "3", 1.0)], None,
+     InvalidPoint, "edge ('2', '3', 1.0): endpoint '2' is not an integer"),
+    (OK + [(2, b"3", 1.0)], None,
+     InvalidPoint, "edge (2, b'3', 1.0): endpoint b'3' is not an integer"),
+    # beyond int64, where int64 conversion raised a bare OverflowError
+    (OK + [(2, 2**64, 1.0)], None,
+     InvalidPoint, "edge entry 2: an endpoint lies beyond int64"),
 ]
 
 
@@ -334,9 +346,9 @@ def faulty_edge_list(rng):
             for _ in range(rng.randint(1, 2)):
                 entries.insert(rng.randint(0, len(entries)),
                                fault(rng, kind, n, edges))
-    if rng.random() < 0.2:  # float first endpoints: the per-entry conversion
-        entries = [(float(e[0]), *e[1:]) if type(e) is tuple and len(e) == 3
-                   and type(e[0]) is int and abs(e[0]) < 2**53 else e for e in entries]
+    if rng.random() < 0.2:  # uint64 first endpoints: the per-entry conversion
+        entries = [(np.uint64(e[0]), *e[1:]) if type(e) is tuple and len(e) == 3
+                   and type(e[0]) is int and 0 <= e[0] < 2**63 else e for e in entries]
     return entries, rng.choice((None, None, n + rng.randint(0, 3), rng.randint(0, top),
                                 2**62))
 
@@ -354,9 +366,13 @@ def test_build_matches_the_entry_loop_on_faulty_edge_lists():
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         else:
             assert got[1] == want[1], (entries, n)
+        # the one bare error: an entry that is not a triple
+        if got[0] is ValueError:
+            assert got[1].startswith("edge entries must be (u, v, length)")
         kind = want[0] if want[0] == "ok" else want[0].__name__
         tally[kind] = tally.get(kind, 0) + 1
     assert tally["ok"] >= 100
+    assert "OverflowError" not in tally
     assert all(tally.get(name, 0) >= 10 for name in (
         "DanglingEndpoint", "SelfLoopEdge", "NonPositiveLength", "DuplicateEdge",
-        "ValueError", "OverflowError", "InvalidCount", "InvalidPoint"))
+        "ValueError", "InvalidCount", "InvalidPoint"))

@@ -200,19 +200,20 @@ def test_build_graph_rejects_non_integer_count(tmp_path, n):
         load_graph_csv(graph, n=n)
 
 
-@pytest.mark.parametrize("n", [0, -1, 0.0])
+@pytest.mark.parametrize("n", [0, -1])
 def test_build_graph_count_below_one_is_too_few_points(n):
     with pytest.raises(TooFewPoints):
         build_graph([], n=n)
 
 
 def test_build_graph_accepts_integral_counts():
-    for n in (3, 3.0, np.int64(3)):
+    # integers of any int type; 3.0 is not a count
+    for n in (3, np.int64(3), np.int8(3), np.uint64(3)):
         assert build_graph([(0, 1, 1.0)], n=n).n == 3
 
 
 def test_sample_interval_accepts_integral_counts():
-    for n in (10, 10.0, np.int64(10)):
+    for n in (10, np.int64(10), np.uint16(10)):
         assert sample_interval(0.0, 1.0, n).n == 10
 
 
@@ -244,7 +245,7 @@ def test_cantor_argument_messages(t, message):
 @pytest.mark.parametrize("edges", [
     [(0, 1, True)],                        # the array pass
     [(0, 1, 1.0), (1, 2, np.True_)],
-    [(0, 1, 1.0), ("1", 2, False)],        # the entry loop
+    [(0, 1, 1.0), (np.uint64(1), 2, False)],   # the entry loop
 ])
 def test_build_graph_rejects_bool_lengths(edges):
     # (0, 1, True) used to build an edge of length 1.0
@@ -258,7 +259,7 @@ def test_build_graph_rejects_bool_lengths(edges):
     [(0, 1, "0.5")],
     [(0, 1, 1.0), (1, 2, "0.5"), (2, 3, 2.0)],   # a string among floats
     [(0, 1, 1.0), (1, 2, b"2")],
-    [("0", "1", "1e0")],                         # string endpoints pass, the length not
+    [(np.uint64(0), 1, "1e0")],                  # the endpoints pass, the length not
 ])
 def test_build_graph_rejects_string_lengths(edges):
     # (0, 1, "0.5") used to build an edge of length 0.5

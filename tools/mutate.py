@@ -3,11 +3,12 @@
 A mutant is a source file, an exact snippet of it, the snippet's
 replacement, and the pytest node ids expected to fail on the result.
 The runner copies the repository (without .git) to a temporary
-directory. For each mutant it first runs the listed tests there on the
-unmutated code, where they must pass, then writes the mutant and runs
-them again, where they must fail, and restores the file. Tests run with
-PYTHONPATH=src and PYTHONDONTWRITEBYTECODE=1, so no stale bytecode of an
-earlier mutant is imported.
+directory and runs the union of all listed tests there once, on the
+unmutated code, where they must pass. Then, for each mutant, it writes
+the mutant, runs that mutant's own tests, where they must fail, and
+restores the file. Tests run with PYTHONPATH=src and
+PYTHONDONTWRITEBYTECODE=1, so no stale bytecode of an earlier mutant is
+imported.
 
 A mutant is killed when a listed test fails (pytest exit status 1) or
 the run times out. The run fails when a snippet does not occur exactly
@@ -51,6 +52,7 @@ DESCENT = "src/slopekit/descent.py"
 RECONSTRUCT = "src/slopekit/reconstruct.py"
 IO = "src/slopekit/io.py"
 GUARD_REJECTS = "tests/test_csv_fast.py::test_guard_rejects"
+INTEGER_RULE = "tests/test_inputs.py::test_integer_inputs_follow_one_rule"
 
 MUTANTS = (
     # The slope kernel.
@@ -79,10 +81,11 @@ MUTANTS = (
            "(dist <= delta)", "(dist < delta)",
            ("tests/test_space.py::test_profile_at_the_longest_edge_bounds_the_slope",)),
     Mutant("build-takes-string-lengths", SPACE,
-           "            if not _number(type(c)):\n", "            if isinstance(c, _BOOLS):\n",
+           "            if not _number(type(c)):\n",
+           "            if isinstance(c, (bool, np.bool_)):\n",
            ("tests/test_knobs.py::test_build_graph_rejects_string_lengths",)),
     Mutant("build-fast-path-takes-bools", SPACE,
-           " \\\n                    and set(map(type, chain(*cols))).isdisjoint(_BOOLS):",
+           " \\\n                    and all(map(_number, set(map(type, chain(*cols))))):",
            ":",
            ("tests/test_kernel.py::test_first_bad_entry_raises_as_the_entry_loop_did",
             "tests/test_knobs.py::test_build_graph_rejects_bool_lengths")),
@@ -101,9 +104,28 @@ MUTANTS = (
            ("tests/test_slope.py::test_field_space_binding_enforced",)),
     # Knobs and the number and flag rules of `space`.
     Mutant("knob-takes-bools", SPACE,
-           "    return issubclass(t, _REALS) and not issubclass(t, _BOOLS)\n",
-           "    return issubclass(t, _REALS)\n",
-           ("tests/test_knobs.py::test_real_knobs_reject_bools_and_strings",)),
+           "    return issubclass(t, (int, np.integer)) and t is not bool\n",
+           "    return issubclass(t, (int, np.integer))\n",
+           ("tests/test_knobs.py::test_real_knobs_reject_bools_and_strings",
+            f"{INTEGER_RULE}[neighbors]")),
+    Mutant("count-takes-integral-floats", SPACE,
+           "    if not (_integer(type(value)) and",
+           "    if not ((_integer(type(value)) or isinstance(value, float)"
+           " and value.is_integer()) and",
+           (f"{INTEGER_RULE}[sample_interval-n]", f"{INTEGER_RULE}[build_graph-n]")),
+    Mutant("endpoint-takes-strings", SPACE,
+           "            for e in (a, b):\n",
+           "            a, b = (int(e) if isinstance(e, str) else e for e in (a, b))\n"
+           "            for e in (a, b):\n",
+           (f"{INTEGER_RULE}[build_graph-endpoint]",)),
+    Mutant("endpoint-beyond-int64", SPACE,
+           "                if not -2**63 <= e < 2**63:\n", "                if False:\n",
+           (f"{INTEGER_RULE}[build_graph-endpoint]",)),
+    Mutant("ragged-input-unguarded", SPACE,
+           "    try:\n        return np.asarray(values)\n    except ValueError:\n"
+           "        return None\n",
+           "    return np.asarray(values)\n",
+           ("tests/test_inputs.py::test_ragged_input_is_a_shape_mismatch",)),
     Mutant("knob-overflow-read-as-finite", SPACE,
            "        return math.inf if x > 0 else -math.inf\n",
            "        return 1e308 if x > 0 else -1e308\n",
@@ -113,19 +135,21 @@ MUTANTS = (
            '        values = iter(values if hasattr(values, "__iter__") else [values])\n',
            ("tests/test_inputs.py::test_list_knobs_reject_a_single_number",)),
     Mutant("prescription-takes-any-value", SPACE,
-           "            and not all(map(_number, set(map(type, values)))):",
-           "            and False:",
+           "    if not numbers and not all(map(_number, set(map(type, values)))):",
+           "    if False:",
            ("tests/test_reconstruct.py::test_prescribed_values_reject_bools_and_strings",)),
     Mutant("field-takes-any-value", SLOPE,
-           'check_reals(self.values, NonFiniteFieldValue, "value at point")',
+           'check_reals(self.values, NonFiniteFieldValue, "value at point",\n'
+           "                           n=self.space.n)",
            "np.array(self.values, dtype=float)",
            ("tests/test_inputs.py::test_fields_reject_values_that_are_not_numbers",)),
     Mutant("slope-takes-any-value", SLOPE,
-           'check_reals(self.values, InvalidSlopeValue, "slope at point")',
+           'check_reals(\n            self.values, InvalidSlopeValue, "slope at point", n=self.space.n)',
            "np.array(self.values, dtype=float)",
            ("tests/test_inputs.py::test_slope_values_reject_values_that_are_not_numbers",)),
     Mutant("mask-takes-any-flags", SPACE,
-           "    if mask.ndim != 1 or mask.dtype != bool:\n", "    if mask.ndim != 1:\n",
+           "    if mask is None or mask.ndim != 1 or mask.dtype != bool:\n",
+           "    if mask is None or mask.ndim != 1:\n",
            ("tests/test_inputs.py::test_infinity_mask_wants_bools",)),
     Mutant("knob-bound-always-closed", SPACE,
            "(value > least or closed and value == least)", "value >= least",
@@ -172,8 +196,7 @@ MUTANTS = (
            "            if diff_x > fz - gz and (", "            if diff_x >= fz - gz and (",
            ("tests/test_descent.py::test_level_difference_is_no_step",)),
     Mutant("prescription-takes-bool-keys", RECONSTRUCT,
-           " or not set(map(type, keys)).isdisjoint(_BOOLS) \\\n"
-           "            or ((points", " or ((points",
+           "if all(map(_integer, set(map(type, keys)))) else None", "",
            ("tests/test_point_ids.py::test_reconstruct_rejects_bool_keys_among_integers",)),
     Mutant("unseeded-component-unreported", RECONSTRUCT,
            "        raise EmptyCriticalSet(", "        if False: raise EmptyCriticalSet(",
@@ -246,20 +269,21 @@ def main() -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", "out"))
+        union = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
+        status = run_tests(union, copy)
+        if status != 0:
+            print(f"the listed tests fail on the unmutated code (pytest status {status})")
+            return 1
         for mutant in MUTANTS:
             path = copy / mutant.path
             original = path.read_text(encoding="utf-8")
-            status = run_tests(mutant.tests, copy)
-            if status != 0:
-                outcome = "tests fail on the unmutated code"
-            else:
-                path.write_text(mutated(mutant, copy), encoding="utf-8")
-                try:
-                    status = run_tests(mutant.tests, copy)
-                finally:
-                    path.write_text(original, encoding="utf-8")
-                outcome = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(
-                    status, f"pytest error {status}")
+            path.write_text(mutated(mutant, copy), encoding="utf-8")
+            try:
+                status = run_tests(mutant.tests, copy)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            outcome = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(
+                status, f"pytest error {status}")
             print(f"{mutant.name}: {outcome}", flush=True)
             if not outcome.startswith("killed"):
                 problems.append(mutant.name)
