@@ -72,15 +72,10 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_space(args):
-    from .io import load_graph_csv
-    return load_graph_csv(args.space)
-
-
 def cmd_slope(args) -> int:
     from . import io as skio
     from .slope import slope_field
-    space = _load_space(args)
+    space = skio.load_graph_csv(args.space)
     f = skio.load_field_csv(args.f, space)
     slopes = slope_field(space, f, cap=args.cap)
     if args.format == "json":
@@ -97,7 +92,7 @@ def cmd_crit(args) -> int:
     from . import io as skio
     from .critical import critical_set
     from .slope import slope_field
-    space = _load_space(args)
+    space = skio.load_graph_csv(args.space)
     if args.slopes is not None:
         slopes = skio.load_slope_csv(args.slopes, space, cap=args.cap)
     else:
@@ -113,7 +108,7 @@ def cmd_descend(args) -> int:
     from .critical import critical_set
     from .descent import descent_path
     from .slope import slope_field
-    space = _load_space(args)
+    space = skio.load_graph_csv(args.space)
     f = skio.load_field_csv(args.f, space)
     g = skio.load_field_csv(args.g, space)
     crit = critical_set(slope_field(space, f, cap=args.cap),
@@ -127,7 +122,7 @@ def cmd_descend(args) -> int:
 def cmd_determine(args) -> int:
     from . import io as skio
     from .determination import determine
-    space = _load_space(args)
+    space = skio.load_graph_csv(args.space)
     f = skio.load_field_csv(args.f, space)
     g = skio.load_field_csv(args.g, space)
     report = determine(space, f, g, tol_slope=args.tol_slope,
@@ -140,7 +135,7 @@ def cmd_determine(args) -> int:
 def cmd_reconstruct(args) -> int:
     from . import io as skio
     from .reconstruct import Inadmissible, SlopeData, reconstruct
-    space = _load_space(args)
+    space = skio.load_graph_csv(args.space)
     slopes = skio.load_slope_csv(args.slopes, space, cap=args.cap)
     crit_values = skio.load_crit_values_csv(args.crit_values, space)
     outcome = reconstruct(space, SlopeData(slopes, crit_values),

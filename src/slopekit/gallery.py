@@ -92,12 +92,15 @@ def cantor_approx(level: int, t: float) -> float:
     hence steepness (3/2)^k. The level must be an integer >= 0, and t a
     number in [0, 1] (`check_real`: not a bool or a string).
     """
-    level = check_count(level, "level")
-    if level < 0:
-        raise OutOfDomain("level must be >= 0")
+    level = check_count(level, "level", 0)
     t = check_real(t, OutOfDomain, "t", "must be a finite number")
     if not 0.0 <= t <= 1.0:
         raise OutOfDomain(f"t={t} outside [0, 1]")
+    return _cantor(level, t)
+
+
+def _cantor(level: int, t: float) -> float:
+    """`cantor_approx` of a checked level at a float t in [0, 1], unchecked."""
     base = 0.0
     scale = 1.0
     for _ in range(level):
@@ -142,17 +145,16 @@ def cantor_pair(level: int) -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
     steepness plus 1 (and 0 at t = 0, where there is nothing below).
     The limiting staircase itself has slope in {1, +inf} on (0, 1] and
     slope 0 at t = 0; the approximants make the blow-up explicit as
-    (3/2)^k across refinement levels.
+    (3/2)^k across refinement levels. The level is checked once, here;
+    the values, like the slopes, then take a t in [0, 1] unchecked.
     """
-    level = check_count(level, "level")
-    if level < 0:
-        raise OutOfDomain("level must be >= 0")
+    level = check_count(level, "level", 0)
 
     def f_val(t: float) -> float:
-        return cantor_approx(level, t) + t
+        return _cantor(level, t) + t
 
     def g_val(t: float) -> float:
-        return 2.0 * cantor_approx(level, t) + t
+        return 2.0 * _cantor(level, t) + t
 
     def f_slope(t: float) -> float:
         if t <= 0.0:

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .critical import critical_mask
 from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
-from .space import MetricSpaceGraph, _built, _integer, _sweep, check_reals
+from .space import MetricSpaceGraph, _built, _int64s, _sweep, check_reals
 
 
 @dataclass(frozen=True)
@@ -63,21 +63,19 @@ class Inadmissible:
 
 
 def _validate(space: MetricSpaceGraph, data: SlopeData, tol: float):
-    """The prescription as its points (intp) and values (float), in array
-    passes: every key an `_integer` point (else `check_point` on each),
-    then every value a finite number (`space.check_reals`)."""
+    """The prescription as its points (int64) and values (float), in array
+    passes: the keys converted once (`space._int64s`), with `check_point`
+    on each only when that fails or a key lies outside the space, then
+    every value a finite number (`space.check_reals`)."""
     require_bound(space, data.slopes)
     if data.slopes.any_infinite():
         bad = int(data.slopes.infinite.nonzero()[0][0])
         raise InfiniteSlopeData(f"infinite slope at point {bad}")
     keys = list(data.crit_values)
-    # numpy reads a bool among integers as 0 or 1, a str as text
-    points = np.array(keys) if all(map(_integer, set(map(type, keys)))) else None
-    if points is None or points.dtype.kind not in "iu" \
-            or ((points < 0) | (points >= space.n)).any():
+    points = _int64s(keys)
+    if points is None or ((points < 0) | (points >= space.n)).any():
         for p in keys:
             space.check_point(p)
-    points = points.astype(np.intp, copy=False)
     values = check_reals(list(data.crit_values.values()), NonFiniteFieldValue,
                          "prescribed value at", keys)
     bad = (~np.isfinite(values)).nonzero()[0]

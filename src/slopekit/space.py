@@ -23,13 +23,14 @@ access.
 Every space is made by `_space_from_columns`, under `build_graph`,
 `io.load_graph_csv` and `sample_interval`: it validates an undirected
 edge list by array passes and lays out its symmetric closure by one
-sort, which also finds duplicate edges; only input that fails is walked
-entry by entry, to name its first bad entry. Inputs follow three rules,
-written once here, each caller raising its own typed error. An integer
-(`_integer`: point ids, counts, endpoints, `reconstruct` keys) is a
-Python int or numpy integer, not a bool; counts and endpoints lie in
-int64. A number (`_number`) is an integer or a Python or numpy float. A
-flag array (`check_flags`) is a 1-D bool array.
+sort, which also finds duplicate edges; only failing input is walked,
+by `_first_bad_edge`, to name its first bad entry. Inputs follow three
+rules, written once here, each caller raising its own typed error. An
+integer (`_integer`: point ids, counts, endpoints, `reconstruct` keys)
+is a Python int or numpy integer, not a bool, in int64; endpoints and
+keys of any kinds convert in one pass (`_int64s`). A number (`_number`)
+is an integer or a Python or numpy float. A flag array (`check_flags`)
+is a 1-D bool array.
 
 Spaces are immutable after construction and every query is pure: none
 stores anything on the space, so spaces are safe to share across
@@ -43,7 +44,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -97,6 +97,20 @@ def _float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _int64s(values) -> np.ndarray | None:
+    """A sequence of `_integer`s in int64 as an int64 array, else None."""
+    types = set(map(type, values))
+    if not all(map(_integer, types)):
+        return None
+    try:
+        out = np.array(values, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64
+        return None
+    # numpy 1.x may wrap an unsigned entry beyond int64 to a negative one
+    unsigned = any(issubclass(t, np.unsignedinteger) for t in types)
+    return None if unsigned and (out < 0).any() else out
+
+
 def check_count(value, name: str, least: int | None = None) -> int:
     """A count knob as an int; InvalidCount unless it is an `_integer` in
     the int64 range (10.0 is not), and >= least if given."""
@@ -148,6 +162,11 @@ def check_reals(values, error, name: str, keys=None, n: int | None = None):
         k = next(k for k, v in enumerate(values) if not _number(type(v)))
         raise error(f"{name} {k if keys is None else keys[k]} must be an int "
                     f"or float, got {values[k]!r}")
+    return _floats(values)
+
+
+def _floats(values) -> np.ndarray:
+    """Numbers as a new float array, +-inf for an int beyond the float range."""
     try:
         return np.array(values, dtype=float)
     except OverflowError:
@@ -198,11 +217,6 @@ class MetricSpaceGraph:
             raise InvalidPoint(f"point {_shown(x)} outside [0, {self.n})")
 
 
-def _offsets(src: np.ndarray, n: int) -> np.ndarray:
-    """The CSR offsets of n points' edges, sorted by their sources `src`."""
-    return np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-
-
 def _built(target, **fields):
     """`target` with `fields` stored, without the checks of a public
     constructor: `target` is a frozen class (a space, field or critical
@@ -220,57 +234,42 @@ def _built(target, **fields):
 
 
 def _edge_columns(items):
-    """Endpoint and length columns (u, v, w) of an edge list. An entry
-    that is not a triple is a ValueError, an endpoint that is not an
-    `_integer` in the int64 range InvalidPoint, and a length that is not
-    a `_number` (a bool, a str, None) NonPositiveLength.
-
-    The first entry that does not convert raises its error, unless an
-    entry before it is bad. Lists of (int, int, number) triples without
-    bools, which is what the loaders and generators produce, convert in
-    one array pass; anything else goes entry by entry.
-    """
+    """The int64 endpoints and float lengths (u, v, w) of an edge list
+    of triples of any numeric kinds, in one array pass each; any other
+    list is walked by `_first_bad_edge`, and its first bad entry raises."""
     try:
-        if set(map(len, items)) == {3}:
-            cols = tuple(zip(*items))
-            u, v, w = (np.array(c) for c in cols)
-            # numpy reads a bool among numbers as 0 or 1
-            if u.dtype.kind == v.dtype.kind == "i" and w.dtype.kind in "if" \
-                    and all(map(_number, set(map(type, chain(*cols))))):
-                return (u.astype(np.intp, copy=False), v.astype(np.intp, copy=False),
-                        w.astype(float, copy=False))
+        if set(map(len, items)) <= {3}:
+            u, v, w = tuple(zip(*items)) or ((), (), ())
+            uv = _int64s(u + v)
+            if uv is not None and all(map(_number, set(map(type, w)))):
+                return uv[:len(u)], uv[len(u):], _floats(w)
     except TypeError:  # an entry without len()
         pass
-    u = np.empty(len(items), dtype=np.intp)
-    v = np.empty(len(items), dtype=np.intp)
-    w = np.empty(len(items))
+    raise _first_bad_edge(items)
+
+
+def _first_bad_edge(items) -> Exception | None:
+    """The error for the first bad entry of an edge list, in input
+    order, or None. Per entry the checks run in a fixed order: a triple
+    (ValueError), two `_integer` endpoints in the int64 range
+    (InvalidPoint), a `_number` length (NonPositiveLength), then a
+    negative endpoint, a self-loop, a length not finite and > 0 (NaN
+    included), and a duplicate of an earlier entry in either orientation.
+    """
+    seen = set()
     for k, item in enumerate(items):
         try:
             a, b, c = item
-            for e in (a, b):
-                if not _integer(type(e)):
-                    raise InvalidPoint(f"edge {item!r}: endpoint {e!r} is not an integer")
-                if not -2**63 <= e < 2**63:
-                    raise InvalidPoint(f"edge entry {k}: an endpoint lies beyond int64")
-            if not _number(type(c)):
-                raise NonPositiveLength(f"edge {item!r}: length {c!r} is not a number")
-        except (InvalidPoint, NonPositiveLength) as exc:
-            raise _first_bad_edge(u[:k], v[:k], w[:k]) or exc from None
-        except (TypeError, ValueError):  # not a triple
-            raise _first_bad_edge(u[:k], v[:k], w[:k]) or ValueError(
-                f"edge entries must be (u, v, length), got {item!r}") from None
-        u[k], v[k], w[k] = a, b, _float(c)
-    return u, v, w
-
-
-def _first_bad_edge(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Exception | None:
-    """The error for the first entry, in input order, that is not a
-    valid edge, or None. Per entry the checks run in a fixed order:
-    negative endpoint, self-loop, length not finite and > 0 (NaN
-    included), then a duplicate of an earlier entry in either orientation.
-    """
-    seen = set()
-    for a, b, length in zip(u.tolist(), v.tolist(), w.tolist()):
+        except (TypeError, ValueError):
+            return ValueError(f"edge entries must be (u, v, length), got {item!r}")
+        for e in (a, b):
+            if not _integer(type(e)):
+                return InvalidPoint(f"edge {item!r}: endpoint {e!r} is not an integer")
+            if not -2**63 <= e < 2**63:
+                return InvalidPoint(f"edge entry {k}: an endpoint lies beyond int64")
+        if not _number(type(c)):
+            return NonPositiveLength(f"edge {item!r}: length {c!r} is not a number")
+        a, b, length = int(a), int(b), _float(c)
         if a < 0 or b < 0:
             return DanglingEndpoint(f"negative endpoint in edge ({a}, {b})")
         if a == b:
@@ -295,9 +294,9 @@ def build_graph(edge_list, n: int | None = None) -> MetricSpaceGraph:
     triple a ValueError. `n` defaults to 1 + the largest endpoint;
     a given n must be an `_integer` (`check_count`), and n may be at most
     isqrt(2**63 - 1) (InvalidCount). Pass it explicitly to create
-    isolated points or a single-point space. Valid input takes array
-    passes and one sort (`_space_from_columns`); failing input is walked
-    entry by entry, and its first bad entry in input order raises.
+    isolated points or a single-point space. Valid input of any numeric
+    kinds converts in two array passes and is laid out by one sort;
+    `_first_bad_edge` names the first bad entry of failing input.
     """
     items = edge_list if isinstance(edge_list, (list, tuple)) else list(edge_list)
     return _space_from_columns(*_edge_columns(items), n)
@@ -313,8 +312,8 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     of more than `_MAX_POINTS` points is made. A mask flags bad
     endpoints and lengths, and one argsort of the directed keys
     src * span + dst (span: the largest endpoint + 1) gives the CSR
-    order, where a duplicate edge is two equal neighbours. Only input
-    that fails is walked by `_first_bad_edge`, to name its first bad entry.
+    order, where a duplicate edge is two equal neighbours. Failing input
+    is walked by `_first_bad_edge`, as triples, to name its first bad entry.
     """
     span = int(max(u.max(), v.max())) + 1 if u.size else 0
     if n is None and not u.size:
@@ -329,17 +328,17 @@ def _space_from_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     else:
         problem = _too_many(n)
     bad = (u < 0) | (v < 0) | (u == v) | ~((w > 0.0) & (w < math.inf))
-    if problem is not None or bad.any():
-        raise _first_bad_edge(u, v, w) or problem
-    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
-    key = src * span + dst
-    order = np.argsort(key)
-    if (np.diff(key[order]) == 0).any():
-        raise _first_bad_edge(u, v, w)
-    src = src[order]
-    return _built(MetricSpaceGraph, n=n, src=src, dst=dst[order],
-                  w=np.concatenate((w, w))[order], coordinates=None,
-                  indptr=_offsets(src, n))
+    if problem is None and not bad.any():
+        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+        key = src * span + dst
+        order = np.argsort(key)
+        if not (np.diff(key[order]) == 0).any():
+            src = src[order]
+            counts = np.bincount(src, minlength=n)  # edges per point
+            return _built(MetricSpaceGraph, n=n, src=src, dst=dst[order],
+                          w=np.concatenate((w, w))[order], coordinates=None,
+                          indptr=np.concatenate(([0], np.cumsum(counts))))
+    raise _first_bad_edge(zip(u.tolist(), v.tolist(), w.tolist())) or problem
 
 
 def sample_interval(a: float, b: float, n: int) -> MetricSpaceGraph:

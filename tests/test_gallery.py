@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from slopekit import ScalarField, sample_interval, slope_field
-from slopekit.errors import OutOfDomain, UnknownFigure
+from slopekit.errors import InvalidCount, OutOfDomain, UnknownFigure
 from slopekit.gallery import (
     arctan_pair,
     cantor_approx,
@@ -78,9 +78,9 @@ def test_cantor_out_of_domain():
         cantor_approx(3, -0.1)
     with pytest.raises(OutOfDomain):
         cantor_approx(3, 1.1)
-    with pytest.raises(OutOfDomain, match="level must be >= 0"):
+    with pytest.raises(InvalidCount, match="^level must be an integer >= 0, got -1$"):
         cantor_approx(-1, 0.5)
-    with pytest.raises(OutOfDomain, match="level must be >= 0"):
+    with pytest.raises(InvalidCount, match="^level must be an integer >= 0, got -1$"):
         cantor_pair(-1)
 
 

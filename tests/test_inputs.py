@@ -291,8 +291,9 @@ INTEGER_INPUTS = {
 NONE_IS_DEFAULT = {"descent_path-max_steps", "build_graph-n", "load_graph_csv-n",
                    "emit_figure_data-n"}
 
+# np.uint64 beyond int64: numpy 1.x may wrap it to a negative int64
 NOT_INTEGERS = [True, np.True_, 1.0, np.float64(2.0), "1", b"1", None, 1.5,
-                2**64, -2**63 - 1, BIG]
+                2**64, -2**63 - 1, BIG, np.uint64(2**63), np.uint64(2**64 - 1)]
 
 
 @pytest.mark.parametrize("call,error,good", INTEGER_INPUTS.values(), ids=INTEGER_INPUTS)

@@ -205,8 +205,8 @@ BAD_ENTRIES = [
     (OK + [(1, 1, 1.0), (2, 3)], None, SelfLoopEdge, "self-loop at point 1"),
     (OK + [(2, 3), (1, 1, 1.0)], None,
      ValueError, "edge entries must be (u, v, length), got (2, 3)"),
-    # numpy integers of mixed kinds: numpy reads the column as float, so
-    # these take the entry loop
+    # numpy integers of mixed kinds: the array pass converts them to int64
+    # as it does Python ints, and the walker names their first bad entry
     ([(np.int8(0), np.uint64(1), 1.0), (np.uint64(1), np.int8(1), 1.0)], None,
      SelfLoopEdge, "self-loop at point 1"),
     ([(np.uint64(0), np.int8(1), 1.0), (np.int16(1), np.uint64(0), 2.0)], None,
@@ -258,11 +258,17 @@ def test_first_bad_entry_raises_as_the_entry_loop_did(edges, n, cls, message):
 def test_narrow_integer_endpoints_build_the_same_space():
     # int32 endpoints: src * n + dst would overflow int32 at this n
     entries = [(0, 50000, 1.0), (1, 60000, 2.0), (0, 1, 0.5)]
-    narrow = build_graph([(np.int32(u), np.int32(v), w) for u, v, w in entries])
-    wide = build_graph(entries)
-    assert narrow.edges == wide.edges
-    assert np.array_equal(narrow.src, wide.src)
-    assert np.array_equal(narrow.dst, wide.dst)
+    wide = outcome(lambda: build_graph(entries))
+    narrow = [(np.int32(u), np.int32(v), w) for u, v, w in entries]
+    # np.array reads a column with np.uint64 among signed kinds as float
+    mixed = [(np.int8(0), 50000, np.float32(1.0)), (1, np.uint64(60000), 2),
+             (np.uint16(0), np.int8(1), np.float32(0.5))]
+    for edges in (narrow, mixed):
+        got = outcome(lambda: build_graph(edges))
+        for want in (wide, outcome(lambda: reference_build_graph(edges))):
+            assert got[0] == want[0] == "ok"
+            assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                       for a, b in zip(got[1], want[1]))
 
 
 def test_generator_and_tuple_inputs():

@@ -243,9 +243,9 @@ def test_cantor_argument_messages(t, message):
 
 
 @pytest.mark.parametrize("edges", [
-    [(0, 1, True)],                        # the array pass
+    [(0, 1, True)],                        # numpy reads a bool as 0 or 1
     [(0, 1, 1.0), (1, 2, np.True_)],
-    [(0, 1, 1.0), (np.uint64(1), 2, False)],   # the entry loop
+    [(0, 1, 1.0), (np.uint64(1), 2, False)],   # beside a uint64 endpoint
 ])
 def test_build_graph_rejects_bool_lengths(edges):
     # (0, 1, True) used to build an edge of length 1.0

@@ -138,3 +138,8 @@ def test_reconstruct_accepts_numpy_integer_keys(path3):
     space, f, _ = path3
     out = reconstruct(space, prescription(space, f, {np.int64(2): np.float32(0.0)}))
     assert out.values.tolist() == [2.0, 1.0, 0.0]
+    # np.array reads np.uint64 among Python ints as uint64, not int64
+    python = reconstruct(space, prescription(space, f, {1: 1.0, 2: 0.0}))
+    mixed = reconstruct(space, prescription(space, f, {1: 1.0, np.uint64(2): 0.0}))
+    assert mixed.values.dtype == python.values.dtype
+    assert mixed.values.tobytes() == python.values.tobytes()

@@ -81,14 +81,22 @@ MUTANTS = (
            "(dist <= delta)", "(dist < delta)",
            ("tests/test_space.py::test_profile_at_the_longest_edge_bounds_the_slope",)),
     Mutant("build-takes-string-lengths", SPACE,
-           "            if not _number(type(c)):\n",
-           "            if isinstance(c, (bool, np.bool_)):\n",
+           "        if not _number(type(c)):\n",
+           "        if isinstance(c, (bool, np.bool_)):\n",
            ("tests/test_knobs.py::test_build_graph_rejects_string_lengths",)),
     Mutant("build-fast-path-takes-bools", SPACE,
-           " \\\n                    and all(map(_number, set(map(type, chain(*cols))))):",
-           ":",
+           "all(map(_number, set(map(type, w))))",
+           "all(map(_number, set(map(type, w)) - {bool}))",
+           ("tests/test_knobs.py::test_build_graph_rejects_bool_lengths",)),
+    Mutant("build-array-path-takes-strings", SPACE,
+           "            if uv is not None and all(map(_number, set(map(type, w)))):\n",
+           "            if uv is not None:\n",
+           ("tests/test_knobs.py::test_build_graph_rejects_string_lengths",)),
+    Mutant("int64s-take-bools", SPACE,
+           "    if not all(map(_integer, types)):\n",
+           "    if not all(map(_integer, types - {bool})):\n",
            ("tests/test_kernel.py::test_first_bad_entry_raises_as_the_entry_loop_did",
-            "tests/test_knobs.py::test_build_graph_rejects_bool_lengths")),
+            "tests/test_point_ids.py::test_reconstruct_rejects_bool_keys_among_integers")),
     Mutant("raw-constructor-builds", SPACE,
            "    def __init__(self, *args, **kwargs):\n        raise TypeError(",
            "    def __init__(self, *args, **kwargs):\n        return\n        raise TypeError(",
@@ -114,12 +122,12 @@ MUTANTS = (
            " and value.is_integer()) and",
            (f"{INTEGER_RULE}[sample_interval-n]", f"{INTEGER_RULE}[build_graph-n]")),
     Mutant("endpoint-takes-strings", SPACE,
-           "            for e in (a, b):\n",
-           "            a, b = (int(e) if isinstance(e, str) else e for e in (a, b))\n"
-           "            for e in (a, b):\n",
+           "        for e in (a, b):\n",
+           "        a, b = (int(e) if isinstance(e, str) else e for e in (a, b))\n"
+           "        for e in (a, b):\n",
            (f"{INTEGER_RULE}[build_graph-endpoint]",)),
     Mutant("endpoint-beyond-int64", SPACE,
-           "                if not -2**63 <= e < 2**63:\n", "                if False:\n",
+           "            if not -2**63 <= e < 2**63:\n", "            if False:\n",
            (f"{INTEGER_RULE}[build_graph-endpoint]",)),
     Mutant("ragged-input-unguarded", SPACE,
            "    try:\n        return np.asarray(values)\n    except ValueError:\n"
@@ -196,7 +204,8 @@ MUTANTS = (
            "            if diff_x > fz - gz and (", "            if diff_x >= fz - gz and (",
            ("tests/test_descent.py::test_level_difference_is_no_step",)),
     Mutant("prescription-takes-bool-keys", RECONSTRUCT,
-           "if all(map(_integer, set(map(type, keys)))) else None", "",
+           "_int64s(keys)",
+           "_int64s([int(p) if type(p) in (bool, np.bool_) else p for p in keys])",
            ("tests/test_point_ids.py::test_reconstruct_rejects_bool_keys_among_integers",)),
     Mutant("unseeded-component-unreported", RECONSTRUCT,
            "        raise EmptyCriticalSet(", "        if False: raise EmptyCriticalSet(",
