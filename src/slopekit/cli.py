@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
 # The one slopekit module loaded at import: each command imports what it
 # calls, so a process loads the modules of its own command only.
@@ -275,7 +274,8 @@ def main(argv=None) -> int:
     except SlopeKitError as exc:
         print(f"slopekit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception:  # pragma: no cover
+    except Exception:
+        import traceback
         traceback.print_exc()
         return EXIT_INTERNAL
 

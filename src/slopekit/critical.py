@@ -3,12 +3,13 @@
 A point is critical when its slope is (tolerance-)zero; on a finite
 space every field has at least one critical point because a global
 minimizer has slope exactly 0 (`critical_mask`, one boolean per point,
-is the one test). A `CriticalSet` is that mask, its tolerance and the
-space it is bound to, like a field; membership of x is `mask[x]`. Its
-constructor checks that the mask has one entry per point, and a
-function that takes a caller's set binds it to the space with its
-fields, in one `require_bound` call. The comparison floor at x is the
-least value of f - g over critical points in the sublevel set {z : f(z) <= f(x)}; it
+is the one test, at a tolerance checked at the public entry). A
+`CriticalSet` is that mask, its tolerance and the space it is bound
+to, like a field; membership of x is `mask[x]`. Its constructor checks
+that the mask has one entry per point, and a function that takes a
+caller's set binds it to the space with its fields, in one
+`require_bound` call. The comparison floor at x is the least value of
+f - g over critical points in the sublevel set {z : f(z) <= f(x)}; it
 is the strict lower bound that descent arguments certify for
 (f - g)(x).
 
@@ -80,22 +81,22 @@ class NoCriticalBelow:
 NO_CRITICAL_BELOW = NoCriticalBelow()
 
 
-def critical_mask(slopes: SlopeField, tol: float = 0.0) -> np.ndarray:
-    """Whether each point is critical: its slope (inf if flagged) is <= tol.
+def critical_mask(slopes: SlopeField, tol: float) -> np.ndarray:
+    """Whether each point's slope (inf if flagged) is <= the checked tol."""
+    return slopes.values <= tol
+
+
+def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
+    """The points of `critical_mask` at tol, checked here, as a CriticalSet
+    built without a second check, like the kernel's fields (`_built`).
 
     The default tol 0 is the right choice for exact graph slopes, where
     minimizers hit zero exactly; sampled continuous data needs a
     positive tol because slopes at near-critical samples are O(h)
     (see `grid_critical_tol`).
     """
-    return slopes.values <= check_tol(tol)
-
-
-def critical_set(slopes: SlopeField, tol: float = 0.0) -> CriticalSet:
-    """The points of `critical_mask`, which checks tol, as a CriticalSet
-    built without a second check, like the kernel's fields (`_built`)."""
-    mask = critical_mask(slopes, tol)
-    return _built(CriticalSet, space=slopes.space, mask=mask, tol=float(tol))
+    tol = check_tol(tol)
+    return _built(CriticalSet, space=slopes.space, mask=critical_mask(slopes, tol), tol=tol)
 
 
 def comparison_floor(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,

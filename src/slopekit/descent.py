@@ -31,9 +31,9 @@ from .errors import PointIsCritical, SlopeDominanceViolated, StepLimitExceeded
 from .slope import (
     OVERFLOW_CAP,
     ScalarField,
+    _slope_fields,
     check_cap,
     require_bound,
-    slope_field,
 )
 from .space import MetricSpaceGraph, PointId, check_count
 
@@ -207,8 +207,7 @@ def verify_strict_comparison(space: MetricSpaceGraph, f: ScalarField,
     """
     require_bound(space, f, g, crit)
     non_critical = ~crit.mask
-    sf = slope_field(space, f, cap=cap)
-    sg = slope_field(space, g, cap=cap)
+    sf, sg = _slope_fields(space, check_cap(cap), f, g)
     offending = (non_critical & ~(sf.values > sg.values)).nonzero()[0]
     if offending.size:
         return StrictComparisonReport(

@@ -22,15 +22,16 @@ the critical points, `only_in_f`/`only_in_g`, g - f on the critical set
 and its witnesses are array selections on it. One private `_compare`
 checks the comparison principle's hypotheses (finite slope of f, slope
 dominance, the critical bound) on slope fields and critical ids the
-caller holds, for `comparison_principle` and `epsilon_audit`. Each
-public entry point validates its knobs once.
+caller holds; `comparison_principle` and `epsilon_audit` share the
+prelude `_comparison` that sets it up. Each public entry point checks
+each argument once, at entry, and private code takes checked inputs.
 
 `epsilon_audit` inflates f by every epsilon in one 2-D pass: row r is
-(1 + eps[r]) * f, one call of the slope kernel of `slope_field`
-(`slope._slopes`) over all rows gives their slopes and one mask per
-row their critical sets, with the elementwise float operations of the
-per-epsilon loop it replaced (`testing.reference_epsilon_audit`); only
-the sublevel floors and the worst margins are taken row by row.
+(1 + eps[r]) * f, one call of the slope kernel (`slope._slopes`) over
+all rows gives their slopes and one mask per row their critical sets,
+with the elementwise float operations of the per-epsilon loop it
+replaced (`testing.reference_epsilon_audit`); only the sublevel floors
+and the worst margins are taken row by row.
 
 The outcomes of `determine` are verdicts. It raises typed errors only
 for malformed inputs, and DifferenceOverflow from `_diagnose` when g - f,
@@ -50,6 +51,7 @@ from .slope import (
     OVERFLOW_CAP,
     ScalarField,
     SlopeField,
+    _slope_fields,
     _slopes,
     check_cap,
     check_constant,
@@ -57,7 +59,6 @@ from .slope import (
     check_tol,
     require_bound,
     scale_field,
-    slope_field,
 )
 from .space import MetricSpaceGraph
 
@@ -223,8 +224,7 @@ def _diagnose(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     DifferenceOverflow if g - f, the spread or the residual is not
     finite; the constant, a `_mean` of finite differences, always is."""
     require_bound(space, f, g)
-    sf = slope_field(space, f, cap=cap)
-    sg = slope_field(space, g, cap=cap)
+    sf, sg = _slope_fields(space, cap, f, g)
 
     any_inf = sf.infinite | sg.infinite
     if any_inf.any():
@@ -343,6 +343,20 @@ def _compare(sf: SlopeField, sg: SlopeField, crit_ids: np.ndarray,
                             worst_point=worst, worst_margin=worst_margin)
 
 
+def _comparison(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
+                c: float | None, tol, crit_tol, cap):
+    """The set-up of `comparison_principle` and `epsilon_audit`, after
+    they check their own knobs (the epsilons, then c): binds f and g,
+    checks tol, crit_tol and cap, builds both slope fields and the
+    critical mask of f, and runs `_compare`. Returns its result, the
+    slope field of g, the mask, and the checked crit_tol and cap."""
+    require_bound(space, f, g)
+    tol, crit_tol, cap = check_tol(tol), check_tol(crit_tol, "crit_tol"), check_cap(cap)
+    sf, sg = _slope_fields(space, cap, f, g)
+    on_crit = critical_mask(sf, crit_tol)
+    return _compare(sf, sg, on_crit.nonzero()[0], f, g, c, tol), sg, on_crit, crit_tol, cap
+
+
 def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
                          g: ScalarField, c: float, tol: float = 1e-9,
                          crit_tol: float = 0.0,
@@ -357,13 +371,7 @@ def comparison_principle(space: MetricSpaceGraph, f: ScalarField,
     the conclusion is returned as data with its worst witness.
     `determine` reads both directions of it from its residual g - f - c.
     """
-    require_bound(space, f, g)
-    c = check_constant(c)
-    tol = check_tol(tol)
-    sf = slope_field(space, f, cap=cap)
-    sg = slope_field(space, g, cap=cap)
-    crit_ids = critical_mask(sf, crit_tol).nonzero()[0]
-    return _compare(sf, sg, crit_ids, f, g, c, tol)
+    return _comparison(space, f, g, check_constant(c), tol, crit_tol, cap)[0]
 
 
 def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
@@ -385,19 +393,11 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     overflows raises the error of `scale_field` for the first such
     epsilon, before the edge pass.
     """
-    require_bound(space, f, g)
     eps = check_decreasing(epsilons, "epsilons")
-    tol = check_tol(tol)
-    if c is not None:
-        c = check_constant(c)
-    cap = check_cap(cap)
-    crit_tol = check_tol(crit_tol)
-
-    sf = slope_field(space, f, cap=cap)
-    sg = slope_field(space, g, cap=cap)
-    on_crit = critical_mask(sf, crit_tol)
+    c = None if c is None else check_constant(c)
+    result, sg, on_crit, crit_tol, cap = _comparison(space, f, g, c, tol, crit_tol, cap)
+    c = result.constant
     crit_arr, non_crit = on_crit.nonzero()[0], (~on_crit).nonzero()[0]
-    c = _compare(sf, sg, crit_arr, f, g, c, tol).constant
     fx, gx = f.values[non_crit], g.values[non_crit]
 
     # Row r holds (1 + eps[r]) * f as `scale_field` computes it. If a
@@ -409,8 +409,8 @@ def epsilon_audit(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     finite = np.isfinite(fe).all(axis=1)
     if not finite.all():
         scale_field(f, scales[int((~finite).nonzero()[0][0])])
-    # The slope kernel of `slope_field` and the test of `critical_mask`
-    # on every row; dominance is checked off the critical set of each row.
+    # The slope kernel and the test of `critical_mask` on every row;
+    # dominance is checked off the critical set of each row.
     se = _slopes(space, fe, cap)[0]
     on_crit_e = se <= crit_tol
     crit_preserved = (on_crit_e == on_crit).all(axis=1).tolist()
@@ -463,18 +463,12 @@ def determine(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
     """
     tol_slope = check_tol(tol_slope, "tol_slope")
     tol_crit = check_tol(tol_crit, "tol_crit")
-    if tol_residual is None:
-        tol_residual = 1e-9 + tol_crit
-    tol_residual = check_tol(tol_residual, "tol_residual")
+    tol_residual = check_tol(1e-9 + tol_crit if tol_residual is None else tol_residual,
+                             "tol_residual")
     cap = check_cap(cap)
-    tolerances = {
-        "tol_slope": tol_slope,
-        "tol_crit": tol_crit,
-        "tol_residual": tol_residual,
-        "overflow_cap": cap,
-    }
-    diag, sf, _, in_f, in_g, resid = _diagnose(space, f, g, tol_slope,
-                                               tol_crit, cap)
+    tolerances = {"tol_slope": tol_slope, "tol_crit": tol_crit,
+                  "tol_residual": tol_residual, "overflow_cap": cap}
+    diag, sf, _, in_f, in_g, resid = _diagnose(space, f, g, tol_slope, tol_crit, cap)
     violated = diag.failed_hypotheses()
     abs_resid = np.abs(resid)
     worst = int(abs_resid.argmax())

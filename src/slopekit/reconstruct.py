@@ -33,7 +33,7 @@ from .errors import (
     UncoveredCriticalPoint,
 )
 from .critical import critical_mask
-from .slope import ScalarField, SlopeField, check_tol, require_bound, slope_field
+from .slope import ScalarField, SlopeField, _slopes, check_tol, require_bound
 from .space import MetricSpaceGraph, _built, _int64s, _sweep, check_reals
 
 
@@ -124,14 +124,13 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
         raise EmptyCriticalSet(f"no prescribed value and no slope <= {tol} in "
                                f"the component of point {int(swept_at.argmin())}")
 
-    # v is finite with one value per point, so it needs no checks.
-    result = _built(ScalarField, space=space, values=v)
-    recomputed = slope_field(space, result, cap=data.slopes.cap).values
+    recomputed = _slopes(space, v, data.slopes.cap)[0]
     off = (~(np.abs(recomputed - speeds) <= tol)).nonzero()[0]
     if off.size:
         return Inadmissible(witnesses=tuple(
             SlopeMismatch(point=x, expected=float(speeds[x]),
                           recomputed=float(recomputed[x]))
             for x in off.tolist()))
-    return result
+    # v is finite with one value per point, so it needs no checks.
+    return _built(ScalarField, space=space, values=v)
 

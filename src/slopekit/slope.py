@@ -9,21 +9,23 @@ a configurable overflow cap is math.inf, and a slope field flags it in
 its infinity mask, which keeps "genuinely unbounded across refinement"
 distinct from "merely large" in downstream reports.
 
-One kernel, `_slopes`, serves `slope_field` and `epsilon_audit`: one
-pass over the directed edge arrays, one quotient max(f[src] - f[dst],
-0) / w per directed edge and row, reduced per source point with
-`np.maximum.at` into zeros (so isolated points keep 0), then compared
-with the cap. `local_slope` takes the same quotients on one point's CSR
-slice of the edge arrays, so both give bitwise-equal slopes.
+One kernel, `_slopes`, serves every slope field: one pass over the
+directed edge arrays, one quotient max(f[src] - f[dst], 0) / w per
+directed edge and row, reduced per source point with `np.maximum.at`
+into zeros (so isolated points keep 0), then compared with the cap.
+`local_slope` takes the same quotients on one point's CSR slice of the
+edge arrays, so both give bitwise-equal slopes.
 
-Public constructors validate, kernels construct: `ScalarField` and
-`SlopeField` check every array a caller hands them (one entry per
+Public constructors and calls validate, kernels construct: `ScalarField`
+and `SlopeField` check every array a caller hands them (one entry per
 point, then the rules of `space`: finite numbers by `check_reals`, and
-a mask of bools by `check_flags`), while `slope_field` and `scale_field`
-build their results through `space._built`, which skips those checks
-for arrays that pass them by construction (inf exactly where the mask
-is set, finite values, a checked cap) and makes the arrays read-only.
-Both classes are frozen, so no attribute can be reassigned after them.
+a mask of bools by `check_flags`), and a public call checks each
+argument once, at entry. `scale_field` and `_slope_fields`, the one maker of
+kernel-built slope fields (which checks nothing), build their results
+through `space._built`, which skips those checks for arrays that pass
+them by construction (inf exactly where the mask is set, finite values,
+a checked cap) and makes the arrays read-only. Both classes are frozen,
+so no attribute can be reassigned after them.
 
 Overflow rule: finite values near +-1.7e308 can make f(x) - f(y), or
 the quotient, overflow to +inf. That is deliberate, not an accident:
@@ -214,6 +216,14 @@ def _slopes(space: MetricSpaceGraph, values: np.ndarray,
     return out, infinite
 
 
+def _slope_fields(space: MetricSpaceGraph, cap: float, *fields: ScalarField):
+    """The SlopeField of each of `fields`, bound to `space`, at a checked
+    `cap`: one `_slopes` pass each, built by `_built` without checks."""
+    return [_built(SlopeField, space=space, values=vals, infinite=mask,
+                   provenance="exact-graph", cap=cap)
+            for vals, mask in (_slopes(space, f.values, cap) for f in fields)]
+
+
 def slope_field(space: MetricSpaceGraph, f: ScalarField,
                 cap: float = OVERFLOW_CAP) -> SlopeField:
     """The slope at every point, from one pass over the edge arrays.
@@ -221,10 +231,7 @@ def slope_field(space: MetricSpaceGraph, f: ScalarField,
     Bitwise equal to `local_slope` at each point.
     """
     require_bound(space, f)
-    cap = check_cap(cap)
-    vals, mask = _slopes(space, f.values, cap)
-    return _built(SlopeField, space=space, values=vals, infinite=mask,
-                  provenance="exact-graph", cap=cap)
+    return _slope_fields(space, check_cap(cap), f)[0]
 
 
 def scale_field(f: ScalarField, scale: float) -> ScalarField:

@@ -337,6 +337,7 @@ def reference_epsilon_audit(space: MetricSpaceGraph, f: ScalarField,
         c = check_constant(c)
     sf = slope_field(space, f, cap=cap)
     sg = slope_field(space, g, cap=cap)
+    crit_tol = check_tol(crit_tol, "crit_tol")
     on_crit = critical_mask(sf, crit_tol)
     crit_arr, non_crit = np.flatnonzero(on_crit), np.flatnonzero(~on_crit)
     c = _compare(sf, sg, crit_arr, f, g, c, tol).constant

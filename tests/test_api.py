@@ -83,7 +83,9 @@ def _run_fresh(code: str, *args: str) -> str:
 
 
 def test_cli_import_loads_exactly_the_library_modules():
+    # traceback loads on the internal-error path only
     code = ("import sys, slopekit.cli; assert 'numpy' not in sys.modules; "
+            "assert 'traceback' not in sys.modules; "
             "print(sorted(m for m in sys.modules "
             "if m == 'slopekit' or m.startswith('slopekit.')))")
     assert _run_fresh(code).strip() == repr(CLI_MODULES)

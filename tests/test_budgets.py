@@ -1,11 +1,15 @@
 """Work budgets: how many times each public call runs the kernels that
-do its work, counted exactly on a fixed small space.
+do its work, and the checks of its arguments, counted exactly on a
+fixed small space.
 
 Every slopekit module's reference to the slope kernel (`slope._slopes`),
 the sweep (`space._sweep`) and the connectivity test
-(`space.is_connected`) is wrapped with a counter. A call that gains a
-pass, or loses one, changes a count; the counts are asserted equal, not
-bounded. A change that moves a budget changes this table and says why.
+(`space.is_connected`) is wrapped with a counter, and so is each
+reference to the binding check and the cap and tolerance checks of
+`slope`. A call that gains a pass, or loses one, changes a count; the
+counts are asserted equal, not bounded. Each argument is checked once,
+at the public entry, and private code takes checked inputs. A change
+that moves a budget changes its table and says why.
 """
 import importlib
 import random
@@ -43,6 +47,9 @@ from slopekit.testing import random_connected_graph, random_dyadic_field
 KERNELS = {"slopes": ("slopekit.slope", "_slopes"),
            "sweeps": ("slopekit.space", "_sweep"),
            "connectivity": ("slopekit.space", "is_connected")}
+CHECKS = {"require_bound": ("slopekit.slope", "require_bound"),
+          "check_cap": ("slopekit.slope", "check_cap"),
+          "check_tol": ("slopekit.slope", "check_tol")}
 
 MODULES = ("space", "slope", "critical", "descent", "determination",
            "reconstruct", "gallery", "io", "testing")
@@ -50,11 +57,11 @@ MODULES = ("space", "slope", "critical", "descent", "determination",
 
 @pytest.fixture
 def tally(monkeypatch):
-    """A Counter of kernel runs, keyed like KERNELS."""
+    """A Counter of kernel runs and checks, keyed like KERNELS and CHECKS."""
     for name in MODULES:
         importlib.import_module(f"slopekit.{name}")
     counts = Counter()
-    for key, (module, name) in KERNELS.items():
+    for key, (module, name) in {**KERNELS, **CHECKS}.items():
         original = getattr(sys.modules[module], name)
 
         def counted(*args, _key=key, _original=original, **kwargs):
@@ -134,3 +141,39 @@ def test_kernel_passes_per_public_call(tally, build, call):
     tally.clear()
     run(inputs)
     assert (tally["slopes"], tally["sweeps"], tally["connectivity"]) == budget
+
+
+# public call -> (require_bound, check_cap, check_tol) calls, each run by
+# BUDGETS: one per argument of the call that takes it
+CHECK_BUDGETS = {
+    "ScalarField": (0, 0, 0),
+    "SlopeField": (0, 1, 0),
+    "CriticalSet": (0, 0, 1),
+    "local_slope": (1, 1, 0),
+    "scale_field": (0, 0, 0),
+    "neighbors": (0, 0, 0),
+    "neighbors-radius": (0, 0, 0),
+    "distances_from": (0, 0, 0),
+    "delta_slope_profile": (1, 1, 0),
+    "is_connected": (0, 0, 0),
+    "descent_step": (1, 1, 0),
+    "slope_field": (1, 1, 0),
+    "critical_set": (0, 0, 1),
+    "comparison_floor": (1, 0, 0),
+    "descent_path": (1, 1, 0),
+    "verify_strict_comparison": (1, 1, 0),
+    "comparison_principle": (1, 1, 2),
+    "epsilon_audit": (1, 1, 2),
+    "determine": (1, 1, 3),
+    "reconstruct": (1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("build", [path3, random30], ids=["path3", "random30"])
+@pytest.mark.parametrize("call", list(BUDGETS))
+def test_each_argument_is_checked_once_per_public_call(tally, build, call):
+    inputs = Inputs(*build())
+    run = BUDGETS[call][1]
+    tally.clear()
+    run(inputs)
+    assert tuple(tally[key] for key in CHECKS) == CHECK_BUDGETS[call]

@@ -281,6 +281,18 @@ def test_descend_without_dominance_is_an_input_error(fixtures, capsys):
     assert "SlopeDominanceViolated" in err
 
 
+def test_internal_error_prints_its_traceback(monkeypatch, capsys):
+    # a bug, not a typed error: exit 70 with the traceback on stderr
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken figure")
+    monkeypatch.setattr(gallery, "emit_figure_data", broken)
+    rc = main(["gallery", "fig1", "--n", "5"])
+    out, err = capsys.readouterr()
+    assert rc == 70 and out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: broken figure\n")
+
+
 def test_verify_subcommand(capsys):
     rc = main(["verify", "--suite", "lemma", "--trials", "10", "--seed", "1"])
     out = capsys.readouterr().out

@@ -153,6 +153,16 @@ def test_guard_matches_the_grammar(tmp_path, kinds):
     assert 0 < accepted < BODIES
 
 
+# A float in an int column: numpy 2 refuses it as it parses, and numpy
+# 1.24 may read it, so the guard refuses it first.
+FLOATS_IN_INT_COLUMNS = [("1.0,2\n", "if"), ("1e3,2\n", "if"), ("1.5,2.0\n", "if")]
+
+
+@pytest.mark.parametrize("body,kinds", FLOATS_IN_INT_COLUMNS)
+def test_guard_refuses_floats_in_int_columns(body, kinds):
+    assert not skio._in_grammar(body.encode(), kinds)
+
+
 @pytest.mark.parametrize("body,kinds", [
     ("1,2\n\n3,4\n", "if"),            # blank line
     ("1,2,3\n", "if"),                 # extra column
@@ -163,7 +173,7 @@ def test_guard_matches_the_grammar(tmp_path, kinds):
     ("+1,2\n", "if"), ("1,+2\n", "if"),
     ("1_0,2\n", "if"), ("1,2_5\n", "if"),
     ("٣,2\n", "if"), ("1,2 \n", "if"),
-    ("1.0,2\n", "if"), ("1e3,2\n", "if"),   # a float in an int column
+    *FLOATS_IN_INT_COLUMNS,
     ("1234567890123456789,2\n", "if"),      # 19 characters
     ("1,.\n", "if"), ("1,-\n", "if"), ("1,-.\n", "if"), ("1,e5\n", "if"),
     ("1,.e5\n", "if"), ("1,5e\n", "if"), ("1,5e+\n", "if"),

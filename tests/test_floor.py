@@ -286,28 +286,31 @@ def test_epsilon_audit_without_non_critical_points():
 
 
 def counting(monkeypatch, name):
+    """The positional arguments of each call of `determination.<name>`."""
     calls = []
     real = getattr(determination, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return real(*args, **kwargs)
     monkeypatch.setattr(determination, name, counted)
     return calls
 
 
 def test_determine_computes_each_slope_field_once(monkeypatch):
+    # One call of the maker `_slope_fields(space, cap, f, g)` builds both
+    # slope fields; its kernel passes are counted in test_budgets.py.
     rng = random.Random(4061)
-    slope_calls = counting(monkeypatch, "slope_field")
+    made = counting(monkeypatch, "_slope_fields")
     crit_calls = counting(monkeypatch, "critical_mask")
     for _ in range(20):
         space, f = dyadic_case(rng)
         g = ScalarField(space, f.values + random_dyadic_constant(rng))
-        del slope_calls[:], crit_calls[:]
+        del made[:], crit_calls[:]
         report = determine(space, f, g)
         assert report.verdict.kind == VERDICT_EQUAL
         assert report.slope_provenance == "exact-graph"
-        assert len(slope_calls) == 2 and len(crit_calls) == 2
-    del slope_calls[:]
+        assert [args[2:] for args in made] == [(f, g)] and len(crit_calls) == 2
+    del made[:], crit_calls[:]
     comparison_principle(space, f, g, report.verdict.constant)
-    assert len(slope_calls) == 2
+    assert [args[2:] for args in made] == [(f, g)] and len(crit_calls) == 1

@@ -52,6 +52,7 @@ from slopekit.errors import (
     SelfLoopEdge,
 )
 from slopekit.io import load_graph_csv
+from slopekit.space import _int64s
 from slopekit.testing import reference_build_graph
 
 BIG = 10**400
@@ -294,6 +295,14 @@ NONE_IS_DEFAULT = {"descent_path-max_steps", "build_graph-n", "load_graph_csv-n"
 # np.uint64 beyond int64: numpy 1.x may wrap it to a negative int64
 NOT_INTEGERS = [True, np.True_, 1.0, np.float64(2.0), "1", b"1", None, 1.5,
                 2**64, -2**63 - 1, BIG, np.uint64(2**63), np.uint64(2**64 - 1)]
+
+
+def test_int64_conversion_takes_int64_integers_only():
+    # The public paths hand `_int64s` lists, and numpy 2 refuses a list
+    # entry beyond int64 itself; a uint64 array it wraps to negative int64.
+    for values in [[x] for x in NOT_INTEGERS] + [np.array([2**63, 1], dtype=np.uint64)]:
+        assert _int64s(values) is None, values
+    assert _int64s(np.array([2**63 - 1, 1], dtype=np.uint64)).tolist() == [2**63 - 1, 1]
 
 
 @pytest.mark.parametrize("call,error,good", INTEGER_INPUTS.values(), ids=INTEGER_INPUTS)

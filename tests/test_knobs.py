@@ -30,11 +30,13 @@ from slopekit import (
     sample_interval,
     scale_field,
     slope_field,
+    verify_strict_comparison,
 )
 from slopekit.cli import main
 from slopekit.io import load_graph_csv
 from slopekit.errors import (
     DegenerateInterval,
+    FieldSpaceMismatch,
     InvalidCap,
     InvalidCount,
     InvalidDecreasingList,
@@ -338,8 +340,29 @@ REAL_KNOBS = {
     "grid_critical_tol-h": (NegativeTolerance, "h", lambda s, f, v: grid_critical_tol(v)),
     "comparison_principle-c": (NonFiniteConstant, "c",
                                lambda s, f, v: comparison_principle(s, f, f, v)),
+    "comparison_principle-tol": (
+        NegativeTolerance, "tol", lambda s, f, v: comparison_principle(s, f, f, 0.0, tol=v)),
+    # crit_tol used to be named "tol" in the message
+    "comparison_principle-crit_tol": (
+        NegativeTolerance, "crit_tol",
+        lambda s, f, v: comparison_principle(s, f, f, 0.0, crit_tol=v)),
+    "comparison_principle-cap": (
+        InvalidCap, "cap", lambda s, f, v: comparison_principle(s, f, f, 0.0, cap=v)),
     "epsilon_audit-epsilons": (InvalidDecreasingList, "epsilons",
                                lambda s, f, v: epsilon_audit(s, f, f, [v, 0.25])),
+    "epsilon_audit-c": (NonFiniteConstant, "c",
+                        lambda s, f, v: epsilon_audit(s, f, f, [0.5], c=v)),
+    "epsilon_audit-tol": (NegativeTolerance, "tol",
+                          lambda s, f, v: epsilon_audit(s, f, f, [0.5], tol=v)),
+    "epsilon_audit-crit_tol": (NegativeTolerance, "crit_tol",
+                               lambda s, f, v: epsilon_audit(s, f, f, [0.5], crit_tol=v)),
+    "epsilon_audit-cap": (InvalidCap, "cap",
+                          lambda s, f, v: epsilon_audit(s, f, f, [0.5], cap=v)),
+    "verify_strict_comparison-cap": (
+        InvalidCap, "cap", lambda s, f, v: verify_strict_comparison(
+            s, f, f, critical_set(slope_field(s, f)), cap=v)),
+    "reconstruct-tol": (NegativeTolerance, "tol", lambda s, f, v: reconstruct(
+        s, SlopeData(slope_field(s, f), {0: 0.0, 2: 1.0}), tol=v)),
     "delta_slope_profile-radii": (InvalidDecreasingList, "radii",
                                   lambda s, f, v: delta_slope_profile(s, f, 2, [v])),
     "neighbors-radius": (InvalidDecreasingList, "radius",
@@ -385,6 +408,32 @@ def test_real_knobs_reject_ints_beyond_the_float_range(value, error, name, call)
         call(space, f, value)
     assert str(info.value).startswith(f"{name} must be ")
     assert str(info.value).endswith(", got inf" if value > 0 else ", got -inf")
+
+
+def test_comparison_calls_check_their_arguments_in_one_order():
+    # After their own knobs (the epsilons, then c), both calls check the
+    # binding of f and g, then tol, crit_tol and cap; comparison_principle
+    # used to check cap before crit_tol, and epsilon_audit tol before c.
+    space = unit_path(3)
+    f = path_field(space, [0.0, 1.0, 1.0])
+    foreign = path_field(unit_path(3), f.values)
+    for call in (lambda g, **kw: comparison_principle(space, f, g, 0.0, **kw),
+                 lambda g, **kw: epsilon_audit(space, f, g, [0.5], **kw)):
+        knobs = dict(tol=math.nan, crit_tol=math.nan, cap=math.nan)
+        with pytest.raises(FieldSpaceMismatch):
+            call(foreign, **knobs)
+        for name in list(knobs):
+            with pytest.raises(SlopeKitError) as info:
+                call(f, **knobs)
+            assert str(info.value).startswith(f"{name} must be ")
+            del knobs[name]
+        call(f)
+    with pytest.raises(InvalidDecreasingList):
+        epsilon_audit(space, f, foreign, [0.5, 0.5], c=math.nan)
+    with pytest.raises(NonFiniteConstant):
+        epsilon_audit(space, f, foreign, [0.5], c=math.nan)
+    with pytest.raises(NonFiniteConstant):
+        comparison_principle(space, f, foreign, math.nan)
 
 
 def test_real_knob_messages_give_the_float_value():

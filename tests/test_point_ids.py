@@ -10,8 +10,12 @@ from conftest import path_field, unit_path
 from slopekit import (
     CriticalSet,
     comparison_floor,
+    comparison_principle,
+    delta_slope_profile,
     descent_path,
     descent_step,
+    determine,
+    epsilon_audit,
     local_slope,
     neighbors,
     reconstruct,
@@ -56,6 +60,43 @@ def test_caller_critical_set_of_another_space(path3):
     with pytest.raises(FieldSpaceMismatch,
                        match="field is bound to a different space"):
         comparison_floor(crit.space, f, g, 1, crit)
+
+
+def _crit(space):
+    return CriticalSet(space, np.array([False, False, True]), 0.0)
+
+
+# Every public call that takes a space and fields, as a call on
+# (space, f, g); those that take g are listed with True.
+FIELD_CALLS = {
+    "local_slope": (lambda s, f, g: local_slope(s, f, 1), False),
+    "slope_field": (lambda s, f, g: slope_field(s, f), False),
+    "delta_slope_profile": (lambda s, f, g: delta_slope_profile(s, f, 1, [1.0]), False),
+    "reconstruct": (lambda s, f, g: reconstruct(s, SlopeData(
+        slope_field(f.space, f), {2: 0.0})), False),
+    "descent_step": (lambda s, f, g: descent_step(s, f, g, 1, _crit(s)), True),
+    "descent_path": (lambda s, f, g: descent_path(s, f, g, 1, _crit(s)), True),
+    "comparison_floor": (lambda s, f, g: comparison_floor(s, f, g, 1, _crit(s)), True),
+    "verify_strict_comparison": (
+        lambda s, f, g: verify_strict_comparison(s, f, g, _crit(s)), True),
+    "comparison_principle": (lambda s, f, g: comparison_principle(s, f, g, 0.0), True),
+    "epsilon_audit": (lambda s, f, g: epsilon_audit(s, f, g, [0.5]), True),
+    "determine": (lambda s, f, g: determine(s, f, g), True),
+}
+
+
+@pytest.mark.parametrize("call,foreign", [
+    (call, which) for call, (_, takes_g) in FIELD_CALLS.items()
+    for which in ("f", "g")[:1 + takes_g]])
+def test_fields_of_another_space_are_rejected(path3, call, foreign):
+    # an equal point count would pass a size check; each call binds f
+    # and g once, at entry
+    space, f, g = path3
+    other = unit_path(3)
+    fields = {"f": f, "g": g}
+    fields[foreign] = path_field(other, fields[foreign].values)
+    with pytest.raises(FieldSpaceMismatch, match="^field is bound to a different space$"):
+        FIELD_CALLS[call][0](space, fields["f"], fields["g"])
 
 
 def test_caller_critical_set_inside_the_space(path3):

@@ -51,6 +51,7 @@ DETERMINATION = "src/slopekit/determination.py"
 DESCENT = "src/slopekit/descent.py"
 RECONSTRUCT = "src/slopekit/reconstruct.py"
 IO = "src/slopekit/io.py"
+CLI = "src/slopekit/cli.py"
 GUARD_REJECTS = "tests/test_csv_fast.py::test_guard_rejects"
 INTEGER_RULE = "tests/test_inputs.py::test_integer_inputs_follow_one_rule"
 
@@ -71,7 +72,7 @@ MUTANTS = (
            "best = next((fz - gz for fz, gz in pairs if fz <= fx), None)",
            ("tests/test_floor.py::test_comparison_floor_matches_reference_loop",)),
     Mutant("critical-strict-tolerance", CRITICAL,
-           "slopes.values <= check_tol(tol)", "slopes.values < check_tol(tol)",
+           "    return slopes.values <= tol\n", "    return slopes.values < tol\n",
            ("tests/test_critical.py::test_constant_field_all_critical_at_zero_tol",)),
     # Spaces.
     Mutant("radius-ball-open", SPACE,
@@ -92,6 +93,10 @@ MUTANTS = (
            "            if uv is not None and all(map(_number, set(map(type, w)))):\n",
            "            if uv is not None:\n",
            ("tests/test_knobs.py::test_build_graph_rejects_string_lengths",)),
+    Mutant("int64s-wrap-unguarded", SPACE,
+           "    return None if unsigned and (out < 0).any() else out\n",
+           "    return out\n",
+           ("tests/test_inputs.py::test_int64_conversion_takes_int64_integers_only",)),
     Mutant("int64s-take-bools", SPACE,
            "    if not all(map(_integer, types)):\n",
            "    if not all(map(_integer, types - {bool})):\n",
@@ -110,6 +115,11 @@ MUTANTS = (
            "        if obj.space is not space:\n",
            "        if obj.space.n != space.n:\n",
            ("tests/test_slope.py::test_field_space_binding_enforced",)),
+    Mutant("comparison-prelude-unbound", DETERMINATION,
+           "    require_bound(space, f, g)\n    tol, crit_tol, cap = ",
+           "    tol, crit_tol, cap = ",
+           ("tests/test_point_ids.py::test_fields_of_another_space_are_rejected"
+            "[comparison_principle-g]",)),
     # Knobs and the number and flag rules of `space`.
     Mutant("knob-takes-bools", SPACE,
            "    return issubclass(t, (int, np.integer)) and t is not bool\n",
@@ -192,7 +202,7 @@ MUTANTS = (
            ("tests/test_overflow.py::test_overflowing_difference_is_a_typed_error",)),
     Mutant("determine-second-slope-pass", DETERMINATION,
            "    diag, sf, _, in_f, in_g, resid = _diagnose(",
-           "    slope_field(space, f, cap=cap)\n    diag, sf, _, in_f, in_g, resid = _diagnose(",
+           "    _slope_fields(space, cap, f)\n    diag, sf, _, in_f, in_g, resid = _diagnose(",
            ("tests/test_budgets.py::test_kernel_passes_per_public_call[determine-path3]",)),
     Mutant("witness-without-tie-window", DETERMINATION,
            "    window = _WITNESS_TIE_WINDOW * max(1.0, abs(target))\n",
@@ -221,6 +231,11 @@ MUTANTS = (
     Mutant("guard-takes-long-ints", IO,
            "    if widths[:, is_int].max(initial=0) > _MAX_INT_CHARS:\n", "    if False:\n",
            (f"{GUARD_REJECTS}[0000000000000000001,2\\n-if]",)),
+    Mutant("guard-takes-floats-in-int-columns", IO,
+           "    return not is_int[np.searchsorted(seps, marks) % k].any()\n",
+           "    return True\n",
+           ("tests/test_csv_fast.py::test_guard_refuses_floats_in_int_columns"
+            "[1.5,2.0\\n-if]",)),
     Mutant("guard-rows-unaligned", IO,
            "    if seps.size % k or not (b[seps].reshape(-1, k) == row_end).all():\n",
            "    if seps.size % k:\n",
@@ -230,6 +245,10 @@ MUTANTS = (
            "    row = int(bad.size - 1 - np.argmax(bad[::-1]))\n",
            ("tests/test_csv_fast.py::test_array_checks_fail_the_same_way"
             "[field-point,value\\n0,1\\n1,1e999\\n2,-1e999\\n]",)),
+    # CLI start-up.
+    Mutant("cli-imports-traceback", CLI,
+           "import argparse\nimport sys\n", "import argparse\nimport sys\nimport traceback\n",
+           ("tests/test_api.py::test_cli_import_loads_exactly_the_library_modules",)),
 )
 
 
