@@ -26,9 +26,10 @@ at most 18 characters with no '.', 'e' or 'E'. np.loadtxt then parses
 whole columns with the values of int() and float()
 (`testing.reference_read_columns` is the oracle), and rejects every
 other malformed cell: an empty one, a lone sign or '.', a second '.' or
-exponent, a misplaced '-'. A file in the renderers' exact form is
-guarded as read; any other file is normalised once and guarded again.
-Only a rejected file is read line by line, to find the line to name.
+exponent, a misplaced '-'. Before any guard, each `inf` cell after the
+first is spelled `1e999` (`_infinities`), so a file in the renderers'
+exact form is guarded as read; any other file is normalised once and
+guarded again. Only a rejected file is read by lines, for the line to name.
 """
 from __future__ import annotations
 
@@ -68,6 +69,14 @@ _FLOAT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 _CELL = {"i": re.compile(_INT), "f": re.compile(f"{_FLOAT}|inf")}
 _ALPHABET = b"0123456789-+.eE,\n"
 _MAX_INT_CHARS = 18
+# A whole `inf` cell after a comma, matched from its 'i': the regex engine
+# finds that one byte about three times faster than the prefix ",inf".
+_INF_CELL = re.compile(rb"i(?<=,i)nf(?=[,\n])")
+
+
+def _infinities(body: bytes) -> bytes:
+    """`body` with each whole `inf` cell after a comma spelled `1e999`."""
+    return _INF_CELL.sub(b"1e999", body) if b"i" in body else body
 
 
 def _in_grammar(body: bytes, kinds: str) -> bool:
@@ -154,8 +163,7 @@ def _normalised(path, raw: bytes, layouts: dict[str, str], names):
     if header not in layouts:
         raise FileFormatError(
             f"{path}:{lineno}: bad header {header!r}, expected {expected}")
-    body = "".join([",".join("1e999" if c == "inf" else c for c in cells) + "\n"
-                    for _, cells in lines]).encode()
+    body = _infinities("".join([",".join(cells) + "\n" for _, cells in lines]).encode())
     if body and not _in_grammar(body, layouts[header]):
         raise _grammar_error(path, text, layouts[header], names)
     return header, body
@@ -173,6 +181,7 @@ def _read_columns(path, layouts: dict[str, str], names):
     kinds = layouts.get(head.decode("latin-1"))
     if body and not body.endswith(b"\n"):
         body += b"\n"
+    body = _infinities(body)
     if kinds is None or not body or not _in_grammar(body, kinds):
         header, body = _normalised(path, raw, layouts, names)
         kinds = layouts[header]

@@ -5,15 +5,12 @@ points are the seeds, and every other point x gets the least path sum
 
     v(x) = min over neighbors y of  v(y) + s(x) * d(x, y).
 
-The sweep is `space._sweep`, the kernel that `distances_from` also
-runs, with edge increments s(x) * d(x, y). It relaxes the out-edges of
-a wide frontier in synchronous array rounds, hands a narrow one to a
-heap, and certifies its result as a fixpoint (no edge into a non-seed
-point lowers it), raising InvariantViolated rather than relying on
-`assert`. The sweep alone is a heuristic; what makes the solver honest
-is the unconditional verification pass afterwards, which recomputes the
-slope field of the output and rejects the result (with witnesses)
-wherever it deviates from the input slopes beyond tolerance. When the
+The sweep is `space._sweep`, with edge increments s(x) * d(x, y); its
+docstring says how it relaxes and certifies. The sweep alone is a
+heuristic; what makes the solver honest is the unconditional
+verification pass afterwards, which recomputes the slope field of the
+output and rejects the result (with witnesses) wherever it deviates
+from the input slopes beyond tolerance. When the
 data really came from a field, uniqueness of the answer is exactly the
 determination property: equal slopes plus equal critical values leave
 no freedom beyond what the prescription already fixes. This holds on
@@ -97,11 +94,9 @@ def reconstruct(space: MetricSpaceGraph, data: SlopeData, tol: float = 1e-9):
     whose witnesses list every point where the recomputed slope deviates
     from the input by more than tol. Prescribed values are never
     overridden; every other value is the least path sum from them, which
-    does not depend on the order of relaxation. The sweep runs array
-    rounds while at least `space._WIDE` points wait in its frontier and
-    a heap after that. Its result must be a fixpoint (no edge into a
-    non-prescribed point lowers it), else InvariantViolated. The space
-    need not be connected. A point the sweep does not reach is a
+    does not depend on the order of relaxation; `space._sweep` raises
+    InvariantViolated unless they are a fixpoint. The space need not be
+    connected. A point the sweep does not reach is a
     NonFiniteFieldValue when it lies next to a reached point (its every
     candidate value overflows), and otherwise an EmptyCriticalSet: its
     component has no prescribed value and no slope <= tol.

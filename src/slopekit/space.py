@@ -485,32 +485,8 @@ def neighbors(space: MetricSpaceGraph, x: PointId,
 
 
 def is_connected(space: MetricSpaceGraph) -> bool:
-    """Whether the space is one component.
-
-    Every point starts labelled with its own id. Each round lowers the
-    label of every edge's target to its source's label, then replaces
-    each label by its label's label (min-label propagation with pointer
-    jumping). A label is always a point that reaches its holder, and
-    labels only fall, so the rounds stop when the label sum stops
-    falling; the least point that reaches a holder is then its label.
-    The space is connected iff every label is 0.
-
-    Labels move toward the target, not toward its root, so a path whose
-    ids do not rise along it can take one round per point. After
-    2 * bit_length(n) + 4 undecided rounds a zero-increment sweep from
-    point 0 decides instead, in O(n + m log n): it leaves inf exactly on
-    the points that 0 does not reach.
-    """
-    label = np.arange(space.n)
-    total = label.sum()
-    for _ in range(2 * int(space.n).bit_length() + 4):
-        if not total:
-            return True
-        np.minimum.at(label, space.dst, label[space.src])
-        label = label[label]
-        last, total = total, label.sum()
-        if total == last:
-            return False
-    return not total or bool(np.isfinite(
-        _sweep(space, np.zeros(space.dst.size), np.zeros(1, dtype=np.intp),
-               np.zeros(1))).all())
+    """Whether the space is one component: a zero-increment `_sweep` from
+    point 0 reaches exactly the component of 0, without overflow, so the
+    space is connected iff it leaves no point at inf."""
+    return bool(np.isfinite(_sweep(space, np.zeros(space.dst.size),
+                                   np.zeros(1, dtype=np.intp), np.zeros(1))).all())

@@ -15,8 +15,8 @@ the per-point loop that the edge-array slope kernel replaced,
 `reference_sweep` computes the shortest-path sweep by label correction,
 in no particular relaxation order, `reference_build_graph` checks an
 edge list entry by entry and lays it out by `sorted()`,
-`reference_is_connected` keeps
-the depth-first search that array label propagation replaced, and
+`reference_is_connected` a depth-first search beside the sweep of
+`space.is_connected`, and
 `reference_extremal_witness` the loop over the critical points that
 picked the witnesses of `determination`, and `reference_comparison_floor`
 the loop over a set of critical points that `comparison_floor` ran
@@ -161,8 +161,8 @@ def reference_sweep(space: MetricSpaceGraph, inc: np.ndarray,
 
 def reference_is_connected(space: MetricSpaceGraph) -> bool:
     """Whether the space is one component, by a depth-first search from
-    point 0 over the CSR slices: the per-point loop that the label
-    propagation of `space.is_connected` replaced."""
+    point 0 over the CSR slices: the per-point loop that checks the
+    zero-increment sweep of `space.is_connected`."""
     ends = space.indptr.tolist()
     dst = space.dst.tolist()
     seen = [False] * space.n

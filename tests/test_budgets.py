@@ -2,10 +2,9 @@
 do its work, and the checks of its arguments, counted exactly on a
 fixed small space.
 
-Every slopekit module's reference to the slope kernel (`slope._slopes`),
-the sweep (`space._sweep`) and the connectivity test
-(`space.is_connected`) is wrapped with a counter, and so is each
-reference to the binding check and the cap and tolerance checks of
+Every slopekit module's reference to the slope kernel (`slope._slopes`)
+and the sweep (`space._sweep`) is wrapped with a counter, and so is
+each reference to the binding check and the cap and tolerance checks of
 `slope`. A call that gains a pass, or loses one, changes a count; the
 counts are asserted equal, not bounded. Each argument is checked once,
 at the public entry, and private code takes checked inputs. A change
@@ -34,19 +33,18 @@ from slopekit import (
     determine,
     distances_from,
     epsilon_audit,
+    is_connected,
     local_slope,
     neighbors,
     reconstruct,
     scale_field,
     slope_field,
-    space as space_module,
     verify_strict_comparison,
 )
 from slopekit.testing import random_connected_graph, random_dyadic_field
 
 KERNELS = {"slopes": ("slopekit.slope", "_slopes"),
-           "sweeps": ("slopekit.space", "_sweep"),
-           "connectivity": ("slopekit.space", "is_connected")}
+           "sweeps": ("slopekit.space", "_sweep")}
 CHECKS = {"require_bound": ("slopekit.slope", "require_bound"),
           "check_cap": ("slopekit.slope", "check_cap"),
           "check_tol": ("slopekit.slope", "check_tol")}
@@ -101,35 +99,34 @@ class Inputs:
         self.c = float(np.max(self.g.values - f.values))
 
 
-# public call -> (slope passes, sweeps, connectivity tests); a constructor
-# checks its input by the rules of `space` and runs no kernel
+# public call -> (slope passes, sweeps); a constructor checks its input
+# by the rules of `space` and runs no kernel
 BUDGETS = {
-    "ScalarField": ((0, 0, 0), lambda a: ScalarField(a.space, a.f.values)),
-    "SlopeField": ((0, 0, 0),
+    "ScalarField": ((0, 0), lambda a: ScalarField(a.space, a.f.values)),
+    "SlopeField": ((0, 0),
                    lambda a: SlopeField(a.space, a.slopes.values, a.slopes.infinite)),
-    "CriticalSet": ((0, 0, 0), lambda a: CriticalSet(a.space, a.crit.mask, 0.0)),
-    "local_slope": ((0, 0, 0), lambda a: local_slope(a.space, a.f, a.x0)),
-    "scale_field": ((0, 0, 0), lambda a: scale_field(a.f, 2.0)),
-    "neighbors": ((0, 0, 0), lambda a: neighbors(a.space, 0)),
-    "neighbors-radius": ((0, 1, 0), lambda a: neighbors(a.space, 0, radius=1.0)),
-    "distances_from": ((0, 1, 0), lambda a: distances_from(a.space, 0)),
+    "CriticalSet": ((0, 0), lambda a: CriticalSet(a.space, a.crit.mask, 0.0)),
+    "local_slope": ((0, 0), lambda a: local_slope(a.space, a.f, a.x0)),
+    "scale_field": ((0, 0), lambda a: scale_field(a.f, 2.0)),
+    "neighbors": ((0, 0), lambda a: neighbors(a.space, 0)),
+    "neighbors-radius": ((0, 1), lambda a: neighbors(a.space, 0, radius=1.0)),
+    "distances_from": ((0, 1), lambda a: distances_from(a.space, 0)),
     "delta_slope_profile": (
-        (0, 1, 0), lambda a: delta_slope_profile(a.space, a.f, a.x0, [2.0, 1.0])),
-    # read from the module at call time, where the counter replaces it
-    "is_connected": ((0, 0, 1), lambda a: space_module.is_connected(a.space)),
-    "descent_step": ((0, 0, 0), lambda a: descent_step(a.space, a.f, a.g, a.x0, a.crit)),
-    "slope_field": ((1, 0, 0), lambda a: slope_field(a.space, a.f)),
-    "critical_set": ((0, 0, 0), lambda a: critical_set(a.slopes)),
-    "comparison_floor": ((0, 0, 0),
+        (0, 1), lambda a: delta_slope_profile(a.space, a.f, a.x0, [2.0, 1.0])),
+    "is_connected": ((0, 1), lambda a: is_connected(a.space)),
+    "descent_step": ((0, 0), lambda a: descent_step(a.space, a.f, a.g, a.x0, a.crit)),
+    "slope_field": ((1, 0), lambda a: slope_field(a.space, a.f)),
+    "critical_set": ((0, 0), lambda a: critical_set(a.slopes)),
+    "comparison_floor": ((0, 0),
                          lambda a: comparison_floor(a.space, a.f, a.g, a.x0, a.crit)),
-    "descent_path": ((0, 0, 0), lambda a: descent_path(a.space, a.f, a.g, a.x0, a.crit)),
+    "descent_path": ((0, 0), lambda a: descent_path(a.space, a.f, a.g, a.x0, a.crit)),
     "verify_strict_comparison": (
-        (2, 0, 0), lambda a: verify_strict_comparison(a.space, a.f, a.g, a.crit)),
+        (2, 0), lambda a: verify_strict_comparison(a.space, a.f, a.g, a.crit)),
     "comparison_principle": (
-        (2, 0, 0), lambda a: comparison_principle(a.space, a.f, a.g, a.c)),
-    "epsilon_audit": ((3, 0, 0), lambda a: epsilon_audit(a.space, a.f, a.g, [0.5, 0.25])),
-    "determine": ((2, 0, 0), lambda a: determine(a.space, a.f, a.g)),
-    "reconstruct": ((1, 1, 0), lambda a: reconstruct(a.space, a.data)),
+        (2, 0), lambda a: comparison_principle(a.space, a.f, a.g, a.c)),
+    "epsilon_audit": ((3, 0), lambda a: epsilon_audit(a.space, a.f, a.g, [0.5, 0.25])),
+    "determine": ((2, 0), lambda a: determine(a.space, a.f, a.g)),
+    "reconstruct": ((1, 1), lambda a: reconstruct(a.space, a.data)),
 }
 
 
@@ -140,7 +137,7 @@ def test_kernel_passes_per_public_call(tally, build, call):
     budget, run = BUDGETS[call]
     tally.clear()
     run(inputs)
-    assert (tally["slopes"], tally["sweeps"], tally["connectivity"]) == budget
+    assert (tally["slopes"], tally["sweeps"]) == budget
 
 
 # public call -> (require_bound, check_cap, check_tol) calls, each run by

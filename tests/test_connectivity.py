@@ -1,10 +1,9 @@
 """Differential suite for `is_connected`.
 
-`space.is_connected` decides, by array label propagation, whether a
-space is one component. It must agree with the depth-first search kept
-as `testing.reference_is_connected`, also on long paths whose ids do
-not rise along them, where the label rounds run out and the
-zero-increment sweep decides.
+`space.is_connected` decides whether a space is one component by a
+zero-increment sweep from point 0. It must agree with the depth-first
+search of `testing.reference_is_connected`, also on long paths whose
+ids do not rise along them, and on paths whose distances overflow.
 """
 import random
 import time
@@ -12,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from slopekit import build_graph, is_connected
+from slopekit import build_graph, distances_from, is_connected
 from slopekit.testing import random_connected_graph, reference_is_connected
 
 
@@ -47,14 +46,14 @@ def test_components_and_isolated_points():
     assert True in outcomes and False in outcomes
 
 
-def cut_path(order, cut):
-    """The path order[0] - order[1] - ... with unit lengths, without its
-    middle edge if `cut`."""
+def cut_path(order, cut, length=1.0):
+    """The path order[0] - order[1] - ... with edges of the given length,
+    without its middle edge if `cut`."""
     order = np.asarray(order)
     keep = np.ones(order.size - 1, dtype=bool)
     keep[order.size // 2] = not cut
     return build_graph(zip(order[:-1][keep].tolist(), order[1:][keep].tolist(),
-                           [1.0] * int(keep.sum())), n=order.size)
+                           [length] * int(keep.sum())), n=order.size)
 
 
 @pytest.mark.parametrize("cut", [None, "both"])
@@ -67,8 +66,8 @@ def test_long_interval(cut):
 @pytest.mark.parametrize("layout", ["zero_last", "falling", "shuffled"])
 @pytest.mark.parametrize("cut", [False, True])
 def test_long_path_with_unsorted_ids(layout, cut):
-    # Ids that do not rise along a 100 001-point path move label 0 one
-    # hop per round; the bounded rounds must hand over to the sweep.
+    # Ids that do not rise along a 100 001-point path: the sweep from
+    # point 0 must still cross it in time.
     n = 100001
     if layout == "zero_last":
         order = np.r_[np.arange(1, n), 0]
@@ -81,3 +80,12 @@ def test_long_path_with_unsorted_ids(layout, cut):
     assert is_connected(space) == (not cut)
     assert time.perf_counter() - start < 5.0
     assert reference_is_connected(space) == (not cut)
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_path_whose_distances_overflow(cut):
+    # Edges near the float maximum: the distance from point 0 overflows
+    # to inf two hops out, yet the whole path is one component.
+    space = cut_path(np.arange(9), cut, length=1.7e308)
+    assert distances_from(space, 0)[2] == np.inf
+    assert agree(space) == (not cut)

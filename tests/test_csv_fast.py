@@ -153,6 +153,23 @@ def test_guard_matches_the_grammar(tmp_path, kinds):
     assert 0 < accepted < BODIES
 
 
+@pytest.mark.parametrize("kinds", ["if", "ifi", "iff"])
+def test_inf_cells_read_as_the_reference(tmp_path, kinds):
+    # `inf` and near spellings in every column: the byte step that spells
+    # a whole `inf` cell 1e999 must leave the others alone.
+    rng = random.Random(f"inf-{kinds}")
+    near = ["inf", "inf", "-inf", "+inf", "inf5", "5inf", "infinf", "i", "nan"]
+    accepted = 0
+    for _ in range(300):
+        body = "".join(",".join(rng.choice(near) if rng.random() < 0.4 else
+                                ("1" if c == "i" else "2.5") for c in kinds) + "\n"
+                       for _ in range(rng.randint(1, 3)))
+        got, ref = read_body(tmp_path, body, kinds)
+        assert got == ref, body
+        accepted += got is not None
+    assert 0 < accepted < 300
+
+
 # A float in an int column: numpy 2 refuses it as it parses, and numpy
 # 1.24 may read it, so the guard refuses it first.
 FLOATS_IN_INT_COLUMNS = [("1.0,2\n", "if"), ("1e3,2\n", "if"), ("1.5,2.0\n", "if")]
@@ -178,7 +195,7 @@ def test_guard_refuses_floats_in_int_columns(body, kinds):
     ("1,.\n", "if"), ("1,-\n", "if"), ("1,-.\n", "if"), ("1,e5\n", "if"),
     ("1,.e5\n", "if"), ("1,5e\n", "if"), ("1,5e+\n", "if"),
     ("1,5.5.5\n", "if"), ("1,5e5e5\n", "if"), ("1,5e5.5\n", "if"),
-    ("1,5-5\n", "if"), ("1,--5\n", "if"), ("1,inf\n", "if"),
+    ("1,5-5\n", "if"), ("1,--5\n", "if"),
     ("1,nan\n", "if"), ("#1,2\n", "if"),
     ("1,2\n\n1234567890123456789,5\n\n", "if"),  # the long int, shifted
     ("0000000000000000001,2\n", "if"),      # 19 characters for a small value
@@ -188,7 +205,7 @@ def test_guard_refuses_floats_in_int_columns(body, kinds):
 def test_guard_rejects(tmp_path, monkeypatch, body, kinds):
     # No body here is accepted as written: the reader rejects those
     # outside the grammar, and normalises the rest (spaces, CRLF, a blank
-    # or comment line, `inf`) and reads them as the reference does.
+    # or comment line) and reads them as the reference does.
     normalised = count_normalised(monkeypatch)
     got, ref = read_body(tmp_path, body, kinds)
     assert got == ref
@@ -199,7 +216,8 @@ def test_guard_rejects(tmp_path, monkeypatch, body, kinds):
     ("-0,-0\n", "if"), ("007,0.5\n", "if"), ("123456789012345678,1\n", "if"),
     ("-12345678901234567,1\n", "if"), ("1,5.\n", "if"), ("1,.5\n", "if"),
     ("1,-.5\n", "if"), ("1,5.e3\n", "if"), ("1,2.5E+2\n", "if"),
-    ("1,1e-320\n", "if"), ("1,1e999\n", "if"), ("0,1,0.25\n1,2,2\n", "iif"),
+    ("1,1e-320\n", "if"), ("1,1e999\n", "if"), ("1,inf\n", "if"),
+    ("0,1,0.25\n1,2,2\n", "iif"),
     ("\n1,2\n\n\n3,4\n\n", "if"),  # blank lines between rows
     ("\n", "if"), ("\n\n\n", "iif"),  # only blank lines: no rows
 ])
@@ -306,7 +324,7 @@ def test_flagged_slopes_read_as_infinite(tmp_path, monkeypatch):
     loaded = skio.load_slope_csv(path, space)
     assert loaded.infinite.tolist() == [True, True, False]
     assert loaded.values.tolist() == [np.inf, np.inf, 0.5]
-    assert normalised == [path]  # `inf` is not in the byte guard's alphabet
+    assert normalised == []  # `inf` cells are spelled 1e999 before the guard
     ref = outcome(lambda: reference_read_columns(path, LAYOUTS["slopes"])[1])
     assert outcome(lambda: read_columns(path, LAYOUTS["slopes"])) == ref
     # The slope cell of a flagged row is not read, but it must be a cell
@@ -317,6 +335,36 @@ def test_flagged_slopes_read_as_infinite(tmp_path, monkeypatch):
     with pytest.raises(FileFormatError, match=r"s.csv:3: bad slope 'x'"):
         skio.load_slope_csv(path, space)
 
+
+# Slope files with `inf` spelled in and out of the grammar, and what
+# load_slope_csv gives: the values, or the exception and message.
+INF_SPELLINGS = {
+    "0,inf,1\n1,inf,1\n2,0.5,0\n": ("ok", [np.inf, np.inf, 0.5]),
+    "0,inf,1\n1,inf,1\n2,0.5,0": ("ok", [np.inf, np.inf, 0.5]),
+    "0,inf,1\r\n1,1,0\n2,0.5,0\n": ("ok", [np.inf, 1.0, 0.5]),
+    "0,-inf,1\n1,1,0\n2,0.5,0\n": ("FileFormatError", "bad.csv:2: non-finite slope '-inf'"),
+    "0,+inf,1\n1,1,0\n2,0.5,0\n": ("FileFormatError", "bad.csv:2: non-finite slope '+inf'"),
+    "0,INF,1\n1,1,0\n2,0.5,0\n": ("FileFormatError", "bad.csv:2: non-finite slope 'INF'"),
+    "0,inf5,1\n1,1,0\n2,0.5,0\n": ("FileFormatError", "bad.csv:2: bad slope 'inf5'"),
+    "0,nan,1\n1,1,0\n2,0.5,0\n": ("FileFormatError", "bad.csv:2: non-finite slope 'nan'"),
+    "0,inf,0\n1,1,0\n2,0.5,0\n": ("FileFormatError", "bad.csv:2: non-finite slope 'inf'"),
+    "0,1,inf\n1,1,0\n2,0.5,0\n": ("FileFormatError", "bad.csv:2: bad flag 'inf'"),
+    "inf,1,1\n1,1,0\n2,0.5,0\n": ("FileFormatError", "bad.csv:2: bad point 'inf'"),
+    "0,inf,1,inf\n1,1,0\n2,0.5,0\n":
+        ("FileFormatError", "bad.csv:2: expected point,slope,is_infinite"),
+}
+
+
+@pytest.mark.parametrize("body", list(INF_SPELLINGS))
+def test_inf_spellings_read_as_pinned(tmp_path, body):
+    space = skio.load_graph_csv(write_file(tmp_path / "space.csv",
+                                           "u,v,length\n0,1,1e-13\n1,2,1\n"))
+    path = write_file(tmp_path / "bad.csv", f"point,slope,is_infinite\n{body}")
+    try:
+        got = "ok", skio.load_slope_csv(path, space).values.tolist()
+    except FileFormatError as exc:
+        got = "FileFormatError", str(exc).replace(f"{tmp_path}/", "")
+    assert got == INF_SPELLINGS[body]
 
 # Files in the grammar that only a loader's checks reject, with the
 # exception and message they raise (the same as before the one-grammar

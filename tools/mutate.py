@@ -102,6 +102,12 @@ MUTANTS = (
            "    if not all(map(_integer, types - {bool})):\n",
            ("tests/test_kernel.py::test_first_bad_entry_raises_as_the_entry_loop_did",
             "tests/test_point_ids.py::test_reconstruct_rejects_bool_keys_among_integers")),
+    Mutant("is-connected-by-distances", SPACE,
+           "_sweep(space, np.zeros(space.dst.size),", "_sweep(space, space.w,",
+           ("tests/test_connectivity.py::test_path_whose_distances_overflow[False]",)),
+    Mutant("is-connected-by-any-point", SPACE,
+           "np.zeros(1))).all())", "np.zeros(1))).any())",
+           ("tests/test_connectivity.py::test_components_and_isolated_points",)),
     Mutant("raw-constructor-builds", SPACE,
            "    def __init__(self, *args, **kwargs):\n        raise TypeError(",
            "    def __init__(self, *args, **kwargs):\n        return\n        raise TypeError(",
@@ -240,6 +246,9 @@ MUTANTS = (
            "    if seps.size % k or not (b[seps].reshape(-1, k) == row_end).all():\n",
            "    if seps.size % k:\n",
            (f"{GUARD_REJECTS}[1,2\\n\\n1234567890123456789,5\\n\\n-if]",)),
+    Mutant("inf-cells-unmapped", IO,
+           "    body = _infinities(body)\n", "",
+           ("tests/test_csv_fast.py::test_flagged_slopes_read_as_infinite",)),
     Mutant("loader-names-last-bad-row", IO,
            "    row = int(np.argmax(bad))\n",
            "    row = int(bad.size - 1 - np.argmax(bad[::-1]))\n",
