@@ -74,8 +74,7 @@ class NonPositiveScale(SlopeKitError):
 
 class InvalidDecreasingList(SlopeKitError):
     """A list of radii or epsilons is empty, is not strictly decreasing,
-    or has an entry that is not finite and > 0; or a single radius is
-    not finite and > 0."""
+    or has an entry that is not finite and > 0."""
 
 
 class EmptyDeltaList(InvalidDecreasingList):

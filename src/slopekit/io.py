@@ -249,9 +249,7 @@ def load_graph_csv(path, n: int | None = None) -> MetricSpaceGraph:
 
 
 def render_graph_csv(space: MetricSpaceGraph) -> str:
-    up = space.src < space.dst
-    return _render_rows(",", "", ("u", "v", "length"), "ddg", zip(
-        space.src[up].tolist(), space.dst[up].tolist(), space.w[up].tolist()))
+    return _render_rows(",", "", ("u", "v", "length"), "ddg", space.edges)
 
 
 def load_coordinates_csv(path) -> np.ndarray:

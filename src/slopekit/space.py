@@ -3,8 +3,8 @@
 A space is a finite point set {0, ..., n-1} with symmetric positive edge
 lengths, and its one metric is the shortest-path distance along edges
 (`distances_from`). Slope computations only ever compare adjacent
-points; radius queries (`neighbors` with a radius,
-`slope.delta_slope_profile`) measure with the same distances.
+points; the balls of `slope.delta_slope_profile` are measured with the
+same distances.
 
 A space stores its point count `n`, its directed edge arrays `src`,
 `dst`, `w`, their CSR offsets `indptr` and `coordinates`, and nothing
@@ -53,7 +53,6 @@ from .errors import (
     DuplicateEdge,
     EmptyEdgeList,
     InvalidCount,
-    InvalidDecreasingList,
     InvalidPoint,
     InvariantViolated,
     NonPositiveLength,
@@ -453,35 +452,21 @@ def distances_from(space: MetricSpaceGraph, x: PointId) -> np.ndarray:
     """Single-source shortest-path distances along edges.
 
     Unreachable points get math.inf, and so does a point whose every
-    path sum exceeds the float range.
+    path sum exceeds the float range. One seed is a frontier narrower
+    than `_WIDE`, so the `_sweep` is a heap over the whole component of x.
     """
     space.check_point(x)
     return _sweep(space, space.w, np.array([x], dtype=np.intp), np.zeros(1))
 
 
-def neighbors(space: MetricSpaceGraph, x: PointId,
-              radius: float | None = None) -> tuple[tuple[int, float], ...]:
-    """The (point, distance) pairs of the adjacent points of x, or of
-    every point within `radius` of x, in increasing point order.
-
-    Without a radius the pairs are the graph-adjacent points with their
-    edge lengths. With a radius, which must be a finite number > 0
-    (`check_real`, InvalidDecreasingList), they are all points y != x
-    with d(x, y) <= radius, d the shortest-path distance of
-    `distances_from`, which is at most the edge length for an adjacent
-    point; unreachable points are never among them. The query sweeps the
-    whole component of x, whatever the radius.
-    """
+def neighbors(space: MetricSpaceGraph, x: PointId) -> tuple[tuple[int, float], ...]:
+    """The (point, edge length) pairs of the adjacent points of x, in
+    increasing point order. A metric ball is `distances_from` plus a
+    mask: `d = distances_from(space, x)`, then
+    `((d > 0.0) & (d <= r)).nonzero()[0]`."""
     space.check_point(x)
-    if radius is None:
-        a, b = space.indptr[x], space.indptr[x + 1]
-        return tuple(zip(space.dst[a:b].tolist(), space.w[a:b].tolist()))
-    radius = check_real(radius, InvalidDecreasingList, "radius",
-                        "must be a finite number > 0", 0.0)
-    dist = distances_from(space, x)
-    # d(x, x) = 0, so x itself is never a member.
-    ys = ((dist > 0.0) & (dist <= radius)).nonzero()[0]
-    return tuple(zip(ys.tolist(), dist[ys].tolist()))
+    a, b = space.indptr[x], space.indptr[x + 1]
+    return tuple(zip(space.dst[a:b].tolist(), space.w[a:b].tolist()))
 
 
 def is_connected(space: MetricSpaceGraph) -> bool:

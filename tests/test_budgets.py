@@ -109,7 +109,6 @@ BUDGETS = {
     "local_slope": ((0, 0), lambda a: local_slope(a.space, a.f, a.x0)),
     "scale_field": ((0, 0), lambda a: scale_field(a.f, 2.0)),
     "neighbors": ((0, 0), lambda a: neighbors(a.space, 0)),
-    "neighbors-radius": ((0, 1), lambda a: neighbors(a.space, 0, radius=1.0)),
     "distances_from": ((0, 1), lambda a: distances_from(a.space, 0)),
     "delta_slope_profile": (
         (0, 1), lambda a: delta_slope_profile(a.space, a.f, a.x0, [2.0, 1.0])),
@@ -149,7 +148,6 @@ CHECK_BUDGETS = {
     "local_slope": (1, 1, 0),
     "scale_field": (0, 0, 0),
     "neighbors": (0, 0, 0),
-    "neighbors-radius": (0, 0, 0),
     "distances_from": (0, 0, 0),
     "delta_slope_profile": (1, 1, 0),
     "is_connected": (0, 0, 0),

@@ -25,7 +25,6 @@ from slopekit import (
     epsilon_audit,
     grid_critical_tol,
     local_slope,
-    neighbors,
     reconstruct,
     sample_interval,
     scale_field,
@@ -365,8 +364,6 @@ REAL_KNOBS = {
         s, SlopeData(slope_field(s, f), {0: 0.0, 2: 1.0}), tol=v)),
     "delta_slope_profile-radii": (InvalidDecreasingList, "radii",
                                   lambda s, f, v: delta_slope_profile(s, f, 2, [v])),
-    "neighbors-radius": (InvalidDecreasingList, "radius",
-                         lambda s, f, v: neighbors(s, 0, v)),
     "scale_field-scale": (NonPositiveScale, "scale", lambda s, f, v: scale_field(f, v)),
     # True and "0.5" used to read as 1.0 and 0.5
     "cantor_approx-t": (OutOfDomain, "t", lambda s, f, v: cantor_approx(2, v)),

@@ -27,7 +27,6 @@ from slopekit.errors import (
     DuplicateEdge,
     EmptyEdgeList,
     FileFormatError,
-    InvalidDecreasingList,
     InvalidPoint,
     NonPositiveLength,
     SelfLoopEdge,
@@ -48,6 +47,14 @@ def floyd_warshall(space):
     for k in range(n):
         d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
     return d
+
+
+def ball(space, x, r):
+    """The (point, distance) pairs of the points y != x with
+    d(x, y) <= r, by `distances_from` plus a mask."""
+    d = distances_from(space, x)
+    ys = ((d > 0.0) & (d <= r)).nonzero()[0]
+    return tuple(zip(ys.tolist(), d[ys].tolist()))
 
 
 def test_single_edge_space():
@@ -229,7 +236,7 @@ def test_neighbors_interior_grid_point():
 def test_neighbors_radius_grid():
     grid = sample_interval(0.0, 1.0, 101)
     h = 0.01
-    nb = neighbors(grid, 50, radius=2.5 * h)
+    nb = ball(grid, 50, 2.5 * h)
     assert [y for y, _ in nb] == [48, 49, 51, 52]
 
 
@@ -239,8 +246,8 @@ def test_triangle_legs_give_path_distances():
     space = build_graph([(0, 1, 3.0), (1, 2, 4.0)])
     assert distances_from(space, 0).tolist() == [0.0, 3.0, 7.0]
     assert distances_from(space, 2).tolist() == [7.0, 4.0, 0.0]
-    assert neighbors(space, 0, radius=5.0) == ((1, 3.0),)
-    assert neighbors(space, 0, radius=7.0) == ((1, 3.0), (2, 7.0))
+    assert ball(space, 0, 5.0) == ((1, 3.0),)
+    assert ball(space, 0, 7.0) == ((1, 3.0), (2, 7.0))
     f = ScalarField(space, np.array([10.0, 7.0, 0.0]))
     entries = delta_slope_profile(space, f, 0, [7.0, 5.0, 1.0])
     assert [(e.slope, e.empty_ball) for e in entries] == \
@@ -259,7 +266,7 @@ def test_grid_ball_of_one_spacing_is_the_adjacent_points():
     for grid in uneven_grids():
         h = grid.w[0]
         for x in range(grid.n):
-            assert neighbors(grid, x, radius=h) == neighbors(grid, x), x
+            assert ball(grid, x, h) == neighbors(grid, x), x
 
 
 def test_profile_at_the_longest_edge_bounds_the_slope():
@@ -293,32 +300,34 @@ def test_neighbors_radius_monotone():
         x = rng.randrange(101)
         r1 = rng.uniform(0.005, 0.2)
         r2 = r1 + rng.uniform(0.0, 0.2)
-        small = {y for y, _ in neighbors(grid, x, radius=r1)}
-        big = {y for y, _ in neighbors(grid, x, radius=r2)}
+        small = {y for y, _ in ball(grid, x, r1)}
+        big = {y for y, _ in ball(grid, x, r2)}
         assert small <= big
 
 
 def test_neighbors_radius_matches_point_scan():
-    # The members are every y != x with d(x, y) <= r, in increasing
-    # order, under the path distances; unreached points are never members.
+    # Power-of-two lengths add exactly, so `distances_from` equals the
+    # oracle bit for bit, inf at the isolated points and from them. A
+    # ball's members are then every y != x with d(x, y) <= r, in
+    # increasing order; unreached points are never members.
     rng = random.Random("radius-members")
     for _ in range(60):
         tree = random_connected_graph(rng, n_max=30)
         space = build_graph(tree.edges, n=tree.n + rng.randint(0, 2))
         all_pairs = floyd_warshall(space)
+        for x in range(space.n):
+            assert distances_from(space, x).tolist() == all_pairs[x].tolist(), x
         for x in rng.sample(range(space.n), min(space.n, 4)):
             r = rng.choice([0.25, 1.0, 2.5, 6.0])
             dist = all_pairs[x]
             expected = tuple((y, float(dist[y])) for y in range(space.n)
                              if y != x and 0.0 < dist[y] <= r)
-            members = neighbors(space, x, radius=r)
-            assert members == expected
-            assert all(type(y) is int and type(d) is float for y, d in members)
+            assert ball(space, x, r) == expected
 
 
 def test_neighbors_radius_closure_mode():
     space = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    nb = neighbors(space, 0, radius=2.0)
+    nb = ball(space, 0, 2.0)
     assert [y for y, _ in nb] == [1, 2]
 
 
@@ -326,18 +335,21 @@ def test_radius_queries_without_coordinates_use_path_distances():
     # 0 -1- 1 -2- 2, plus a chord 0 -4- 2 that the path via 1 beats.
     space = build_graph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)], n=4)
     assert distances_from(space, 0).tolist() == [0.0, 1.0, 3.0, math.inf]
-    assert neighbors(space, 0, radius=1.5) == ((1, 1.0),)
-    assert neighbors(space, 0, radius=3.0) == ((1, 1.0), (2, 3.0))
+    assert ball(space, 0, 1.5) == ((1, 1.0),)
+    assert ball(space, 0, 3.0) == ((1, 1.0), (2, 3.0))
     f = ScalarField(space, [6.0, 5.0, 0.0, -100.0])
     profile = delta_slope_profile(space, f, 0, [5.0, 3.0, 1.0, 0.5])
     assert [(e.slope, e.empty_ball) for e in profile] == [
         (2.0, False), (2.0, False), (1.0, False), (0.0, True)]
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, True, "1"])
-def test_neighbors_rejects_radius(radius):
-    with pytest.raises(InvalidDecreasingList, match="radius must be a finite number"):
-        neighbors(unit_path(3), 0, radius=radius)
+def test_neighbors_takes_no_radius():
+    # A ball is `distances_from` plus a mask (`ball`), not a neighbors query.
+    space = unit_path(3)
+    with pytest.raises(TypeError):
+        neighbors(space, 0, radius=1.0)
+    with pytest.raises(TypeError):
+        neighbors(space, 0, 1.0)
 
 
 def test_queries_store_nothing_on_the_space():
@@ -351,7 +363,6 @@ def test_queries_store_nothing_on_the_space():
         assert len(space.edges) == space.src.size // 2
         for x in range(space.n):
             neighbors(space, x)
-            neighbors(space, x, radius=0.5)
             local_slope(space, f, x)
             distances_from(space, x)
             if not crit.mask[x]:

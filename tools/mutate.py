@@ -75,9 +75,6 @@ MUTANTS = (
            "    return slopes.values <= tol\n", "    return slopes.values < tol\n",
            ("tests/test_critical.py::test_constant_field_all_critical_at_zero_tol",)),
     # Spaces.
-    Mutant("radius-ball-open", SPACE,
-           "(dist <= radius)", "(dist < radius)",
-           ("tests/test_space.py::test_grid_ball_of_one_spacing_is_the_adjacent_points",)),
     Mutant("profile-ball-open", SLOPE,
            "(dist <= delta)", "(dist < delta)",
            ("tests/test_space.py::test_profile_at_the_longest_edge_bounds_the_slope",)),
@@ -108,6 +105,14 @@ MUTANTS = (
     Mutant("is-connected-by-any-point", SPACE,
            "np.zeros(1))).all())", "np.zeros(1))).any())",
            ("tests/test_connectivity.py::test_components_and_isolated_points",)),
+    Mutant("sweep-lowers-seeds", SPACE,
+           "step = np.where(seeded[space.dst], math.inf, inc)", "step = inc",
+           ("tests/test_sweep.py::test_every_case_at_forced_widths[1]",
+            "tests/test_sweep.py::test_every_case_at_forced_widths[inf]")),
+    Mutant("sweep-certificate-off", SPACE,
+           "bad = (v[space.dst] > v[space.src] + step).nonzero()[0]",
+           "bad = np.empty(0, dtype=np.intp)",
+           ("tests/test_reconstruct.py::test_sweep_order_violation_raises",)),
     Mutant("raw-constructor-builds", SPACE,
            "    def __init__(self, *args, **kwargs):\n        raise TypeError(",
            "    def __init__(self, *args, **kwargs):\n        return\n        raise TypeError(",
