@@ -23,7 +23,7 @@ _MODULE_OF = {name: module for module, names in (
                "local_slope", "slope_field", "scale_field", "delta_slope_profile")),
     ("critical", ("CriticalSet", "NoCriticalBelow", "NO_CRITICAL_BELOW",
                   "critical_set", "comparison_floor", "grid_critical_tol")),
-    ("descent", ("DescentPath", "NoStep", "StrictComparisonReport",
+    ("descent", ("DescentPath", "StrictComparisonReport",
                  "descent_step", "descent_path", "verify_strict_comparison")),
     ("determination", ("HypothesisDiagnostics", "DeterminationReport", "Verdict",
                        "Witness", "ComparisonResult", "EpsilonAudit",

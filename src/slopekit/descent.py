@@ -39,25 +39,12 @@ from .space import MetricSpaceGraph, PointId, check_count
 
 
 @dataclass(frozen=True)
-class NoStep:
-    """Diagnostic result: no adjacent point satisfied both inequalities.
-
-    Impossible when the dominance precondition holds exactly; seeing it
-    means dominance held only within floating-point tolerance.
-    """
-
-    point: int
-    slope_f: float
-    slope_g: float
-    reason: str
-
-
-@dataclass(frozen=True)
 class DescentPath:
-    """A strictly decreasing walk ending (normally) at a critical point.
+    """A strictly decreasing walk ending at a critical point.
 
     Both `f_values` and `diff_values` (the values of f - g) decrease
-    strictly along `points`, which therefore never repeat.
+    strictly along `points`, which therefore never repeat. A path from
+    `descent_path` always has `terminal_critical` True.
     """
 
     points: tuple[int, ...]
@@ -92,15 +79,14 @@ class StrictComparisonReport:
 
 def descent_step(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
                  x: PointId, crit: CriticalSet,
-                 cap: float = OVERFLOW_CAP):
+                 cap: float = OVERFLOW_CAP) -> int:
     """One descent step from a non-critical point x.
 
     Requires strictly larger slope of f than of g at x (checked here).
     Among adjacent points satisfying both strict inequalities, returns
     the one maximizing the descent quotient (f(x) - f(z)) / d(x, z),
-    ties broken by smallest point id. Returns a NoStep diagnostic if no
-    adjacent point qualifies, which can only happen when the dominance
-    precondition held just within tolerance.
+    ties broken by smallest point id. If none qualifies (dominance held
+    only within rounding), the step stalls: SlopeDominanceViolated.
     """
     require_bound(space, f, g, crit)
     space.check_point(x)
@@ -110,8 +96,8 @@ def descent_step(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
 
 
 def _step(space: MetricSpaceGraph, fv: np.ndarray, gv: np.ndarray, x: int,
-          cap: float):
-    """`descent_step` from the non-critical point x, for checked inputs.
+          cap: float) -> int:
+    """`descent_step`, its raises included, at the non-critical point x of checked inputs.
 
     Both slopes and the step come from one read of x's CSR slice, as
     lists of Python floats: their subtraction and division round as
@@ -149,8 +135,9 @@ def _step(space: MetricSpaceGraph, fv: np.ndarray, gv: np.ndarray, x: int,
         raise SlopeDominanceViolated(
             f"at point {x}: slope_f={slope_f} <= slope_g={slope_g}")
     if best is None:
-        return NoStep(point=x, slope_f=slope_f, slope_g=slope_g,
-                      reason="no adjacent point satisfies both strict decreases")
+        raise SlopeDominanceViolated(
+            f"descent stalled at point {x}: no adjacent point satisfies both "
+            f"strict decreases (slope_f={slope_f}, slope_g={slope_g})")
     return best
 
 
@@ -181,12 +168,7 @@ def descent_path(space: MetricSpaceGraph, f: ScalarField, g: ScalarField,
         if len(points) - 1 >= max_steps:
             raise StepLimitExceeded(
                 f"no critical point within {max_steps} steps from {x0}")
-        nxt = _step(space, fv, gv, current, cap)
-        if isinstance(nxt, NoStep):
-            raise SlopeDominanceViolated(
-                f"descent stalled at point {nxt.point}: {nxt.reason} "
-                f"(slope_f={nxt.slope_f}, slope_g={nxt.slope_g})")
-        current = nxt
+        current = _step(space, fv, gv, current, cap)
         points.append(current)
         f_vals.append(float(fv[current]))
         diff_vals.append(float(fv[current]) - float(gv[current]))

@@ -100,7 +100,7 @@ class PointIsCritical(SlopeKitError):
 
 
 class SlopeDominanceViolated(SlopeKitError):
-    """The strict slope inequality required for descent does not hold."""
+    """The strict slope inequality of descent fails, or a step stalls."""
 
 
 class StepLimitExceeded(SlopeKitError):

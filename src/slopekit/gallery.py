@@ -148,7 +148,11 @@ def cantor_pair(level: int) -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
     (3/2)^k across refinement levels. The level is checked once, here;
     the values, like the slopes, then take a t in [0, 1] unchecked.
     """
-    level = check_count(level, "level", 0)
+    return _cantor_pair(check_count(level, "level", 0))
+
+
+def _cantor_pair(level: int) -> tuple[AnalyticFunction1D, AnalyticFunction1D]:
+    """`cantor_pair` of a checked level."""
 
     def f_val(t: float) -> float:
         return _cantor(level, t) + t
@@ -188,7 +192,9 @@ def emit_figure_data(which: str, n: int | None = None, level: int = 8,
 
     Returns (header, rows) with columns t, f, g, slope_f_analytic,
     slope_f_discrete; output is deterministic for fixed parameters.
+    `level` must be an integer >= 0 (InvalidCount) for every figure.
     """
+    level = check_count(level, "level", 0)
     if which == "fig1":
         fn, gn = arctan_pair()
         a, b = -5.0, 5.0
@@ -200,10 +206,10 @@ def emit_figure_data(which: str, n: int | None = None, level: int = 8,
         if n is None:
             n = 1005
     elif which == "fig3":
-        fn, gn = cantor_pair(level)
+        fn, gn = _cantor_pair(level)
         a, b = 0.0, 1.0
         if n is None:
-            n = 3 ** int(level) + 1
+            n = 3 ** level + 1
     else:
         raise UnknownFigure(f"unknown figure tag {which!r}; "
                             f"expected one of {FIGURE_TAGS}")

@@ -46,7 +46,7 @@ from .critical import (
     critical_set,
     sublevel_floor,
 )
-from .descent import NoStep, descent_path, descent_step
+from .descent import descent_path, descent_step
 from .determination import (
     _WITNESS_TIE_WINDOW,
     VERDICT_EQUAL,
@@ -375,8 +375,9 @@ def reference_descent_step(space: MetricSpaceGraph, f: ScalarField,
                            g: ScalarField, x: int, cap: float = OVERFLOW_CAP):
     """The result of `descent._step` from the non-critical point x, for
     checked inputs, by a loop over x's adjacent points on np.float64
-    values under `np.errstate`: the next point, a NoStep, or
-    SlopeDominanceViolated."""
+    values under `np.errstate`: the next point, or SlopeDominanceViolated
+    with the message of `descent._step` when dominance fails at x or the
+    step stalls."""
     fx, gx = f.values[x], g.values[x]
     slope_f = slope_g = 0.0
     best = None
@@ -407,8 +408,9 @@ def reference_descent_step(space: MetricSpaceGraph, f: ScalarField,
         raise SlopeDominanceViolated(
             f"at point {x}: slope_f={slope_f} <= slope_g={slope_g}")
     if best is None:
-        return NoStep(point=x, slope_f=slope_f, slope_g=slope_g,
-                      reason="no adjacent point satisfies both strict decreases")
+        raise SlopeDominanceViolated(
+            f"descent stalled at point {x}: no adjacent point satisfies both "
+            f"strict decreases (slope_f={slope_f}, slope_g={slope_g})")
     return best
 
 
@@ -464,7 +466,8 @@ class SuiteResult:
 def lemma_existence_suite(trials: int = 1000, seed: int = 0,
                           n_max: int = 50) -> SuiteResult:
     """At every non-critical point of f, with g = c*f for 0 < c < 0.9,
-    a descent step exists and satisfies both strict inequalities."""
+    a descent step exists and satisfies both strict inequalities. A
+    step that raises SlopeDominanceViolated is a failed check."""
     rng = random.Random(seed)
     checks = failures = 0
     first = None
@@ -478,10 +481,13 @@ def lemma_existence_suite(trials: int = 1000, seed: int = 0,
             if crit.mask[x]:
                 continue
             checks += 1
-            z = descent_step(space, f, g, x, crit)
-            ok = (not isinstance(z, NoStep)
-                  and f.values[x] > f.values[z]
-                  and (f.values[x] - g.values[x]) > (f.values[z] - g.values[z]))
+            try:
+                z = descent_step(space, f, g, x, crit)
+            except SlopeDominanceViolated:
+                ok = False
+            else:
+                ok = (f.values[x] > f.values[z]
+                      and (f.values[x] - g.values[x]) > (f.values[z] - g.values[z]))
             if not ok:
                 failures += 1
                 if first is None:

@@ -23,9 +23,11 @@ def test_every_public_name_resolves_once():
 def test_removed_names_are_absent():
     for name in ("EDGE_LOCAL", "SHORTEST_PATH_CLOSURE", "SublevelSet", "sublevel_set",
                  "SlopeValue", "INFINITE_SLOPE", "Neighborhood", "check_hypotheses",
-                 "metric_distances"):
+                 "metric_distances", "NoStep"):
         assert name not in slopekit.__all__
         assert not hasattr(slopekit, name)
+    assert not hasattr(slopekit.descent, "NoStep")
+    assert not hasattr(importlib.import_module("slopekit.testing"), "NoStep")
     assert not hasattr(slopekit.determination, "check_hypotheses")
     for module in (slopekit.critical, slopekit.slope, slopekit.space):
         for name in ("SublevelSet", "sublevel_set", "SlopeValue", "INFINITE_SLOPE",

@@ -281,6 +281,23 @@ def test_descend_without_dominance_is_an_input_error(fixtures, capsys):
     assert "SlopeDominanceViolated" in err
 
 
+def test_stalled_descend_is_an_input_error(tmp_path, capsys):
+    # f - g is 2.7 at both points, yet in floats the slope of f (0.5) is
+    # above that of g (0.49999999999999994): no step lowers f - g
+    files = {"graph": "u,v,length\n0,1,1.0\n", "f": "point,value\n0,2.5\n1,2.0\n",
+             "g": "point,value\n0,-0.2\n1,-0.7\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    rc = main(["descend", "--space", str(tmp_path / "graph.csv"),
+               "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv"),
+               "--start", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 74 and out == ""
+    assert err == ("slopekit: SlopeDominanceViolated: descent stalled at point 0: "
+                   "no adjacent point satisfies both strict decreases "
+                   "(slope_f=0.5, slope_g=0.49999999999999994)\n")
+
+
 def test_internal_error_prints_its_traceback(monkeypatch, capsys):
     # a bug, not a typed error: exit 70 with the traceback on stderr
     def broken(*args, **kwargs):

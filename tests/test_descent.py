@@ -5,7 +5,6 @@ import pytest
 
 from conftest import path_field, unit_path
 from slopekit import (
-    NoStep,
     ScalarField,
     critical_set,
     descent_path,
@@ -38,16 +37,18 @@ def test_descent_step_hand_example():
     assert (f[0] - g[0]) > (f[1] - g[1])
 
 
-def test_level_difference_is_no_step():
+def test_level_difference_stalls_the_step():
     # f - g is 2.7 at both points, yet in floats f drops by 0.5 and g by
     # 0.49999999999999994, so the slope of f is above that of g at 0: a
     # neighbour where f - g only ties is no step.
     space = unit_path(2)
     f = path_field(space, [2.5, 2.0])
     g = path_field(space, [-0.2, -0.7])
-    step = descent_step(space, f, g, 0, make_crit(space, f))
-    assert isinstance(step, NoStep)
-    assert step.slope_f > step.slope_g
+    with pytest.raises(SlopeDominanceViolated) as info:
+        descent_step(space, f, g, 0, make_crit(space, f))
+    assert str(info.value) == (
+        "descent stalled at point 0: no adjacent point satisfies both strict "
+        "decreases (slope_f=0.5, slope_g=0.49999999999999994)")
 
 
 def test_descent_step_from_critical_point_rejected():
@@ -82,7 +83,6 @@ def test_descent_step_exists_for_contracted_fields():
             if crit.mask[x]:
                 continue
             z = descent_step(space, f, g, x, crit)
-            assert not isinstance(z, NoStep)
             assert f.values[x] > f.values[z]
             assert (f.values[x] - g.values[x]) > (f.values[z] - g.values[z])
             # selection rule: steepest quotient, ties to the smallest id
@@ -113,9 +113,12 @@ def test_descent_step_dominance_matches_local_slope():
             sf = local_slope(space, f, x, cap=cap)
             sg = local_slope(space, g, x, cap=cap)
             if sf > sg:
-                step = descent_step(space, f, g, x, crit, cap=cap)
-                if isinstance(step, NoStep):
-                    assert (step.slope_f, step.slope_g) == (sf, sg)
+                try:
+                    descent_step(space, f, g, x, crit, cap=cap)
+                except SlopeDominanceViolated as exc:
+                    assert str(exc) == (
+                        f"descent stalled at point {x}: no adjacent point satisfies "
+                        f"both strict decreases (slope_f={sf}, slope_g={sg})")
                 continue
             with pytest.raises(SlopeDominanceViolated) as info:
                 descent_step(space, f, g, x, crit, cap=cap)
@@ -131,6 +134,7 @@ def test_descent_path_single_point_when_start_critical():
     assert path.points == (2,)
     assert path.steps == 0
     assert path.terminal_critical
+    assert crit.mask[path.points[-1]]
 
 
 def test_descent_path_four_point_chain():
@@ -142,6 +146,7 @@ def test_descent_path_four_point_chain():
     assert path.points == (0, 1, 2, 3)
     assert len(path) == 4
     assert path.terminal_critical
+    assert crit.mask[path.points[-1]]
     assert path.f_values == (3.0, 2.0, 1.0, 0.0)
 
 

@@ -172,6 +172,16 @@ def test_emit_figure_data_fig3_levels():
     assert rows[-1][2] == pytest.approx(3.0, abs=1e-12)  # 2 c(1) + 1
 
 
+@pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
+@pytest.mark.parametrize("level,shown", [(-5, "-5"), ("x", "'x'"), (math.nan, "nan"),
+                                         (True, "True"), (2.5, "2.5")])
+def test_emit_figure_data_checks_level_for_every_figure(which, level, shown):
+    # fig1 and fig2 do not read the level, yet reject a bad one as fig3 does
+    with pytest.raises(InvalidCount) as info:
+        emit_figure_data(which, n=5, level=level)
+    assert str(info.value) == f"level must be an integer >= 0, got {shown}"
+
+
 def test_emit_figure_data_rejects_unknown_tag():
     with pytest.raises(UnknownFigure):
         emit_figure_data("fig9")

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import slopekit as sk
-from slopekit import NoStep, ScalarField, SlopeField
+from slopekit import ScalarField, SlopeField
 from slopekit.testing import (
     random_connected_graph,
     random_dyadic_constant,
@@ -150,7 +150,7 @@ def reference_path(space, f, g, x0, crit, cap):
     points = [x0]
     while not crit.mask[points[-1]] and len(points) <= space.n:
         step = outcome(lambda: reference_descent_step(space, f, g, points[-1], cap))
-        if step[0] != "ok" or isinstance(step[1], tuple):
+        if step[0] != "ok":
             return step
         points.append(step[1])
     return tuple(points)
@@ -164,8 +164,9 @@ def test_descent_step_matches_the_float64_loop():
             got = outcome(lambda: sk.descent_step(space, f, g, x, crit, cap=cap))
             assert got == outcome(lambda: reference_descent_step(space, f, g, x, cap))
             seen[got[0] if got[0] == "ok" else got[0].__name__] += 1
-            if isinstance(got[1], tuple):
-                seen["NoStep"] += 1
+            if got[0] is sk.errors.SlopeDominanceViolated and \
+                    got[1].startswith("descent stalled at point "):
+                seen["stalled"] += 1
             path = outcome(lambda: sk.descent_path(space, f, g, x, crit, cap=cap))
             if path[0] == "ok":
                 points, f_vals, diff_vals, _ = path[1][1]
@@ -173,33 +174,38 @@ def test_descent_step_matches_the_float64_loop():
                 assert f_vals == bits([float(f.values[p]) for p in points])
                 assert diff_vals == bits([float(f.values[p]) - float(g.values[p])
                                           for p in points])
+            else:
+                assert path == reference_path(space, f, g, x, crit, cap)
     # steps are taken, refused for dominance and (with overflow) found stuck
     assert seen["ok"] > 3000
     assert seen["SlopeDominanceViolated"] > 1000
-    assert seen["NoStep"] > 10
+    assert seen["stalled"] > 10
 
 
 def test_no_step_reports_python_floats_with_the_reference_bits():
+    # Both steps stall. The message prints the two slopes as floats, the
+    # slope of f being 1.7e308 - 1e308, and is the reference step's message.
+    stalled = (sk.errors.SlopeDominanceViolated,
+               "descent stalled at point 0: no adjacent point satisfies both "
+               "strict decreases (slope_f=6.999999999999999e+307, slope_g=0.0)")
     # (f - g)(0) = -1e308 - 1e308 overflows to -inf, so no step lowers it,
     # though the slope of f at 0, 7e307, is above that of g, 0
     space = sk.build_graph([(0, 1, 1.0)])
     f = ScalarField(space, np.array([-1e308, -1.7e308]))
     g = ScalarField(space, np.array([1e308, 1e308]))
     crit = sk.critical_set(sk.slope_field(space, f, cap=1.7e308))
-    got = sk.descent_step(space, f, g, 0, crit, cap=1.7e308)
-    want = reference_descent_step(space, f, g, 0, 1.7e308)
-    assert isinstance(got, NoStep) and bits(got) == bits(want)
-    assert type(got.slope_f) is float and type(got.slope_g) is float
+    got = outcome(lambda: sk.descent_step(space, f, g, 0, crit, cap=1.7e308))
+    assert got == stalled
+    assert got == outcome(lambda: reference_descent_step(space, f, g, 0, 1.7e308))
     # (f - g)(0) and (f - g)(1) overflow to inf; point 2, level with 0 in
     # f, lowers f - g but is no descent step
     space = sk.build_graph([(0, 1, 1.0), (0, 2, 1.0)])
     f = ScalarField(space, np.array([1.7e308, 1e308, 1.7e308]))
     g = ScalarField(space, np.array([-1e308, -1e308, 0.0]))
     crit = sk.critical_set(sk.slope_field(space, f, cap=1.7e308))
-    got = sk.descent_step(space, f, g, 0, crit, cap=1.7e308)
-    assert isinstance(got, NoStep)
-    assert (got.slope_f, got.slope_g) == (1.7e308 - 1e308, 0.0)
-    assert bits(got) == bits(reference_descent_step(space, f, g, 0, 1.7e308))
+    got = outcome(lambda: sk.descent_step(space, f, g, 0, crit, cap=1.7e308))
+    assert got == stalled
+    assert got == outcome(lambda: reference_descent_step(space, f, g, 0, 1.7e308))
 
 
 def test_kernel_built_fields_pass_the_public_checks():

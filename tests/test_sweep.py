@@ -165,6 +165,15 @@ def test_distances_from_matches_oracle(kind):
     assert (overflowed > 0) == (kind == "huge")
 
 
+def test_oracle_refuses_a_negative_increment():
+    # Label correction needs nonnegative increments: on the edge pair
+    # 1-2, neither of which is a seed, -1 lowers both labels every round.
+    space = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError) as info:
+        reference_sweep(space, np.full(space.dst.size, -1.0), {0: 0.0})
+    assert str(info.value) == "no fixpoint within n rounds: a negative increment"
+
+
 def test_wide_frontier_matches_oracle():
     # Dyadic fields on 1500-2000-point graphs have several hundred
     # local minima, so at the default width the sweep starts with

@@ -52,6 +52,8 @@ DESCENT = "src/slopekit/descent.py"
 RECONSTRUCT = "src/slopekit/reconstruct.py"
 IO = "src/slopekit/io.py"
 CLI = "src/slopekit/cli.py"
+GALLERY = "src/slopekit/gallery.py"
+TESTING = "src/slopekit/testing.py"
 GUARD_REJECTS = "tests/test_csv_fast.py::test_guard_rejects"
 INTEGER_RULE = "tests/test_inputs.py::test_integer_inputs_follow_one_rule"
 
@@ -223,7 +225,11 @@ MUTANTS = (
     # Descent and reconstruction.
     Mutant("descent-takes-level-difference", DESCENT,
            "            if diff_x > fz - gz and (", "            if diff_x >= fz - gz and (",
-           ("tests/test_descent.py::test_level_difference_is_no_step",)),
+           ("tests/test_descent.py::test_level_difference_stalls_the_step",)),
+    Mutant("stalled-step-returns-start", DESCENT,
+           "    if best is None:\n        raise SlopeDominanceViolated(\n",
+           "    if best is None:\n        return x\n        raise SlopeDominanceViolated(\n",
+           ("tests/test_descent.py::test_level_difference_stalls_the_step",)),
     Mutant("prescription-takes-bool-keys", RECONSTRUCT,
            "_int64s(keys)",
            "_int64s([int(p) if type(p) in (bool, np.bool_) else p for p in keys])",
@@ -259,6 +265,20 @@ MUTANTS = (
            "    row = int(bad.size - 1 - np.argmax(bad[::-1]))\n",
            ("tests/test_csv_fast.py::test_array_checks_fail_the_same_way"
             "[field-point,value\\n0,1\\n1,1e999\\n2,-1e999\\n]",)),
+    # The gallery's level rule and the property suites' failure count.
+    Mutant("figure-level-unchecked", GALLERY,
+           '    level = check_count(level, "level", 0)\n    if which == "fig1":',
+           '    if which == "fig1":',
+           ("tests/test_gallery.py::test_emit_figure_data_checks_level_for_every_figure"
+            "[True-True-fig1]",
+            "tests/test_gallery.py::test_emit_figure_data_checks_level_for_every_figure"
+            "[True-True-fig3]")),
+    Mutant("lemma-suite-counts-no-failure", TESTING,
+           "                failures += 1\n                if first is None:\n"
+           '                    first = f"no valid step',
+           "                if first is None:\n"
+           '                    first = f"no valid step',
+           ("tests/test_suites.py::test_a_broken_check_fails_the_suite[lemma-stay]",)),
     # CLI start-up.
     Mutant("cli-imports-traceback", CLI,
            "import argparse\nimport sys\n", "import argparse\nimport sys\nimport traceback\n",
